@@ -10,7 +10,7 @@
 #include "obs/Profile.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
-#include "support/Json.h"
+#include "support/File.h"
 
 #include <algorithm>
 #include <cmath>
@@ -398,112 +398,130 @@ std::string fmtSecPm(double MedianSec, double StddevSec) {
 //===----------------------------------------------------------------------===//
 
 BenchJson::BenchJson(std::string BenchId, double Scale, int Reps) {
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "\"schema\":\"mpl-bench/1\",\"bench\":\"%s\","
-                "\"scale\":%g,\"reps\":%d,\"warmup_reps\":1,"
-                "\"statistic\":\"median_lower\"",
-                json::escape(BenchId).c_str(), Scale, Reps);
-  Header = Buf;
+  W.beginObject()
+      .kv("schema", "mpl-bench/1")
+      .kv("bench", BenchId)
+      .kv("scale", Scale)
+      .kv("reps", Reps)
+      .kv("warmup_reps", 1)
+      .kv("statistic", "median_lower");
 }
 
 void BenchJson::addMeta(const std::string &Key, const std::string &Value) {
-  Header += ",\"" + json::escape(Key) + "\":\"" + json::escape(Value) + "\"";
+  MPL_CHECK(!RowsOpen, "BenchJson meta added after the first row");
+  W.kv(Key, Value);
 }
 
 void BenchJson::addMetaInt(const std::string &Key, int64_t Value) {
-  Header += ",\"" + json::escape(Key) + "\":" + std::to_string(Value);
+  MPL_CHECK(!RowsOpen, "BenchJson meta added after the first row");
+  W.kv(Key, Value);
 }
 
-namespace {
-std::string jsonDouble(double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", V);
-  return Buf;
+json::Writer &BenchJson::beginRow(const std::string &Name,
+                                  const std::string &Config) {
+  if (!RowsOpen)
+    W.key("rows").beginArray();
+  RowsOpen = true;
+  return W.newline().beginObject().kv("name", Name).kv("config", Config);
 }
-} // namespace
 
 void BenchJson::addRow(const std::string &Name, const std::string &Config,
                        bool Entangled, const RunResult &R) {
-  std::string S;
-  S += "{\"name\":\"" + json::escape(Name) + "\",";
-  S += "\"config\":\"" + json::escape(Config) + "\",";
-  S += std::string("\"entangled\":") + (Entangled ? "true" : "false") + ",";
-  S += "\"time\":{\"median_s\":" + jsonDouble(R.Seconds) +
-       ",\"min_s\":" + jsonDouble(R.MinSeconds) +
-       ",\"stddev_s\":" + jsonDouble(R.StddevSeconds) + ",\"rep_s\":[";
-  for (size_t I = 0; I < R.RepSeconds.size(); ++I) {
-    if (I)
-      S += ",";
-    S += jsonDouble(R.RepSeconds[I]);
-  }
-  S += "]},";
-  S += "\"work_span\":{\"work_s\":" + jsonDouble(R.WS.WorkSec) +
-       ",\"span_s\":" + jsonDouble(R.WS.SpanSec) + "},";
+  beginRow(Name, Config)
+      .kv("entangled", Entangled)
+      .key("time")
+      .beginObject()
+      .kv("median_s", R.Seconds)
+      .kv("min_s", R.MinSeconds)
+      .kv("stddev_s", R.StddevSeconds)
+      .key("rep_s")
+      .beginArray();
+  for (double S : R.RepSeconds)
+    W.value(S);
   const StatSnap &St = R.Stats;
-  S += "\"em\":{\"entangled_reads\":" + std::to_string(St.EntangledReads) +
-       ",\"pins_down\":" + std::to_string(St.PinsDown) +
-       ",\"pins_cross\":" + std::to_string(St.PinsCross) +
-       ",\"pins_holder\":" + std::to_string(St.PinsHolder) +
-       ",\"pinned_objects\":" + std::to_string(St.PinnedObjects) +
-       ",\"pinned_bytes\":" + std::to_string(St.PinnedBytes) +
-       ",\"unpins\":" + std::to_string(St.Unpins) +
-       ",\"cont_captured\":" + std::to_string(St.ContCaptured) +
-       ",\"cont_resumed\":" + std::to_string(St.ContResumed) + "},";
+  W.endArray()
+      .endObject()
+      .key("work_span")
+      .beginObject()
+      .kv("work_s", R.WS.WorkSec)
+      .kv("span_s", R.WS.SpanSec)
+      .endObject()
+      .key("em")
+      .beginObject()
+      .kv("entangled_reads", St.EntangledReads)
+      .kv("pins_down", St.PinsDown)
+      .kv("pins_cross", St.PinsCross)
+      .kv("pins_holder", St.PinsHolder)
+      .kv("pinned_objects", St.PinnedObjects)
+      .kv("pinned_bytes", St.PinnedBytes)
+      .kv("unpins", St.Unpins)
+      .kv("cont_captured", St.ContCaptured)
+      .kv("cont_resumed", St.ContResumed)
+      .endObject();
   // Additive like "spans": only rows that actually ran the JIT tier carry
   // the block, so existing baselines keep parsing unchanged.
   if (St.JitCompiled > 0)
-    S += "\"jit\":{\"compiled\":" + std::to_string(St.JitCompiled) +
-         ",\"entries\":" + std::to_string(St.JitEntries) +
-         ",\"code_bytes\":" + std::to_string(St.JitCodeBytes) + "},";
-  S += "\"gc\":{\"collections\":" + std::to_string(St.GcCount) +
-       ",\"max_pause_ns\":" + std::to_string(St.GcMaxPauseNs) +
-       ",\"total_pause_ns\":" + std::to_string(St.GcTotalPauseNs) +
-       ",\"inplace_bytes\":" + std::to_string(St.GcInPlaceBytes) + "},";
-  S += "\"max_residency_bytes\":" + std::to_string(St.PeakResidency) + ",";
-  S += "\"checksum\":" + std::to_string(R.Checksum) + ",";
+    W.key("jit")
+        .beginObject()
+        .kv("compiled", St.JitCompiled)
+        .kv("entries", St.JitEntries)
+        .kv("code_bytes", St.JitCodeBytes)
+        .endObject();
+  W.key("gc")
+      .beginObject()
+      .kv("collections", St.GcCount)
+      .kv("max_pause_ns", St.GcMaxPauseNs)
+      .kv("total_pause_ns", St.GcTotalPauseNs)
+      .kv("inplace_bytes", St.GcInPlaceBytes)
+      .endObject()
+      .kv("max_residency_bytes", St.PeakResidency)
+      .kv("checksum", R.Checksum);
   // Additive: rows measured without Spans carry no block, so existing
   // baselines keep parsing and the gate's join is unaffected.
   if (R.Spans.Valid)
-    S += "\"spans\":{\"tasks\":" + std::to_string(R.Spans.Tasks) +
-         ",\"stolen\":" + std::to_string(R.Spans.Stolen) +
-         ",\"work_s\":" + jsonDouble(R.Spans.WorkSec) +
-         ",\"critical_path_s\":" + jsonDouble(R.Spans.CriticalPathSec) +
-         ",\"agreement_pct\":" + jsonDouble(R.Spans.AgreementPct) + "},";
-  S += "\"profile\":{\"leaked_pins\":" + std::to_string(R.ProfileLeakedPins) +
-       ",\"leaked_bytes\":" + std::to_string(R.ProfileLeakedBytes) +
-       ",\"pin_bytes_attributed\":" + std::to_string(R.profilePinnedBytes()) +
-       ",\"sites\":[";
-  for (size_t I = 0; I < R.ProfileSites.size(); ++I) {
-    const ProfileSiteRow &P = R.ProfileSites[I];
-    if (I)
-      S += ",";
-    S += "{\"name\":\"" + json::escape(P.Name) + "\",\"events\":" +
-         std::to_string(P.Events) + ",\"bytes\":" + std::to_string(P.Bytes) +
-         ",\"lifetime_p50_ns\":" + std::to_string(P.LifetimeP50Ns) +
-         ",\"lifetime_p99_ns\":" + std::to_string(P.LifetimeP99Ns) + "}";
-  }
-  S += "]}}";
-  Rows.push_back(std::move(S));
+    W.key("spans")
+        .beginObject()
+        .kv("tasks", R.Spans.Tasks)
+        .kv("stolen", R.Spans.Stolen)
+        .kv("work_s", R.Spans.WorkSec)
+        .kv("critical_path_s", R.Spans.CriticalPathSec)
+        .kv("agreement_pct", R.Spans.AgreementPct)
+        .endObject();
+  W.key("profile")
+      .beginObject()
+      .kv("leaked_pins", R.ProfileLeakedPins)
+      .kv("leaked_bytes", R.ProfileLeakedBytes)
+      .kv("pin_bytes_attributed", R.profilePinnedBytes())
+      .key("sites")
+      .beginArray();
+  for (const ProfileSiteRow &P : R.ProfileSites)
+    W.beginObject()
+        .kv("name", P.Name)
+        .kv("events", P.Events)
+        .kv("bytes", P.Bytes)
+        .kv("lifetime_p50_ns", P.LifetimeP50Ns)
+        .kv("lifetime_p99_ns", P.LifetimeP99Ns)
+        .endObject();
+  W.endArray().endObject().endObject();
 }
 
 void BenchJson::addCustomRow(const std::string &Name,
                              const std::string &Config, double MedianSec,
-                             const std::string &ExtraJson) {
-  std::string S;
-  S += "{\"name\":\"" + json::escape(Name) + "\",";
-  S += "\"config\":\"" + json::escape(Config) + "\",";
-  S += "\"time\":{\"median_s\":" + jsonDouble(MedianSec) + "}";
-  if (!ExtraJson.empty())
-    S += "," + ExtraJson;
-  S += "}";
-  Rows.push_back(std::move(S));
+                             const ExtraFields &Extra) {
+  beginRow(Name, Config)
+      .key("time")
+      .beginObject()
+      .kv("median_s", MedianSec)
+      .endObject();
+  if (Extra)
+    Extra(W);
+  W.endObject();
 }
 
 void BenchJson::addCustomRow(const std::string &Name,
                              const std::string &Config, double MedianSec,
                              const std::vector<double> &RepSeconds,
-                             const std::string &ExtraJson) {
+                             const ExtraFields &Extra) {
   double Mean = 0;
   for (double R : RepSeconds)
     Mean += R;
@@ -514,45 +532,33 @@ void BenchJson::addCustomRow(const std::string &Name,
   double Stddev = RepSeconds.size() > 1
                       ? std::sqrt(Var / static_cast<double>(RepSeconds.size() - 1))
                       : 0;
-  std::string S;
-  S += "{\"name\":\"" + json::escape(Name) + "\",";
-  S += "\"config\":\"" + json::escape(Config) + "\",";
-  S += "\"time\":{\"median_s\":" + jsonDouble(MedianSec) +
-       ",\"stddev_s\":" + jsonDouble(Stddev) + ",\"rep_s\":[";
-  for (size_t I = 0; I < RepSeconds.size(); ++I) {
-    if (I)
-      S += ",";
-    S += jsonDouble(RepSeconds[I]);
-  }
-  S += "]}";
-  if (!ExtraJson.empty())
-    S += "," + ExtraJson;
-  S += "}";
-  Rows.push_back(std::move(S));
+  beginRow(Name, Config)
+      .key("time")
+      .beginObject()
+      .kv("median_s", MedianSec)
+      .kv("stddev_s", Stddev)
+      .key("rep_s")
+      .beginArray();
+  for (double R : RepSeconds)
+    W.value(R);
+  W.endArray().endObject();
+  if (Extra)
+    Extra(W);
+  W.endObject();
 }
 
 std::string BenchJson::dump() const {
-  std::string S = "{" + Header + ",\"rows\":[\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    if (I)
-      S += ",\n";
-    S += Rows[I];
-  }
-  S += "\n]}\n";
-  return S;
+  json::Writer D = W;
+  if (!RowsOpen)
+    D.key("rows").beginArray();
+  D.newline().endArray().endObject().newline();
+  return D.take();
 }
 
 bool BenchJson::write(const std::string &Path) const {
-  std::string S = dump();
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "bench: cannot open -json path '%s'\n", Path.c_str());
-    return false;
-  }
-  size_t W = std::fwrite(S.data(), 1, S.size(), F);
-  std::fclose(F);
-  if (W != S.size()) {
-    std::fprintf(stderr, "bench: short write to '%s'\n", Path.c_str());
+  if (!writeFile(Path, dump())) {
+    std::fprintf(stderr, "bench: cannot write -json path '%s'\n",
+                 Path.c_str());
     return false;
   }
   std::printf("json: wrote %s\n", Path.c_str());

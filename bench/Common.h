@@ -26,6 +26,7 @@
 #include "core/Handles.h"
 #include "core/Ops.h"
 #include "core/Runtime.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 #include "support/Timer.h"
@@ -160,7 +161,8 @@ std::string fmtSecPm(double MedianSec, double StddevSec);
 
 /// Accumulates schema-versioned benchmark records and writes the `-json`
 /// output file. Schema "mpl-bench/1": see tools/mpl_report.cpp (the
-/// renderer / regression gate) for the consumer side.
+/// renderer / regression gate) for the consumer side. Meta fields come
+/// first: add them all before the first row.
 class BenchJson {
 public:
   BenchJson(std::string BenchId, double Scale, int Reps);
@@ -174,19 +176,20 @@ public:
   void addRow(const std::string &Name, const std::string &Config,
               bool Entangled, const RunResult &R);
 
-  /// Escape hatch for binaries with hand-rolled measurement loops
-  /// (bench_table_lang, bench_table_pml, bench_fig_spacetime):
-  /// \p ExtraJson is a pre-rendered fragment of additional fields, e.g.
-  /// "\"native_s\":0.123" (may be empty).
+  /// Writes a custom row's own fields after its "time" block.
+  using ExtraFields = std::function<void(json::Writer &)>;
+
+  /// Row for binaries with hand-rolled measurement loops (bench_table_lang,
+  /// bench_table_pml, bench_fig_*, bench_server); \p Extra may be empty.
   void addCustomRow(const std::string &Name, const std::string &Config,
-                    double MedianSec, const std::string &ExtraJson);
+                    double MedianSec, const ExtraFields &Extra = {});
 
   /// addCustomRow variant that also records the per-rep times (and the
   /// sample stddev recomputed from them), so hand-rolled rows can feed the
   /// stddev-aware time gate like measure()d rows do (BENCH_T3 jit rows).
   void addCustomRow(const std::string &Name, const std::string &Config,
                     double MedianSec, const std::vector<double> &RepSeconds,
-                    const std::string &ExtraJson);
+                    const ExtraFields &Extra = {});
 
   std::string dump() const;
 
@@ -195,8 +198,12 @@ public:
   bool write(const std::string &Path) const;
 
 private:
-  std::string Header;
-  std::vector<std::string> Rows;
+  /// Opens the rows array on the first row, then a row object carrying
+  /// the join key.
+  json::Writer &beginRow(const std::string &Name, const std::string &Config);
+
+  json::Writer W;
+  bool RowsOpen = false;
 };
 
 } // namespace bench

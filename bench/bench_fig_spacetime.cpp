@@ -88,24 +88,20 @@ int main(int Argc, char **Argv) {
     BenchJson J("fig_spacetime", Scale, /*Reps=*/1);
     J.addMetaInt("sample_us", SampleUs);
     J.addMetaInt("final_pinned_bytes", FinalPinned);
-    std::string Extra = "\"samples\":[";
-    for (size_t I = 0; I < Samples.size(); ++I) {
-      if (I)
-        Extra += ",";
-      char Buf[96];
-      std::snprintf(Buf, sizeof(Buf),
-                    "{\"ms\":%lld,\"residency\":%lld,\"pinned\":%lld}",
-                    static_cast<long long>(Samples[I].Ms),
-                    static_cast<long long>(Samples[I].Residency),
-                    static_cast<long long>(Samples[I].Pinned));
-      Extra += Buf;
-    }
-    Extra += "]";
     J.addCustomRow("dedup-ht", "spacetime-w2",
                    Samples.empty()
                        ? 0.0
                        : static_cast<double>(Samples.back().Ms) * 1e-3,
-                   Extra);
+                   [&](json::Writer &W) {
+                     W.key("samples").beginArray();
+                     for (const auto &S : Samples)
+                       W.beginObject()
+                           .kv("ms", S.Ms)
+                           .kv("residency", S.Residency)
+                           .kv("pinned", S.Pinned)
+                           .endObject();
+                     W.endArray();
+                   });
     if (!J.write(JsonPath))
       return 1;
   }

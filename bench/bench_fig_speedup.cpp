@@ -50,22 +50,20 @@ int main(int Argc, char **Argv) {
     RunResult Par = measure(E, false, 1, em::Mode::Manage, true, Reps);
 
     std::vector<std::string> Row{E.Name};
-    std::string Curve = "\"speedup\":[";
-    for (size_t I = 0; I < sizeof(Procs) / sizeof(Procs[0]); ++I) {
-      int P = Procs[I];
-      double S = Seq.Seconds / Par.WS.predictedTime(P);
-      Row.push_back(Table::fmtRatio(S));
-      if (I)
-        Curve += ",";
-      char Buf[64];
-      std::snprintf(Buf, sizeof(Buf), "{\"p\":%d,\"x\":%.4g}", P, S);
-      Curve += Buf;
-    }
-    Curve += "]";
+    for (int P : Procs)
+      Row.push_back(Table::fmtRatio(Seq.Seconds / Par.WS.predictedTime(P)));
     T.addRow(std::move(Row));
     J.addRow(E.Name, "seq", E.Entangled, Seq);
     J.addRow(E.Name, "par-w1", E.Entangled, Par);
-    J.addCustomRow(E.Name, "speedup-curve", Par.Seconds, Curve);
+    J.addCustomRow(E.Name, "speedup-curve", Par.Seconds, [&](json::Writer &W) {
+      W.key("speedup").beginArray();
+      for (int P : Procs)
+        W.beginObject()
+            .kv("p", P)
+            .kv("x", Seq.Seconds / Par.WS.predictedTime(P))
+            .endObject();
+      W.endArray();
+    });
   }
   T.print();
   std::printf("\nEach cell is the predicted speedup over the sequential "

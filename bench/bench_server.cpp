@@ -281,25 +281,26 @@ int main(int Argc, char **Argv) {
     J.addMetaInt("chaos_seed", static_cast<int64_t>(Seed));
     J.addMetaInt("wire_permille", WirePermille);
     J.addMetaInt("fault_every_n", FaultEveryN);
-    std::string Extra =
-        "\"p50_ns\":" + std::to_string(P.P50) +
-        ",\"p95_ns\":" + std::to_string(P.P95) +
-        ",\"p99_ns\":" + std::to_string(P.P99) +
-        ",\"p999_ns\":" + std::to_string(P.P999) +
-        ",\"shed_rate\":" + std::to_string(ShedRate) +
-        ",\"ok\":" + std::to_string(T.Ok.load()) +
-        ",\"shed\":" + std::to_string(T.Shed.load()) +
-        ",\"deadline_expired\":" + std::to_string(T.DeadlineExpired.load()) +
-        ",\"undelivered\":" + std::to_string(T.Undelivered.load()) +
-        ",\"wire_faults\":" + std::to_string(ST.WireFaults) +
-        ",\"leaked_pins\":" + std::to_string(LeakedPins);
-    if (SB.Valid)
-      Extra += ",\"queue_p50_ns\":" + std::to_string(SB.QueueP50) +
-               ",\"queue_p99_ns\":" + std::to_string(SB.QueueP99) +
-               ",\"exec_p50_ns\":" + std::to_string(SB.ExecP50) +
-               ",\"exec_p99_ns\":" + std::to_string(SB.ExecP99);
-    J.addCustomRow("request_latency", "open-loop",
-                   static_cast<double>(P.P50) * 1e-9, Extra);
+    J.addCustomRow(
+        "request_latency", "open-loop", static_cast<double>(P.P50) * 1e-9,
+        [&](json::Writer &W) {
+          W.kv("p50_ns", P.P50)
+              .kv("p95_ns", P.P95)
+              .kv("p99_ns", P.P99)
+              .kv("p999_ns", P.P999)
+              .kv("shed_rate", ShedRate)
+              .kv("ok", T.Ok.load())
+              .kv("shed", T.Shed.load())
+              .kv("deadline_expired", T.DeadlineExpired.load())
+              .kv("undelivered", T.Undelivered.load())
+              .kv("wire_faults", ST.WireFaults)
+              .kv("leaked_pins", LeakedPins);
+          if (SB.Valid)
+            W.kv("queue_p50_ns", SB.QueueP50)
+                .kv("queue_p99_ns", SB.QueueP99)
+                .kv("exec_p50_ns", SB.ExecP50)
+                .kv("exec_p99_ns", SB.ExecP99);
+        });
     J.write(JsonPath);
   }
   if (chaos::active())

@@ -160,12 +160,9 @@ int main(int Argc, char **Argv) {
 
     T.addRow({R.Name, Table::fmtSec(TI), Table::fmtSec(TA),
               Table::fmtSec(TM), Table::fmtRatio(TM / TI)});
-    char Extra[160];
-    std::snprintf(Extra, sizeof(Extra),
-                  "\"idiomatic_s\":%.9g,\"alloc_match_s\":%.9g,"
-                  "\"checksum\":%lld",
-                  TI, TA, static_cast<long long>(CkM));
-    J.addCustomRow(R.Name, "mpl-w1", TM, Extra);
+    J.addCustomRow(R.Name, "mpl-w1", TM, [&](json::Writer &W) {
+      W.kv("idiomatic_s", TI).kv("alloc_match_s", TA).kv("checksum", CkM);
+    });
   }
   T.print();
   if (!JsonPath.empty() && !J.write(JsonPath))

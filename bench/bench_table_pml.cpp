@@ -258,11 +258,9 @@ int main(int Argc, char **Argv) {
 
   auto AddJson = [&](const char *Name, double Nat, double Rt, double Pml,
                      double CpPct) {
-    char Extra[160];
-    std::snprintf(Extra, sizeof(Extra),
-                  "\"native_s\":%.9g,\"embedding_s\":%.9g,\"cp_pct\":%.4g",
-                  Nat, Rt, CpPct);
-    J.addCustomRow(Name, "pml-vm-w1", Pml, Extra);
+    J.addCustomRow(Name, "pml-vm-w1", Pml, [&](json::Writer &W) {
+      W.kv("native_s", Nat).kv("embedding_s", Rt).kv("cp_pct", CpPct);
+    });
   };
   auto CpCell = [](double CpPct) {
     return CpPct >= 0 ? Table::fmtPct(CpPct) : std::string("-");
@@ -369,14 +367,17 @@ int main(int Argc, char **Argv) {
     T.addRow({"eff-pipeline 2k", Table::fmtSec(Nat), Table::fmtSec(Rt),
               Table::fmtSec(Pml), Table::fmtRatio(Pml / Rt),
               Table::fmtRatio(Rt / Nat), CpCell(Cp)});
-    char Extra[256];
-    std::snprintf(Extra, sizeof(Extra),
-                  "\"native_s\":%.9g,\"embedding_s\":%.9g,\"cp_pct\":%.4g,"
-                  "\"em\":{\"cont_captured\":%lld,\"cont_resumed\":%lld},"
-                  "\"checksum\":%lld",
-                  Nat, Rt, Cp, (long long)Captured, (long long)Resumed,
-                  (long long)NatV);
-    J.addCustomRow("eff-pipeline-2k", "pml-vm-w1", Pml, Extra);
+    J.addCustomRow("eff-pipeline-2k", "pml-vm-w1", Pml, [&](json::Writer &W) {
+      W.kv("native_s", Nat)
+          .kv("embedding_s", Rt)
+          .kv("cp_pct", Cp)
+          .key("em")
+          .beginObject()
+          .kv("cont_captured", Captured)
+          .kv("cont_resumed", Resumed)
+          .endObject()
+          .kv("checksum", NatV);
+    });
   }
 
   T.print();
@@ -448,19 +449,26 @@ int main(int Argc, char **Argv) {
                   Table::fmtSec(Jt.Sec), Table::fmtRatio(In.Sec / Jt.Sec),
                   std::to_string(Jt.JitCompiled), KiB});
         auto AddAbl = [&](const std::string &Cfg, const TierRun &R) {
-          std::string Extra =
-              "\"em\":{\"cont_captured\":" + std::to_string(R.ContCaptured) +
-              ",\"cont_resumed\":" + std::to_string(R.ContResumed) + "}";
-          if (R.JitCompiled > 0)
-            Extra += ",\"jit\":{\"compiled\":" +
-                     std::to_string(R.JitCompiled) +
-                     ",\"entries\":" + std::to_string(R.JitEntries) +
-                     ",\"code_bytes\":" + std::to_string(R.JitCodeBytes) +
-                     "}";
-          Extra += ",\"profile\":{\"leaked_pins\":" +
-                   std::to_string(R.LeakedPins) + ",\"leaked_bytes\":0}";
-          Extra += ",\"checksum\":" + std::to_string(tierChecksum(R));
-          J.addCustomRow(K.Name, Cfg, R.Sec, R.RepSec, Extra);
+          J.addCustomRow(K.Name, Cfg, R.Sec, R.RepSec, [&](json::Writer &W) {
+            W.key("em")
+                .beginObject()
+                .kv("cont_captured", R.ContCaptured)
+                .kv("cont_resumed", R.ContResumed)
+                .endObject();
+            if (R.JitCompiled > 0)
+              W.key("jit")
+                  .beginObject()
+                  .kv("compiled", R.JitCompiled)
+                  .kv("entries", R.JitEntries)
+                  .kv("code_bytes", R.JitCodeBytes)
+                  .endObject();
+            W.key("profile")
+                .beginObject()
+                .kv("leaked_pins", R.LeakedPins)
+                .kv("leaked_bytes", 0)
+                .endObject()
+                .kv("checksum", tierChecksum(R));
+          });
         };
         AddAbl(std::string("pml-interp-") + M.Name, In);
         AddAbl(std::string("pml-jit-") + M.Name, Jt);

@@ -15,14 +15,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/Common.h"
-#include "pml/Vm.h"
-#include "pml/jit/Jit.h"
 #include "support/Cli.h"
-#include "support/Timer.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <vector>
 
 using namespace mpl;
 using namespace mpl::bench;
@@ -76,57 +71,10 @@ int main(int Argc, char **Argv) {
     J.addRow(E.Name, "seq", E.Entangled, Seq);
     J.addRow(E.Name, "par-w1", E.Entangled, Par);
   }
-  // The pml carrier, interpreted and JIT-tiered, as two extra rows: T1 is
-  // the headline time table, so the carrier the pml suite pays for should
-  // be visible next to the C++ embedding rows it wraps. Both configs run
-  // the identical program under full management at one worker; the jit
-  // config compiles at threshold 1 (tools/ci.sh time-gates its BENCH_T3
-  // twin, these rows are informational context here).
-  {
-    const char *Src = "fun fib n = if n < 2 then n else fib (n-1) + "
-                      "fib (n-2)\nfib 25";
-    auto timeVm = [&](bool UseJit, std::string &Value,
-                      std::vector<double> &RepsOut) {
-      std::vector<double> Times;
-      for (int I = 0; I < Reps; ++I) {
-        jit::setCompileThreshold(1);
-        jit::setEnabled(UseJit);
-        rt::Config Cfg;
-        Cfg.NumWorkers = 1;
-        Cfg.Profile = false;
-        rt::Runtime R(Cfg);
-        Timer Tm;
-        R.run([&] {
-          std::string Output, TypeStr;
-          std::vector<std::string> Errors;
-          bool Ok = pml::evalSource(Src, Output, Value, TypeStr, Errors);
-          MPL_CHECK(Ok, "pml carrier row failed");
-        });
-        Times.push_back(Tm.elapsedSec());
-        jit::setEnabled(false);
-      }
-      RepsOut = Times;
-      std::sort(Times.begin(), Times.end());
-      return Times[(Times.size() - 1) / 2];
-    };
-    std::string InterpV, JitV;
-    std::vector<double> InterpReps, JitReps;
-    double Interp = timeVm(false, InterpV, InterpReps);
-    double Jit = timeVm(true, JitV, JitReps);
-    MPL_CHECK(InterpV == JitV, "pml carrier interp/jit values disagree");
-    T.addRow({"pml-fib-25 (vm)", Table::fmtSec(Interp), Table::fmtSec(Jit),
-              Table::fmtRatio(Jit / Interp), "-", "-", "-", "-"});
-    J.addCustomRow("pml-fib-25", "vm-interp-w1", Interp, InterpReps, "");
-    J.addCustomRow("pml-fib-25", "vm-jit-w1", Jit, JitReps, "");
-  }
-
   T.print();
   std::printf("\n(ent) = entangled benchmark: its T_s runs with management "
               "enabled because\npre-paper MPL cannot run it at all; "
-              "see bench_table_entangle for its stats.\n"
-              "pml-fib-25 (vm): the pml carrier itself — T_s column = "
-              "interpreted, T_1 column = JIT tier;\nthe ovhd column is "
-              "jit/interp (the tier's speedup as a fraction).\n");
+              "see bench_table_entangle for its stats.\n");
   if (!JsonPath.empty() && !J.write(JsonPath))
     return 1;
   return 0;

@@ -10,6 +10,7 @@
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
 
@@ -31,11 +32,11 @@ std::vector<int> RtGaugeIds;
 /// Emergency-GC hook id registered with the MemoryGovernor (0 = none).
 int GovGcHookId = 0;
 
-/// The heap-tree walker behind obs::snapshotHeapTree(). Reads only the
+/// The heap-tree walker behind obs::writeHeapTree(). Reads only the
 /// per-heap relaxed-atomic gauges plus immutable parent/depth links, so it
 /// is safe to run from the MetricsSampler thread or the OOM path while
 /// workers fork, join and collect (hh/Heap.h, gauge comment).
-std::string heapTreeJson(HeapManager &HM) {
+void writeHeapTree(json::Writer &W, HeapManager &HM) {
   std::vector<Heap *> All = HM.snapshotHeaps();
   std::unordered_map<const Heap *, int> Id;
   std::vector<Heap *> Live;
@@ -52,42 +53,35 @@ std::string heapTreeJson(HeapManager &HM) {
       Children[It->second].push_back(static_cast<int>(I));
   }
   Pressure P = MemoryGovernor::get().pressure();
-  std::string S;
-  S += "{\"schema\":\"mpl-heap-tree/1\",";
-  S += "\"t_ns\":" + std::to_string(nowNs()) + ",";
-  S += "\"pressure_level\":" + std::to_string(static_cast<int>(P)) + ",";
-  S += "\"pressure\":\"" + std::string(mpl::pressureName(P)) + "\",";
-  S += "\"live_heaps\":" + std::to_string(Live.size()) + ",";
-  S += "\"heaps\":[";
+  W.beginObject()
+      .kv("schema", "mpl-heap-tree/1")
+      .kv("t_ns", nowNs())
+      .kv("pressure_level", static_cast<int>(P))
+      .kv("pressure", mpl::pressureName(P))
+      .kv("live_heaps", Live.size())
+      .key("heaps")
+      .beginArray();
   for (size_t I = 0; I < Live.size(); ++I) {
     Heap *H = Live[I];
-    if (I)
-      S += ",";
-    S += "{\"id\":" + std::to_string(I) + ",";
     auto PIt = Id.find(H->parent());
-    S += "\"parent\":" +
-         std::to_string(PIt == Id.end() ? -1 : PIt->second) + ",";
-    S += "\"depth\":" + std::to_string(H->depth()) + ",";
-    S += "\"chunk_bytes\":" +
-         std::to_string(H->ChunkBytesGauge.load(std::memory_order_relaxed)) +
-         ",";
-    S += "\"pinned_objects\":" +
-         std::to_string(H->PinnedObjsGauge.load(std::memory_order_relaxed)) +
-         ",";
-    S += "\"pinned_bytes\":" +
-         std::to_string(H->PinnedBytesGauge.load(std::memory_order_relaxed)) +
-         ",";
-    S += "\"active_forks\":" + std::to_string(H->activeForks()) + ",";
-    S += "\"children\":[";
-    for (size_t C = 0; C < Children[I].size(); ++C) {
-      if (C)
-        S += ",";
-      S += std::to_string(Children[I][C]);
-    }
-    S += "]}";
+    W.beginObject()
+        .kv("id", I)
+        .kv("parent", PIt == Id.end() ? -1 : PIt->second)
+        .kv("depth", H->depth())
+        .kv("chunk_bytes",
+            H->ChunkBytesGauge.load(std::memory_order_relaxed))
+        .kv("pinned_objects",
+            H->PinnedObjsGauge.load(std::memory_order_relaxed))
+        .kv("pinned_bytes",
+            H->PinnedBytesGauge.load(std::memory_order_relaxed))
+        .kv("active_forks", H->activeForks())
+        .key("children")
+        .beginArray();
+    for (int C : Children[I])
+      W.value(C);
+    W.endArray().endObject();
   }
-  S += "]}";
-  return S;
+  W.endArray().endObject();
 }
 } // namespace
 
@@ -120,7 +114,8 @@ Runtime::Runtime(const Config &C)
       [this] { return maybeCollect(/*Force=*/true); });
   // Heap-tree introspection: obs cannot see hh, so the walker is injected
   // here (same inversion as the gauges above).
-  obs::setHeapTreeProvider([this] { return heapTreeJson(Heaps); });
+  obs::setHeapTreeProvider(
+      [this](json::Writer &W) { writeHeapTree(W, Heaps); });
   // Deadline latching at strand-quantum boundaries: sched cannot see core,
   // so the poll is injected (same inversion again). Non-throwing by
   // contract — it only flips DeadlineCtx::Expired.

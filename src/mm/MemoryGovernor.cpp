@@ -10,6 +10,7 @@
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "support/File.h"
 #include "support/Histogram.h"
 #include "support/Stats.h"
 
@@ -324,12 +325,8 @@ void MemoryGovernor::raiseOom(size_t Bytes) {
   // tests raise OOM on purpose). ScopedGcExempt threads never reach here,
   // so no heap lock is held and the snapshot cannot deadlock.
   if (const char *Path = std::getenv("MPL_OOM_HEAP_TREE"))
-    if (std::FILE *F = std::fopen(Path, "w")) {
-      std::string Tree = obs::snapshotHeapTree();
-      std::fwrite(Tree.data(), 1, Tree.size(), F);
-      std::fputc('\n', F);
-      std::fclose(F);
-    }
+    if (!writeFile(Path, obs::snapshotHeapTree() + "\n"))
+      std::fprintf(stderr, "mpl: cannot write %s\n", Path);
   throw OutOfMemoryError(Bytes, ChunkPool::get().outstandingBytes(),
                          LimitBytes.load(std::memory_order_relaxed),
                          pinnedBytes());

@@ -18,6 +18,7 @@
 #include "pml/Vm.h"
 #include "support/EmCounters.h"
 #include "support/Histogram.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
 #include "workloads/Collections.h"
@@ -429,32 +430,25 @@ struct Server::Impl {
           E.CpLine = Buf;
   }
 
-  static void appendHistJson(std::string &Out, const char *Key,
-                             const Histogram &H) {
-    Histogram::Percentiles P = H.percentiles();
-    char Buf[200];
-    std::snprintf(Buf, sizeof(Buf),
-                  "\"%s\":{\"count\":%lld,\"p50\":%lld,\"p95\":%lld,"
-                  "\"p99\":%lld,\"p999\":%lld}",
-                  Key, static_cast<long long>(H.count()),
-                  static_cast<long long>(P.P50), static_cast<long long>(P.P95),
-                  static_cast<long long>(P.P99),
-                  static_cast<long long>(P.P999));
-    Out += Buf;
+  static void writePercentiles(json::Writer &W, std::string_view Key,
+                               int64_t Count,
+                               const Histogram::Percentiles &P) {
+    W.key(Key)
+        .beginObject()
+        .kv("count", Count)
+        .kv("p50", P.P50)
+        .kv("p95", P.P95)
+        .kv("p99", P.P99)
+        .kv("p999", P.P999)
+        .endObject();
   }
-
-  static void appendWindowJson(std::string &Out, const char *Key,
-                               const RollingWindow::WindowStats &W) {
-    char Buf[200];
-    std::snprintf(Buf, sizeof(Buf),
-                  "\"%s\":{\"count\":%lld,\"p50\":%lld,\"p95\":%lld,"
-                  "\"p99\":%lld,\"p999\":%lld}",
-                  Key, static_cast<long long>(W.Count),
-                  static_cast<long long>(W.Pct.P50),
-                  static_cast<long long>(W.Pct.P95),
-                  static_cast<long long>(W.Pct.P99),
-                  static_cast<long long>(W.Pct.P999));
-    Out += Buf;
+  static void writeHist(json::Writer &W, std::string_view Key,
+                        const Histogram &H) {
+    writePercentiles(W, Key, H.count(), H.percentiles());
+  }
+  static void writeWindow(json::Writer &W, std::string_view Key,
+                          const RollingWindow::WindowStats &S) {
+    writePercentiles(W, Key, S.Count, S.Pct);
   }
 
   /// The mpl-stats/1 snapshot: everything here is a relaxed atomic read, a
@@ -465,104 +459,58 @@ struct Server::Impl {
   std::string statsJson() {
     int64_t Now = nowNs();
     MemoryGovernor &MG = MemoryGovernor::get();
-    char Buf[512];
-    std::string Out = "{\"mpl-stats/1\":{";
-    std::snprintf(Buf, sizeof(Buf),
-                  "\"t_ns\":%lld,\"status\":\"%s\",\"pressure\":\"%s\","
-                  "\"queue_depth\":%lld,\"queue_cap\":%d,\"inflight\":%lld",
-                  static_cast<long long>(Now),
-                  Owner->draining() ? "draining" : "serving",
-                  pressureName(MG.pressure()),
-                  static_cast<long long>(
-                      QueueDepth.load(std::memory_order_relaxed)),
-                  Cfg.QueueCap,
-                  static_cast<long long>(
-                      Inflight.load(std::memory_order_relaxed)));
-    Out += Buf;
-
-    Out += ",\"counters\":{";
+    json::Writer W;
+    W.beginObject()
+        .key("mpl-stats/1")
+        .beginObject()
+        .kv("t_ns", Now)
+        .kv("status", Owner->draining() ? "draining" : "serving")
+        .kv("pressure", pressureName(MG.pressure()))
+        .kv("queue_depth", QueueDepth.load(std::memory_order_relaxed))
+        .kv("queue_cap", Cfg.QueueCap)
+        .kv("inflight", Inflight.load(std::memory_order_relaxed))
+        .key("counters")
+        .beginObject();
     const Stat *Counters[] = {&Accepted,      &Requests,  &RespOk,
                               &RespShed,      &RespDeadline, &RespError,
                               &RespDraining,  &ProtocolErrors, &WireFaults,
                               &Introspects};
-    bool First = true;
-    for (const Stat *S : Counters) {
-      if (!First)
-        Out += ",";
-      First = false;
-      std::snprintf(Buf, sizeof(Buf), "\"%s\":%lld", S->name(),
-                    static_cast<long long>(S->get()));
-      Out += Buf;
-    }
-    Out += "}";
-
-    em::CounterSnapshot E = em::Counts.snapshot();
-    std::snprintf(
-        Buf, sizeof(Buf),
-        ",\"em\":{\"entangled_reads\":%lld,\"pins_down\":%lld,"
-        "\"pins_cross\":%lld,\"pins_holder\":%lld,\"pinned_bytes\":%lld,"
-        "\"live_pinned_objects\":%lld,\"live_pinned_bytes\":%lld,"
-        "\"cont_captured\":%lld,\"cont_resumed\":%lld}",
-        static_cast<long long>(E.EntangledReads),
-        static_cast<long long>(E.DownPointerPins),
-        static_cast<long long>(E.CrossPointerPins),
-        static_cast<long long>(E.PinnedHolderPins),
-        static_cast<long long>(E.PinnedBytes),
-        static_cast<long long>(E.livePinnedObjects()),
-        static_cast<long long>(E.livePinnedBytes()),
-        static_cast<long long>(E.ContCaptured),
-        static_cast<long long>(E.ContResumed));
-    Out += Buf;
-
-    std::snprintf(Buf, sizeof(Buf),
-                  ",\"mm\":{\"outstanding_bytes\":%lld,\"limit_bytes\":%lld,"
-                  "\"pinned_bytes\":%lld}",
-                  static_cast<long long>(ChunkPool::get().outstandingBytes()),
-                  static_cast<long long>(MG.config().LimitBytes),
-                  static_cast<long long>(MG.pinnedBytes()));
-    Out += Buf;
-
-    Out += ",";
-    appendHistJson(Out, "latency", LatencyNs);
-
-    Out += ",\"stage\":{";
-    appendHistJson(Out, "queue", StageQueueNs);
-    Out += ",";
-    appendHistJson(Out, "exec", StageExecNs);
-    Out += ",";
-    appendHistJson(Out, "reply", StageReplyNs);
-    Out += "}";
+    for (const Stat *S : Counters)
+      W.kv(S->name(), S->get());
+    W.endObject().key("em");
+    em::writeJson(W, em::Counts.snapshot());
+    W.key("mm")
+        .beginObject()
+        .kv("outstanding_bytes", ChunkPool::get().outstandingBytes())
+        .kv("limit_bytes", MG.config().LimitBytes)
+        .kv("pinned_bytes", MG.pinnedBytes())
+        .endObject();
+    writeHist(W, "latency", LatencyNs);
+    W.key("stage").beginObject();
+    writeHist(W, "queue", StageQueueNs);
+    writeHist(W, "exec", StageExecNs);
+    writeHist(W, "reply", StageReplyNs);
+    W.endObject();
 
     RollingWindow::WindowStats WL = WinLatency.window(Now);
-    std::snprintf(Buf, sizeof(Buf), ",\"window\":{\"window_ns\":%lld,",
-                  static_cast<long long>(WL.WindowNs));
-    Out += Buf;
-    appendWindowJson(Out, "latency", WL);
-    Out += ",";
-    appendWindowJson(Out, "queue", WinQueue.window(Now));
-    Out += ",";
-    appendWindowJson(Out, "exec", WinExec.window(Now));
-    Out += "}";
-
-    Out += ",\"exemplars\":[";
+    W.key("window").beginObject().kv("window_ns", WL.WindowNs);
+    writeWindow(W, "latency", WL);
+    writeWindow(W, "queue", WinQueue.window(Now));
+    writeWindow(W, "exec", WinExec.window(Now));
+    W.endObject().key("exemplars").beginArray();
     {
       std::lock_guard<std::mutex> G(ExemplarMu);
-      for (size_t I = 0; I < Exemplars.size(); ++I) {
-        const Exemplar &X = Exemplars[I];
-        if (I)
-          Out += ",";
-        std::snprintf(Buf, sizeof(Buf),
-                      "{\"id\":%llu,\"total_ns\":%lld,\"queue_ns\":%lld,"
-                      "\"exec_ns\":%lld,\"cp\":\"%s\"}",
-                      static_cast<unsigned long long>(X.Id),
-                      static_cast<long long>(X.TotalNs),
-                      static_cast<long long>(X.QueueNs),
-                      static_cast<long long>(X.ExecNs), X.CpLine.c_str());
-        Out += Buf;
-      }
+      for (const Exemplar &X : Exemplars)
+        W.beginObject()
+            .kv("id", X.Id)
+            .kv("total_ns", X.TotalNs)
+            .kv("queue_ns", X.QueueNs)
+            .kv("exec_ns", X.ExecNs)
+            .kv("cp", X.CpLine)
+            .endObject();
     }
-    Out += "]}}";
-    return Out;
+    W.endArray().endObject().endObject();
+    return W.take();
   }
 
   /// The request body proper; runs on a strand inside Runtime::run with the

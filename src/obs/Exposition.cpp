@@ -9,6 +9,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/EmCounters.h"
+#include "support/File.h"
 #include "support/Histogram.h"
 #include "support/Stats.h"
 
@@ -393,13 +394,7 @@ bool obs::serviceStatsDump() {
   }
   if (Path.empty())
     return false;
-  std::string Text = renderPrometheus();
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  return Written == Text.size();
+  return writeFile(Path, renderPrometheus());
 }
 
 std::string obs::statsDumpPath() {

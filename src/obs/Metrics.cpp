@@ -10,13 +10,13 @@
 #include "obs/Profile.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
+#include "support/File.h"
 #include "support/Histogram.h"
 #include "support/Json.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 using namespace mpl;
 using namespace mpl::obs;
@@ -159,251 +159,57 @@ void MetricsSampler::clearSeries() {
   Series.clear();
 }
 
-namespace {
-
-void appendEmJson(std::string &Out, const em::CounterSnapshot &E) {
-  char Buf[512];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\"entangled_reads\":%lld,\"entangled_reads_unpinned\":%lld,"
-      "\"pins_down\":%lld,\"pins_cross\":%lld,\"pins_holder\":%lld,"
-      "\"pinned_objects\":%lld,\"pinned_bytes\":%lld,"
-      "\"unpinned_objects\":%lld,\"unpinned_bytes\":%lld,"
-      "\"live_pinned_objects\":%lld,\"live_pinned_bytes\":%lld,"
-      "\"cont_captured\":%lld,\"cont_resumed\":%lld}",
-      static_cast<long long>(E.EntangledReads),
-      static_cast<long long>(E.EntangledReadsUnpinned),
-      static_cast<long long>(E.DownPointerPins),
-      static_cast<long long>(E.CrossPointerPins),
-      static_cast<long long>(E.PinnedHolderPins),
-      static_cast<long long>(E.PinnedObjects),
-      static_cast<long long>(E.PinnedBytes),
-      static_cast<long long>(E.UnpinnedObjects),
-      static_cast<long long>(E.UnpinnedBytes),
-      static_cast<long long>(E.livePinnedObjects()),
-      static_cast<long long>(E.livePinnedBytes()),
-      static_cast<long long>(E.ContCaptured),
-      static_cast<long long>(E.ContResumed));
-  Out += Buf;
-}
-
-const char *const EmCsvColumns =
-    "entangled_reads,entangled_reads_unpinned,pins_down,pins_cross,"
-    "pins_holder,pinned_objects,pinned_bytes,unpinned_objects,"
-    "unpinned_bytes,live_pinned_objects,live_pinned_bytes,"
-    "cont_captured,cont_resumed";
-
-void appendEmCsv(std::string &Out, const em::CounterSnapshot &E) {
-  char Buf[512];
-  std::snprintf(Buf, sizeof(Buf),
-                "%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,"
-                "%lld,%lld",
-                static_cast<long long>(E.EntangledReads),
-                static_cast<long long>(E.EntangledReadsUnpinned),
-                static_cast<long long>(E.DownPointerPins),
-                static_cast<long long>(E.CrossPointerPins),
-                static_cast<long long>(E.PinnedHolderPins),
-                static_cast<long long>(E.PinnedObjects),
-                static_cast<long long>(E.PinnedBytes),
-                static_cast<long long>(E.UnpinnedObjects),
-                static_cast<long long>(E.UnpinnedBytes),
-                static_cast<long long>(E.livePinnedObjects()),
-                static_cast<long long>(E.livePinnedBytes()),
-                static_cast<long long>(E.ContCaptured),
-                static_cast<long long>(E.ContResumed));
-  Out += Buf;
-}
-
-bool writeFile(const std::string &Path, const std::string &Data) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  size_t Written = std::fwrite(Data.data(), 1, Data.size(), F);
-  std::fclose(F);
-  return Written == Data.size();
-}
-
-} // namespace
-
 std::string MetricsSampler::jsonDump() const {
   std::vector<MetricsSample> Snap = series();
-  std::string Out;
-  Out.reserve(256 + Snap.size() * 256);
-  char Buf[128];
-  Out += "{\"samples\":[\n";
-  bool First = true;
+  json::Writer W;
+  W.beginObject().key("samples").beginArray();
   for (const MetricsSample &S : Snap) {
-    if (!First)
-      Out += ",\n";
-    First = false;
-    std::snprintf(Buf, sizeof(Buf), "{\"t_ns\":%lld,\"em\":",
-                  static_cast<long long>(S.TimeNs));
-    Out += Buf;
-    appendEmJson(Out, S.Em);
-    Out += ",\"gauges\":{";
-    bool FirstG = true;
-    for (const auto &[Name, V] : S.Gauges) {
-      if (!FirstG)
-        Out += ",";
-      FirstG = false;
-      Out += "\"" + json::escape(Name) + "\":";
-      std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(V));
-      Out += Buf;
-    }
-    std::snprintf(Buf, sizeof(Buf),
-                  "},\"heaps\":{\"live\":%lld,\"max_depth\":%lld,"
-                  "\"depth_hist\":[",
-                  static_cast<long long>(S.LiveHeaps),
-                  static_cast<long long>(S.MaxHeapDepth));
-    Out += Buf;
-    for (size_t D = 0; D < S.DepthHist.size(); ++D) {
-      if (D)
-        Out += ",";
-      std::snprintf(Buf, sizeof(Buf), "%lld",
-                    static_cast<long long>(S.DepthHist[D]));
-      Out += Buf;
-    }
-    Out += "],\"task_depth_hist\":[";
-    for (size_t D = 0; D < S.TaskDepthHist.size(); ++D) {
-      if (D)
-        Out += ",";
-      std::snprintf(Buf, sizeof(Buf), "%lld",
-                    static_cast<long long>(S.TaskDepthHist[D]));
-      Out += Buf;
-    }
-    Out += "]}}";
+    W.newline().beginObject().kv("t_ns", S.TimeNs).key("em");
+    em::writeJson(W, S.Em);
+    W.key("gauges").beginObject();
+    for (const auto &[Name, V] : S.Gauges)
+      W.kv(Name, V);
+    W.endObject()
+        .key("heaps")
+        .beginObject()
+        .kv("live", S.LiveHeaps)
+        .kv("max_depth", S.MaxHeapDepth)
+        .key("depth_hist")
+        .beginArray();
+    for (int64_t N : S.DepthHist)
+      W.value(N);
+    W.endArray().key("task_depth_hist").beginArray();
+    for (int64_t N : S.TaskDepthHist)
+      W.value(N);
+    W.endArray().endObject().endObject();
   }
-  Out += "\n],\"histograms\":[\n";
-  bool FirstH = true;
+  W.newline().endArray().key("histograms").beginArray();
   HistogramRegistry::get().forEach([&](const Histogram &H) {
-    if (!FirstH)
-      Out += ",\n";
-    FirstH = false;
-    Out += "{\"name\":\"" + json::escape(H.name()) + "\",";
     Histogram::Percentiles Pct = H.percentiles();
-    std::snprintf(Buf, sizeof(Buf),
-                  "\"count\":%lld,\"sum\":%lld,"
-                  "\"p50\":%lld,\"p95\":%lld,\"p99\":%lld,\"p999\":%lld,",
-                  static_cast<long long>(H.count()),
-                  static_cast<long long>(H.sum()),
-                  static_cast<long long>(Pct.P50),
-                  static_cast<long long>(Pct.P95),
-                  static_cast<long long>(Pct.P99),
-                  static_cast<long long>(Pct.P999));
-    Out += Buf;
-    Out += "\"buckets\":[";
-    bool FirstB = true;
-    for (int B = 0; B < Histogram::NumBuckets; ++B) {
-      int64_t C = H.bucketCount(B);
-      if (C == 0)
-        continue;
-      if (!FirstB)
-        Out += ",";
-      FirstB = false;
-      std::snprintf(Buf, sizeof(Buf), "{\"lo\":%lld,\"n\":%lld}",
-                    static_cast<long long>(Histogram::bucketLo(B)),
-                    static_cast<long long>(C));
-      Out += Buf;
-    }
-    Out += "]}";
+    W.newline()
+        .beginObject()
+        .kv("name", H.name())
+        .kv("count", H.count())
+        .kv("sum", H.sum())
+        .kv("p50", Pct.P50)
+        .kv("p95", Pct.P95)
+        .kv("p99", Pct.P99)
+        .kv("p999", Pct.P999)
+        .key("buckets")
+        .beginArray();
+    for (int B = 0; B < Histogram::NumBuckets; ++B)
+      if (int64_t C = H.bucketCount(B))
+        W.beginObject().kv("lo", Histogram::bucketLo(B)).kv("n", C).endObject();
+    W.endArray().endObject();
   });
   // A final live-heap-tree snapshot (empty when no runtime is alive); the
   // sampler thread may also take these mid-run via obs::snapshotHeapTree.
-  Out += "\n],\"heap_tree\":";
-  Out += snapshotHeapTree();
-  Out += "}\n";
-  return Out;
+  W.newline().endArray().key("heap_tree");
+  writeHeapTree(W);
+  W.endObject().newline();
+  return W.take();
 }
 
 bool MetricsSampler::writeJson(const std::string &P) const {
   return writeFile(P, jsonDump());
-}
-
-bool MetricsSampler::writeCsv(const std::string &P) const {
-  std::vector<MetricsSample> Snap = series();
-
-  // Union of gauge columns, in first-seen order (the gauge set can change
-  // mid-run as runtimes come and go).
-  std::vector<std::string> GaugeCols;
-  for (const MetricsSample &S : Snap)
-    for (const auto &[Name, V] : S.Gauges)
-      if (std::find(GaugeCols.begin(), GaugeCols.end(), Name) ==
-          GaugeCols.end())
-        GaugeCols.push_back(Name);
-
-  // Depth-histogram columns: one per depth seen anywhere in the series
-  // (short samples pad with zeros), mirroring the gauge-union policy.
-  size_t DepthCols = 0;
-  size_t TaskDepthCols = 0;
-  for (const MetricsSample &S : Snap) {
-    DepthCols = std::max(DepthCols, S.DepthHist.size());
-    TaskDepthCols = std::max(TaskDepthCols, S.TaskDepthHist.size());
-  }
-
-  std::string Out = "t_ns,";
-  Out += EmCsvColumns;
-  Out += ",live_heaps,max_heap_depth";
-  for (size_t D = 0; D < DepthCols; ++D)
-    Out += ",heaps_d" + std::to_string(D);
-  for (size_t D = 0; D < TaskDepthCols; ++D)
-    Out += ",tasks_d" + std::to_string(D);
-  for (const std::string &C : GaugeCols)
-    Out += "," + C;
-  Out += "\n";
-  char Buf[64];
-  for (const MetricsSample &S : Snap) {
-    std::snprintf(Buf, sizeof(Buf), "%lld,", static_cast<long long>(S.TimeNs));
-    Out += Buf;
-    appendEmCsv(Out, S.Em);
-    std::snprintf(Buf, sizeof(Buf), ",%lld,%lld",
-                  static_cast<long long>(S.LiveHeaps),
-                  static_cast<long long>(S.MaxHeapDepth));
-    Out += Buf;
-    for (size_t D = 0; D < DepthCols; ++D) {
-      int64_t N = D < S.DepthHist.size() ? S.DepthHist[D] : 0;
-      std::snprintf(Buf, sizeof(Buf), ",%lld", static_cast<long long>(N));
-      Out += Buf;
-    }
-    for (size_t D = 0; D < TaskDepthCols; ++D) {
-      int64_t N = D < S.TaskDepthHist.size() ? S.TaskDepthHist[D] : 0;
-      std::snprintf(Buf, sizeof(Buf), ",%lld", static_cast<long long>(N));
-      Out += Buf;
-    }
-    for (const std::string &C : GaugeCols) {
-      Out += ",";
-      for (const auto &[Name, V] : S.Gauges)
-        if (Name == C) {
-          std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(V));
-          Out += Buf;
-          break;
-        }
-    }
-    Out += "\n";
-  }
-
-  // Histogram summary block (blank-line separated so the time-series part
-  // stays directly loadable); same percentile semantics as the JSON dump.
-  Out += "\nhistogram,count,sum,p50,p95,p99,p999\n";
-  HistogramRegistry::get().forEach([&](const Histogram &H) {
-    int64_t N = H.count();
-    if (N == 0)
-      return;
-    Histogram::Percentiles Pct = H.percentiles();
-    char HBuf[256];
-    std::snprintf(HBuf, sizeof(HBuf), "%s,%lld,%lld,%lld,%lld,%lld,%lld\n",
-                  H.name(), static_cast<long long>(N),
-                  static_cast<long long>(H.sum()),
-                  static_cast<long long>(Pct.P50),
-                  static_cast<long long>(Pct.P95),
-                  static_cast<long long>(Pct.P99),
-                  static_cast<long long>(Pct.P999));
-    Out += HBuf;
-  });
-  return writeFile(P, Out);
-}
-
-bool MetricsSampler::writeAuto(const std::string &P) const {
-  if (P.size() >= 4 && P.compare(P.size() - 4, 4, ".csv") == 0)
-    return writeCsv(P);
-  return writeJson(P);
 }

@@ -20,10 +20,9 @@
 ///    parsed from obs::snapshotHeapTree(), so the series shows the heap
 ///    hierarchy growing and collapsing across forks and joins.
 ///
-/// Exported as a JSON document ({"samples": [...], "histograms": [...]})
-/// or CSV (one row per sample, union of gauge columns). Gated by
-/// MPL_METRICS=<path> (+ MPL_METRICS_INTERVAL_US, default 1000); tests and
-/// benches drive sampleOnce()/start() directly.
+/// Exported as a JSON document ({"samples": [...], "histograms": [...]}).
+/// Gated by MPL_METRICS=<path> (+ MPL_METRICS_INTERVAL_US, default 1000);
+/// tests and benches drive sampleOnce()/start() directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,11 +104,8 @@ public:
   size_t sampleCount() const;
   void clearSeries();
 
-  /// Writers. writeAuto dispatches on the extension (.csv → CSV, else
-  /// JSON). All return false on I/O failure.
+  /// Writes jsonDump() to \p Path; false on I/O failure.
   bool writeJson(const std::string &Path) const;
-  bool writeCsv(const std::string &Path) const;
-  bool writeAuto(const std::string &Path) const;
 
   /// The whole series (plus every support/Histogram) as a JSON document.
   std::string jsonDump() const;

@@ -302,43 +302,40 @@ int64_t Profiler::livePinBytes() const {
 
 std::string Profiler::jsonDump() {
   std::vector<ProfileSiteSnap> Snap = snapshot();
-  std::string S;
-  S += "{\"schema\":\"mpl-profile/1\",";
-  S += "\"enabled\":" + std::string(enabled() ? "true" : "false") + ",";
-  S += "\"leaked_pins\":" + std::to_string(livePinCount()) + ",";
-  S += "\"leaked_bytes\":" + std::to_string(livePinBytes()) + ",";
-  S += "\"sites_dropped\":" +
-       std::to_string(SitesDropped.load(std::memory_order_relaxed)) + ",";
-  S += "\"sites\":[";
-  bool FirstSite = true;
+  json::Writer W;
+  W.beginObject()
+      .kv("schema", "mpl-profile/1")
+      .kv("enabled", enabled())
+      .kv("leaked_pins", livePinCount())
+      .kv("leaked_bytes", livePinBytes())
+      .kv("sites_dropped", sitesDropped())
+      .key("sites")
+      .beginArray();
   for (const ProfileSiteSnap &Row : Snap) {
-    if (!FirstSite)
-      S += ",";
-    FirstSite = false;
-    S += "{\"name\":\"" + json::escape(Row.Name) + "\",";
-    S += "\"file\":\"" + json::escape(Row.File) + "\",";
-    S += "\"line\":" + std::to_string(Row.Line) + ",";
-    S += "\"events\":" + std::to_string(Row.Events) + ",";
-    S += "\"bytes\":" + std::to_string(Row.Bytes) + ",";
-    S += "\"depth_events\":{";
-    bool FirstD = true;
-    for (int D = 0; D < ProfileSiteSnap::DepthBuckets; ++D) {
-      if (Row.Depth[D] == 0)
-        continue;
-      if (!FirstD)
-        S += ",";
-      FirstD = false;
-      S += "\"" + std::to_string(D) + "\":" + std::to_string(Row.Depth[D]);
-    }
-    S += "},";
-    S += "\"dur_ns\":{\"count\":" + std::to_string(Row.DurCount) + ",\"sum\":" +
-         std::to_string(Row.DurSumNs) + ",\"p50\":" +
-         std::to_string(Row.durQuantileNs(0.50)) + ",\"p95\":" +
-         std::to_string(Row.durQuantileNs(0.95)) + ",\"p99\":" +
-         std::to_string(Row.durQuantileNs(0.99)) + "}}";
+    W.beginObject()
+        .kv("name", Row.Name)
+        .kv("file", Row.File)
+        .kv("line", Row.Line)
+        .kv("events", Row.Events)
+        .kv("bytes", Row.Bytes)
+        .key("depth_events")
+        .beginObject();
+    for (int D = 0; D < ProfileSiteSnap::DepthBuckets; ++D)
+      if (Row.Depth[D] != 0)
+        W.kv(std::to_string(D), Row.Depth[D]);
+    W.endObject()
+        .key("dur_ns")
+        .beginObject()
+        .kv("count", Row.DurCount)
+        .kv("sum", Row.DurSumNs)
+        .kv("p50", Row.durQuantileNs(0.50))
+        .kv("p95", Row.durQuantileNs(0.95))
+        .kv("p99", Row.durQuantileNs(0.99))
+        .endObject()
+        .endObject();
   }
-  S += "]}\n";
-  return S;
+  W.endArray().endObject().newline();
+  return W.take();
 }
 
 //===----------------------------------------------------------------------===//
@@ -347,22 +344,36 @@ std::string Profiler::jsonDump() {
 
 namespace {
 std::mutex HeapTreeMu;
-std::function<std::string()> HeapTreeProvider;
+std::function<void(json::Writer &)> HeapTreeProvider;
 } // namespace
 
-void setHeapTreeProvider(std::function<std::string()> Provider) {
+void setHeapTreeProvider(std::function<void(json::Writer &)> Provider) {
   std::lock_guard<std::mutex> G(HeapTreeMu);
   HeapTreeProvider = std::move(Provider);
 }
 
-std::string snapshotHeapTree() {
+void writeHeapTree(json::Writer &W) {
   // The lock is held across the provider call so a Runtime being destroyed
   // (which uninstalls the provider) blocks until an in-flight snapshot
   // finishes instead of racing it.
   std::lock_guard<std::mutex> G(HeapTreeMu);
-  if (!HeapTreeProvider)
-    return "{\"schema\":\"mpl-heap-tree/1\",\"live_heaps\":0,\"heaps\":[]}";
-  return HeapTreeProvider();
+  if (HeapTreeProvider) {
+    HeapTreeProvider(W);
+    return;
+  }
+  W.beginObject()
+      .kv("schema", "mpl-heap-tree/1")
+      .kv("live_heaps", 0)
+      .key("heaps")
+      .beginArray()
+      .endArray()
+      .endObject();
+}
+
+std::string snapshotHeapTree() {
+  json::Writer W;
+  writeHeapTree(W);
+  return W.take();
 }
 
 } // namespace obs

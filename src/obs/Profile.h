@@ -36,7 +36,7 @@
 /// the site that created the pin. Entries still live at a quiescent point
 /// are *leaked pins* — the fuzz suite's SkipUnpin fault shows up here.
 ///
-/// Heap-tree introspection: snapshotHeapTree() returns a JSON dump of the
+/// Heap-tree introspection: writeHeapTree() writes a JSON dump of the
 /// live heap hierarchy (depth, chunk/pinned bytes, children, governor
 /// pressure level). The obs layer depends only on support, so the walker
 /// itself is registered by rt::Runtime as a provider callback (the same
@@ -65,6 +65,10 @@
 #include <vector>
 
 namespace mpl {
+namespace json {
+class Writer;
+} // namespace json
+
 namespace obs {
 
 /// One static program point costs are attributed to. Construct through
@@ -286,13 +290,16 @@ inline void profileUnpin(const void *Obj, int64_t Bytes, uint32_t Depth = 0) {
 //===----------------------------------------------------------------------===//
 
 /// Installs the live-heap-tree walker (rt::Runtime's constructor; pass an
-/// empty function to uninstall on destruction). The provider must be
-/// callable from any thread.
-void setHeapTreeProvider(std::function<std::string()> Provider);
+/// empty function to uninstall on destruction). The provider writes one
+/// mpl-heap-tree/1 object and must be callable from any thread.
+void setHeapTreeProvider(std::function<void(json::Writer &)> Provider);
 
-/// JSON dump of the live heap hierarchy via the registered provider.
-/// Thread-safe (the provider cannot be uninstalled mid-call); returns a
-/// valid empty-tree document when no runtime is alive.
+/// Writes the live heap hierarchy into \p W via the registered provider.
+/// Thread-safe (the provider cannot be uninstalled mid-call); writes a
+/// valid empty tree when no runtime is alive.
+void writeHeapTree(json::Writer &W);
+
+/// writeHeapTree() as a standalone JSON document.
 std::string snapshotHeapTree();
 
 } // namespace obs

@@ -6,6 +6,8 @@
 
 #include "obs/Span.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <unordered_map>
@@ -52,18 +54,6 @@ uint16_t sat16(uint32_t V) { return V > 0xffff ? 0xffff : uint16_t(V); }
 /// metrics thread, exactness per sample does not matter.
 std::atomic<int64_t> TaskDepthCounts[SpanLedger::TaskDepthBuckets] = {};
 uint8_t sat8(uint32_t V) { return V > 0xff ? 0xff : uint8_t(V); }
-
-void appendJsonKV(std::string &Out, const char *Key, double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "\"%s\":%.9f", Key, V);
-  Out += Buf;
-}
-
-void appendJsonKV(std::string &Out, const char *Key, long long V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "\"%s\":%lld", Key, V);
-  Out += Buf;
-}
 
 } // namespace
 
@@ -356,104 +346,67 @@ std::vector<int64_t> SpanLedger::taskDepthHistogram() {
 //===----------------------------------------------------------------------===//
 
 std::string SpanRunSummary::toJson() const {
-  std::string Out;
-  Out.reserve(1024 + AllTasks.size() * 160);
-  Out += "{\"schema\":\"mpl-spans/1\",\n \"sched\":{";
-  appendJsonKV(Out, "work_s", SchedWorkSec);
-  Out += ",";
-  appendJsonKV(Out, "span_s", SchedSpanSec);
-  Out += "},\n \"ledger\":{";
-  appendJsonKV(Out, "valid", static_cast<long long>(Valid ? 1 : 0));
-  Out += ",";
-  appendJsonKV(Out, "tasks", static_cast<long long>(Tasks));
-  Out += ",";
-  appendJsonKV(Out, "stolen", static_cast<long long>(Stolen));
-  Out += ",";
-  appendJsonKV(Out, "dropped", static_cast<long long>(Dropped));
-  Out += ",";
-  appendJsonKV(Out, "work_s", LedgerWorkSec);
-  Out += ",";
-  appendJsonKV(Out, "critical_path_s", CriticalPathSec);
-  Out += ",";
-  appendJsonKV(Out, "agreement_pct", agreementPct());
-  Out += ",";
-  appendJsonKV(Out, "em_reads", static_cast<long long>(EmReads));
-  Out += ",";
-  appendJsonKV(Out, "pins", static_cast<long long>(PinEvents));
-  Out += "},\n \"lines\":[";
-  bool First = true;
-  for (const auto &KV : Lines) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\n  {";
-    appendJsonKV(Out, "line", static_cast<long long>(KV.first >> 8));
-    Out += ",";
-    appendJsonKV(Out, "col", static_cast<long long>(KV.first & 0xff));
-    Out += ",";
-    appendJsonKV(Out, "em_reads", static_cast<long long>(KV.second.EmReads));
-    Out += ",";
-    appendJsonKV(Out, "pins", static_cast<long long>(KV.second.Pins));
-    Out += ",";
-    appendJsonKV(Out, "tasks", static_cast<long long>(KV.second.Tasks));
-    Out += ",";
-    appendJsonKV(Out, "self_s", static_cast<double>(KV.second.SelfNs) * 1e-9);
-    Out += ",";
-    appendJsonKV(Out, "cp_self_s",
-                 static_cast<double>(KV.second.CpSelfNs) * 1e-9);
-    Out += "}";
-  }
-  Out += "],\n \"critical_path\":[";
-  First = true;
-  for (uint64_t Id : CriticalPath) {
-    if (!First)
-      Out += ",";
-    First = false;
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%llu",
-                  static_cast<unsigned long long>(Id));
-    Out += Buf;
-  }
-  Out += "],\n \"tasks\":[";
-  First = true;
-  for (const SpanTaskOut &T : AllTasks) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\n  {";
-    appendJsonKV(Out, "id", static_cast<long long>(T.Id));
-    Out += ",";
-    // ~0 (root) would not survive a double-typed JSON number; use -1.
-    appendJsonKV(Out, "parent",
-                 T.Parent == ~uint64_t(0) ? -1LL
-                                          : static_cast<long long>(T.Parent));
-    Out += ",";
-    appendJsonKV(Out, "start_s", static_cast<double>(T.StartNs) * 1e-9);
-    Out += ",";
-    appendJsonKV(Out, "stop_s", static_cast<double>(T.StopNs) * 1e-9);
-    Out += ",";
-    appendJsonKV(Out, "self_s", static_cast<double>(T.SelfNs) * 1e-9);
-    Out += ",";
-    appendJsonKV(Out, "worker", static_cast<long long>(T.Worker));
-    Out += ",";
-    appendJsonKV(Out, "stolen", static_cast<long long>(T.Stolen ? 1 : 0));
-    Out += ",";
-    appendJsonKV(Out, "on_cp",
-                 static_cast<long long>(T.OnCriticalPath ? 1 : 0));
-    Out += ",";
-    appendJsonKV(Out, "line", static_cast<long long>(T.SrcLine));
-    Out += ",";
-    appendJsonKV(Out, "col", static_cast<long long>(T.SrcCol));
-    Out += ",";
-    appendJsonKV(Out, "depth", static_cast<long long>(T.HeapDepth));
-    Out += ",";
-    appendJsonKV(Out, "em_reads", static_cast<long long>(T.EmReads));
-    Out += ",";
-    appendJsonKV(Out, "pins", static_cast<long long>(T.Pins));
-    Out += "}";
-  }
-  Out += "]}\n";
-  return Out;
+  json::Writer W;
+  W.beginObject()
+      .kv("schema", "mpl-spans/1")
+      .newline(1)
+      .key("sched")
+      .beginObject()
+      .kv("work_s", SchedWorkSec)
+      .kv("span_s", SchedSpanSec)
+      .endObject()
+      .newline(1)
+      .key("ledger")
+      .beginObject()
+      .kv("valid", Valid ? 1 : 0)
+      .kv("tasks", Tasks)
+      .kv("stolen", Stolen)
+      .kv("dropped", Dropped)
+      .kv("work_s", LedgerWorkSec)
+      .kv("critical_path_s", CriticalPathSec)
+      .kv("agreement_pct", agreementPct())
+      .kv("em_reads", EmReads)
+      .kv("pins", PinEvents)
+      .endObject()
+      .newline(1)
+      .key("lines")
+      .beginArray();
+  for (const auto &[Loc, L] : Lines)
+    W.newline(2)
+        .beginObject()
+        .kv("line", Loc >> 8)
+        .kv("col", Loc & 0xff)
+        .kv("em_reads", L.EmReads)
+        .kv("pins", L.Pins)
+        .kv("tasks", L.Tasks)
+        .kv("self_s", static_cast<double>(L.SelfNs) * 1e-9)
+        .kv("cp_self_s", static_cast<double>(L.CpSelfNs) * 1e-9)
+        .endObject();
+  W.endArray().newline(1).key("critical_path").beginArray();
+  for (uint64_t Id : CriticalPath)
+    W.value(Id);
+  W.endArray().newline(1).key("tasks").beginArray();
+  for (const SpanTaskOut &T : AllTasks)
+    W.newline(2)
+        .beginObject()
+        .kv("id", T.Id)
+        // ~0 (root) would not survive a double-typed JSON number; use -1.
+        .kv("parent", T.Parent == ~uint64_t(0) ? int64_t(-1)
+                                               : static_cast<int64_t>(T.Parent))
+        .kv("start_s", static_cast<double>(T.StartNs) * 1e-9)
+        .kv("stop_s", static_cast<double>(T.StopNs) * 1e-9)
+        .kv("self_s", static_cast<double>(T.SelfNs) * 1e-9)
+        .kv("worker", T.Worker)
+        .kv("stolen", T.Stolen ? 1 : 0)
+        .kv("on_cp", T.OnCriticalPath ? 1 : 0)
+        .kv("line", T.SrcLine)
+        .kv("col", T.SrcCol)
+        .kv("depth", T.HeapDepth)
+        .kv("em_reads", T.EmReads)
+        .kv("pins", T.Pins)
+        .endObject();
+  W.endArray().endObject().newline();
+  return W.take();
 }
 
 std::string SpanRunSummary::summaryText() const {

@@ -10,6 +10,8 @@
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Span.h"
+#include "support/File.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
 
@@ -103,42 +105,30 @@ uint64_t roundUpPow2(uint64_t V) {
   return std::bit_ceil(V);
 }
 
-void appendEventJson(std::string &Out, const KindInfo &KI, int Track,
-                     double TsUs, const TraceEvent &E, bool &First) {
-  char Buf[256];
-  if (!First)
-    Out += ",\n";
-  First = false;
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"name\":\"%s\",\"ph\":\"%c\",\"pid\":0,\"tid\":%d,"
-                "\"ts\":%.3f",
-                KI.Name, KI.Phase, Track, TsUs);
-  Out += Buf;
+void writeEvent(json::Writer &W, const KindInfo &KI, int Track, double TsUs,
+                const TraceEvent &E) {
+  W.newline()
+      .beginObject()
+      .kv("name", KI.Name)
+      .kv("ph", std::string_view(&KI.Phase, 1))
+      .kv("pid", 0)
+      .kv("tid", Track)
+      .kv("ts", TsUs);
   if (KI.Phase == 'i')
-    Out += ",\"s\":\"t\""; // Thread-scoped instant.
+    W.kv("s", "t"); // Thread-scoped instant.
   if (KI.Phase == 's' || KI.Phase == 'f') {
     // Flow events bind by (cat, name, id); 'f' with bp:"e" attaches to the
     // enclosing slice at the receiving end.
-    std::snprintf(Buf, sizeof(Buf), ",\"cat\":\"%s\",\"id\":%llu", KI.Cat,
-                  static_cast<unsigned long long>(E.Arg0));
-    Out += Buf;
+    W.kv("cat", KI.Cat).kv("id", E.Arg0);
     if (KI.Phase == 'f')
-      Out += ",\"bp\":\"e\"";
-    Out += "}";
-    return;
+      W.kv("bp", "e");
+  } else if (KI.Arg0) {
+    W.key("args").beginObject().kv(KI.Arg0, E.Arg0);
+    if (KI.Arg1)
+      W.kv(KI.Arg1, E.Arg1);
+    W.endObject();
   }
-  if (KI.Arg0) {
-    std::snprintf(Buf, sizeof(Buf), ",\"args\":{\"%s\":%llu", KI.Arg0,
-                  static_cast<unsigned long long>(E.Arg0));
-    Out += Buf;
-    if (KI.Arg1) {
-      std::snprintf(Buf, sizeof(Buf), ",\"%s\":%llu", KI.Arg1,
-                    static_cast<unsigned long long>(E.Arg1));
-      Out += Buf;
-    }
-    Out += "}";
-  }
-  Out += "}";
+  W.endObject();
 }
 
 } // namespace
@@ -242,28 +232,27 @@ std::string Tracer::chromeTraceJson() const {
   if (Base == INT64_MAX)
     Base = 0;
 
-  uint64_t NEvents = 0;
-  for (const auto &B : Buffers)
-    NEvents += B->size();
-
-  std::string Out;
-  Out.reserve(1024 + NEvents * 96);
-  Out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool First = true;
-  char Buf[256];
+  json::Writer W;
+  W.beginObject()
+      .kv("displayTimeUnit", "ms")
+      .key("traceEvents")
+      .beginArray();
   uint64_t Dropped = 0;
   for (const auto &B : Buffers) {
     Dropped += B->dropped();
     // Track metadata: name the per-worker rows.
-    if (!First)
-      Out += ",\n";
-    First = false;
     const char *Label = B->TrackId < 1000 ? "worker" : "thread";
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":%d,\"args\":{\"name\":\"%s %d\"}}",
-                  B->TrackId, Label, B->TrackId);
-    Out += Buf;
+    W.newline()
+        .beginObject()
+        .kv("name", "thread_name")
+        .kv("ph", "M")
+        .kv("pid", 0)
+        .kv("tid", B->TrackId)
+        .key("args")
+        .beginObject()
+        .kv("name", std::string(Label) + " " + std::to_string(B->TrackId))
+        .endObject()
+        .endObject();
 
     // Ring wrap can orphan an 'E' whose 'B' was overwritten; skip
     // unmatched ends so the stream stays well-nested for the viewer.
@@ -280,41 +269,29 @@ std::string Tracer::chromeTraceJson() const {
         continue;
       }
       double TsUs = static_cast<double>(Rec.TimeNs - Base) / 1000.0;
-      appendEventJson(Out, KI, B->TrackId, TsUs, Rec, First);
+      writeEvent(W, KI, B->TrackId, TsUs, Rec);
     }
   }
-  Out += "\n],\"otherData\":{\"dropped_events\":\"";
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(Dropped));
-  Out += Buf;
+  W.newline()
+      .endArray()
+      .key("otherData")
+      .beginObject()
+      .kv("dropped_events", std::to_string(Dropped));
   // A counters block so post-mortem checkers (trace_check
   // --check-net-balance) can assert cross-counter invariants without a
   // separate metrics file. The registry folds retired Stats into
   // snapshotAll(), so even the final atexit flush — which runs after a
   // net::Server's Impl (and its net.* Stats) has been destroyed — still
   // reports the full net.* family.
-  Out += "\",\"counters\":{";
-  bool FirstC = true;
-  for (const auto &[Name, V] : StatRegistry::get().snapshotAll()) {
-    if (!FirstC)
-      Out += ",";
-    FirstC = false;
-    std::snprintf(Buf, sizeof(Buf), "\"%s\":%lld", Name.c_str(),
-                  static_cast<long long>(V));
-    Out += Buf;
-  }
-  Out += "}}}\n";
-  return Out;
+  W.key("counters").beginObject();
+  for (const auto &[Name, V] : StatRegistry::get().snapshotAll())
+    W.kv(Name, V);
+  W.endObject().endObject().endObject().newline();
+  return W.take();
 }
 
 bool Tracer::writeChromeTrace(const std::string &Path) const {
-  std::string Json = chromeTraceJson();
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  size_t Written = std::fwrite(Json.data(), 1, Json.size(), F);
-  std::fclose(F);
-  return Written == Json.size();
+  return writeFile(Path, chromeTraceJson());
 }
 
 //===----------------------------------------------------------------------===//
@@ -400,27 +377,24 @@ void obs::initFromEnv() {
 
 void obs::flushEnvSinks() {
   serviceStatsDump();
+  // A sink whose file cannot be written says so once on stderr.
+  auto Check = [](const std::string &Path, bool Ok) {
+    if (!Ok)
+      std::fprintf(stderr, "mpl: cannot write %s\n", Path.c_str());
+  };
   Tracer &T = Tracer::get();
   if (T.enabled() && !T.configuredPath().empty())
-    T.writeChromeTrace(T.configuredPath());
+    Check(T.configuredPath(), T.writeChromeTrace(T.configuredPath()));
   MetricsSampler &M = MetricsSampler::get();
   if (!M.configuredPath().empty())
-    M.writeAuto(M.configuredPath());
+    Check(M.configuredPath(), M.writeJson(M.configuredPath()));
   Profiler &P = Profiler::get();
   if (!P.configuredPath().empty())
-    if (std::FILE *F = std::fopen(P.configuredPath().c_str(), "w")) {
-      std::string Json = P.jsonDump();
-      std::fwrite(Json.data(), 1, Json.size(), F);
-      std::fclose(F);
-    }
+    Check(P.configuredPath(), writeFile(P.configuredPath(), P.jsonDump()));
   SpanLedger &S = SpanLedger::get();
   if (std::string SpanPath = S.configuredPath(); !SpanPath.empty()) {
     SpanRunSummary Sum = S.lastRun();
     if (Sum.Valid || Sum.Tasks > 0)
-      if (std::FILE *F = std::fopen(SpanPath.c_str(), "w")) {
-        std::string Json = Sum.toJson();
-        std::fwrite(Json.data(), 1, Json.size(), F);
-        std::fclose(F);
-      }
+      Check(SpanPath, writeFile(SpanPath, Sum.toJson()));
   }
 }

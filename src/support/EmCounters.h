@@ -23,6 +23,10 @@
 #include <cstdint>
 
 namespace mpl {
+namespace json {
+class Writer;
+} // namespace json
+
 namespace em {
 
 /// A plain-value copy of the counters at one instant. All fields are
@@ -52,6 +56,10 @@ struct CounterSnapshot {
   int64_t livePinnedBytes() const { return PinnedBytes - UnpinnedBytes; }
   int64_t livePinnedObjects() const { return PinnedObjects - UnpinnedObjects; }
 };
+
+/// Writes \p S as the "em" object every export shares (metrics samples,
+/// the mpl-stats/1 frame): each counter plus the two live quantities.
+void writeJson(json::Writer &W, const CounterSnapshot &S);
 
 /// Counters exposed for tests/benches (see also support/Stats registry).
 struct Counters {

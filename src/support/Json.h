@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A deliberately small JSON library for the observability layer: the trace
-/// and metrics exporters escape strings through it, and the trace checker
-/// (tools/trace_check.cpp) and tests parse exported files back to validate
-/// well-formedness. Header-only, no dependencies beyond the STL; not a
+/// A deliberately small JSON library: every document the runtime, benches
+/// and tools emit is written through json::Writer, and the trace checker
+/// (tools/trace_check.cpp), the gates and tests parse exported files back
+/// with json::parse. Header-only, no dependencies beyond the STL; not a
 /// general-purpose library (no \uXXXX surrogate pairs, numbers parse as
 /// double).
 ///
@@ -18,10 +18,16 @@
 #define MPL_SUPPORT_JSON_H
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mpl {
@@ -53,10 +59,10 @@ struct Value {
   }
 };
 
-/// Escapes \p S for embedding in a JSON string literal.
-inline std::string escape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
+namespace detail {
+
+/// Appends \p S to \p Out with the escapes a JSON string literal needs.
+inline void appendEscaped(std::string &Out, std::string_view S) {
   for (char C : S) {
     switch (C) {
     case '"':
@@ -84,8 +90,122 @@ inline std::string escape(const std::string &S) {
       }
     }
   }
+}
+
+} // namespace detail
+
+/// Escapes \p S for embedding in a JSON string literal.
+inline std::string escape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size() + 2);
+  detail::appendEscaped(Out, S);
   return Out;
 }
+
+/// Streaming writer behind every exported document. It places the commas
+/// and colons, escapes every key and string, writes integers exactly and
+/// doubles in shortest round-trip form (a non-finite double becomes null).
+/// newline() breaks the line before the next token, so a document keeps
+/// one row, task, event or sample per line and committed baselines diff
+/// row by row. It streams into one string rather than building a Value
+/// tree: a Chrome trace holds ring capacity x threads events, and a tree
+/// would multiply its memory.
+class Writer {
+public:
+  Writer &beginObject() { return open('{'); }
+  Writer &endObject() { return close('}'); }
+  Writer &beginArray() { return open('['); }
+  Writer &endArray() { return close(']'); }
+
+  /// Writes an object key; the next call writes its value.
+  Writer &key(std::string_view K) {
+    token();
+    quoted(K);
+    Out += ':';
+    return *this;
+  }
+
+  Writer &value(std::string_view S) {
+    token();
+    quoted(S);
+    NeedComma = true;
+    return *this;
+  }
+  Writer &value(const char *S) { return value(std::string_view(S)); }
+  Writer &value(const std::string &S) { return value(std::string_view(S)); }
+  Writer &value(bool B) { return literal(B ? "true" : "false"); }
+  Writer &value(double D) {
+    return std::isfinite(D) ? number(D) : literal("null");
+  }
+  template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+  Writer &value(T V) {
+    return number(V);
+  }
+
+  /// key(K).value(V).
+  template <typename T> Writer &kv(std::string_view K, const T &V) {
+    return key(K).value(V);
+  }
+
+  /// Breaks the line before the next token (after its comma), indenting
+  /// the new line by \p Indent spaces.
+  Writer &newline(int Indent = 0) {
+    BreakIndent = Indent;
+    return *this;
+  }
+
+  /// Hands over the document, with any pending line break written out.
+  std::string take() {
+    flushBreak();
+    return std::move(Out);
+  }
+
+private:
+  std::string Out;
+  bool NeedComma = false;
+  int BreakIndent = -1; ///< Pending newline() indent; -1 = none.
+
+  void flushBreak() {
+    if (BreakIndent < 0)
+      return;
+    Out += '\n';
+    Out.append(static_cast<size_t>(BreakIndent), ' ');
+    BreakIndent = -1;
+  }
+  void token() {
+    if (NeedComma)
+      Out += ',';
+    NeedComma = false;
+    flushBreak();
+  }
+  void quoted(std::string_view S) {
+    Out += '"';
+    detail::appendEscaped(Out, S);
+    Out += '"';
+  }
+  Writer &literal(std::string_view Text) {
+    token();
+    Out += Text;
+    NeedComma = true;
+    return *this;
+  }
+  template <typename T> Writer &number(T V) {
+    char Buf[32];
+    char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
+    return literal(std::string_view(Buf, static_cast<size_t>(End - Buf)));
+  }
+  Writer &open(char C) {
+    token();
+    Out += C;
+    return *this;
+  }
+  Writer &close(char C) {
+    flushBreak();
+    Out += C;
+    NeedComma = true;
+    return *this;
+  }
+};
 
 namespace detail {
 

@@ -512,35 +512,6 @@ TEST(ReportTimeGate, ConfigSubstrArmsTimeGateSelectively) {
   EXPECT_TRUE(gate::compare(B, C, Opts).ok());
 }
 
-TEST(ReportTimeGate, ConfigSubstrExemptsRowsFromTimeGate) {
-  // The dual knob: the spans-overhead T1 gate runs with the time rule
-  // ON, but the pml VM rows must be exempt — arming spans pins the VM
-  // to the interpreter, so the vm-jit row regresses by construction.
-  RowSpec CppB, VmB;
-  CppB.Name = VmB.Name = "fib";
-  CppB.Config = "par-w1";
-  VmB.Name = "pml-fib-25";
-  VmB.Config = "vm-jit-w1";
-  RowSpec CppC = CppB, VmC = VmB;
-  VmC.MedianS = 0.060; // 3x "regression": interpreter-pinned under spans
-  GateOptions Opts;
-  Opts.TimeExemptConfigSubstr = "vm-";
-  BenchFile B = parseOrDie(fileJson(0.05, {CppB, VmB}));
-  BenchFile C = parseOrDie(fileJson(0.05, {CppC, VmC}));
-  GateResult R = gate::compare(B, C, Opts);
-  EXPECT_TRUE(R.ok());
-  EXPECT_EQ(R.TimeGatedRows, 1); // only the C++ row was held to the rule
-  // The exemption is surgical: a real regression on the C++ row still
-  // fails even while the vm row is exempt.
-  CppC.MedianS = 0.060;
-  C = parseOrDie(fileJson(0.05, {CppC, VmC}));
-  R = gate::compare(B, C, Opts);
-  EXPECT_FALSE(R.ok());
-  const Finding *F = R.first(Finding::Kind::TimeRegression);
-  ASSERT_NE(F, nullptr);
-  EXPECT_EQ(F->Config, "par-w1");
-}
-
 //===----------------------------------------------------------------------===//
 // Profile-site drift
 //===----------------------------------------------------------------------===//

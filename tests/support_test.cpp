@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Cli.h"
+#include "support/File.h"
 #include "support/Histogram.h"
+#include "support/Json.h"
 #include "support/Random.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -13,7 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <thread>
 
 using namespace mpl;
@@ -210,4 +218,129 @@ TEST(HistogramTest, PercentilesZeroValuedSamplesUseBucketZero) {
   Histogram::Percentiles P = H.percentiles();
   EXPECT_EQ(P.P50, 0);
   EXPECT_EQ(P.P99, 0);
+}
+
+//===----------------------------------------------------------------------===//
+// json::Writer and writeFile
+//===----------------------------------------------------------------------===//
+
+namespace {
+json::Value parseOrFail(const std::string &Text) {
+  json::Value V;
+  std::string Err;
+  EXPECT_TRUE(json::parse(Text, V, Err)) << Err << "\n" << Text;
+  return V;
+}
+} // namespace
+
+TEST(JsonWriterTest, EscapesKeysAndStrings) {
+  const std::string Key = "k\"\\";
+  const std::string Str = "a\"b\\c\x01" "d\n";
+  json::Writer W;
+  W.beginObject().kv(Key, Str).endObject();
+  std::string Text = W.take();
+  EXPECT_EQ(Text, R"({"k\"\\":"a\"b\\c\u0001d\n"})");
+  json::Value V = parseOrFail(Text);
+  ASSERT_EQ(V.Fields.size(), 1u);
+  EXPECT_EQ(V.Fields[0].first, Key);
+  EXPECT_EQ(V.Fields[0].second.StrV, Str);
+}
+
+TEST(JsonWriterTest, NestsAndWritesEmptyContainers) {
+  json::Writer W;
+  W.beginObject()
+      .key("a")
+      .beginArray()
+      .endArray()
+      .key("o")
+      .beginObject()
+      .endObject()
+      .key("n")
+      .beginArray()
+      .beginObject()
+      .kv("x", 1)
+      .endObject()
+      .beginArray()
+      .value(true)
+      .value(false)
+      .endArray()
+      .endArray()
+      .endObject();
+  EXPECT_EQ(W.take(), R"({"a":[],"o":{},"n":[{"x":1},[true,false]]})");
+  json::Writer E;
+  E.beginArray().endArray();
+  EXPECT_EQ(E.take(), "[]");
+}
+
+TEST(JsonWriterTest, WritesIntegersExactly) {
+  json::Writer W;
+  W.beginArray()
+      .value(std::numeric_limits<int64_t>::min())
+      .value(std::numeric_limits<int64_t>::max())
+      .value(std::numeric_limits<uint64_t>::max())
+      .value(0)
+      .endArray();
+  EXPECT_EQ(W.take(), "[-9223372036854775808,9223372036854775807,"
+                      "18446744073709551615,0]");
+}
+
+TEST(JsonWriterTest, DoublesRoundTripBitExact) {
+  const double Values[] = {0.1,     1.0 / 3.0,   -2.5e-7,
+                           1e-300,  5e-324,      1.7976931348623157e308,
+                           1e21,    0.015486678, 123456.789};
+  json::Writer W;
+  W.beginArray();
+  for (double D : Values)
+    W.value(D);
+  W.endArray();
+  json::Value V = parseOrFail(W.take());
+  ASSERT_EQ(V.Items.size(), std::size(Values));
+  for (size_t I = 0; I < std::size(Values); ++I)
+    EXPECT_EQ(std::bit_cast<uint64_t>(V.Items[I].NumV),
+              std::bit_cast<uint64_t>(Values[I]))
+        << "value " << I;
+  // JSON has no NaN or infinity; the document stays parseable.
+  json::Writer N;
+  N.beginArray().value(std::nan("")).value(HUGE_VAL).endArray();
+  EXPECT_EQ(N.take(), "[null,null]");
+}
+
+TEST(JsonWriterTest, KeepsKeyOrder) {
+  json::Writer W;
+  W.beginObject().kv("zeta", 1).kv("alpha", 2).kv("mid", "3").endObject();
+  json::Value V = parseOrFail(W.take());
+  ASSERT_EQ(V.Fields.size(), 3u);
+  EXPECT_EQ(V.Fields[0].first, "zeta");
+  EXPECT_EQ(V.Fields[1].first, "alpha");
+  EXPECT_EQ(V.Fields[2].first, "mid");
+}
+
+TEST(JsonWriterTest, NewlineBreaksAfterTheComma) {
+  json::Writer W;
+  W.beginArray()
+      .newline()
+      .value(1)
+      .newline(2)
+      .value(2)
+      .newline()
+      .endArray()
+      .newline();
+  EXPECT_EQ(W.take(), "[\n1,\n  2\n]\n");
+}
+
+TEST(WriteFileTest, WritesWholeText) {
+  std::string Path = testing::TempDir() + "support_test_write_file.json";
+  ASSERT_TRUE(writeFile(Path, "{\"a\":1}\n"));
+  std::ifstream In(Path);
+  std::stringstream Ss;
+  Ss << In.rdbuf();
+  EXPECT_EQ(Ss.str(), "{\"a\":1}\n");
+  std::remove(Path.c_str());
+  EXPECT_FALSE(writeFile(testing::TempDir() + "no/such/dir/x.json", "{}"));
+}
+
+TEST(WriteFileTest, FullDeviceFails) {
+  // The write itself fits in the stdio buffer and succeeds; only the
+  // flush in fclose hits ENOSPC.
+  EXPECT_FALSE(writeFile("/dev/full", std::string(2000, ' ')));
 }

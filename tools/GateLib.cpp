@@ -423,9 +423,6 @@ GateResult compare(const BenchFile &Base, const BenchFile &Cur,
         Opts.GateTimes ||
         (!Opts.TimeGateConfigSubstr.empty() &&
          B.Config.find(Opts.TimeGateConfigSubstr) != std::string::npos);
-    if (!Opts.TimeExemptConfigSubstr.empty() &&
-        B.Config.find(Opts.TimeExemptConfigSubstr) != std::string::npos)
-      TimeGate = false;
     if (!TimeGate || B.MedianS * 1e3 < Opts.MinTimeMs)
       continue;
     ++R.TimeGatedRows;

@@ -148,14 +148,6 @@ struct GateOptions {
   /// interpreter-dominated) carrier rows stay counter-gated only.
   std::string TimeGateConfigSubstr;
 
-  /// Non-empty: rows whose config contains this substring are *exempt*
-  /// from the time gate even when GateTimes is true (checksums and
-  /// counters still apply). Dual of TimeGateConfigSubstr — CI uses
-  /// "vm-" on the spans-overhead T1 gate because arming the span ledger
-  /// pins the pml VM to the interpreter, so the vm-jit row measures the
-  /// wrong engine there by construction.
-  std::string TimeExemptConfigSubstr;
-
   // Space gate (BENCH_T2): max_residency_bytes and em.pinned_bytes.
   bool GateResidency = false;
   double ResidencyTolerancePct = 50.0;

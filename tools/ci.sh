@@ -10,7 +10,9 @@
 # The sanitizer configs additionally rerun the stress and fuzz suites
 # under a tight MPL_MEM_LIMIT_MB with chunk-allocation faults injected
 # (DESIGN.md §10): the memory-pressure governor must degrade gracefully,
-# never abort.
+# never abort. This script is the whole CI: .github/workflows/ci.yml runs
+# it once per preset and only installs dependencies and uploads the
+# artifacts it leaves in build-<preset>/.
 #
 # Usage:
 #   tools/ci.sh                # all three configs
@@ -265,28 +267,20 @@ run_config() {
     "$bdir/bench/bench_table_time" -scale "$PERF_SCALE" -reps "$PERF_REPS" \
       -json "$bdir/perf_smoke.json" > "$bdir/perf_smoke.txt"
     "$bdir/tools/mpl_report" "$bdir/perf_smoke.json"
-    # The pml VM rows are informational context in T1 (their gated twin
-    # is BENCH_T3's ablation, at the wider jit floor) — time-exempt here
-    # so short VM runs can't flake the C++ kernel gate.
     "$bdir/tools/mpl_report" --baseline BENCH_T1.json \
       --current "$bdir/perf_smoke.json" \
-      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT" \
-      --time-exempt-config vm-
+      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT"
 
     echo "==== [$preset] spans-on overhead gate ===="
     # Same T1 table with the span ledger armed for every run (MPL_SPANS=1):
     # the per-task ledger bookkeeping must stay inside the same stddev
     # envelope as an unchanged build, bounding the ledger's overhead.
-    # The pml VM rows are time-exempt here: arming spans pins the VM to
-    # the interpreter, so the vm-jit row measures the wrong engine by
-    # construction (checksums still apply).
     MPL_SPANS=1 "$bdir/bench/bench_table_time" -scale "$PERF_SCALE" \
       -reps "$PERF_REPS" -json "$bdir/spans_overhead.json" \
       > "$bdir/spans_overhead.txt"
     "$bdir/tools/mpl_report" --baseline BENCH_T1.json \
       --current "$bdir/spans_overhead.json" \
-      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT" \
-      --time-exempt-config vm-
+      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT"
 
     echo "==== [$preset] space gate (BENCH_T2) ===="
     "$bdir/bench/bench_table_space" -scale "$PERF_SCALE" -reps 1 \

@@ -19,6 +19,7 @@
 
 #include "net/Client.h"
 #include "support/Cli.h"
+#include "support/Json.h"
 #include "support/Random.h"
 
 #include <atomic>
@@ -135,18 +136,21 @@ int main(int Argc, char **Argv) {
   for (auto &Th : Threads)
     Th.join();
 
-  std::printf("{\"mpl-client/1\":{\"requests\":%lld,\"ok\":%lld,"
-              "\"shed\":%lld,\"deadline_expired\":%lld,\"error\":%lld,"
-              "\"draining\":%lld,\"undelivered\":%lld,\"attempts\":%lld,"
-              "\"backoff_ms\":%lld}}\n",
-              static_cast<long long>(PerConn * Conns),
-              static_cast<long long>(T.Ok.load()),
-              static_cast<long long>(T.Shed.load()),
-              static_cast<long long>(T.DeadlineExpired.load()),
-              static_cast<long long>(T.Error.load()),
-              static_cast<long long>(T.Draining.load()),
-              static_cast<long long>(T.Undelivered.load()),
-              static_cast<long long>(T.Attempts.load()),
-              static_cast<long long>(T.BackoffMs.load()));
+  json::Writer W;
+  W.beginObject()
+      .key("mpl-client/1")
+      .beginObject()
+      .kv("requests", PerConn * Conns)
+      .kv("ok", T.Ok.load())
+      .kv("shed", T.Shed.load())
+      .kv("deadline_expired", T.DeadlineExpired.load())
+      .kv("error", T.Error.load())
+      .kv("draining", T.Draining.load())
+      .kv("undelivered", T.Undelivered.load())
+      .kv("attempts", T.Attempts.load())
+      .kv("backoff_ms", T.BackoffMs.load())
+      .endObject()
+      .endObject();
+  std::puts(W.take().c_str());
   return 0;
 }

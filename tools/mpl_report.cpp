@@ -64,7 +64,7 @@ int usage() {
       "                  [--stddev-k K] [--floor-pct N] [--min-time-ms M]\n"
       "                  [--no-time-gate] [--gate-residency] [--gate-counters]\n"
       "                  [--profile-drift] [--drift-top-k K]\n"
-      "                  [--time-gate-config SUBSTR] [--time-exempt-config SUBSTR]\n"
+      "                  [--time-gate-config SUBSTR]\n"
       "                  [--tolerance-pct N]   (alias of --floor-pct)\n");
   return 2;
 }
@@ -117,14 +117,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return 2;
       Opts.TimeGateConfigSubstr = V;
-    } else if (std::strcmp(Argv[I], "--time-exempt-config") == 0) {
-      // Exempts rows whose config contains SUBSTR from the time gate
-      // (CI: the pml VM rows of the spans-overhead T1 gate, which run
-      // interpreter-pinned when spans are armed).
-      const char *V = TakeValue("--time-exempt-config");
-      if (!V)
-        return 2;
-      Opts.TimeExemptConfigSubstr = V;
     } else if (std::strcmp(Argv[I], "--gate-residency") == 0) {
       Opts.GateResidency = true;
     } else if (std::strcmp(Argv[I], "--gate-counters") == 0) {

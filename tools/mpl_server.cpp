@@ -23,6 +23,7 @@
 #include "net/Server.h"
 #include "obs/Profile.h"
 #include "support/Cli.h"
+#include "support/Json.h"
 #include "support/Timer.h"
 
 #include <csignal>
@@ -117,21 +118,24 @@ int main(int Argc, char **Argv) {
   net::ServerTotals T = Srv.totals();
   int64_t LeakedPins = obs::Profiler::get().livePinCount();
   chaos::Totals CT = chaos::totals();
-  std::printf("{\"mpl-server/1\":{\"accepted\":%lld,\"requests\":%lld,"
-              "\"ok\":%lld,\"shed\":%lld,\"deadline_expired\":%lld,"
-              "\"error\":%lld,\"draining\":%lld,\"wire_faults\":%lld,"
-              "\"protocol_errors\":%lld,\"chaos_faults\":%lld,"
-              "\"leaked_pins\":%lld}}\n",
-              static_cast<long long>(T.Accepted),
-              static_cast<long long>(T.Requests),
-              static_cast<long long>(T.Ok), static_cast<long long>(T.Shed),
-              static_cast<long long>(T.DeadlineExpired),
-              static_cast<long long>(T.Errors),
-              static_cast<long long>(T.Draining),
-              static_cast<long long>(T.WireFaults),
-              static_cast<long long>(T.ProtocolErrors),
-              static_cast<long long>(CT.FaultsInjected),
-              static_cast<long long>(LeakedPins));
+  json::Writer W;
+  W.beginObject()
+      .key("mpl-server/1")
+      .beginObject()
+      .kv("accepted", T.Accepted)
+      .kv("requests", T.Requests)
+      .kv("ok", T.Ok)
+      .kv("shed", T.Shed)
+      .kv("deadline_expired", T.DeadlineExpired)
+      .kv("error", T.Errors)
+      .kv("draining", T.Draining)
+      .kv("wire_faults", T.WireFaults)
+      .kv("protocol_errors", T.ProtocolErrors)
+      .kv("chaos_faults", CT.FaultsInjected)
+      .kv("leaked_pins", LeakedPins)
+      .endObject()
+      .endObject();
+  std::puts(W.take().c_str());
   std::fflush(stdout);
   if (chaos::active())
     chaos::disable();
