@@ -245,7 +245,7 @@ struct RepData {
 
 std::vector<ProfileSiteRow> snapshotProfileRows() {
   std::vector<ProfileSiteRow> Rows;
-  for (const obs::ProfileSiteSnap &S : obs::Profiler::get().snapshot()) {
+  for (const obs::SiteSnap &S : obs::Profiler::get().snapshot()) {
     ProfileSiteRow R;
     R.Name = S.Name;
     R.Events = S.Events;
@@ -304,11 +304,11 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
     D.Seconds = Sec;
     D.WS = WS;
     D.Stats = StatSnap::read();
-    if (Prof) {
+    em::CounterSnapshot Em = em::Counts.snapshot();
+    D.LeakedPins = Em.livePinnedObjects();
+    D.LeakedBytes = Em.livePinnedBytes();
+    if (Prof)
       D.Sites = snapshotProfileRows();
-      D.LeakedPins = obs::Profiler::get().livePinCount();
-      D.LeakedBytes = obs::Profiler::get().livePinBytes();
-    }
     Data.push_back(std::move(D));
   }
   if (Prof && !ProfWasEnabled)
@@ -330,8 +330,8 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
   Out.Stats = Med.Stats;
   Out.Checksum = Checksum;
   Out.ProfileSites = Med.Sites;
-  Out.ProfileLeakedPins = Med.LeakedPins;
-  Out.ProfileLeakedBytes = Med.LeakedBytes;
+  Out.LeakedPins = Med.LeakedPins;
+  Out.LeakedBytes = Med.LeakedBytes;
   for (const RepData &D : Data)
     Out.RepSeconds.push_back(D.Seconds);
   if (Data.size() > 1) {
@@ -489,8 +489,8 @@ void BenchJson::addRow(const std::string &Name, const std::string &Config,
         .endObject();
   W.key("profile")
       .beginObject()
-      .kv("leaked_pins", R.ProfileLeakedPins)
-      .kv("leaked_bytes", R.ProfileLeakedBytes)
+      .kv("leaked_pins", R.LeakedPins)
+      .kv("leaked_bytes", R.LeakedBytes)
       .kv("pin_bytes_attributed", R.profilePinnedBytes())
       .key("sites")
       .beginArray();

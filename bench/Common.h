@@ -127,8 +127,10 @@ struct RunResult {
   /// Site-attributed entanglement profile of the median rep (empty unless
   /// measured with SiteProfile; empty for disentangled runs regardless).
   std::vector<ProfileSiteRow> ProfileSites;
-  int64_t ProfileLeakedPins = 0;
-  int64_t ProfileLeakedBytes = 0;
+  /// Pins (and their bytes) still live after the median rep's run:
+  /// em::Counts' pinned minus unpinned, zero once every pin is released.
+  int64_t LeakedPins = 0;
+  int64_t LeakedBytes = 0;
 
   /// Sum of bytes attributed to pin sites ("em.pin.*" / "hh.pin"): equals
   /// Stats.PinnedBytes when the profiler attributed every pin.

@@ -32,8 +32,8 @@
 #include "chaos/ChaosSchedule.h"
 #include "net/Client.h"
 #include "net/Server.h"
-#include "obs/Profile.h"
 #include "support/Cli.h"
+#include "support/EmCounters.h"
 #include "support/Histogram.h"
 #include "support/Json.h"
 #include "support/Random.h"
@@ -161,7 +161,6 @@ int main(int Argc, char **Argv) {
     }
     chaos::enable(CC);
   }
-  obs::Profiler::get().enable();
 
   Server Srv(SC);
   if (!Srv.start()) {
@@ -226,7 +225,7 @@ int main(int Argc, char **Argv) {
   Srv.waitUntilDrained();
 
   ServerTotals ST = Srv.totals();
-  int64_t LeakedPins = obs::Profiler::get().livePinCount();
+  int64_t LeakedPins = em::Counts.snapshot().livePinnedObjects();
   Histogram::Percentiles P = Latency.percentiles();
   int64_t Total = Planned;
   double ShedRate =

@@ -37,7 +37,7 @@ int main(int Argc, char **Argv) {
 
   for (const SuiteEntry &E : makeSuite(Scale)) {
     // SiteProfile: every pin in this table must be attributed to a named
-    // barrier site, and the live-pin table must drain to zero at the join.
+    // barrier site, and no pin may outlive the final join.
     RunResult R = measure(E, /*Sequential=*/false, /*Workers=*/2,
                           em::Mode::Manage, /*Profile=*/false, /*Reps=*/1,
                           /*SiteProfile=*/true);
@@ -47,7 +47,7 @@ int main(int Argc, char **Argv) {
     // must attribute 100% of the pinned bytes to named sites.
     MPL_CHECK(R.profilePinnedBytes() == R.Stats.PinnedBytes,
               "profiler lost track of pinned bytes");
-    MPL_CHECK(R.ProfileLeakedPins == 0, "pins survived final join");
+    MPL_CHECK(R.LeakedPins == 0, "pins survived final join");
 
     T.addRow({E.Name + (E.Entangled ? " (ent)" : ""),
               Table::fmtInt(R.Stats.EntangledReads),

@@ -188,6 +188,7 @@ struct TierRun {
   int64_t ContCaptured = 0;
   int64_t ContResumed = 0;
   int64_t LeakedPins = 0;
+  int64_t LeakedBytes = 0;
   int64_t JitCompiled = 0;
   int64_t JitEntries = 0;
   int64_t JitCodeBytes = 0;
@@ -201,8 +202,7 @@ TierRun timePmlTier(const std::string &Src, int Reps, em::Mode Mode,
     // call — the ablation isolates template quality, not warmup policy.
     jit::setCompileThreshold(1);
     jit::setEnabled(UseJit);
-    StatRegistry::get().resetAll();
-    em::Counts.reset();
+    StatRegistry::get().resetAll(); // em::Counts included.
     rt::Config Cfg;
     Cfg.NumWorkers = 1;
     Cfg.Profile = false;
@@ -222,6 +222,7 @@ TierRun timePmlTier(const std::string &Src, int Reps, em::Mode Mode,
     R.ContCaptured = S.ContCaptured;
     R.ContResumed = S.ContResumed;
     R.LeakedPins = S.livePinnedObjects();
+    R.LeakedBytes = S.livePinnedBytes();
     StatRegistry &Reg = StatRegistry::get();
     R.JitCompiled = Reg.valueOf("pml.jit.compiled");
     R.JitEntries = Reg.valueOf("pml.jit.entries");
@@ -465,7 +466,7 @@ int main(int Argc, char **Argv) {
             W.key("profile")
                 .beginObject()
                 .kv("leaked_pins", R.LeakedPins)
-                .kv("leaked_bytes", 0)
+                .kv("leaked_bytes", R.LeakedBytes)
                 .endObject()
                 .kv("checksum", tierChecksum(R));
           });

@@ -157,14 +157,13 @@ int runInteractive(int Workers) {
       continue;
     }
     if (Line == ":prof") {
-      std::vector<obs::ProfileSiteSnap> Sites = obs::Profiler::get().snapshot();
+      std::vector<obs::SiteSnap> Sites = obs::Profiler::get().snapshot();
       if (Sites.empty()) {
         std::printf("no entanglement events recorded yet\n");
         continue;
       }
       std::sort(Sites.begin(), Sites.end(),
-                [](const obs::ProfileSiteSnap &A,
-                   const obs::ProfileSiteSnap &B) {
+                [](const obs::SiteSnap &A, const obs::SiteSnap &B) {
                   if (A.Events != B.Events)
                     return A.Events > B.Events;
                   return A.Bytes > B.Bytes;

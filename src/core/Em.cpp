@@ -7,7 +7,6 @@
 #include "core/Em.h"
 
 #include "chaos/ChaosSchedule.h"
-#include "mm/MemoryGovernor.h"
 #include "obs/Profile.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
@@ -26,15 +25,7 @@ namespace em {
 std::atomic<Mode> CurrentMode{Mode::Manage};
 
 namespace {
-Stat StatEntangledReads("em.reads.entangled");
-Stat StatDownPins("em.pins.down");
-Stat StatCrossPins("em.pins.cross");
-Stat StatHolderPins("em.pins.holder");
-Stat StatPinnedObjects("em.pins.objects");
-Stat StatPinnedBytes("em.pinned.bytes");
 Stat StatDetectRejections("em.detect.rejections");
-Stat StatContCaptured("em.cont.captured");
-Stat StatContResumed("em.cont.resumed");
 
 const char *objKindName(ObjKind K) {
   switch (K) {
@@ -84,23 +75,21 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
   chaos::preemptPoint(chaos::Point::WriteBarrier);
   Heap *HP = Heap::of(P);
   uint32_t PinDepth = UINT32_MAX;
-  obs::ProfileSite *PinSite = nullptr;
+  obs::Site PinSite = obs::Site::Pin;
 
   if (HX != HP) {
     if (Heap::isAncestorOf(HX, HP)) {
       // Down-pointer: X is shallower, so tasks concurrent with P's
       // allocator may read P through X.
       PinDepth = HX->depth();
-      Counts.DownPointerPins.fetch_add(1, std::memory_order_relaxed);
-      StatDownPins.inc();
-      PinSite = &MPL_SITE("em.pin.down");
+      Counts.DownPointerPins.inc();
+      PinSite = obs::Site::PinDown;
     } else if (!Heap::isAncestorOf(HP, HX)) {
       // Cross-pointer between concurrent heaps: X itself was obtained via
       // entanglement; P becomes reachable from that entangled region.
       PinDepth = Heap::lcaDepth(HX, HP);
-      Counts.CrossPointerPins.fetch_add(1, std::memory_order_relaxed);
-      StatCrossPins.inc();
-      PinSite = &MPL_SITE("em.pin.cross");
+      Counts.CrossPointerPins.inc();
+      PinSite = obs::Site::PinCross;
     }
     // Up-pointer (HP ancestor of HX): always disentangled, nothing to do —
     // unless X is pinned, handled below.
@@ -112,10 +101,9 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
     // Attribute the pin to the holder class when the holder's depth is the
     // binding constraint (or when no pointer class fired at all).
     if (X->unpinDepth() < PinDepth)
-      PinSite = &MPL_SITE("em.pin.holder");
+      PinSite = obs::Site::PinHolder;
     PinDepth = std::min(PinDepth, X->unpinDepth());
-    Counts.PinnedHolderPins.fetch_add(1, std::memory_order_relaxed);
-    StatHolderPins.inc();
+    Counts.PinnedHolderPins.inc();
   }
 
   if (PinDepth == UINT32_MAX)
@@ -131,14 +119,8 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
   }
   if (chaos::faultFires(chaos::Fault::SkipPin))
     return; // Test-only injected bug: publish without pinning.
-  if (HP->addPinned(P, PinDepth, PinSite)) {
-    Counts.PinnedObjects.fetch_add(1, std::memory_order_relaxed);
-    Counts.PinnedBytes.fetch_add(static_cast<int64_t>(P->sizeBytes()),
-                                 std::memory_order_relaxed);
-    StatPinnedObjects.inc();
-    StatPinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
+  if (HP->addPinned(P, PinDepth, PinSite))
     obs::spanNotePin();
-  }
 }
 
 void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
@@ -146,8 +128,7 @@ void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
   // Schedule fuzzing: hold the reader between detection and the deepen so
   // joins/collections can race the pin adjustment.
   chaos::preemptPoint(chaos::Point::ReadBarrier);
-  Counts.EntangledReads.fetch_add(1, std::memory_order_relaxed);
-  StatEntangledReads.inc();
+  Counts.EntangledReads.inc();
   if (mode() == Mode::Detect) {
     // Recoverable rejection (see EntanglementError): the read barrier has
     // taken no locks yet, so the strand can unwind cleanly.
@@ -163,8 +144,8 @@ void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
     // Pin-before-publish violated: a write barrier lost this object's pin.
     // Count it (the fuzz suite asserts zero) and fall through to the
     // defensive re-pin below so the mutator can still make progress.
-    Counts.EntangledReadsUnpinned.fetch_add(1, std::memory_order_relaxed);
-  obs::profileEvent(MPL_SITE("em.read.entangled"),
+    Counts.EntangledReadsUnpinned.inc();
+  obs::profileEvent(obs::Site::ReadEntangled,
                     static_cast<int64_t>(P->sizeBytes()), HP->depth());
   // Span ledger: count the entangled read against the executing task and
   // the pml source line whose instruction triggered the barrier.
@@ -172,14 +153,8 @@ void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
   uint32_t Lca = Heap::lcaDepth(Reader, HP);
   if (P->isPinned() && P->unpinDepth() <= Lca)
     return;
-  if (HP->addPinned(P, Lca, &MPL_SITE("em.pin.read"))) {
-    Counts.PinnedObjects.fetch_add(1, std::memory_order_relaxed);
-    Counts.PinnedBytes.fetch_add(static_cast<int64_t>(P->sizeBytes()),
-                                 std::memory_order_relaxed);
-    StatPinnedObjects.inc();
-    StatPinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
+  if (HP->addPinned(P, Lca, obs::Site::PinRead))
     obs::spanNotePin();
-  }
 }
 
 bool pinContCapture(Object *P, Heap *CaptureHeap) {
@@ -191,14 +166,8 @@ bool pinContCapture(Object *P, Heap *CaptureHeap) {
                   // root heap's objects alive through the rooted cont anyway.
   if (Heap::of(P) != CaptureHeap)
     return false; // Ancestor-heap objects: ordinary barriers cover them.
-  if (!CaptureHeap->addPinned(P, Depth, &MPL_SITE("em.cont.capture")))
-    return false; // Already pinned (entanglement or an earlier capture).
-  Counts.PinnedObjects.fetch_add(1, std::memory_order_relaxed);
-  Counts.PinnedBytes.fetch_add(static_cast<int64_t>(P->sizeBytes()),
-                               std::memory_order_relaxed);
-  StatPinnedObjects.inc();
-  StatPinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
-  return true;
+  // False when already pinned (entanglement or an earlier capture).
+  return CaptureHeap->addPinned(P, Depth, obs::Site::ContCapture);
 }
 
 bool unpinContResume(Object *P, uint32_t CaptureDepth) {
@@ -209,31 +178,19 @@ bool unpinContResume(Object *P, uint32_t CaptureDepth) {
   if (!P->isPinned() || P->unpinDepth() != CaptureDepth)
     return false; // Released by a join already, or deepened by a barrier —
                   // entanglement owns the pin now; the join rule releases it.
-  // Mirror the join rule's release bookkeeping (hh/Heap.cpp), plus the
-  // per-heap gauge decrements a join does wholesale.
-  int64_t Size = static_cast<int64_t>(P->sizeBytes());
-  Counts.UnpinnedObjects.fetch_add(1, std::memory_order_relaxed);
-  Counts.UnpinnedBytes.fetch_add(Size, std::memory_order_relaxed);
-  MemoryGovernor::get().notePinnedBytes(-Size);
-  obs::emit(obs::Ev::Unpin, P->sizeBytes());
-  obs::profileUnpin(P, Size, CaptureDepth);
-  HP->PinnedObjsGauge.fetch_sub(1, std::memory_order_relaxed);
-  HP->PinnedBytesGauge.fetch_sub(Size, std::memory_order_relaxed);
-  P->unpin();
+  HP->releasePin(P);
   // The stale Pinned-vector entry is tolerated: joins and the invariant
   // checker both skip entries whose object is no longer pinned.
   return true;
 }
 
 void noteContCaptured(int64_t Bytes, uint32_t Depth) {
-  Counts.ContCaptured.fetch_add(1, std::memory_order_relaxed);
-  StatContCaptured.inc();
+  Counts.ContCaptured.inc();
   obs::emit(obs::Ev::ContCapture, static_cast<uint64_t>(Bytes), Depth);
 }
 
 void noteContResumed(int64_t Bytes, uint32_t Depth) {
-  Counts.ContResumed.fetch_add(1, std::memory_order_relaxed);
-  StatContResumed.inc();
+  Counts.ContResumed.inc();
   obs::emit(obs::Ev::ContResume, static_cast<uint64_t>(Bytes), Depth);
 }
 

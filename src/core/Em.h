@@ -92,8 +92,9 @@ inline Mode mode() { return CurrentMode.load(std::memory_order_relaxed); }
 void setMode(Mode M);
 
 // Counters / CounterSnapshot (and the global `Counts`) live in
-// support/EmCounters.h so the join rule in hh/ can account unpins into the
-// same structure the barriers pin into.
+// support/EmCounters.h so hh/ (which counts every pin and unpin) and mm/
+// (which derives live pinned bytes) share the store the barriers count
+// reads and pin kinds into.
 
 /// One invariant-checker run: empty Violations means every cross-checked
 /// runtime invariant held.

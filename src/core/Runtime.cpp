@@ -95,15 +95,8 @@ Runtime::Runtime(const Config &C)
   obs::initFromEnv();
   MemoryGovernor::get().initFromEnv();
   auto &Sampler = obs::MetricsSampler::get();
-  RtGaugeIds.push_back(
-      Sampler.registerGauge("mm.residency.bytes", [] { return residencyBytes(); }));
   RtGaugeIds.push_back(Sampler.registerGauge(
       "hh.heaps", [this] { return static_cast<int64_t>(Heaps.heapCount()); }));
-  RtGaugeIds.push_back(Sampler.registerGauge("mm.pressure.level", [] {
-    return static_cast<int64_t>(MemoryGovernor::get().pressure());
-  }));
-  RtGaugeIds.push_back(Sampler.registerGauge(
-      "mm.pinned.bytes", [] { return MemoryGovernor::get().pinnedBytes(); }));
   RtGaugeIds.push_back(Sampler.registerGauge("mm.freelist.bytes", [] {
     return ChunkPool::get().freeListBytes();
   }));

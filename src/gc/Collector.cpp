@@ -226,11 +226,11 @@ GcOutcome Collector::collectChain(Heap *Leaf, ShadowStack &Roots) {
   // survivors, retired-chunk accounting).
   if (CS.Out.ObjectsInPlace > 0 && obs::profileEnabled()) {
     uint32_t D = Leaf->depth();
-    obs::profileEvent(MPL_SITE("gc.mark.inplace"), CS.Out.BytesInPlace, D,
+    obs::profileEvent(obs::Site::GcMarkInPlace, CS.Out.BytesInPlace, D,
                       MarkEndNs - MarkStartNs);
-    obs::profileEvent(MPL_SITE("gc.evac"), CS.Out.BytesCopied, D,
+    obs::profileEvent(obs::Site::GcEvac, CS.Out.BytesCopied, D,
                       EvacEndNs - MarkEndNs);
-    obs::profileEvent(MPL_SITE("gc.reclaim"), CS.Out.BytesReclaimed, D,
+    obs::profileEvent(obs::Site::GcReclaim, CS.Out.BytesReclaimed, D,
                       CS.Out.PauseNs - EvacEndNs);
   }
   NumCollections.inc();

@@ -7,8 +7,6 @@
 #include "hh/Heap.h"
 
 #include "chaos/ChaosSchedule.h"
-#include "mm/MemoryGovernor.h"
-#include "obs/Profile.h"
 #include "obs/Trace.h"
 #include "support/Assert.h"
 #include "support/EmCounters.h"
@@ -19,8 +17,6 @@ using namespace mpl;
 namespace {
 Stat HeapsCreated("hh.heaps.created");
 Stat JoinsPerformed("hh.joins");
-Stat ObjectsUnpinned("em.unpins");
-Stat BytesUnpinned("em.unpins.bytes");
 } // namespace
 
 void Heap::pushChunk(Chunk *C) {
@@ -106,18 +102,30 @@ uint32_t Heap::lcaDepth(const Heap *A, const Heap *B) {
   return A->Depth;
 }
 
-bool Heap::addPinned(Object *O, uint32_t UnpinDepth, obs::ProfileSite *Site) {
+bool Heap::addPinned(Object *O, uint32_t UnpinDepth, obs::Site Site) {
   std::lock_guard<std::mutex> G(PinLock);
   if (!O->pinMin(UnpinDepth))
     return false;
   Pinned.push_back(O);
   int64_t Size = static_cast<int64_t>(O->sizeBytes());
+  em::Counts.PinnedObjects.inc();
+  em::Counts.PinnedBytes.add(Size);
   PinnedObjsGauge.fetch_add(1, std::memory_order_relaxed);
   PinnedBytesGauge.fetch_add(Size, std::memory_order_relaxed);
-  MemoryGovernor::get().notePinnedBytes(Size);
   obs::emit(obs::Ev::Pin, O->sizeBytes(), UnpinDepth);
   obs::profilePin(Site, O, Size, UnpinDepth);
   return true;
+}
+
+void Heap::releasePin(Object *O) {
+  int64_t Size = static_cast<int64_t>(O->sizeBytes());
+  em::Counts.UnpinnedObjects.inc();
+  em::Counts.UnpinnedBytes.add(Size);
+  PinnedObjsGauge.fetch_sub(1, std::memory_order_relaxed);
+  PinnedBytesGauge.fetch_sub(Size, std::memory_order_relaxed);
+  obs::emit(obs::Ev::Unpin, O->sizeBytes());
+  obs::profileUnpin(O);
+  O->unpin();
 }
 
 size_t Heap::footprintBytes() const {
@@ -227,13 +235,7 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
     int64_t Size = static_cast<int64_t>(O->sizeBytes());
     if (O->unpinDepth() >= Parent->Depth &&
         !chaos::faultFires(chaos::Fault::SkipUnpin)) {
-      BytesUnpinned.add(Size);
-      em::Counts.UnpinnedObjects.fetch_add(1, std::memory_order_relaxed);
-      em::Counts.UnpinnedBytes.fetch_add(Size, std::memory_order_relaxed);
-      MemoryGovernor::get().notePinnedBytes(-Size);
-      obs::emit(obs::Ev::Unpin, O->sizeBytes());
-      obs::profileUnpin(O, Size, Child->Depth);
-      O->unpin();
+      Child->releasePin(O);
       ++Unpinned;
       UnpinnedBytes += Size;
     } else {
@@ -247,11 +249,10 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
   Child->Pinned.clear();
   Child->PinnedObjsGauge.store(0, std::memory_order_relaxed);
   Child->PinnedBytesGauge.store(0, std::memory_order_relaxed);
-  ObjectsUnpinned.add(Unpinned);
   // Attribute the join's entanglement-release work — only joins that had
   // pinned entries to process, so disentangled runs keep an empty profile.
   if (HadPins)
-    obs::profileEvent(MPL_SITE("hh.join.unpin"), UnpinnedBytes, Child->Depth);
+    obs::profileEvent(obs::Site::JoinUnpin, UnpinnedBytes, Child->Depth);
 
   Child->Dead.store(true, std::memory_order_release);
   obs::emit(obs::Ev::HeapJoinEnd, static_cast<uint64_t>(Unpinned));

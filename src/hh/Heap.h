@@ -20,6 +20,7 @@
 
 #include "mm/Chunk.h"
 #include "mm/Object.h"
+#include "obs/Profile.h"
 
 #include <atomic>
 #include <cstdint>
@@ -27,10 +28,6 @@
 #include <vector>
 
 namespace mpl {
-
-namespace obs {
-class ProfileSite;
-} // namespace obs
 
 /// One heap in the hierarchy. Owned (allocated into / collected) by at most
 /// one task at a time; shared ancestors are read-only for allocation until
@@ -86,12 +83,19 @@ public:
   static uint32_t lcaDepth(const Heap *A, const Heap *B);
 
   /// Registers \p O as pinned in this heap at depth \p UnpinDepth (callers:
-  /// the entanglement write/read barriers). Takes the pin lock. Returns
-  /// true when the object was newly pinned (not merely depth-deepened).
-  /// \p Site, when non-null, is the profiler site the pin is attributed to
-  /// (obs/Profile.h; ignored unless the profiler is armed).
+  /// the entanglement write/read barriers and continuation capture). Takes
+  /// the pin lock. Returns true when the object was newly pinned (not
+  /// merely depth-deepened); only then is the pin counted (em.pins.objects,
+  /// em.pinned.bytes), gauged, traced and attributed to \p Site.
   bool addPinned(Object *O, uint32_t UnpinDepth,
-                 obs::ProfileSite *Site = nullptr);
+                 obs::Site Site = obs::Site::Pin);
+
+  /// Releases \p O's pin in place: counts the unpin (em.unpins,
+  /// em.unpins.bytes), lowers this heap's pin gauges, traces and profiles
+  /// the release, and clears the pin bit. The one release path — the join
+  /// rule and continuation resume both call it. The caller holds PinLock
+  /// of this heap, whose Pinned set lists \p O.
+  void releasePin(Object *O);
 
   /// Sum of bytes bump-allocated into live chunks (fragmentation included).
   size_t footprintBytes() const;

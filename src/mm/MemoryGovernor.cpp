@@ -10,6 +10,7 @@
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "support/EmCounters.h"
 #include "support/File.h"
 #include "support/Histogram.h"
 #include "support/Stats.h"
@@ -109,8 +110,9 @@ void MemoryGovernor::initFromEnv() {
     // The live introspection plane (stats frames, Prometheus exposition)
     // reads memory pressure through the gauge registry: obs depends only
     // on support, so the governor pushes its gauges up rather than obs
-    // reaching down. All four are relaxed loads. Never unregistered — the
-    // governor and the chunk pool are process-lifetime singletons.
+    // reaching down. All three are relaxed loads. Never unregistered — the
+    // governor and the chunk pool are process-lifetime singletons. (Live
+    // pinned bytes are the exposition's em.live.pinned.bytes gauge.)
     obs::MetricsSampler &MS = obs::MetricsSampler::get();
     MS.registerGauge("mm.pressure", [this] {
       return static_cast<int64_t>(pressure());
@@ -121,7 +123,6 @@ void MemoryGovernor::initFromEnv() {
     MS.registerGauge("mm.limit.bytes", [this] {
       return LimitBytes.load(std::memory_order_relaxed);
     });
-    MS.registerGauge("mm.pinned.bytes", [this] { return pinnedBytes(); });
     Config C = config();
     bool Any = false;
     if (const char *S = std::getenv("MPL_MEM_LIMIT_MB"))
@@ -156,6 +157,10 @@ double MemoryGovernor::allocBudgetScale() const {
     return 0.125;
   }
   return 1.0;
+}
+
+int64_t MemoryGovernor::pinnedBytes() const {
+  return em::Counts.snapshot().livePinnedBytes();
 }
 
 int MemoryGovernor::registerEmergencyGc(std::function<bool()> Fn) {

@@ -13,10 +13,11 @@
 ///
 ///  - chunk bytes outstanding (ChunkPool residency, already tracked), the
 ///    quantity the soft/hard limits are enforced against;
-///  - live pinned bytes (maintained by Heap::addPinned and the join rule's
-///    unpin path), the portion of residency that *cannot* be reclaimed
+///  - live pinned bytes (derived from the em counters: pinned minus
+///    unpinned bytes), the portion of residency that *cannot* be reclaimed
 ///    early without breaking the pin-before-publish soundness argument —
-///    reported for observability and OOM diagnostics.
+///    reported for observability and OOM diagnostics, never a decision
+///    input.
 ///
 /// Pressure ladder. `MPL_MEM_LIMIT_MB` sets a hard limit on chunk bytes;
 /// `MPL_MEM_SOFT_FRAC` (default 0.85) places a soft watermark below it.
@@ -144,18 +145,8 @@ public:
   /// collect) sooner.
   double allocBudgetScale() const;
 
-  /// Live pinned-bytes gauge, maintained by Heap::addPinned (+) and the
-  /// join rule's unpin path (-).
-  void notePinnedBytes(int64_t Delta) {
-    PinnedBytes.fetch_add(Delta, std::memory_order_relaxed);
-  }
-  int64_t pinnedBytes() const {
-    return PinnedBytes.load(std::memory_order_relaxed);
-  }
-  /// Test-only: clears the pinned gauge between unrelated phases.
-  void resetPinnedBytes() {
-    PinnedBytes.store(0, std::memory_order_relaxed);
-  }
+  /// Live pinned bytes: em::Counts' pinned minus unpinned bytes.
+  int64_t pinnedBytes() const;
 
   /// Registers the emergency-collection hook (rt::Runtime: force a local
   /// collection of the calling task's private chain). Returns an id for
@@ -237,7 +228,6 @@ private:
   std::atomic<int> MaxAttempts{Config{}.MaxAllocAttempts};
   std::atomic<int64_t> BackoffUs{Config{}.RetryBackoffUs};
   std::atomic<uint8_t> Level{static_cast<uint8_t>(Pressure::None)};
-  std::atomic<int64_t> PinnedBytes{0};
 
   mutable std::mutex Mu; ///< Guards SoftFracValue and the hook list.
   double SoftFracValue = Config{}.SoftFrac;

@@ -111,7 +111,8 @@ std::string obs::renderPrometheus() {
   Out.reserve(8192);
   std::set<std::string> Emitted;
 
-  // Registered Stats: monotone event counters (net.*, rt.*, chaos.*, ...).
+  // Registered Stats: monotone event counters (em.*, net.*, rt.*, ...),
+  // the paper's entanglement cost counters among them (em::Counts).
   // snapshotAll() returns one total per name (live instances summed on top
   // of retired ones), so the exposition never emits the same series twice
   // and counters survive their owning component's teardown.
@@ -119,39 +120,13 @@ std::string obs::renderPrometheus() {
     emitScalar(Out, Emitted, "mpl_" + promSanitize(Name) + "_total",
                "counter", Name, V);
 
-  // The paper's entanglement cost counters. Cumulative ones are counters;
-  // the live pinned footprint (cumulative pinned minus unpinned) is the
+  // The live pinned footprint (cumulative pinned minus unpinned) is the
   // space cost operators watch, so it is exposed as a gauge.
-  {
-    em::CounterSnapshot E = em::Counts.snapshot();
-    struct Row {
-      const char *Name;
-      int64_t V;
-    };
-    const Row CounterRows[] = {
-        {"em.read.entangled", E.EntangledReads},
-        {"em.read.entangled.unpinned", E.EntangledReadsUnpinned},
-        {"em.pin.down", E.DownPointerPins},
-        {"em.pin.cross", E.CrossPointerPins},
-        {"em.pin.holder", E.PinnedHolderPins},
-        {"em.pinned.objects", E.PinnedObjects},
-        {"em.pinned.bytes", E.PinnedBytes},
-        {"em.unpinned.objects", E.UnpinnedObjects},
-        {"em.unpinned.bytes", E.UnpinnedBytes},
-        {"em.cont.captured", E.ContCaptured},
-        {"em.cont.resumed", E.ContResumed},
-    };
-    for (const Row &R : CounterRows)
-      emitScalar(Out, Emitted, "mpl_" + promSanitize(R.Name) + "_total",
-                 "counter", R.Name, R.V);
-    const Row GaugeRows[] = {
-        {"em.live.pinned.objects", E.livePinnedObjects()},
-        {"em.live.pinned.bytes", E.livePinnedBytes()},
-    };
-    for (const Row &R : GaugeRows)
-      emitScalar(Out, Emitted, "mpl_" + promSanitize(R.Name), "gauge", R.Name,
-                 R.V);
-  }
+  em::CounterSnapshot E = em::Counts.snapshot();
+  emitScalar(Out, Emitted, "mpl_em_live_pinned_objects", "gauge",
+             "em.live.pinned.objects", E.livePinnedObjects());
+  emitScalar(Out, Emitted, "mpl_em_live_pinned_bytes", "gauge",
+             "em.live.pinned.bytes", E.livePinnedBytes());
 
   // Registered gauges (scheduler deque depths, chunk-pool residency, net
   // queue depth/in-flight, mm pressure...) plus the trace-drop health

@@ -10,9 +10,9 @@
 /// tracer (obs/Trace.h) says *when*; this profiler says *where*: every pin
 /// (down-pointer, cross-pointer, pinned-holder), every entangled read,
 /// every join-driven unpin and every GC phase that paid for entanglement is
-/// attributed to a static *site* — a named program point registered with
-/// the MPL_SITE macro — together with the bytes involved and the heap depth
-/// at which the entanglement lived.
+/// attributed to a *site* — one of the runtime's fixed program points,
+/// named by the obs::Site enum — together with the bytes involved and the
+/// heap depth at which the entanglement lived.
 ///
 /// This is an *entanglement* profiler: hooks fire only on the slow paths
 /// where entanglement is created, serviced, or released. A disentangled
@@ -71,45 +71,30 @@ class Writer;
 
 namespace obs {
 
-/// One static program point costs are attributed to. Construct through
-/// MPL_SITE, never directly: sites must have static storage duration (the
-/// registry keeps raw pointers and per-site slots for the process
-/// lifetime). The registry grows in fixed-size blocks on demand up to
-/// Profiler::MaxSites (4096); registrations past the hard cap are counted
-/// (Profiler::sitesDropped) but not attributed (index -1).
-class ProfileSite {
-public:
-  /// \p Name defaults to "<basename(File)>:<Line>" when null (the
-  /// MPL_SITE() spelling with no argument).
-  ProfileSite(const char *File, int Line, const char *Name = nullptr);
-
-  const std::string &name() const { return NameStr; }
-  const char *file() const { return File; }
-  int line() const { return Line; }
-  int index() const { return Index; }
-
-private:
-  std::string NameStr;
-  const char *File;
-  int Line;
-  int Index;
+/// The fixed program points costs are attributed to. Their dotted names
+/// come from a constexpr table in Profile.cpp, the way obs::Ev names trace
+/// events, so a profile can be written at any time — including an
+/// exit-time flush after static destruction — and every shard is a plain
+/// SiteCell[NumSites].
+enum class Site : uint8_t {
+  PinDown,       ///< "em.pin.down": write barrier, down-pointer.
+  PinCross,      ///< "em.pin.cross": write barrier, cross-pointer.
+  PinHolder,     ///< "em.pin.holder": store into an already-pinned holder.
+  PinRead,       ///< "em.pin.read": read barrier deepened or re-took a pin.
+  ReadEntangled, ///< "em.read.entangled": an entangled read.
+  ContCapture,   ///< "em.cont.capture": continuation capture pin.
+  Pin,           ///< "hh.pin": a pin taken with no barrier site.
+  JoinUnpin,     ///< "hh.join.unpin": a join's pin-release work.
+  GcMarkInPlace, ///< "gc.mark.inplace": GC phase A, pinned closures.
+  GcEvac,        ///< "gc.evac": GC phase B, evacuation.
+  GcReclaim,     ///< "gc.reclaim": GC phase C, from-space reclaim.
+  JitCompile,    ///< "pml.jit.compile": a pml function tiered to native.
+  NumSites
 };
 
-/// Registers (once, on first execution) and yields the enclosing scope's
-/// static profile site. MPL_SITE("name") names it; MPL_SITE() defaults to
-/// file:line.
-#define MPL_SITE(...)                                                          \
-  ([]() -> ::mpl::obs::ProfileSite & {                                         \
-    static ::mpl::obs::ProfileSite MplSiteObj{                                 \
-        __FILE__, __LINE__ __VA_OPT__(, ) __VA_ARGS__};                        \
-    return MplSiteObj;                                                         \
-  }())
-
 /// Merged per-site profile data at one instant (Profiler::snapshot).
-struct ProfileSiteSnap {
+struct SiteSnap {
   std::string Name;
-  std::string File;
-  int Line = 0;
   int64_t Events = 0;
   int64_t Bytes = 0;
 
@@ -130,18 +115,9 @@ struct ProfileSiteSnap {
   int64_t durQuantileNs(double Q) const;
 };
 
-/// Process-wide profiler: site registry, per-worker shards, live-pin table.
+/// Process-wide profiler: per-worker shards, live-pin table.
 class Profiler {
 public:
-  /// Site storage grows in blocks of BlockSites cells, allocated on first
-  /// touch, so per-thread shards stay small for the common few-dozen-site
-  /// case while large programs (codegen'd sites, tests) scale to MaxSites
-  /// without a rebuild. Cells never move once allocated — recorded indices
-  /// and TLS shard pointers stay valid for the process lifetime.
-  static constexpr int BlockSites = 64;
-  static constexpr int MaxBlocks = 64;
-  static constexpr int MaxSites = BlockSites * MaxBlocks; ///< Hard cap: 4096.
-
   static Profiler &get();
 
   /// Arms / disarms every hook. Enable is idempotent; disable leaves the
@@ -160,17 +136,11 @@ public:
 
   /// mergeThreadShards() + a copy of every site with recorded events,
   /// sorted by attributed bytes (then events) descending.
-  std::vector<ProfileSiteSnap> snapshot();
+  std::vector<SiteSnap> snapshot();
 
   /// Pins recorded by notePin and not yet released by noteUnpin.
   int64_t livePinCount() const;
   int64_t livePinBytes() const;
-
-  /// Registered sites / registrations refused at the MaxSites hard cap.
-  int siteCount() const;
-  int64_t sitesDropped() const {
-    return SitesDropped.load(std::memory_order_relaxed);
-  }
 
   /// The merged profile as a schema-versioned JSON document.
   std::string jsonDump();
@@ -180,13 +150,9 @@ public:
   void setConfiguredPath(std::string P) { Path = std::move(P); }
 
   // Recording slow paths — call through the obs::profile* inline gates.
-  void noteEvent(ProfileSite &S, int64_t Bytes, uint32_t Depth,
-                 int64_t DurNs = -1);
-  void notePin(ProfileSite *S, const void *Obj, int64_t Bytes, uint32_t Depth);
-  void noteUnpin(const void *Obj, int64_t Bytes, uint32_t Depth);
-
-  // Internal: site registration (ProfileSite constructor).
-  int registerSite(ProfileSite *S);
+  void noteEvent(Site S, int64_t Bytes, uint32_t Depth, int64_t DurNs = -1);
+  void notePin(Site S, const void *Obj, int64_t Bytes, uint32_t Depth);
+  void noteUnpin(const void *Obj);
 
 private:
   Profiler() = default;
@@ -194,36 +160,22 @@ private:
   struct SiteCell {
     std::atomic<int64_t> Events{0};
     std::atomic<int64_t> Bytes{0};
-    std::atomic<int64_t> Depth[ProfileSiteSnap::DepthBuckets] = {};
-    std::atomic<int64_t> Dur[ProfileSiteSnap::DurBuckets] = {};
+    std::atomic<int64_t> Depth[SiteSnap::DepthBuckets] = {};
+    std::atomic<int64_t> Dur[SiteSnap::DurBuckets] = {};
     std::atomic<int64_t> DurCount{0};
     std::atomic<int64_t> DurSumNs{0};
   };
-
-  /// Block-growable site-cell storage: MaxBlocks lazily-allocated arrays
-  /// of BlockSites cells each. Blocks are published with a release CAS and
-  /// read with acquire loads, so any thread that learns a site index can
-  /// safely reach its cell; blocks are never freed before the table dies.
-  struct CellTable {
-    std::atomic<SiteCell *> Blocks[MaxBlocks] = {};
-
-    ~CellTable();
-    /// The cell for \p Idx, allocating its block on first touch.
-    SiteCell *cell(int Idx);
-    /// The cell for \p Idx, or null when its block was never allocated
-    /// (no recording ever touched it) — for snapshot/merge/reset walks.
-    SiteCell *peek(int Idx) const;
-  };
+  static constexpr int NumSites = static_cast<int>(Site::NumSites);
 
   /// One worker/thread's private accumulator. Relaxed atomics so the
   /// quiescent merge is race-free under TSan without locking the hot path
   /// (the owner is the only writer).
   struct Shard {
-    CellTable Cells;
+    SiteCell Cells[NumSites];
   };
 
   struct PinRec {
-    int32_t SiteIdx = -1;
+    Site S = Site::Pin;
     int64_t TimeNs = 0;
     int64_t Bytes = 0;
   };
@@ -246,10 +198,8 @@ private:
   void mergeShardsLocked();
 
   mutable std::mutex Mu;
-  std::vector<ProfileSite *> Sites;          ///< By index; static lifetime.
   std::vector<std::unique_ptr<Shard>> Shards; ///< All threads, ever.
-  CellTable Merged;                           ///< Folded at quiescence.
-  std::atomic<int64_t> SitesDropped{0};       ///< Registrations past MaxSites.
+  Shard Merged;                               ///< Folded at quiescence.
   PinBucket PinTable[PinShards];
   std::string Path;
 };
@@ -264,15 +214,15 @@ inline bool profileEnabled() {
 }
 
 /// Attributes one event (optionally with a duration) to \p S.
-inline void profileEvent(ProfileSite &S, int64_t Bytes, uint32_t Depth,
+inline void profileEvent(Site S, int64_t Bytes, uint32_t Depth,
                          int64_t DurNs = -1) {
   if (profileEnabled()) [[unlikely]]
     Profiler::get().noteEvent(S, Bytes, Depth, DurNs);
 }
 
-/// Records a new pin of \p Obj attributed to \p S (null: the generic
-/// "hh.pin" site). Starts the pin-lifetime clock.
-inline void profilePin(ProfileSite *S, const void *Obj, int64_t Bytes,
+/// Records a new pin of \p Obj attributed to \p S. Starts the
+/// pin-lifetime clock.
+inline void profilePin(Site S, const void *Obj, int64_t Bytes,
                        uint32_t Depth) {
   if (profileEnabled()) [[unlikely]]
     Profiler::get().notePin(S, Obj, Bytes, Depth);
@@ -280,9 +230,9 @@ inline void profilePin(ProfileSite *S, const void *Obj, int64_t Bytes,
 
 /// Records the release of \p Obj's pin; the elapsed lifetime is attributed
 /// to the site that created the pin.
-inline void profileUnpin(const void *Obj, int64_t Bytes, uint32_t Depth = 0) {
+inline void profileUnpin(const void *Obj) {
   if (profileEnabled()) [[unlikely]]
-    Profiler::get().noteUnpin(Obj, Bytes, Depth);
+    Profiler::get().noteUnpin(Obj);
 }
 
 //===----------------------------------------------------------------------===//

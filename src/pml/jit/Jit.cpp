@@ -910,7 +910,7 @@ const CompiledFn *jit::hotOrCompile(ProgramJit &PJ, const pml::Program &P,
   JitCompiledStat.inc();
   JitCodeBytesStat.add(static_cast<int64_t>(Raw->CodeSize));
   obs::emit(obs::Ev::JitCompile, FnIdx, static_cast<int64_t>(Raw->CodeSize));
-  obs::profileEvent(MPL_SITE("pml.jit.compile"),
+  obs::profileEvent(obs::Site::JitCompile,
                     static_cast<int64_t>(Raw->CodeSize), 0);
   return Raw;
 }

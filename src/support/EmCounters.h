@@ -6,20 +6,24 @@
 ///
 /// \file
 /// The runtime-wide entanglement cost counters (the paper's cost metrics:
-/// entangled reads, pins by kind, pinned/unpinned bytes). They live in the
-/// support layer — below em/, hh/ and gc/ — because both the barriers
-/// (core/Em.cpp) and the join rule (hh/Heap.cpp) account into them.
+/// entangled reads, pins by kind, pinned/unpinned bytes). They are the one
+/// store of those costs: registered Stats under their em.* names, counted
+/// at one place each (the barriers count reads and pin kinds,
+/// Heap::addPinned counts pins, Heap::releasePin counts unpins). They live
+/// in the support layer — below em/, hh/ and mm/ — so every layer can
+/// account into or derive from them.
 ///
 /// Tests and the invariant checker use snapshot()/reset() instead of
-/// hand-reading the atomics: a snapshot is a plain value type that can be
-/// compared, subtracted, and printed without ordering concerns.
+/// reading the counters one by one: a snapshot is a plain value type that
+/// can be compared, subtracted, and printed without ordering concerns.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MPL_SUPPORT_EMCOUNTERS_H
 #define MPL_SUPPORT_EMCOUNTERS_H
 
-#include <atomic>
+#include "support/Stats.h"
+
 #include <cstdint>
 
 namespace mpl {
@@ -61,51 +65,47 @@ struct CounterSnapshot {
 /// the mpl-stats/1 frame): each counter plus the two live quantities.
 void writeJson(json::Writer &W, const CounterSnapshot &S);
 
-/// Counters exposed for tests/benches (see also support/Stats registry).
+/// The counters themselves: each is a registered Stat, so the registry
+/// (StatRegistry::valueOf / snapshotAll, the Prometheus exposition, the
+/// bench StatSnap) reads them by name with no second copy to keep in step.
 struct Counters {
-  std::atomic<int64_t> EntangledReads{0};
-  std::atomic<int64_t> EntangledReadsUnpinned{0};
-  std::atomic<int64_t> DownPointerPins{0};
-  std::atomic<int64_t> CrossPointerPins{0};
-  std::atomic<int64_t> PinnedHolderPins{0};
-  std::atomic<int64_t> PinnedObjects{0};
-  std::atomic<int64_t> PinnedBytes{0};
-  std::atomic<int64_t> UnpinnedObjects{0};
-  std::atomic<int64_t> UnpinnedBytes{0};
-  std::atomic<int64_t> ContCaptured{0};
-  std::atomic<int64_t> ContResumed{0};
+  Stat EntangledReads{"em.reads.entangled"};
+  Stat EntangledReadsUnpinned{"em.reads.entangled.unpinned"};
+  Stat DownPointerPins{"em.pins.down"};
+  Stat CrossPointerPins{"em.pins.cross"};
+  Stat PinnedHolderPins{"em.pins.holder"};
+  Stat PinnedObjects{"em.pins.objects"};
+  Stat PinnedBytes{"em.pinned.bytes"};
+  Stat UnpinnedObjects{"em.unpins"};
+  Stat UnpinnedBytes{"em.unpins.bytes"};
+  Stat ContCaptured{"em.cont.captured"};
+  Stat ContResumed{"em.cont.resumed"};
 
   /// Reads every counter (relaxed; exact at quiescent points).
   CounterSnapshot snapshot() const {
     CounterSnapshot S;
-    S.EntangledReads = EntangledReads.load(std::memory_order_relaxed);
-    S.EntangledReadsUnpinned =
-        EntangledReadsUnpinned.load(std::memory_order_relaxed);
-    S.DownPointerPins = DownPointerPins.load(std::memory_order_relaxed);
-    S.CrossPointerPins = CrossPointerPins.load(std::memory_order_relaxed);
-    S.PinnedHolderPins = PinnedHolderPins.load(std::memory_order_relaxed);
-    S.PinnedObjects = PinnedObjects.load(std::memory_order_relaxed);
-    S.PinnedBytes = PinnedBytes.load(std::memory_order_relaxed);
-    S.UnpinnedObjects = UnpinnedObjects.load(std::memory_order_relaxed);
-    S.UnpinnedBytes = UnpinnedBytes.load(std::memory_order_relaxed);
-    S.ContCaptured = ContCaptured.load(std::memory_order_relaxed);
-    S.ContResumed = ContResumed.load(std::memory_order_relaxed);
+    S.EntangledReads = EntangledReads.get();
+    S.EntangledReadsUnpinned = EntangledReadsUnpinned.get();
+    S.DownPointerPins = DownPointerPins.get();
+    S.CrossPointerPins = CrossPointerPins.get();
+    S.PinnedHolderPins = PinnedHolderPins.get();
+    S.PinnedObjects = PinnedObjects.get();
+    S.PinnedBytes = PinnedBytes.get();
+    S.UnpinnedObjects = UnpinnedObjects.get();
+    S.UnpinnedBytes = UnpinnedBytes.get();
+    S.ContCaptured = ContCaptured.get();
+    S.ContResumed = ContResumed.get();
     return S;
   }
 
-  /// Zeroes every counter (between tests / benchmark phases).
+  /// Zeroes every counter (between tests / benchmark phases);
+  /// StatRegistry::resetAll() zeroes them too.
   void reset() {
-    EntangledReads.store(0, std::memory_order_relaxed);
-    EntangledReadsUnpinned.store(0, std::memory_order_relaxed);
-    DownPointerPins.store(0, std::memory_order_relaxed);
-    CrossPointerPins.store(0, std::memory_order_relaxed);
-    PinnedHolderPins.store(0, std::memory_order_relaxed);
-    PinnedObjects.store(0, std::memory_order_relaxed);
-    PinnedBytes.store(0, std::memory_order_relaxed);
-    UnpinnedObjects.store(0, std::memory_order_relaxed);
-    UnpinnedBytes.store(0, std::memory_order_relaxed);
-    ContCaptured.store(0, std::memory_order_relaxed);
-    ContResumed.store(0, std::memory_order_relaxed);
+    for (Stat *S : {&EntangledReads, &EntangledReadsUnpinned, &DownPointerPins,
+                    &CrossPointerPins, &PinnedHolderPins, &PinnedObjects,
+                    &PinnedBytes, &UnpinnedObjects, &UnpinnedBytes,
+                    &ContCaptured, &ContResumed})
+      S->set(0);
   }
 };
 

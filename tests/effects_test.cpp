@@ -27,6 +27,7 @@
 #include "pml/Parser.h"
 #include "pml/Types.h"
 #include "pml/Vm.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
@@ -397,10 +398,10 @@ TEST(EffPinProtocol, CaptureAttributionMatchesPinnedBytes) {
   }
   ASSERT_TRUE(R.Ok) << R.Error;
   em::CounterSnapshot S = em::Counts.snapshot();
-  std::vector<obs::ProfileSiteSnap> Sites = Prof.snapshot();
+  std::vector<obs::SiteSnap> Sites = Prof.snapshot();
   Prof.disable();
   int64_t SiteBytes = 0, SiteEvents = 0;
-  for (const obs::ProfileSiteSnap &Snap : Sites)
+  for (const obs::SiteSnap &Snap : Sites)
     if (Snap.Name == "em.cont.capture") {
       SiteBytes += Snap.Bytes;
       SiteEvents += Snap.Events;
@@ -411,6 +412,21 @@ TEST(EffPinProtocol, CaptureAttributionMatchesPinnedBytes) {
       << "capture-site attribution must sum to the pinned bytes";
   EXPECT_EQ(S.livePinnedBytes(), 0) << "all capture pins released";
   EXPECT_EQ(Prof.livePinCount(), 0) << "profiler lifetime table drained";
+}
+
+TEST(EffPinProtocol, ResumeUnpinsAreCountedByName) {
+  // A resume releases its capture pins in place, not at a join. Those
+  // releases are unpins like any other: by registry name, everything
+  // pinned is unpinned once the task tree has joined.
+  const EffProgram &P = Corpus[7];
+  ASSERT_STREQ(P.Name, "capture_in_par_resume_deeper");
+  StatRegistry::get().resetAll();
+  EvalResult R = evalP(P.Src, /*Workers=*/2);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  StatRegistry &Reg = StatRegistry::get();
+  EXPECT_GT(Reg.valueOf("em.pins.objects"), 0);
+  EXPECT_EQ(Reg.valueOf("em.unpins"), Reg.valueOf("em.pins.objects"));
+  EXPECT_EQ(Reg.valueOf("em.unpins.bytes"), Reg.valueOf("em.pinned.bytes"));
 }
 
 //===----------------------------------------------------------------------===//

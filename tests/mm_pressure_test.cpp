@@ -17,6 +17,7 @@
 #include "core/Runtime.h"
 #include "mm/Chunk.h"
 #include "mm/MemoryGovernor.h"
+#include "support/EmCounters.h"
 #include "support/Stats.h"
 #include "workloads/Entangled.h"
 
@@ -262,7 +263,7 @@ TEST_F(MmPressureTest, PressureLevelsMonotoneUnderLoad) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(MmPressureTest, PinnedBytesGaugeReturnsToZeroAfterJoins) {
-  MemoryGovernor::get().resetPinnedBytes();
+  em::Counts.reset();
   rt::Runtime R(runtimeCfg(2));
   R.run([&] { EXPECT_EQ(wl::exchange(500), 500); });
 

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -537,9 +538,9 @@ int64_t histCountOf(const char *Name) {
   return Out;
 }
 
-const obs::ProfileSiteSnap *findSite(
-    const std::vector<obs::ProfileSiteSnap> &Sites, const std::string &Name) {
-  for (const obs::ProfileSiteSnap &S : Sites)
+const obs::SiteSnap *findSite(const std::vector<obs::SiteSnap> &Sites,
+                              const std::string &Name) {
+  for (const obs::SiteSnap &S : Sites)
     if (S.Name == Name)
       return &S;
   return nullptr;
@@ -547,23 +548,9 @@ const obs::ProfileSiteSnap *findSite(
 
 } // namespace
 
-TEST_F(ProfileTest, SiteMacroNamesAndDefaults) {
-  obs::ProfileSite &Named = MPL_SITE("test.site.named");
-  EXPECT_EQ(Named.name(), "test.site.named");
-  obs::ProfileSite &Anon = MPL_SITE();
-  // Default name is basename:line of the registration point.
-  EXPECT_NE(Anon.name().find("obs_test.cpp:"), std::string::npos);
-  // The macro's static is one site per lexical occurrence: re-executing
-  // the same occurrence yields the same registered site.
-  auto SiteOf = [] { return &MPL_SITE("test.site.named2"); };
-  obs::ProfileSite *First = SiteOf();
-  for (int I = 0; I < 3; ++I)
-    EXPECT_EQ(SiteOf(), First);
-}
-
 TEST_F(ProfileTest, DisabledHooksRecordNothing) {
   ASSERT_FALSE(obs::profileEnabled());
-  obs::profileEvent(MPL_SITE("test.disabled"), 128, 1);
+  obs::profileEvent(obs::Site::GcEvac, 128, 1);
   EXPECT_TRUE(obs::Profiler::get().snapshot().empty());
 }
 
@@ -608,8 +595,8 @@ TEST_F(ProfileTest, DownPointerPinAttributedAndDrainedAtJoin) {
           [&] { return unit(); });
     });
   }
-  std::vector<obs::ProfileSiteSnap> Sites = obs::Profiler::get().snapshot();
-  const obs::ProfileSiteSnap *Pin = findSite(Sites, "em.pin.down");
+  std::vector<obs::SiteSnap> Sites = obs::Profiler::get().snapshot();
+  const obs::SiteSnap *Pin = findSite(Sites, "em.pin.down");
   ASSERT_NE(Pin, nullptr);
   EXPECT_GE(Pin->Events, 1);
   EXPECT_GT(Pin->Bytes, 0);
@@ -624,7 +611,7 @@ TEST_F(ProfileTest, DownPointerPinAttributedAndDrainedAtJoin) {
   EXPECT_EQ(histCountOf("em.pin.lifetime.ns") - LifetimesBefore,
             Pin->DurCount);
   // The join-side site saw the unpin work.
-  const obs::ProfileSiteSnap *Join = findSite(Sites, "hh.join.unpin");
+  const obs::SiteSnap *Join = findSite(Sites, "hh.join.unpin");
   ASSERT_NE(Join, nullptr);
   EXPECT_EQ(Join->Bytes, Pin->Bytes);
 }
@@ -644,7 +631,7 @@ TEST_F(ProfileTest, EntangledWorkloadsAttributeAllPinsAcrossWorkers) {
   int64_t PinnedBytes = StatRegistry::get().valueOf("em.pinned.bytes");
   ASSERT_GT(PinnedBytes, 0) << "workload produced no entanglement";
   int64_t Attributed = 0;
-  for (const obs::ProfileSiteSnap &S : obs::Profiler::get().snapshot())
+  for (const obs::SiteSnap &S : obs::Profiler::get().snapshot())
     if (S.Name.rfind("em.pin.", 0) == 0 || S.Name == "hh.pin")
       Attributed += S.Bytes;
   EXPECT_EQ(Attributed, PinnedBytes);
@@ -678,40 +665,6 @@ TEST_F(ProfileTest, JsonDumpParsesBack) {
     EXPECT_NE(S.field("events"), nullptr);
     EXPECT_NE(S.field("bytes"), nullptr);
   }
-}
-
-TEST_F(ProfileTest, RegistryGrowsPastSixtyFourSites) {
-  obs::Profiler &P = obs::Profiler::get();
-  int64_t DroppedBefore = P.sitesDropped();
-  // The registry keeps raw pointers for the process lifetime, so these
-  // sites are deliberately leaked (static storage duration, like the
-  // function-local statics MPL_SITE makes).
-  static std::vector<obs::ProfileSite *> Grown;
-  if (Grown.empty())
-    for (int I = 0; I < 80; ++I)
-      Grown.push_back(new obs::ProfileSite(
-          __FILE__, __LINE__, ("test.grow." + std::to_string(I)).c_str()));
-  EXPECT_EQ(P.sitesDropped(), DroppedBefore) << "silent drops under the cap";
-  for (obs::ProfileSite *S : Grown)
-    EXPECT_GE(S->index(), 0) << S->name();
-  EXPECT_GT(P.siteCount(), obs::Profiler::BlockSites);
-
-  // A site past the first 64-cell block records and snapshots like any
-  // other: the growable storage is transparent to attribution.
-  obs::ProfileSite *High = nullptr;
-  for (obs::ProfileSite *S : Grown)
-    if (S->index() >= obs::Profiler::BlockSites) {
-      High = S;
-      break;
-    }
-  ASSERT_NE(High, nullptr);
-  P.enable();
-  obs::profileEvent(*High, 4096, 2);
-  std::vector<obs::ProfileSiteSnap> Sites = P.snapshot();
-  const obs::ProfileSiteSnap *Snap = findSite(Sites, High->name());
-  ASSERT_NE(Snap, nullptr);
-  EXPECT_EQ(Snap->Events, 1);
-  EXPECT_EQ(Snap->Bytes, 4096);
 }
 
 //===----------------------------------------------------------------------===//
@@ -865,6 +818,48 @@ TEST_F(ObsTest, ExpositionRendersAndPassesChecker) {
   int Series = 0;
   EXPECT_TRUE(obs::checkExposition(Text, Err, &Series)) << Err;
   EXPECT_GT(Series, 10); // em.* counters + gauges + our two families
+}
+
+TEST_F(ObsTest, ExpositionEmitsEachEmCounterOnce) {
+  {
+    rt::Runtime R(workerCfg(4));
+    R.run([] { (void)wl::channelPipeline(20000); });
+  }
+  em::CounterSnapshot E = em::Counts.snapshot();
+  ASSERT_GT(E.PinnedObjects, 0) << "workload produced no entanglement";
+  // One series per em counter, valued as the snapshot; the only other
+  // em counter series is em.detect.rejections (not a CounterSnapshot
+  // field).
+  const std::map<std::string, int64_t> Want = {
+      {"mpl_em_reads_entangled_total", E.EntangledReads},
+      {"mpl_em_reads_entangled_unpinned_total", E.EntangledReadsUnpinned},
+      {"mpl_em_pins_down_total", E.DownPointerPins},
+      {"mpl_em_pins_cross_total", E.CrossPointerPins},
+      {"mpl_em_pins_holder_total", E.PinnedHolderPins},
+      {"mpl_em_pins_objects_total", E.PinnedObjects},
+      {"mpl_em_pinned_bytes_total", E.PinnedBytes},
+      {"mpl_em_unpins_total", E.UnpinnedObjects},
+      {"mpl_em_unpins_bytes_total", E.UnpinnedBytes},
+      {"mpl_em_cont_captured_total", E.ContCaptured},
+      {"mpl_em_cont_resumed_total", E.ContResumed},
+  };
+  std::string Text = obs::renderPrometheus();
+  std::map<std::string, int64_t> Got;
+  std::istringstream In(Text);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    size_t Sp = Line.find(' ');
+    std::string Name = Line.substr(0, Sp);
+    if (Name.rfind("mpl_em_", 0) != 0 || Name.size() < 6 ||
+        Name.compare(Name.size() - 6, 6, "_total") != 0 ||
+        Name == "mpl_em_detect_rejections_total")
+      continue;
+    EXPECT_TRUE(Got.emplace(Name, std::stoll(Line.substr(Sp + 1))).second)
+        << "series emitted twice: " << Name;
+  }
+  EXPECT_EQ(Got, Want);
+  std::string Err;
+  EXPECT_TRUE(obs::checkExposition(Text, Err)) << Err;
 }
 
 TEST_F(ObsTest, ExpositionCheckerRejectsMalformed) {

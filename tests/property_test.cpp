@@ -416,10 +416,10 @@ TEST_P(EffectHandlerProperty, CapturePinsNeverLeakAndAttributionBalances) {
   // These programs share no refs or arrays across strands, so *every* pin
   // is a capture pin: the em.cont.capture site must account for all of
   // the pinned bytes (both zero when the captures happened at depth 0).
-  std::vector<obs::ProfileSiteSnap> Sites = Prof.snapshot();
+  std::vector<obs::SiteSnap> Sites = Prof.snapshot();
   Prof.disable();
   int64_t SiteBytes = 0, SiteEvents = 0;
-  for (const obs::ProfileSiteSnap &SS : Sites)
+  for (const obs::SiteSnap &SS : Sites)
     if (SS.Name == "em.cont.capture") {
       SiteBytes += SS.Bytes;
       SiteEvents += SS.Events;

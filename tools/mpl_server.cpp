@@ -21,8 +21,8 @@
 
 #include "chaos/ChaosSchedule.h"
 #include "net/Server.h"
-#include "obs/Profile.h"
 #include "support/Cli.h"
+#include "support/EmCounters.h"
 #include "support/Json.h"
 #include "support/Timer.h"
 
@@ -90,9 +90,6 @@ int main(int Argc, char **Argv) {
                  static_cast<long long>(FaultEveryN));
   }
 
-  // Pin accounting on from the start: the exit code asserts leaked==0.
-  obs::Profiler::get().enable();
-
   net::Server Srv(SC);
   if (!Srv.start()) {
     std::fprintf(stderr, "mpl_server: bind failed (port %u)\n", SC.Port);
@@ -116,7 +113,8 @@ int main(int Argc, char **Argv) {
   Srv.waitUntilDrained();
 
   net::ServerTotals T = Srv.totals();
-  int64_t LeakedPins = obs::Profiler::get().livePinCount();
+  // The exit code asserts every pin was released (em's live pin count).
+  int64_t LeakedPins = em::Counts.snapshot().livePinnedObjects();
   chaos::Totals CT = chaos::totals();
   json::Writer W;
   W.beginObject()
