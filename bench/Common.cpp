@@ -250,8 +250,10 @@ std::vector<ProfileSiteRow> snapshotProfileRows() {
     R.Name = S.Name;
     R.Events = S.Events;
     R.Bytes = S.Bytes;
-    R.LifetimeP50Ns = S.durQuantileNs(0.50);
-    R.LifetimeP99Ns = S.durQuantileNs(0.99);
+    Histogram::Percentiles Life =
+        Histogram::percentilesFrom(S.Dur, S.DurSumNs);
+    R.LifetimeP50Ns = Life.P50;
+    R.LifetimeP99Ns = Life.P99;
     Rows.push_back(std::move(R));
   }
   return Rows;
@@ -314,37 +316,21 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
   if (Prof && !ProfWasEnabled)
     obs::Profiler::get().disable();
 
-  // Lower median: index (N-1)/2 of the sorted times — always a measured
-  // rep, so every reported field comes from the same execution.
-  std::vector<int> Order(Data.size());
-  std::iota(Order.begin(), Order.end(), 0);
-  std::sort(Order.begin(), Order.end(), [&](int A, int B) {
-    return Data[A].Seconds < Data[B].Seconds;
-  });
-  const RepData &Med = Data[Order[(Data.size() - 1) / 2]];
-
   RunResult Out;
-  Out.Seconds = Med.Seconds;
-  Out.MinSeconds = Data[Order.front()].Seconds;
+  for (const RepData &D : Data)
+    Out.RepSeconds.push_back(D.Seconds);
+  RepStats St = repStats(Out.RepSeconds);
+  // Every reported field comes from the median rep's execution.
+  const RepData &Med = Data[St.MedianRep];
+  Out.Seconds = St.Median;
+  Out.MinSeconds = St.Min;
+  Out.StddevSeconds = St.Stddev;
   Out.WS = Med.WS;
   Out.Stats = Med.Stats;
   Out.Checksum = Checksum;
   Out.ProfileSites = Med.Sites;
   Out.LeakedPins = Med.LeakedPins;
   Out.LeakedBytes = Med.LeakedBytes;
-  for (const RepData &D : Data)
-    Out.RepSeconds.push_back(D.Seconds);
-  if (Data.size() > 1) {
-    double Mean = 0;
-    for (double S : Out.RepSeconds)
-      Mean += S;
-    Mean /= static_cast<double>(Out.RepSeconds.size());
-    double Var = 0;
-    for (double S : Out.RepSeconds)
-      Var += (S - Mean) * (S - Mean);
-    Out.StddevSeconds =
-        std::sqrt(Var / static_cast<double>(Out.RepSeconds.size() - 1));
-  }
 
   if (Spans) {
     // One extra untimed rep with the span ledger armed, mirroring the
@@ -370,6 +356,31 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
 
   dumpObservability(Entry, Sequential, Cfg);
   return Out;
+}
+
+RepStats repStats(const std::vector<double> &Seconds) {
+  RepStats St;
+  if (Seconds.empty())
+    return St;
+  std::vector<size_t> Order(Seconds.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return Seconds[A] < Seconds[B];
+  });
+  St.MedianRep = Order[(Order.size() - 1) / 2];
+  St.Median = Seconds[St.MedianRep];
+  St.Min = Seconds[Order.front()];
+  if (Seconds.size() > 1) {
+    double Mean = 0;
+    for (double S : Seconds)
+      Mean += S;
+    Mean /= static_cast<double>(Seconds.size());
+    double Var = 0;
+    for (double S : Seconds)
+      Var += (S - Mean) * (S - Mean);
+    St.Stddev = std::sqrt(Var / static_cast<double>(Seconds.size() - 1));
+  }
+  return St;
 }
 
 std::string methodologyLine(int Reps) {
@@ -522,16 +533,7 @@ void BenchJson::addCustomRow(const std::string &Name,
                              const std::string &Config, double MedianSec,
                              const std::vector<double> &RepSeconds,
                              const ExtraFields &Extra) {
-  double Mean = 0;
-  for (double R : RepSeconds)
-    Mean += R;
-  Mean /= std::max<size_t>(RepSeconds.size(), 1);
-  double Var = 0;
-  for (double R : RepSeconds)
-    Var += (R - Mean) * (R - Mean);
-  double Stddev = RepSeconds.size() > 1
-                      ? std::sqrt(Var / static_cast<double>(RepSeconds.size() - 1))
-                      : 0;
+  double Stddev = repStats(RepSeconds).Stddev;
   beginRow(Name, Config)
       .key("time")
       .beginObject()

@@ -154,6 +154,17 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
                   em::Mode Mode, bool Profile, int Reps = 3,
                   bool SiteProfile = false, bool Spans = false);
 
+/// The rep statistic every bench reports (methodologyLine): the lower
+/// median — index (N-1)/2 of the sorted times, so always a measured rep —
+/// the minimum, and the sample stddev (0 for fewer than two reps).
+struct RepStats {
+  double Median = 0;
+  double Min = 0;
+  double Stddev = 0;
+  size_t MedianRep = 0; ///< Index of the median rep in the input.
+};
+RepStats repStats(const std::vector<double> &Seconds);
+
 /// The one-line methodology statement every bench table prints under its
 /// header, so the text and JSON outputs agree on the statistic.
 std::string methodologyLine(int Reps);

@@ -26,13 +26,6 @@ using namespace mpl::ops;
 
 namespace {
 
-/// Lower median across \p Reps timed calls — same statistic as
-/// bench::measure so columns are comparable across tables.
-double medianOf(std::vector<double> Times) {
-  std::sort(Times.begin(), Times.end());
-  return Times[(Times.size() - 1) / 2];
-}
-
 double timeMedian(int Reps, const std::function<int64_t()> &Fn,
                   int64_t *Checksum) {
   std::vector<double> Times;
@@ -42,7 +35,7 @@ double timeMedian(int Reps, const std::function<int64_t()> &Fn,
     Times.push_back(T.elapsedSec());
     *Checksum = Sum;
   }
-  return medianOf(std::move(Times));
+  return repStats(Times).Median;
 }
 
 } // namespace
@@ -154,7 +147,7 @@ int main(int Argc, char **Argv) {
       Rt.run([&] { CkM = R.Mpl(); });
       MplTimes.push_back(T.elapsedSec());
     }
-    double TM = medianOf(std::move(MplTimes));
+    double TM = repStats(MplTimes).Median;
     MPL_CHECK(CkI == CkM && CkA == CkM,
               "cross-language kernels computed different results");
 

@@ -63,12 +63,6 @@ const char *EffSrc =
     "  | Out v k => (set acc 0 (get acc 0 + v); resume k ()) end\n"
     "sink ();\nprintInt (get acc 0)";
 
-/// Lower median across the timed reps — the statistic bench::measure uses.
-double medianOf(std::vector<double> Times) {
-  std::sort(Times.begin(), Times.end());
-  return Times[(Times.size() - 1) / 2];
-}
-
 double timePml(const std::string &Src, int Reps, std::string *ValueOut) {
   std::vector<double> Times;
   for (int I = 0; I < Reps; ++I) {
@@ -86,7 +80,7 @@ double timePml(const std::string &Src, int Reps, std::string *ValueOut) {
     });
     Times.push_back(T.elapsedSec());
   }
-  return medianOf(std::move(Times));
+  return repStats(Times).Median;
 }
 
 /// Like timePml but for effectful programs: the interesting result is the
@@ -115,7 +109,7 @@ double timePmlEff(const std::string &Src, int Reps, std::string *OutputOut,
     *CapturedOut = S.ContCaptured;
     *ResumedOut = S.ContResumed;
   }
-  return medianOf(std::move(Times));
+  return repStats(Times).Median;
 }
 
 /// One extra *untimed* run of \p Src with the causal span ledger armed
@@ -159,7 +153,7 @@ double timeRt(Fn &&Body, int Reps, int64_t *ValueOut) {
     R.run([&] { *ValueOut = Body(); });
     Times.push_back(T.elapsedSec());
   }
-  return medianOf(std::move(Times));
+  return repStats(Times).Median;
 }
 
 template <typename Fn>
@@ -170,7 +164,7 @@ double timeNat(Fn &&Body, int Reps, int64_t *ValueOut) {
     *ValueOut = Body();
     Times.push_back(T.elapsedSec());
   }
-  return medianOf(std::move(Times));
+  return repStats(Times).Median;
 }
 
 //===----------------------------------------------------------------------===//
@@ -229,7 +223,7 @@ TierRun timePmlTier(const std::string &Src, int Reps, em::Mode Mode,
     R.JitCodeBytes = Reg.valueOf("pml.jit.code_bytes");
     jit::setEnabled(false);
   }
-  R.Sec = medianOf(R.RepSec);
+  R.Sec = repStats(R.RepSec).Median;
   return R;
 }
 

@@ -15,7 +15,6 @@
 #include "core/Handles.h"
 #include "core/Ops.h"
 #include "core/Runtime.h"
-#include "support/Histogram.h"
 #include "support/Stats.h"
 
 #include <cstdio>
@@ -86,8 +85,5 @@ int main() {
 
   std::printf("\nruntime statistics:\n%s",
               StatRegistry::get().report().c_str());
-  std::string Hists = HistogramRegistry::get().report();
-  if (!Hists.empty())
-    std::printf("\nlatency histograms:\n%s", Hists.c_str());
   return 0;
 }

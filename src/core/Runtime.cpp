@@ -7,12 +7,9 @@
 #include "core/Runtime.h"
 
 #include "chaos/ChaosSchedule.h"
-#include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
-#include "support/Json.h"
 #include "support/Stats.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -26,89 +23,62 @@ thread_local WorkerCtx *TlsCtx = nullptr;
 
 Stat PeakResidency("rt.residency.peak");
 
-/// Gauge ids registered by the live Runtime (empty when none exists).
-std::vector<int> RtGaugeIds;
-
 /// Emergency-GC hook id registered with the MemoryGovernor (0 = none).
 int GovGcHookId = 0;
 
-/// The heap-tree walker behind obs::writeHeapTree(). Reads only the
+/// The heap-tree walker behind obs::readHeapTree(). Reads only the
 /// per-heap relaxed-atomic gauges plus immutable parent/depth links, so it
 /// is safe to run from the MetricsSampler thread or the OOM path while
 /// workers fork, join and collect (hh/Heap.h, gauge comment).
-void writeHeapTree(json::Writer &W, HeapManager &HM) {
-  std::vector<Heap *> All = HM.snapshotHeaps();
+void fillHeapTree(obs::HeapTree &T, HeapManager &HM) {
   std::unordered_map<const Heap *, int> Id;
   std::vector<Heap *> Live;
-  for (Heap *H : All) {
+  for (Heap *H : HM.snapshotHeaps()) {
     if (H->isDead())
       continue;
     Id.emplace(H, static_cast<int>(Live.size()));
     Live.push_back(H);
   }
-  std::vector<std::vector<int>> Children(Live.size());
-  for (size_t I = 0; I < Live.size(); ++I) {
-    auto It = Id.find(Live[I]->parent());
-    if (It != Id.end())
-      Children[It->second].push_back(static_cast<int>(I));
-  }
   Pressure P = MemoryGovernor::get().pressure();
-  W.beginObject()
-      .kv("schema", "mpl-heap-tree/1")
-      .kv("t_ns", nowNs())
-      .kv("pressure_level", static_cast<int>(P))
-      .kv("pressure", mpl::pressureName(P))
-      .kv("live_heaps", Live.size())
-      .key("heaps")
-      .beginArray();
-  for (size_t I = 0; I < Live.size(); ++I) {
-    Heap *H = Live[I];
+  T.PressureLevel = static_cast<int>(P);
+  T.Pressure = mpl::pressureName(P);
+  T.Heaps.reserve(Live.size());
+  for (Heap *H : Live) {
     auto PIt = Id.find(H->parent());
-    W.beginObject()
-        .kv("id", I)
-        .kv("parent", PIt == Id.end() ? -1 : PIt->second)
-        .kv("depth", H->depth())
-        .kv("chunk_bytes",
-            H->ChunkBytesGauge.load(std::memory_order_relaxed))
-        .kv("pinned_objects",
-            H->PinnedObjsGauge.load(std::memory_order_relaxed))
-        .kv("pinned_bytes",
-            H->PinnedBytesGauge.load(std::memory_order_relaxed))
-        .kv("active_forks", H->activeForks())
-        .key("children")
-        .beginArray();
-    for (int C : Children[I])
-      W.value(C);
-    W.endArray().endObject();
+    obs::HeapRecord R;
+    R.Id = static_cast<int>(T.Heaps.size());
+    R.Parent = PIt == Id.end() ? -1 : PIt->second;
+    R.Depth = H->depth();
+    R.ChunkBytes = H->ChunkBytesGauge.load(std::memory_order_relaxed);
+    R.PinnedObjects = H->PinnedObjsGauge.load(std::memory_order_relaxed);
+    R.PinnedBytes = H->PinnedBytesGauge.load(std::memory_order_relaxed);
+    R.ActiveForks = H->activeForks();
+    T.Heaps.push_back(R);
   }
-  W.endArray().endObject();
 }
 } // namespace
 
 Runtime::Runtime(const Config &C)
-    : Cfg(C), Sched(Scheduler::Config{C.NumWorkers, C.Profile}) {
+    : Cfg(C), Sched(Scheduler::Config{C.NumWorkers, C.Profile}),
+      HeapsGauge("hh.heaps",
+                 [this] { return static_cast<int64_t>(Heaps.heapCount()); }),
+      FreeListGauge("mm.freelist.bytes",
+                    [] { return ChunkPool::get().freeListBytes(); }) {
   MPL_CHECK(TheRuntime == nullptr, "only one Runtime may exist at a time");
   em::setMode(Cfg.Mode);
   TheRuntime = this;
-  // Observability: honour MPL_TRACE / MPL_METRICS on the first Runtime and
-  // expose the memory-side gauges to the sampler.
+  // Observability: honour MPL_TRACE / MPL_METRICS on the first Runtime.
   obs::initFromEnv();
   MemoryGovernor::get().initFromEnv();
-  auto &Sampler = obs::MetricsSampler::get();
-  RtGaugeIds.push_back(Sampler.registerGauge(
-      "hh.heaps", [this] { return static_cast<int64_t>(Heaps.heapCount()); }));
-  RtGaugeIds.push_back(Sampler.registerGauge("mm.freelist.bytes", [] {
-    return ChunkPool::get().freeListBytes();
-  }));
   // Recovery stage 2: the governor forces a local collection of the
   // allocating task's private chain when trimming alone cannot admit a
   // chunk.
   GovGcHookId = MemoryGovernor::get().registerEmergencyGc(
       [this] { return maybeCollect(/*Force=*/true); });
   // Heap-tree introspection: obs cannot see hh, so the walker is injected
-  // here (same inversion as the gauges above).
+  // here (the same inversion as the registry's gauges).
   obs::setHeapTreeProvider(
-      [this](json::Writer &W) { writeHeapTree(W, Heaps); });
+      [this](obs::HeapTree &T) { fillHeapTree(T, Heaps); });
   // Deadline latching at strand-quantum boundaries: sched cannot see core,
   // so the poll is injected (same inversion again). Non-throwing by
   // contract — it only flips DeadlineCtx::Expired.
@@ -121,10 +91,6 @@ Runtime::~Runtime() {
     MemoryGovernor::get().unregisterEmergencyGc(GovGcHookId);
     GovGcHookId = 0;
   }
-  auto &Sampler = obs::MetricsSampler::get();
-  for (int Id : RtGaugeIds)
-    Sampler.unregisterGauge(Id);
-  RtGaugeIds.clear();
   TheRuntime = nullptr;
   // Flush env-configured sinks now, at quiescence: the workers still exist
   // (Sched is destroyed after this body) but are idle outside run(), and

@@ -34,6 +34,7 @@
 #include "mm/MemoryGovernor.h"
 #include "obs/Span.h"
 #include "sched/Scheduler.h"
+#include "support/Stats.h"
 
 #include <cstdint>
 #include <exception>
@@ -129,6 +130,10 @@ private:
   HeapManager Heaps;
   Collector Gc;
   Heap *RootHeap = nullptr;
+  /// hh.heaps and mm.freelist.bytes, registered for this Runtime's
+  /// lifetime; declared after Heaps, which the first one reads.
+  Gauge HeapsGauge;
+  Gauge FreeListGauge;
 };
 
 /// Fork-join with heap management: runs A and B in fresh sibling heaps

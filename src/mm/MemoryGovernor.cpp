@@ -7,7 +7,6 @@
 #include "mm/MemoryGovernor.h"
 
 #include "mm/Chunk.h"
-#include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
 #include "support/EmCounters.h"
@@ -30,6 +29,20 @@ Stat EmergencyGcs("mm.emergency.gcs");
 Stat AllocRetries("mm.alloc.retries");
 Stat OomRaised("mm.oom.raised");
 Histogram AllocRetryNs("mm.alloc.retry.ns");
+
+// The live introspection plane (stats frames, Prometheus exposition) reads
+// memory pressure through these gauges: obs depends only on support, so
+// the governor publishes them rather than obs reaching down. All three are
+// relaxed loads. Static, like the Stats above, so they stay registered
+// through the exit-time flush. (Live pinned bytes are em's
+// em.live.pinned.bytes gauge.)
+Gauge PressureGauge("mm.pressure", [] {
+  return static_cast<int64_t>(MemoryGovernor::get().pressure());
+});
+Gauge OutstandingGauge("mm.outstanding.bytes",
+                       [] { return ChunkPool::get().outstandingBytes(); });
+Gauge LimitGauge("mm.limit.bytes",
+                 [] { return MemoryGovernor::get().limitBytes(); });
 
 thread_local int GcExemptDepth = 0;
 
@@ -107,22 +120,6 @@ MemoryGovernor::Config MemoryGovernor::config() const {
 void MemoryGovernor::initFromEnv() {
   static std::once_flag Once;
   std::call_once(Once, [this] {
-    // The live introspection plane (stats frames, Prometheus exposition)
-    // reads memory pressure through the gauge registry: obs depends only
-    // on support, so the governor pushes its gauges up rather than obs
-    // reaching down. All three are relaxed loads. Never unregistered — the
-    // governor and the chunk pool are process-lifetime singletons. (Live
-    // pinned bytes are the exposition's em.live.pinned.bytes gauge.)
-    obs::MetricsSampler &MS = obs::MetricsSampler::get();
-    MS.registerGauge("mm.pressure", [this] {
-      return static_cast<int64_t>(pressure());
-    });
-    MS.registerGauge("mm.outstanding.bytes", [] {
-      return ChunkPool::get().outstandingBytes();
-    });
-    MS.registerGauge("mm.limit.bytes", [this] {
-      return LimitBytes.load(std::memory_order_relaxed);
-    });
     Config C = config();
     bool Any = false;
     if (const char *S = std::getenv("MPL_MEM_LIMIT_MB"))

@@ -129,9 +129,11 @@ public:
 
   Config config() const;
 
-  bool limited() const {
-    return LimitBytes.load(std::memory_order_relaxed) > 0;
+  /// The hard limit; 0 = unlimited.
+  int64_t limitBytes() const {
+    return LimitBytes.load(std::memory_order_relaxed);
   }
+  bool limited() const { return limitBytes() > 0; }
   /// Steady-state free-list cache cap, consulted by ChunkPool::release.
   int64_t chunkCacheBytes() const {
     return CacheBytes.load(std::memory_order_relaxed);

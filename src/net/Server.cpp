@@ -12,7 +12,6 @@
 #include "mm/Chunk.h"
 #include "mm/MemoryGovernor.h"
 #include "obs/Exposition.h"
-#include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
 #include "pml/Vm.h"
@@ -141,22 +140,14 @@ struct Server::Impl {
   std::mutex ExemplarMu;
   std::vector<Exemplar> Exemplars; ///< Sorted worst-first, <= MaxExemplars.
 
-  int QueueGaugeId = 0;
-  int InflightGaugeId = 0;
+  Gauge QueueGauge{"net.queue.depth", [this] {
+    return QueueDepth.load(std::memory_order_relaxed);
+  }};
+  Gauge InflightGauge{"net.inflight", [this] {
+    return Inflight.load(std::memory_order_relaxed);
+  }};
 
-  explicit Impl(const ServerConfig &C, Server *S) : Cfg(C), Owner(S) {
-    QueueGaugeId = obs::MetricsSampler::get().registerGauge(
-        "net.queue.depth",
-        [this] { return QueueDepth.load(std::memory_order_relaxed); });
-    InflightGaugeId = obs::MetricsSampler::get().registerGauge(
-        "net.inflight",
-        [this] { return Inflight.load(std::memory_order_relaxed); });
-  }
-
-  ~Impl() {
-    obs::MetricsSampler::get().unregisterGauge(QueueGaugeId);
-    obs::MetricsSampler::get().unregisterGauge(InflightGaugeId);
-  }
+  explicit Impl(const ServerConfig &C, Server *S) : Cfg(C), Owner(S) {}
 
   //===--------------------------------------------------------------------===//
   // Socket I/O with wire-chaos injection

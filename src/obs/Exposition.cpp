@@ -6,11 +6,7 @@
 
 #include "obs/Exposition.h"
 
-#include "obs/Metrics.h"
-#include "obs/Trace.h"
-#include "support/EmCounters.h"
 #include "support/File.h"
-#include "support/Histogram.h"
 #include "support/Stats.h"
 
 #include <atomic>
@@ -61,36 +57,27 @@ void emitScalar(std::string &Out, std::set<std::string> &Emitted,
   Out += "\n";
 }
 
-/// Inclusive upper bound of log2 bucket \p B, which is exactly the
-/// Prometheus `le` boundary: bucket B holds [2^(B-1), 2^B), i.e. every
-/// sample <= 2^B - 1 that no earlier bucket claimed (DESIGN.md §16).
-int64_t bucketLe(int B) {
-  return B <= 0 ? 0 : (static_cast<int64_t>(1) << B) - 1;
-}
-
 void emitHistogram(std::string &Out, std::set<std::string> &Emitted,
-                   const Histogram &H) {
-  int64_t Counts[Histogram::NumBuckets];
-  H.snapshotCounts(Counts);
+                   const Histogram::Snapshot &H) {
   int64_t Total = 0;
   int HighB = -1;
   for (int B = 0; B < Histogram::NumBuckets; ++B) {
-    Total += Counts[B];
-    if (Counts[B] != 0)
+    Total += H.Counts[B];
+    if (H.Counts[B] != 0)
       HighB = B;
   }
   if (Total == 0)
     return; // untouched histograms would only bloat the scrape
-  std::string Metric = "mpl_" + promSanitize(H.name());
+  std::string Metric = "mpl_" + promSanitize(H.Name);
   if (!Emitted.insert(Metric).second)
     return;
-  Out += "# HELP " + Metric + " mpl histogram " + H.name() + "\n";
+  Out += "# HELP " + Metric + " mpl histogram " + H.Name + "\n";
   Out += "# TYPE " + Metric + " histogram\n";
   int64_t Cum = 0;
   for (int B = 0; B <= HighB; ++B) {
-    Cum += Counts[B];
+    Cum += H.Counts[B];
     Out += Metric + "_bucket{le=\"";
-    appendI64(Out, bucketLe(B));
+    appendI64(Out, Histogram::bucketHi(B));
     Out += "\"} ";
     appendI64(Out, Cum);
     Out += "\n";
@@ -98,7 +85,7 @@ void emitHistogram(std::string &Out, std::set<std::string> &Emitted,
   Out += Metric + "_bucket{le=\"+Inf\"} ";
   appendI64(Out, Total);
   Out += "\n" + Metric + "_sum ";
-  appendI64(Out, H.sum());
+  appendI64(Out, H.Sum);
   Out += "\n" + Metric + "_count ";
   appendI64(Out, Total);
   Out += "\n";
@@ -110,40 +97,18 @@ std::string obs::renderPrometheus() {
   std::string Out;
   Out.reserve(8192);
   std::set<std::string> Emitted;
-
-  // Registered Stats: monotone event counters (em.*, net.*, rt.*, ...),
-  // the paper's entanglement cost counters among them (em::Counts).
-  // snapshotAll() returns one total per name (live instances summed on top
-  // of retired ones), so the exposition never emits the same series twice
-  // and counters survive their owning component's teardown.
-  for (const auto &[Name, V] : StatRegistry::get().snapshotAll())
+  // One registry snapshot: counters arrive one total per name (live
+  // instances summed on top of retired ones), so the exposition never emits
+  // the same series twice and counters survive their owning component's
+  // teardown. On a name clash across kinds the first family wins.
+  MetricsSnapshot S = StatRegistry::get().snapshot();
+  for (const auto &[Name, V] : S.Counters)
     emitScalar(Out, Emitted, "mpl_" + promSanitize(Name) + "_total",
                "counter", Name, V);
-
-  // The live pinned footprint (cumulative pinned minus unpinned) is the
-  // space cost operators watch, so it is exposed as a gauge.
-  em::CounterSnapshot E = em::Counts.snapshot();
-  emitScalar(Out, Emitted, "mpl_em_live_pinned_objects", "gauge",
-             "em.live.pinned.objects", E.livePinnedObjects());
-  emitScalar(Out, Emitted, "mpl_em_live_pinned_bytes", "gauge",
-             "em.live.pinned.bytes", E.livePinnedBytes());
-
-  // Registered gauges (scheduler deque depths, chunk-pool residency, net
-  // queue depth/in-flight, mm pressure...) plus the trace-drop health
-  // signal. Callbacks are relaxed loads by contract; first registration
-  // wins on a name clash.
-  {
-    for (const auto &[Name, V] : MetricsSampler::get().gaugeSnapshot())
-      emitScalar(Out, Emitted, "mpl_" + promSanitize(Name), "gauge", Name, V);
-    emitScalar(Out, Emitted, "mpl_obs_trace_dropped", "gauge",
-               "obs.trace.dropped",
-               static_cast<int64_t>(Tracer::get().totalDropped()));
-  }
-
-  // Log2 histograms as cumulative-le Prometheus histograms.
-  HistogramRegistry::get().forEach(
-      [&](const Histogram &H) { emitHistogram(Out, Emitted, H); });
-
+  for (const auto &[Name, V] : S.Gauges)
+    emitScalar(Out, Emitted, "mpl_" + promSanitize(Name), "gauge", Name, V);
+  for (const Histogram::Snapshot &H : S.Histograms)
+    emitHistogram(Out, Emitted, H);
   return Out;
 }
 
@@ -370,9 +335,4 @@ bool obs::serviceStatsDump() {
   if (Path.empty())
     return false;
   return writeFile(Path, renderPrometheus());
-}
-
-std::string obs::statsDumpPath() {
-  std::lock_guard<std::mutex> G(DumpPathMu);
-  return DumpPath;
 }

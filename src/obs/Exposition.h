@@ -6,27 +6,29 @@
 ///
 /// \file
 /// The pull side of the live introspection plane (DESIGN.md §16): renders
-/// every registered counter (support/Stats), gauge (obs/Metrics), em cost
-/// counter and log2 histogram (support/Histogram) as Prometheus text
-/// exposition format, so a scrape of the request server's stats frame
-/// (`format=prom`) — or a signal-driven file dump — drops straight into a
-/// Prometheus/Grafana stack.
+/// one StatRegistry snapshot (support/Stats.h) — every counter, gauge and
+/// log2 histogram — as Prometheus text exposition format, so a scrape of
+/// the request server's stats frame (`format=prom`) — or a signal-driven
+/// file dump — drops straight into a Prometheus/Grafana stack. The
+/// renderer names no series itself: what the layers register is what it
+/// emits.
 ///
 /// Mapping rules:
 ///  - names are sanitized to [a-zA-Z0-9_] and prefixed `mpl_`
 ///    (`net.resp.ok` → `mpl_net_resp_ok_total`);
-///  - Stats and em counters are monotone `counter` series (`_total`);
-///  - registered gauges and live quantities (live pinned bytes, pressure
-///    level) are `gauge` series;
+///  - Stats (the em cost counters among them) are monotone `counter`
+///    series (`_total`);
+///  - Gauges (deque depths, live pinned bytes, pressure level, trace
+///    drops, ...) are `gauge` series;
 ///  - log2 histograms become `histogram` series: bucket B covers
 ///    [2^(B-1), 2^B), so its *inclusive* upper bound is 2^B - 1, which is
 ///    exactly a Prometheus `le` boundary. Counts are cumulated up to the
 ///    highest non-empty bucket, then `le="+Inf"`, `_sum`, `_count`.
 ///
-/// Everything read is a relaxed atomic or a registry snapshot under that
-/// registry's own short-lived lock — no runtime, scheduler or executor
-/// lock is ever touched, so rendering is safe from a connection thread
-/// while the runtime is under load.
+/// Everything read is a relaxed atomic or a gauge callback run under the
+/// registry's own short-lived lock (gauges take at most a leaf lock) — no
+/// scheduler or executor lock is held, so rendering is safe from a
+/// connection thread while the runtime is under load.
 ///
 /// `MPL_STATS_DUMP=<path>` arms a SIGUSR1-triggered dump: the handler is
 /// one relaxed store (async-signal-safe); any periodic thread that calls
@@ -43,8 +45,8 @@
 namespace mpl {
 namespace obs {
 
-/// Renders the full Prometheus text exposition of the process: all Stats
-/// counters, em cost counters, registered gauges, and histograms.
+/// Renders the full Prometheus text exposition of the process: every
+/// registered counter, gauge and histogram.
 std::string renderPrometheus();
 
 /// Sanitizes \p Name into a Prometheus metric name (no `mpl_` prefix, no
@@ -78,9 +80,6 @@ void requestStatsDump();
 /// to the armed path and clears the flag. Returns true iff a file was
 /// written. Periodic threads call this; it is cheap when idle.
 bool serviceStatsDump();
-
-/// The armed dump path ("" when unarmed).
-std::string statsDumpPath();
 
 } // namespace obs
 } // namespace mpl

@@ -11,14 +11,14 @@
 ///
 ///  - the full em::CounterSnapshot (entangled reads, pins by kind,
 ///    cumulative and *live* pinned bytes/objects — the paper's space cost);
-///  - every registered gauge. Gauges are callbacks the layers above
-///    register (obs depends only on support, so it cannot reach into the
-///    scheduler or the chunk pool itself): the scheduler registers one
-///    deque-depth gauge per worker, the runtime registers chunk-pool
-///    residency and heap count;
-///  - a live-heap-tree summary (live heap count + deepest live depth)
-///    parsed from obs::snapshotHeapTree(), so the series shows the heap
-///    hierarchy growing and collapsing across forks and joins.
+///  - every gauge in one StatRegistry snapshot (support/Stats.h). The
+///    layers own their gauges (obs depends only on support, so it cannot
+///    reach into the scheduler or the chunk pool itself): deque depths,
+///    heap count, memory pressure, the request queue, live pinned bytes,
+///    trace drops;
+///  - a live-heap-tree summary (live heap count, deepest live depth, heaps
+///    per depth) counted from obs::readHeapTree(), so the series shows the
+///    heap hierarchy growing and collapsing across forks and joins.
 ///
 /// Exported as a JSON document ({"samples": [...], "histograms": [...]}).
 /// Gated by MPL_METRICS=<path> (+ MPL_METRICS_INTERVAL_US, default 1000);
@@ -33,7 +33,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -47,11 +46,11 @@ namespace obs {
 struct MetricsSample {
   int64_t TimeNs = 0;           ///< Steady-clock timestamp.
   em::CounterSnapshot Em;       ///< All entanglement cost counters.
-  /// Registered gauges, sampled in registration order.
+  /// Registered gauges, in registration order.
   std::vector<std::pair<std::string, int64_t>> Gauges;
-  /// Live-heap-tree summary at the sample instant, parsed from
-  /// obs::snapshotHeapTree(): how many heaps are live and the deepest
-  /// live depth (0 / -1 when no runtime is alive).
+  /// Live-heap-tree summary at the sample instant, counted from
+  /// obs::readHeapTree(): how many heaps are live and the deepest live
+  /// depth (0 / -1 when no runtime is alive).
   int64_t LiveHeaps = 0;
   int64_t MaxHeapDepth = -1;
   /// Live heaps per depth: DepthHist[d] heaps at depth d (empty when no
@@ -74,13 +73,6 @@ class MetricsSampler {
 public:
   static MetricsSampler &get();
 
-  /// Registers a named gauge; returns an id for unregisterGauge. The
-  /// callback runs on the sampler thread and must be safe for the object's
-  /// lifetime — unregister before destroying what it reads (unregister
-  /// blocks out a concurrent sample).
-  int registerGauge(std::string Name, std::function<int64_t()> Fn);
-  void unregisterGauge(int Id);
-
   /// Starts the background thread sampling every \p IntervalUs. \p Path is
   /// remembered for env-driven flushes ("" = explicit writes only).
   /// No-op when already running (the path/interval are kept).
@@ -94,11 +86,6 @@ public:
   /// Takes one sample now and appends it to the series.
   MetricsSample sampleOnce();
 
-  /// Runs every registered gauge callback once and returns the (name,
-  /// value) pairs, without appending to the series — the exposition
-  /// renderer's read path (obs/Exposition.cpp).
-  std::vector<std::pair<std::string, int64_t>> gaugeSnapshot() const;
-
   /// Copy of the series so far.
   std::vector<MetricsSample> series() const;
   size_t sampleCount() const;
@@ -107,7 +94,7 @@ public:
   /// Writes jsonDump() to \p Path; false on I/O failure.
   bool writeJson(const std::string &Path) const;
 
-  /// The whole series (plus every support/Histogram) as a JSON document.
+  /// The whole series (plus every registered histogram) as JSON.
   std::string jsonDump() const;
 
   const std::string &configuredPath() const { return Path; }
@@ -119,13 +106,6 @@ private:
   mutable std::mutex Mu;
   std::condition_variable Cv;
   std::vector<MetricsSample> Series;
-  struct Gauge {
-    int Id;
-    std::string Name;
-    std::function<int64_t()> Fn;
-  };
-  std::vector<Gauge> Gauges;
-  int NextGaugeId = 1;
   std::thread Thread;
   bool Running = false;
   bool StopRequested = false;

@@ -19,9 +19,8 @@ namespace detail {
 std::atomic<uint32_t> ProfileActiveFlag{0};
 } // namespace detail
 
-/// Pin lifetimes across every site, alongside gc.pause.hist.ns and
-/// steal.latency.ns in the global histogram registry (so the metrics
-/// exporters pick it up with no extra wiring).
+/// Pin lifetimes across every site, registered like every Histogram (so
+/// the metrics exporters pick it up with no extra wiring).
 static Histogram &pinLifetimeHist() {
   static Histogram H("em.pin.lifetime.ns");
   return H;
@@ -89,8 +88,7 @@ void Profiler::noteEvent(Site S, int64_t Bytes, uint32_t Depth,
   int DB = std::min<uint32_t>(Depth, SiteSnap::DepthBuckets - 1);
   C.Depth[DB].fetch_add(1, std::memory_order_relaxed);
   if (DurNs >= 0) {
-    int B = std::min(Histogram::bucketOf(DurNs), SiteSnap::DurBuckets - 1);
-    C.Dur[B].fetch_add(1, std::memory_order_relaxed);
+    C.Dur[Histogram::bucketOf(DurNs)].fetch_add(1, std::memory_order_relaxed);
     C.DurCount.fetch_add(1, std::memory_order_relaxed);
     C.DurSumNs.fetch_add(DurNs, std::memory_order_relaxed);
   }
@@ -120,8 +118,7 @@ void Profiler::noteUnpin(const void *Obj) {
   if (!TlsShard)
     TlsShard = threadShard();
   SiteCell &C = TlsShard->Cells[static_cast<int>(R.S)];
-  int B = std::min(Histogram::bucketOf(LifeNs), SiteSnap::DurBuckets - 1);
-  C.Dur[B].fetch_add(1, std::memory_order_relaxed);
+  C.Dur[Histogram::bucketOf(LifeNs)].fetch_add(1, std::memory_order_relaxed);
   C.DurCount.fetch_add(1, std::memory_order_relaxed);
   C.DurSumNs.fetch_add(LifeNs, std::memory_order_relaxed);
 }
@@ -140,7 +137,7 @@ void Profiler::mergeShardsLocked() {
       Fold(Dst.Bytes, Src.Bytes);
       for (int D = 0; D < SiteSnap::DepthBuckets; ++D)
         Fold(Dst.Depth[D], Src.Depth[D]);
-      for (int D = 0; D < SiteSnap::DurBuckets; ++D)
+      for (int D = 0; D < Histogram::NumBuckets; ++D)
         Fold(Dst.Dur[D], Src.Dur[D]);
       Fold(Dst.DurCount, Src.DurCount);
       Fold(Dst.DurSumNs, Src.DurSumNs);
@@ -191,7 +188,7 @@ std::vector<SiteSnap> Profiler::snapshot() {
     S.Bytes = C.Bytes.load(std::memory_order_relaxed);
     for (int D = 0; D < SiteSnap::DepthBuckets; ++D)
       S.Depth[D] = C.Depth[D].load(std::memory_order_relaxed);
-    for (int D = 0; D < SiteSnap::DurBuckets; ++D)
+    for (int D = 0; D < Histogram::NumBuckets; ++D)
       S.Dur[D] = C.Dur[D].load(std::memory_order_relaxed);
     S.DurCount = C.DurCount.load(std::memory_order_relaxed);
     S.DurSumNs = C.DurSumNs.load(std::memory_order_relaxed);
@@ -205,19 +202,6 @@ std::vector<SiteSnap> Profiler::snapshot() {
     return A.Name < B.Name;
   });
   return Out;
-}
-
-int64_t SiteSnap::durQuantileNs(double Q) const {
-  if (DurCount <= 0)
-    return 0;
-  double Target = Q * static_cast<double>(DurCount);
-  int64_t Seen = 0;
-  for (int B = 0; B < DurBuckets; ++B) {
-    Seen += Dur[B];
-    if (static_cast<double>(Seen) >= Target)
-      return B == 0 ? 0 : (static_cast<int64_t>(1) << B) - 1;
-  }
-  return DurSumNs;
 }
 
 int64_t Profiler::livePinCount() const {
@@ -250,6 +234,8 @@ std::string Profiler::jsonDump() {
       .key("sites")
       .beginArray();
   for (const SiteSnap &Row : Snap) {
+    Histogram::Percentiles Dur =
+        Histogram::percentilesFrom(Row.Dur, Row.DurSumNs);
     W.beginObject()
         .kv("name", Row.Name)
         .kv("events", Row.Events)
@@ -264,9 +250,9 @@ std::string Profiler::jsonDump() {
         .beginObject()
         .kv("count", Row.DurCount)
         .kv("sum", Row.DurSumNs)
-        .kv("p50", Row.durQuantileNs(0.50))
-        .kv("p95", Row.durQuantileNs(0.95))
-        .kv("p99", Row.durQuantileNs(0.99))
+        .kv("p50", Dur.P50)
+        .kv("p95", Dur.P95)
+        .kv("p99", Dur.P99)
         .endObject()
         .endObject();
   }
@@ -280,30 +266,53 @@ std::string Profiler::jsonDump() {
 
 namespace {
 std::mutex HeapTreeMu;
-std::function<void(json::Writer &)> HeapTreeProvider;
+std::function<void(HeapTree &)> HeapTreeProvider;
 } // namespace
 
-void setHeapTreeProvider(std::function<void(json::Writer &)> Provider) {
+void setHeapTreeProvider(std::function<void(HeapTree &)> Provider) {
   std::lock_guard<std::mutex> G(HeapTreeMu);
   HeapTreeProvider = std::move(Provider);
 }
 
-void writeHeapTree(json::Writer &W) {
+bool readHeapTree(HeapTree &Out) {
   // The lock is held across the provider call so a Runtime being destroyed
-  // (which uninstalls the provider) blocks until an in-flight snapshot
+  // (which uninstalls the provider) blocks until an in-flight read
   // finishes instead of racing it.
   std::lock_guard<std::mutex> G(HeapTreeMu);
-  if (HeapTreeProvider) {
-    HeapTreeProvider(W);
-    return;
+  if (!HeapTreeProvider)
+    return false;
+  HeapTreeProvider(Out);
+  return true;
+}
+
+void writeHeapTree(json::Writer &W) {
+  HeapTree T;
+  W.beginObject().kv("schema", "mpl-heap-tree/1");
+  if (readHeapTree(T))
+    W.kv("t_ns", nowNs())
+        .kv("pressure_level", T.PressureLevel)
+        .kv("pressure", T.Pressure);
+  std::vector<std::vector<int>> Children(T.Heaps.size());
+  for (const HeapRecord &H : T.Heaps)
+    if (H.Parent >= 0)
+      Children[static_cast<size_t>(H.Parent)].push_back(H.Id);
+  W.kv("live_heaps", T.Heaps.size()).key("heaps").beginArray();
+  for (const HeapRecord &H : T.Heaps) {
+    W.beginObject()
+        .kv("id", H.Id)
+        .kv("parent", H.Parent)
+        .kv("depth", H.Depth)
+        .kv("chunk_bytes", H.ChunkBytes)
+        .kv("pinned_objects", H.PinnedObjects)
+        .kv("pinned_bytes", H.PinnedBytes)
+        .kv("active_forks", H.ActiveForks)
+        .key("children")
+        .beginArray();
+    for (int C : Children[static_cast<size_t>(H.Id)])
+      W.value(C);
+    W.endArray().endObject();
   }
-  W.beginObject()
-      .kv("schema", "mpl-heap-tree/1")
-      .kv("live_heaps", 0)
-      .key("heaps")
-      .beginArray()
-      .endArray()
-      .endObject();
+  W.endArray().endObject();
 }
 
 std::string snapshotHeapTree() {

@@ -36,14 +36,15 @@
 /// the site that created the pin. Entries still live at a quiescent point
 /// are *leaked pins* — the fuzz suite's SkipUnpin fault shows up here.
 ///
-/// Heap-tree introspection: writeHeapTree() writes a JSON dump of the
-/// live heap hierarchy (depth, chunk/pinned bytes, children, governor
-/// pressure level). The obs layer depends only on support, so the walker
-/// itself is registered by rt::Runtime as a provider callback (the same
-/// inversion the metrics gauges use); the function is thread-safe and is
-/// called from the MetricsSampler thread (metrics JSON embeds a final
-/// snapshot) and by the MemoryGovernor on OutOfMemoryError
-/// (MPL_OOM_HEAP_TREE=<path>).
+/// Heap-tree introspection: readHeapTree() returns the live heap
+/// hierarchy as plain records (depth, chunk/pinned bytes, active forks,
+/// governor pressure level) and writeHeapTree() renders them as
+/// mpl-heap-tree/1 JSON. The obs layer depends only on support, so the
+/// walker that fills the records is registered by rt::Runtime as a
+/// provider callback (the same inversion the registry's gauges use); it is
+/// thread-safe and is called from the MetricsSampler thread (each sample
+/// counts heaps per depth; the metrics JSON embeds a final tree) and by the
+/// MemoryGovernor on OutOfMemoryError (MPL_OOM_HEAP_TREE=<path>).
 ///
 /// Gating: MPL_PROFILE=1 arms the profiler; any other non-"0" value is an
 /// output path to which the merged profile JSON is flushed on Runtime
@@ -54,6 +55,8 @@
 
 #ifndef MPL_OBS_PROFILE_H
 #define MPL_OBS_PROFILE_H
+
+#include "support/Histogram.h"
 
 #include <atomic>
 #include <cstdint>
@@ -104,15 +107,12 @@ struct SiteSnap {
   int64_t Depth[DepthBuckets] = {};
 
   /// Log2-bucketed durations (ns): pin lifetimes for pin sites, phase
-  /// pauses for GC sites. Bucket B as in support/Histogram::bucketOf.
-  static constexpr int DurBuckets = 48;
-  int64_t Dur[DurBuckets] = {};
+  /// pauses for GC sites. The buckets are a Histogram's, so
+  /// Histogram::percentilesFrom(Dur, DurSumNs) gives the same quantiles
+  /// as the em.pin.lifetime.ns histogram for the same samples.
+  int64_t Dur[Histogram::NumBuckets] = {};
   int64_t DurCount = 0;
   int64_t DurSumNs = 0;
-
-  /// Coarse duration quantile (bucket upper bound), as in
-  /// Histogram::approxQuantile.
-  int64_t durQuantileNs(double Q) const;
 };
 
 /// Process-wide profiler: per-worker shards, live-pin table.
@@ -161,7 +161,7 @@ private:
     std::atomic<int64_t> Events{0};
     std::atomic<int64_t> Bytes{0};
     std::atomic<int64_t> Depth[SiteSnap::DepthBuckets] = {};
-    std::atomic<int64_t> Dur[SiteSnap::DurBuckets] = {};
+    std::atomic<int64_t> Dur[Histogram::NumBuckets] = {};
     std::atomic<int64_t> DurCount{0};
     std::atomic<int64_t> DurSumNs{0};
   };
@@ -239,14 +239,38 @@ inline void profileUnpin(const void *Obj) {
 // Heap-tree introspection
 //===----------------------------------------------------------------------===//
 
-/// Installs the live-heap-tree walker (rt::Runtime's constructor; pass an
-/// empty function to uninstall on destruction). The provider writes one
-/// mpl-heap-tree/1 object and must be callable from any thread.
-void setHeapTreeProvider(std::function<void(json::Writer &)> Provider);
+/// One live heap at the instant of a heap-tree read. Ids are dense
+/// (0..n-1) within one read; Parent is -1 for a root.
+struct HeapRecord {
+  int Id = 0;
+  int Parent = -1;
+  int64_t Depth = 0;
+  int64_t ChunkBytes = 0;
+  int64_t PinnedObjects = 0;
+  int64_t PinnedBytes = 0;
+  int64_t ActiveForks = 0;
+};
 
-/// Writes the live heap hierarchy into \p W via the registered provider.
-/// Thread-safe (the provider cannot be uninstalled mid-call); writes a
-/// valid empty tree when no runtime is alive.
+/// The live heap hierarchy plus the governor's pressure level, as the
+/// runtime's provider fills it.
+struct HeapTree {
+  int PressureLevel = 0;
+  const char *Pressure = "none";
+  std::vector<HeapRecord> Heaps;
+};
+
+/// Installs the live-heap-tree walker (rt::Runtime's constructor; pass an
+/// empty function to uninstall on destruction). The provider fills one
+/// HeapTree and must be callable from any thread.
+void setHeapTreeProvider(std::function<void(HeapTree &)> Provider);
+
+/// Reads the live heap hierarchy through the registered provider into
+/// \p Out. Thread-safe (the provider cannot be uninstalled mid-call);
+/// returns false, leaving \p Out empty, when no runtime is alive.
+bool readHeapTree(HeapTree &Out);
+
+/// Writes readHeapTree() into \p W as one mpl-heap-tree/1 object (a valid
+/// empty tree when no runtime is alive).
 void writeHeapTree(json::Writer &W);
 
 /// writeHeapTree() as a standalone JSON document.

@@ -47,6 +47,13 @@ struct TlsSlot {
 thread_local TlsSlot Tls;
 thread_local int TlsTrackId = -1;
 
+/// Trace-ring overflow is a first-class health signal: a metrics series
+/// with rising drops means the capture window was too small for the
+/// workload (tools/trace_check fails on it unless --allow-drops).
+Gauge TraceDropped("obs.trace.dropped", [] {
+  return static_cast<int64_t>(Tracer::get().totalDropped());
+});
+
 /// Static description of each Ev: display name, Chrome phase ('i' instant,
 /// 'B' begin, 'E' end), and names for the two payload args (null = omit).
 struct KindInfo {
@@ -221,6 +228,10 @@ void Tracer::labelThread(int TrackId) {
 }
 
 std::string Tracer::chromeTraceJson() const {
+  // The registry is read before Mu: a registry snapshot runs the
+  // obs.trace.dropped gauge, which takes Mu, so the order is always
+  // registry lock, then Mu.
+  auto Counters = StatRegistry::get().snapshotAll();
   std::lock_guard<std::mutex> G(Mu);
 
   // Export timestamps relative to the earliest retained event so traces
@@ -284,7 +295,7 @@ std::string Tracer::chromeTraceJson() const {
   // net::Server's Impl (and its net.* Stats) has been destroyed — still
   // reports the full net.* family.
   W.key("counters").beginObject();
-  for (const auto &[Name, V] : StatRegistry::get().snapshotAll())
+  for (const auto &[Name, V] : Counters)
     W.kv(Name, V);
   W.endObject().endObject().endObject().newline();
   return W.take();

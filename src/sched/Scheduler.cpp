@@ -7,7 +7,6 @@
 #include "sched/Scheduler.h"
 
 #include "chaos/ChaosSchedule.h"
-#include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
 #include "support/Assert.h"
@@ -55,12 +54,9 @@ Scheduler::Scheduler(const Config &Cfg) : ProfileEnabled(Cfg.Profile) {
     W->Id = I;
     W->StealRng = Rng(0x9e3779b9u + static_cast<uint64_t>(I) * 77);
     Workers.push_back(W);
+    DequeGauges.push_back(std::make_unique<Gauge>(
+        "sched.deque.w" + std::to_string(I), [W] { return W->Dq.size(); }));
   }
-  // Deque-depth gauges for the metrics sampler (one per worker).
-  for (Worker *W : Workers)
-    MetricsGaugeIds.push_back(obs::MetricsSampler::get().registerGauge(
-        "sched.deque.w" + std::to_string(W->Id),
-        [W] { return W->Dq.size(); }));
   // Worker 0 is the caller's thread; start threads for the rest.
   for (int I = 1; I < N; ++I)
     Threads.emplace_back([this, I] {
@@ -74,9 +70,7 @@ Scheduler::Scheduler(const Config &Cfg) : ProfileEnabled(Cfg.Profile) {
 }
 
 Scheduler::~Scheduler() {
-  // Gauges read the workers' deques; stop sampling them before teardown.
-  for (int Id : MetricsGaugeIds)
-    obs::MetricsSampler::get().unregisterGauge(Id);
+  DequeGauges.clear(); // They read the workers' deques.
   ShuttingDown.store(true, std::memory_order_release);
   for (std::thread &T : Threads)
     T.join();

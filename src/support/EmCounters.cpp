@@ -13,6 +13,15 @@ namespace em {
 
 Counters Counts;
 
+namespace {
+// The live pinned footprint (cumulative pinned minus unpinned) is the space
+// cost operators watch, so it is published as two gauges.
+Gauge LivePinnedObjects("em.live.pinned.objects",
+                        [] { return Counts.snapshot().livePinnedObjects(); });
+Gauge LivePinnedBytes("em.live.pinned.bytes",
+                      [] { return Counts.snapshot().livePinnedBytes(); });
+} // namespace
+
 void writeJson(json::Writer &W, const CounterSnapshot &S) {
   W.beginObject()
       .kv("entangled_reads", S.EntangledReads)

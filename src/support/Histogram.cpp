@@ -6,73 +6,65 @@
 
 #include "support/Histogram.h"
 
-#include <algorithm>
-#include <cstdio>
+#include "support/Stats.h"
 
 using namespace mpl;
 
 Histogram::Histogram(const char *Name) : HistName(Name) {
-  HistogramRegistry::get().registerHistogram(this);
+  StatRegistry::get().add(this);
 }
 
-Histogram::~Histogram() {
-  HistogramRegistry::get().unregisterHistogram(this);
-}
+Histogram::~Histogram() { StatRegistry::get().remove(this); }
 
-int64_t Histogram::count() const {
+int64_t Histogram::quantileFrom(const int64_t Counts[NumBuckets], double Q,
+                                int64_t FallbackTail) {
   int64_t Total = 0;
   for (int B = 0; B < NumBuckets; ++B)
-    Total += bucketCount(B);
-  return Total;
-}
-
-int64_t Histogram::approxQuantile(double Q) const {
-  int64_t Total = count();
+    Total += Counts[B];
   if (Total == 0)
     return 0;
   int64_t Target = static_cast<int64_t>(Q * static_cast<double>(Total));
   int64_t Seen = 0;
   for (int B = 0; B < NumBuckets; ++B) {
-    Seen += bucketCount(B);
+    Seen += Counts[B];
     if (Seen > Target)
-      return B == 0 ? 0 : (static_cast<int64_t>(1) << B) - 1;
+      return bucketHi(B);
   }
-  return sum();
-}
-
-Histogram::Percentiles Histogram::percentiles() const {
-  int64_t Counts[NumBuckets];
-  snapshotCounts(Counts);
-  return percentilesFrom(Counts, sum());
+  return FallbackTail;
 }
 
 Histogram::Percentiles Histogram::percentilesFrom(
     const int64_t Counts[NumBuckets], int64_t FallbackTail) {
   Percentiles P;
-  int64_t Total = 0;
-  for (int B = 0; B < NumBuckets; ++B)
-    Total += Counts[B];
-  if (Total == 0)
-    return P;
-  // One scan, four targets: approxQuantile semantics (first bucket whose
-  // cumulative count strictly exceeds Q * Total; value is the bucket's
-  // inclusive upper bound).
-  constexpr int NumQs = 4;
-  const double Qs[NumQs] = {0.50, 0.95, 0.99, 0.999};
-  int64_t *Out[NumQs] = {&P.P50, &P.P95, &P.P99, &P.P999};
-  int Next = 0;
-  int64_t Seen = 0;
-  for (int B = 0; B < NumBuckets && Next < NumQs; ++B) {
-    Seen += Counts[B];
-    while (Next < NumQs &&
-           Seen > static_cast<int64_t>(Qs[Next] * static_cast<double>(Total))) {
-      *Out[Next] = B == 0 ? 0 : (static_cast<int64_t>(1) << B) - 1;
-      ++Next;
-    }
-  }
-  for (; Next < NumQs; ++Next)
-    *Out[Next] = FallbackTail;
+  P.P50 = quantileFrom(Counts, 0.50, FallbackTail);
+  P.P95 = quantileFrom(Counts, 0.95, FallbackTail);
+  P.P99 = quantileFrom(Counts, 0.99, FallbackTail);
+  P.P999 = quantileFrom(Counts, 0.999, FallbackTail);
   return P;
+}
+
+int64_t Histogram::approxQuantile(double Q) const {
+  Snapshot S = snapshot();
+  return quantileFrom(S.Counts, Q, S.Sum);
+}
+
+Histogram::Percentiles Histogram::percentiles() const {
+  return snapshot().percentiles();
+}
+
+Histogram::Snapshot Histogram::snapshot() const {
+  Snapshot S;
+  S.Name = HistName;
+  snapshotCounts(S.Counts);
+  S.Sum = sum();
+  return S;
+}
+
+int64_t Histogram::Snapshot::count() const {
+  int64_t Total = 0;
+  for (int64_t C : Counts)
+    Total += C;
+  return Total;
 }
 
 //===----------------------------------------------------------------------===//
@@ -126,66 +118,4 @@ RollingWindow::WindowStats RollingWindow::window(int64_t NowNs) const {
   W.WindowNs = Base.TimeNs > 0 ? NowNs - Base.TimeNs : 0;
   W.Pct = Histogram::percentilesFrom(Diff, Hist.sum() - Base.Sum);
   return W;
-}
-
-void Histogram::reset() {
-  for (int B = 0; B < NumBuckets; ++B)
-    Buckets[B].store(0, std::memory_order_relaxed);
-  Sum.store(0, std::memory_order_relaxed);
-}
-
-HistogramRegistry &HistogramRegistry::get() {
-  static HistogramRegistry Instance;
-  return Instance;
-}
-
-void HistogramRegistry::registerHistogram(Histogram *H) {
-  std::lock_guard<std::mutex> G(Lock);
-  Histograms.push_back(H);
-}
-
-void HistogramRegistry::unregisterHistogram(Histogram *H) {
-  std::lock_guard<std::mutex> G(Lock);
-  Histograms.erase(std::remove(Histograms.begin(), Histograms.end(), H),
-                   Histograms.end());
-}
-
-void HistogramRegistry::resetAll() {
-  std::lock_guard<std::mutex> G(Lock);
-  for (Histogram *H : Histograms)
-    H->reset();
-}
-
-void HistogramRegistry::forEach(
-    const std::function<void(const Histogram &)> &Fn) const {
-  std::lock_guard<std::mutex> G(Lock);
-  for (const Histogram *H : Histograms)
-    Fn(*H);
-}
-
-std::string HistogramRegistry::report() const {
-  std::lock_guard<std::mutex> G(Lock);
-  std::string Out;
-  char Line[256];
-  for (const Histogram *H : Histograms) {
-    int64_t N = H->count();
-    if (N == 0)
-      continue;
-    std::snprintf(Line, sizeof(Line),
-                  "%-32s n=%lld sum=%lld p50<=%lld p99<=%lld\n", H->name(),
-                  static_cast<long long>(N), static_cast<long long>(H->sum()),
-                  static_cast<long long>(H->approxQuantile(0.50)),
-                  static_cast<long long>(H->approxQuantile(0.99)));
-    Out += Line;
-    for (int B = 0; B < Histogram::NumBuckets; ++B) {
-      int64_t C = H->bucketCount(B);
-      if (C == 0)
-        continue;
-      std::snprintf(Line, sizeof(Line), "  [>=%-13lld] %12lld\n",
-                    static_cast<long long>(Histogram::bucketLo(B)),
-                    static_cast<long long>(C));
-      Out += Line;
-    }
-  }
-  return Out;
 }

@@ -8,8 +8,10 @@
 /// Lock-free latency histograms: 64 power-of-two buckets of atomic counts,
 /// so a record() is one relaxed fetch_add — cheap enough for the scheduler's
 /// steal path and the collector's pause accounting. Like Stat, instances
-/// register themselves in a global registry; the table printers and the
-/// observability metrics exporter (src/obs/Metrics.cpp) report them.
+/// register themselves in StatRegistry (support/Stats.h), whose snapshot
+/// every exporter renders. quantileFrom() is the one quantile rule for
+/// log2 bucket counts: histograms, rolling windows and the profiler's
+/// per-site durations (obs/Profile.h) all report through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +21,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -45,9 +46,13 @@ public:
     return std::bit_width(static_cast<uint64_t>(V));
   }
 
-  /// Lower bound of bucket \p B (inclusive); 0 for bucket 0.
+  /// Bounds of bucket \p B, both inclusive: [2^(B-1), 2^B - 1]; bucket 0
+  /// is [.., 0].
   static int64_t bucketLo(int B) {
     return B <= 0 ? 0 : static_cast<int64_t>(1) << (B - 1);
+  }
+  static int64_t bucketHi(int B) {
+    return B <= 0 ? 0 : (static_cast<int64_t>(1) << B) - 1;
   }
 
   void record(int64_t V) {
@@ -58,32 +63,35 @@ public:
   int64_t bucketCount(int B) const {
     return Buckets[B].load(std::memory_order_relaxed);
   }
-  int64_t count() const;
+  int64_t count() const { return snapshot().count(); }
   int64_t sum() const { return Sum.load(std::memory_order_relaxed); }
 
-  /// Smallest bucket upper bound below which at least \p Q of the samples
-  /// fall (a coarse quantile: exact only up to bucket granularity).
-  int64_t approxQuantile(double Q) const;
-
-  /// The standard latency-report quantiles, extracted in one pass over
-  /// the buckets (same bucket-upper-bound semantics as approxQuantile).
-  /// P999 (the 99.9th percentile) is what tail-latency gates care about:
-  /// at serving rates of thousands of requests, P99 still hides the
-  /// stalls that pages an operator.
+  /// The standard latency-report quantiles. P999 (the 99.9th percentile)
+  /// is what tail-latency gates care about: at serving rates of thousands
+  /// of requests, P99 still hides the stalls that page an operator.
   struct Percentiles {
     int64_t P50 = 0;
     int64_t P95 = 0;
     int64_t P99 = 0;
     int64_t P999 = 0;
   };
-  Percentiles percentiles() const;
 
-  /// Same quantile extraction over a caller-provided bucket-count array
-  /// (e.g. the difference of two snapshots — RollingWindow's windowed
-  /// percentiles). \p FallbackTail is returned for quantiles past the
-  /// highest non-empty bucket (use the sample sum, matching percentiles()).
+  /// The quantile rule: quantile \p Q of the samples counted in \p Counts
+  /// is the inclusive upper bound of the first bucket whose cumulative
+  /// count exceeds floor(Q * total) — a coarse quantile, exact only up to
+  /// bucket granularity. 0 when the array is empty; \p FallbackTail when
+  /// no bucket qualifies (Q >= 1; pass the sample sum).
+  static int64_t quantileFrom(const int64_t Counts[NumBuckets], double Q,
+                              int64_t FallbackTail);
+
+  /// The four report quantiles of \p Counts by quantileFrom (e.g. of the
+  /// difference of two snapshots — RollingWindow's windowed percentiles).
   static Percentiles percentilesFrom(const int64_t Counts[NumBuckets],
                                      int64_t FallbackTail);
+
+  /// quantileFrom / percentilesFrom over the current counts.
+  int64_t approxQuantile(double Q) const;
+  Percentiles percentiles() const;
 
   /// Copies the current bucket counts into \p Out (relaxed loads).
   void snapshotCounts(int64_t Out[NumBuckets]) const {
@@ -91,7 +99,17 @@ public:
       Out[B] = bucketCount(B);
   }
 
-  void reset();
+  /// A copy of one histogram: its name, bucket counts and sum.
+  struct Snapshot {
+    std::string Name;
+    int64_t Counts[NumBuckets] = {};
+    int64_t Sum = 0;
+
+    int64_t count() const;
+    Percentiles percentiles() const { return percentilesFrom(Counts, Sum); }
+  };
+  Snapshot snapshot() const;
+
   const char *name() const { return HistName; }
 
 private:
@@ -145,28 +163,6 @@ private:
   std::vector<Snap> Ring; ///< Oldest = Ring[(Head + 1) % size] when full.
   size_t Head = 0;
   size_t Filled = 1; ///< Construction takes the first (empty-ish) snapshot.
-};
-
-/// Global registry of all histograms, mirroring StatRegistry. Thread-safe:
-/// histograms may be constructed/destroyed from worker threads.
-class HistogramRegistry {
-public:
-  static HistogramRegistry &get();
-
-  void registerHistogram(Histogram *H);
-  void unregisterHistogram(Histogram *H);
-  void resetAll();
-
-  /// Runs \p Fn for every live histogram, under the registry lock.
-  void forEach(const std::function<void(const Histogram &)> &Fn) const;
-
-  /// Renders a text report of every non-empty histogram: one header line
-  /// (count/sum/p50/p99 estimate) plus one line per non-empty bucket.
-  std::string report() const;
-
-private:
-  mutable std::mutex Lock;
-  std::vector<Histogram *> Histograms;
 };
 
 } // namespace mpl

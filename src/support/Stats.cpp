@@ -1,4 +1,4 @@
-//===- support/Stats.cpp - Named atomic counters --------------------------===//
+//===- support/Stats.cpp - The registry of named metrics ------------------===//
 //
 // Part of mpl-em (PLDI 2023 reproduction).
 //
@@ -6,35 +6,28 @@
 
 #include "support/Stats.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 using namespace mpl;
 
 Stat::Stat(const char *Name) : StatName(Name) {
-  StatRegistry::get().registerStat(this);
+  StatRegistry::get().add(this);
 }
 
-Stat::~Stat() { StatRegistry::get().unregisterStat(this); }
+Stat::~Stat() { StatRegistry::get().remove(this); }
+
+Gauge::Gauge(std::string Name, std::function<int64_t()> ReadFn)
+    : GaugeName(std::move(Name)), Read(std::move(ReadFn)) {
+  StatRegistry::get().add(this);
+}
+
+Gauge::~Gauge() { StatRegistry::get().remove(this); }
 
 StatRegistry &StatRegistry::get() {
   // Function-local static avoids global-constructor ordering issues while
-  // still giving Stat instances a registry to attach to on first use.
+  // still giving static metrics a registry to attach to on first use.
   static StatRegistry Instance;
   return Instance;
-}
-
-void StatRegistry::registerStat(Stat *S) {
-  std::lock_guard<std::mutex> G(Lock);
-  Stats.push_back(S);
-}
-
-void StatRegistry::unregisterStat(Stat *S) {
-  std::lock_guard<std::mutex> G(Lock);
-  Stats.erase(std::remove(Stats.begin(), Stats.end(), S), Stats.end());
-  if (int64_t V = S->get())
-    Retired[S->name()] += V;
 }
 
 void StatRegistry::resetAll() {
@@ -52,8 +45,7 @@ int64_t StatRegistry::valueOf(const std::string &Name) const {
   return 0;
 }
 
-std::vector<std::pair<std::string, int64_t>> StatRegistry::snapshotAll() const {
-  std::lock_guard<std::mutex> G(Lock);
+MetricsSnapshot::Values StatRegistry::countersLocked() const {
   // One entry per name: live instances summed on top of retired totals, so
   // consumers emitting keyed formats (JSON objects, Prometheus series)
   // never see duplicate keys.
@@ -63,16 +55,67 @@ std::vector<std::pair<std::string, int64_t>> StatRegistry::snapshotAll() const {
   return {Agg.begin(), Agg.end()};
 }
 
-std::string StatRegistry::report() const {
+std::vector<std::pair<std::string, int64_t>> StatRegistry::snapshotAll() const {
   std::lock_guard<std::mutex> G(Lock);
+  return countersLocked();
+}
+
+std::vector<Histogram::Snapshot> StatRegistry::histogramsLocked() const {
+  std::vector<Histogram::Snapshot> Out;
+  Out.reserve(Histograms.size());
+  for (const Histogram *H : Histograms)
+    Out.push_back(H->snapshot());
+  return Out;
+}
+
+std::vector<Histogram::Snapshot> StatRegistry::histograms() const {
+  std::lock_guard<std::mutex> G(Lock);
+  return histogramsLocked();
+}
+
+MetricsSnapshot StatRegistry::snapshot() const {
+  std::lock_guard<std::mutex> G(Lock);
+  MetricsSnapshot Out;
+  Out.Counters = countersLocked();
+  Out.Gauges.reserve(Gauges.size());
+  for (const Gauge *Ga : Gauges)
+    Out.Gauges.emplace_back(Ga->name(), Ga->read());
+  Out.Histograms = histogramsLocked();
+  return Out;
+}
+
+std::string StatRegistry::report() const {
+  MetricsSnapshot S = snapshot();
   std::string Out;
   char Line[256];
-  for (const Stat *S : Stats) {
-    if (S->get() == 0)
+  for (const MetricsSnapshot::Values *Vals : {&S.Counters, &S.Gauges})
+    for (const auto &[Name, V] : *Vals) {
+      if (V == 0)
+        continue;
+      std::snprintf(Line, sizeof(Line), "%-32s %12lld\n", Name.c_str(),
+                    static_cast<long long>(V));
+      Out += Line;
+    }
+  for (const Histogram::Snapshot &H : S.Histograms) {
+    int64_t N = H.count();
+    if (N == 0)
       continue;
-    std::snprintf(Line, sizeof(Line), "%-32s %12lld\n", S->name(),
-                  static_cast<long long>(S->get()));
+    Histogram::Percentiles P = H.percentiles();
+    std::snprintf(Line, sizeof(Line),
+                  "%-32s n=%lld sum=%lld p50<=%lld p99<=%lld\n",
+                  H.Name.c_str(), static_cast<long long>(N),
+                  static_cast<long long>(H.Sum),
+                  static_cast<long long>(P.P50),
+                  static_cast<long long>(P.P99));
     Out += Line;
+    for (int B = 0; B < Histogram::NumBuckets; ++B) {
+      if (H.Counts[B] == 0)
+        continue;
+      std::snprintf(Line, sizeof(Line), "  [>=%-13lld] %12lld\n",
+                    static_cast<long long>(Histogram::bucketLo(B)),
+                    static_cast<long long>(H.Counts[B]));
+      Out += Line;
+    }
   }
   return Out;
 }

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -369,15 +370,15 @@ TEST_F(ObsTest, TraceDroppedGaugeIsSampled) {
 TEST_F(ObsTest, SamplerSeriesIsMonotoneAndGaugesAreRead) {
   auto &S = obs::MetricsSampler::get();
   std::atomic<int64_t> Depth{0};
-  int Id = S.registerGauge("test.depth", [&] { return Depth.load(); });
-
-  Depth = 3;
-  S.sampleOnce();
-  Depth = 7;
-  S.sampleOnce();
-  Depth = 7;
-  S.sampleOnce();
-  S.unregisterGauge(Id);
+  {
+    Gauge G("test.depth", [&] { return Depth.load(); });
+    Depth = 3;
+    S.sampleOnce();
+    Depth = 7;
+    S.sampleOnce();
+    Depth = 7;
+    S.sampleOnce();
+  }
 
   std::vector<obs::MetricsSample> Series = S.series();
   ASSERT_EQ(Series.size(), 3u);
@@ -459,18 +460,16 @@ TEST_F(ObsTest, HistogramBucketsAndQuantiles) {
   EXPECT_LE(P50, 1024);
 }
 
-TEST_F(ObsTest, HistogramRegistryFindsLiveHistograms) {
-  size_t Before = 0;
-  HistogramRegistry::get().forEach([&](const Histogram &) { ++Before; });
+TEST_F(ObsTest, StatRegistryFindsLiveHistograms) {
+  auto liveHistograms = [] {
+    return StatRegistry::get().snapshot().Histograms.size();
+  };
+  size_t Before = liveHistograms();
   {
     Histogram H("obs.test.scoped");
-    size_t During = 0;
-    HistogramRegistry::get().forEach([&](const Histogram &) { ++During; });
-    EXPECT_EQ(During, Before + 1);
+    EXPECT_EQ(liveHistograms(), Before + 1);
   }
-  size_t After = 0;
-  HistogramRegistry::get().forEach([&](const Histogram &) { ++After; });
-  EXPECT_EQ(After, Before);
+  EXPECT_EQ(liveHistograms(), Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -504,6 +503,48 @@ TEST_F(ObsTest, StatRegistrationIsThreadSafe) {
   EXPECT_EQ(StatRegistry::get().valueOf("obs.test.dyn.t0"), 0);
 }
 
+TEST_F(ObsTest, RegistrationRacesRenderers) {
+  // Gauges, histograms and whole Runtimes (their deque, heap-count and
+  // free-list gauges and their heap-tree provider) come and go while two
+  // threads render every export. Under the tsan preset this checks the
+  // lock order (the registry lock is always taken before Tracer::Mu) and
+  // that a destroyed gauge's callback never runs again.
+  obs::TraceOptions O;
+  O.Capacity = 64;
+  obs::Tracer::get().enable(O);
+  std::atomic<bool> Done{false};
+  std::thread Churn([&] {
+    for (int I = 0; I < 100; ++I) {
+      auto Value = std::make_unique<std::atomic<int64_t>>(I);
+      Gauge G("obs.test.race.gauge", [V = Value.get()] { return V->load(); });
+      Histogram H("obs.test.race.ns");
+      H.record(I);
+      rt::Config C;
+      C.NumWorkers = 2;
+      rt::Runtime R(C);
+    }
+    Done = true;
+  });
+  auto Render = [&] {
+    for (int Round = 0; !Done.load() || Round < 3; ++Round) {
+      std::string Err;
+      EXPECT_TRUE(obs::checkExposition(obs::renderPrometheus(), Err)) << Err;
+      json::Value Doc;
+      EXPECT_TRUE(json::parse(obs::Tracer::get().chromeTraceJson(), Doc, Err))
+          << Err;
+      obs::MetricsSampler::get().sampleOnce();
+    }
+  };
+  std::thread A(Render);
+  std::thread B(Render);
+  Churn.join();
+  A.join();
+  B.join();
+  obs::Tracer::get().disable();
+  for (const auto &[Name, V] : StatRegistry::get().snapshot().Gauges)
+    EXPECT_NE(Name, "obs.test.race.gauge") << "gauge outlived its owner";
+}
+
 //===----------------------------------------------------------------------===//
 // Entanglement profiler (obs/Profile.h)
 //===----------------------------------------------------------------------===//
@@ -531,10 +572,9 @@ rt::Config workerCfg(int Workers) {
 /// Count of the named global histogram, or -1 when it does not exist yet.
 int64_t histCountOf(const char *Name) {
   int64_t Out = -1;
-  HistogramRegistry::get().forEach([&](const Histogram &H) {
-    if (std::string(H.name()) == Name)
+  for (const Histogram::Snapshot &H : StatRegistry::get().snapshot().Histograms)
+    if (H.Name == Name)
       Out = H.count();
-  });
   return Out;
 }
 
@@ -664,6 +704,35 @@ TEST_F(ProfileTest, JsonDumpParsesBack) {
     EXPECT_NE(S.field("name"), nullptr);
     EXPECT_NE(S.field("events"), nullptr);
     EXPECT_NE(S.field("bytes"), nullptr);
+  }
+}
+
+TEST_F(ProfileTest, SiteQuantilesMatchHistogramQuantiles) {
+  // The same durations fed to a profiler site and to a Histogram must give
+  // the same p50 and p99: the profile's dur_ns and histograms such as
+  // em.pin.lifetime.ns share one quantile rule.
+  std::vector<int64_t> Tail(99, 10);
+  Tail.push_back(1000000);
+  const std::vector<std::vector<int64_t>> Cases = {{100, 10000}, Tail};
+  obs::Profiler::get().enable();
+  for (const std::vector<int64_t> &Samples : Cases) {
+    obs::Profiler::get().reset();
+    Histogram H("obs.test.quantile.ns");
+    for (int64_t Ns : Samples) {
+      H.record(Ns);
+      obs::profileEvent(obs::Site::GcEvac, 0, 0, Ns);
+    }
+    json::Value V;
+    std::string Err;
+    ASSERT_TRUE(json::parse(obs::Profiler::get().jsonDump(), V, Err)) << Err;
+    const json::Value *Dur = nullptr;
+    for (const json::Value &Site : V.field("sites")->Items)
+      if (Site.field("name")->StrV == "gc.evac")
+        Dur = Site.field("dur_ns");
+    ASSERT_NE(Dur, nullptr);
+    Histogram::Percentiles P = H.percentiles();
+    EXPECT_EQ(static_cast<int64_t>(Dur->field("p50")->NumV), P.P50);
+    EXPECT_EQ(static_cast<int64_t>(Dur->field("p99")->NumV), P.P99);
   }
 }
 

@@ -137,6 +137,12 @@ server_smoke() {
     sleep 0.2
   done
   [[ "$stats_ok" == 1 ]]
+  # One gauge from each layer that registers them must reach the wire.
+  local gauge
+  for gauge in mpl_net_queue_depth mpl_sched_deque_w0 mpl_hh_heaps \
+      mpl_mm_pressure mpl_em_live_pinned_bytes mpl_obs_trace_dropped; do
+    grep -q "^# TYPE $gauge gauge\$" "$bdir/server_stats$tag.prom"
+  done
   grep -q '"mpl-stats/1"' "$bdir/server_stats$tag.json"
   grep -q '"stage"' "$bdir/server_stats$tag.json"
   wait "$client_pid"

@@ -41,9 +41,6 @@
 //             (BENCH_T2/T4 run single-rep, so they carry no spread and
 //             their wall time is gated by the T1 stage instead).
 //
-// `--tolerance-pct N` is accepted as an alias of `--floor-pct N` for
-// compatibility with pre-v2 invocations.
-//
 //===----------------------------------------------------------------------===//
 
 #include "GateLib.h"
@@ -64,8 +61,7 @@ int usage() {
       "                  [--stddev-k K] [--floor-pct N] [--min-time-ms M]\n"
       "                  [--no-time-gate] [--gate-residency] [--gate-counters]\n"
       "                  [--profile-drift] [--drift-top-k K]\n"
-      "                  [--time-gate-config SUBSTR]\n"
-      "                  [--tolerance-pct N]   (alias of --floor-pct)\n");
+      "                  [--time-gate-config SUBSTR]\n");
   return 2;
 }
 
@@ -101,9 +97,8 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(Argv[I], "--stddev-k") == 0) {
       if (!TakeDouble("--stddev-k", Opts.StddevK))
         return 2;
-    } else if (std::strcmp(Argv[I], "--floor-pct") == 0 ||
-               std::strcmp(Argv[I], "--tolerance-pct") == 0) {
-      if (!TakeDouble(Argv[I], Opts.FloorPct))
+    } else if (std::strcmp(Argv[I], "--floor-pct") == 0) {
+      if (!TakeDouble("--floor-pct", Opts.FloorPct))
         return 2;
     } else if (std::strcmp(Argv[I], "--min-time-ms") == 0) {
       if (!TakeDouble("--min-time-ms", Opts.MinTimeMs))
