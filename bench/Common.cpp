@@ -6,16 +6,13 @@
 
 #include "bench/Common.h"
 
-#include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Span.h"
-#include "obs/Trace.h"
 #include "support/File.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 using namespace mpl;
@@ -189,50 +186,6 @@ StatSnap StatSnap::read() {
 }
 
 namespace {
-/// MPL_TRACE_DIR / MPL_METRICS_DIR: after the timed repetitions, run one
-/// extra instrumented repetition and write <dir>/<name>.trace.json and/or
-/// <dir>/<name>.metrics.json. Kept out of the timed reps so the published
-/// numbers are never measured with the tracer armed.
-void dumpObservability(const SuiteEntry &Entry, bool Sequential,
-                       const rt::Config &Cfg) {
-  const char *TraceDir = std::getenv("MPL_TRACE_DIR");
-  const char *MetricsDir = std::getenv("MPL_METRICS_DIR");
-  if (!TraceDir && !MetricsDir)
-    return;
-  auto &Tr = obs::Tracer::get();
-  auto &Ms = obs::MetricsSampler::get();
-  Tr.clear();
-  Ms.clearSeries();
-  if (TraceDir)
-    Tr.enable(obs::TraceOptions{});
-  bool StartedSampler = false;
-  if (MetricsDir && !Ms.running()) {
-    Ms.start(/*IntervalUs=*/1000);
-    StartedSampler = true;
-  }
-  {
-    rt::Runtime R(Cfg);
-    R.run([&] { (void)Entry.Run(Sequential); });
-    // A run shorter than one sampling interval would leave the series
-    // empty; take a final sample while the runtime's gauges are live.
-    if (MetricsDir)
-      Ms.sampleOnce();
-  }
-  if (StartedSampler)
-    Ms.stop();
-  if (TraceDir) {
-    Tr.disable();
-    Tr.writeChromeTrace(std::string(TraceDir) + "/" + Entry.Name +
-                        ".trace.json");
-    Tr.clear();
-  }
-  if (MetricsDir)
-    Ms.writeJson(std::string(MetricsDir) + "/" + Entry.Name +
-                 ".metrics.json");
-}
-} // namespace
-
-namespace {
 /// Per-rep capture so the reported row is one internally consistent rep.
 struct RepData {
   double Seconds = 0;
@@ -275,8 +228,8 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
   Cfg.NumWorkers = Workers;
   Cfg.Mode = Mode;
   Cfg.Profile = Profile;
-  // Honour an env-armed profiler (MPL_PROFILE) even when the caller did
-  // not ask, so any bench binary can be site-profiled ad hoc.
+  // Honour an env-armed profiler (MPL_OBS=profile) even when the caller
+  // did not ask, so any bench binary can be site-profiled ad hoc.
   bool ProfWasEnabled = obs::profileEnabled();
   bool Prof = SiteProfile || ProfWasEnabled;
 
@@ -333,9 +286,9 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
   Out.LeakedBytes = Med.LeakedBytes;
 
   if (Spans) {
-    // One extra untimed rep with the span ledger armed, mirroring the
-    // dumpObservability pattern: the ledger's per-task bookkeeping never
-    // contaminates the timed reps, and the DAG belongs to exactly one run.
+    // One extra untimed rep with the span ledger armed: the ledger's
+    // per-task bookkeeping never contaminates the timed reps, and the DAG
+    // belongs to exactly one run.
     auto &Ledger = obs::SpanLedger::get();
     bool WasEnabled = Ledger.enabled();
     Ledger.enable();
@@ -354,7 +307,6 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
     Out.Spans.AgreementPct = Sum.agreementPct();
   }
 
-  dumpObservability(Entry, Sequential, Cfg);
   return Out;
 }
 

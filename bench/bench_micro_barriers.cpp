@@ -71,7 +71,7 @@ public:
         SavedGov(MemoryGovernor::get().config()) {
     if (Traced) {
       obs::Tracer::get().clear();
-      obs::Tracer::get().enable(obs::TraceOptions{});
+      obs::Tracer::get().enable();
     }
     if (Profiled) {
       obs::Profiler::get().reset();

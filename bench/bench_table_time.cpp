@@ -46,7 +46,7 @@ int main(int Argc, char **Argv) {
                             /*Profile=*/false, Reps);
     // This is the timing table, so the site profiler stays disarmed: its
     // per-event attribution would inflate the entangled T_1 it reports.
-    // MPL_PROFILE=1 opts in (measure() honors it); the attribution datum
+    // MPL_OBS=profile opts in (measure() honors it); the attribution datum
     // lives in bench_table_entangle, which always arms it.
     // Spans=true attaches the causal span ledger's critical-path fraction
     // (cp% column) from one extra untimed rep — the timed T_1 never runs

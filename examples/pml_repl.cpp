@@ -95,6 +95,19 @@ bool evalLine(const std::string &Source) {
   return false;
 }
 
+/// Runs \p Body as one run of \p R. Past the memory limit
+/// (MPL_MEM_LIMIT_MB) the run fails with an `error:` line and the Runtime
+/// stays usable; returns false then.
+template <typename Fn> bool runReportingOom(rt::Runtime &R, Fn &&Body) {
+  try {
+    R.run(Body);
+    return true;
+  } catch (const OutOfMemoryError &E) {
+    std::printf("error: %s\n", E.what());
+    return false;
+  }
+}
+
 int runOne(const std::string &Title, const std::string &Source,
            int Workers) {
   rt::Config Cfg;
@@ -104,10 +117,11 @@ int runOne(const std::string &Title, const std::string &Source,
 
   std::printf("--- %s ---\n", Title.c_str());
   int Rc = 0;
-  R.run([&] {
-    if (!evalLine(Source))
-      Rc = 1;
-  });
+  if (!runReportingOom(R, [&] {
+        if (!evalLine(Source))
+          Rc = 1;
+      }))
+    Rc = 1;
   return Rc;
 }
 
@@ -193,7 +207,7 @@ int runInteractive(int Workers) {
     }
     if (Line.empty())
       continue;
-    R.run([&] { evalLine(Line); });
+    runReportingOom(R, [&] { evalLine(Line); });
   }
   return 0;
 }

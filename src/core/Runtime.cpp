@@ -29,21 +29,19 @@ int GovGcHookId = 0;
 /// The heap-tree walker behind obs::readHeapTree(). Reads only the
 /// per-heap relaxed-atomic gauges plus immutable parent/depth links, so it
 /// is safe to run from the MetricsSampler thread or the OOM path while
-/// workers fork, join and collect (hh/Heap.h, gauge comment).
+/// workers fork, join and collect (hh/Heap.h, gauge comment). Every field
+/// is copied under the manager lock, so the run's end cannot free a heap
+/// mid-read.
 void fillHeapTree(obs::HeapTree &T, HeapManager &HM) {
-  std::unordered_map<const Heap *, int> Id;
-  std::vector<Heap *> Live;
-  for (Heap *H : HM.snapshotHeaps()) {
-    if (H->isDead())
-      continue;
-    Id.emplace(H, static_cast<int>(Live.size()));
-    Live.push_back(H);
-  }
   Pressure P = MemoryGovernor::get().pressure();
   T.PressureLevel = static_cast<int>(P);
   T.Pressure = mpl::pressureName(P);
-  T.Heaps.reserve(Live.size());
-  for (Heap *H : Live) {
+  // A parent always precedes its children in the manager's list, so one
+  // pass assigns every parent its id first.
+  std::unordered_map<const Heap *, int> Id;
+  HM.forEachHeap([&](Heap *H) {
+    if (H->isDead())
+      return;
     auto PIt = Id.find(H->parent());
     obs::HeapRecord R;
     R.Id = static_cast<int>(T.Heaps.size());
@@ -53,8 +51,9 @@ void fillHeapTree(obs::HeapTree &T, HeapManager &HM) {
     R.PinnedObjects = H->PinnedObjsGauge.load(std::memory_order_relaxed);
     R.PinnedBytes = H->PinnedBytesGauge.load(std::memory_order_relaxed);
     R.ActiveForks = H->activeForks();
+    Id.emplace(H, R.Id);
     T.Heaps.push_back(R);
-  }
+  });
 }
 } // namespace
 
@@ -67,7 +66,7 @@ Runtime::Runtime(const Config &C)
   MPL_CHECK(TheRuntime == nullptr, "only one Runtime may exist at a time");
   em::setMode(Cfg.Mode);
   TheRuntime = this;
-  // Observability: honour MPL_TRACE / MPL_METRICS on the first Runtime.
+  // Observability: honour MPL_OBS / MPL_OBS_DIR on the first Runtime.
   obs::initFromEnv();
   MemoryGovernor::get().initFromEnv();
   // Recovery stage 2: the governor forces a local collection of the
@@ -95,8 +94,9 @@ Runtime::~Runtime() {
   // Flush env-configured sinks now, at quiescence: the workers still exist
   // (Sched is destroyed after this body) but are idle outside run(), and
   // idle workers emit no trace events. The heap-tree provider is cleared
-  // only after the flush so the metrics dump can embed a final snapshot;
-  // setHeapTreeProvider blocks until any in-flight snapshot finishes.
+  // only after the flush so the final sample and the trace's heap tree
+  // still read this Runtime; setHeapTreeProvider blocks until any
+  // in-flight snapshot finishes.
   obs::flushEnvSinks();
   obs::setHeapTreeProvider({});
 }
@@ -124,15 +124,11 @@ void Runtime::finishRootTask() {
 }
 
 void Runtime::endRun() {
-  if (RootHeap) {
-    RootHeap->releaseAllChunks();
-    RootHeap = nullptr;
-  }
   // Workers are quiescent between runs (no barriers, joins or collections
-  // execute), so this is the race-free point to fold the per-worker
-  // profiler shards into the merged table.
-  if (obs::profileEnabled())
-    obs::Profiler::get().mergeThreadShards();
+  // execute), so the run's heaps can be freed: a long-lived Runtime keeps
+  // none of them past its run.
+  Heaps.releaseAll();
+  RootHeap = nullptr;
 }
 
 bool Runtime::maybeCollect(bool Force) {

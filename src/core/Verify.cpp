@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// em::verifyInvariants: walks every heap the manager has ever created and
+/// em::verifyInvariants: walks every heap the current run has created and
 /// cross-checks the entanglement bookkeeping against the heap structure.
 /// The checks are deliberately redundant with what the barriers and joins
 /// maintain — that redundancy is the point: a lost pin, a leaked release,
@@ -54,15 +54,13 @@ std::string InvariantReport::str() const {
 
 InvariantReport verifyInvariants(HeapManager &HM, bool ExpectFullyJoined) {
   InvariantReport R;
-  std::vector<Heap *> Heaps = HM.snapshotHeaps();
-
   // Pinned entries can appear in at most one live heap's set (joins move
   // them), but be defensive: dedup before summing bytes.
   std::unordered_set<const Object *> SeenPinned;
   int64_t LivePinnedBytes = 0;
   int64_t LivePinnedObjects = 0;
 
-  for (Heap *H : Heaps) {
+  HM.forEachHeap([&](Heap *H) {
     // Structural checks that need no lock (atomics / immutable fields).
     if (H->parent() && H->depth() != H->parent()->depth() + 1)
       violation(R, "heap depth %u is not parent depth %u + 1", H->depth(),
@@ -85,7 +83,7 @@ InvariantReport verifyInvariants(HeapManager &HM, bool ExpectFullyJoined) {
       if (Forks != 0)
         violation(R, "dead heap at depth %u has ActiveForks %d", H->depth(),
                   Forks);
-      continue;
+      return;
     }
 
     for (Chunk *C = H->Chunks; C; C = C->Next)
@@ -108,7 +106,7 @@ InvariantReport verifyInvariants(HeapManager &HM, bool ExpectFullyJoined) {
       LivePinnedBytes += static_cast<int64_t>(O->sizeBytes());
       ++LivePinnedObjects;
     }
-  }
+  });
 
   // The counters and the pinned sets are independent records of the same
   // events; they must agree byte for byte.

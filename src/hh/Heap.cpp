@@ -150,8 +150,17 @@ void Heap::releaseAllChunks() {
   ChunkBytesGauge.store(0, std::memory_order_relaxed);
 }
 
-HeapManager::~HeapManager() {
-  for (Heap *H : AllHeaps) {
+HeapManager::~HeapManager() { releaseAll(); }
+
+void HeapManager::releaseAll() {
+  // Readers hold the lock for their whole walk, so once the list is swapped
+  // out no reader can reach these heaps.
+  std::vector<Heap *> Heaps;
+  {
+    std::lock_guard<std::mutex> G(Lock);
+    Heaps.swap(AllHeaps);
+  }
+  for (Heap *H : Heaps) {
     if (!H->isDead())
       H->releaseAllChunks();
     delete H;
@@ -262,9 +271,4 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
 size_t HeapManager::heapCount() const {
   std::lock_guard<std::mutex> G(Lock);
   return AllHeaps.size();
-}
-
-std::vector<Heap *> HeapManager::snapshotHeaps() const {
-  std::lock_guard<std::mutex> G(Lock);
-  return AllHeaps;
 }

@@ -150,9 +150,9 @@ private:
   friend class HeapManager;
 };
 
-/// Creates, forks, and joins heaps. Heap objects are retained (never freed)
-/// until the manager is destroyed, so racy Heap::of reads during joins can
-/// never observe a dangling heap.
+/// Creates, forks, and joins heaps. Heap objects are retained until the run
+/// that created them ends (releaseAll), so racy Heap::of reads during joins
+/// can never observe a dangling heap.
 class HeapManager {
 public:
   HeapManager() = default;
@@ -173,13 +173,22 @@ public:
   /// Returns the number of objects unpinned.
   int64_t join(Heap *Parent, Heap *Child);
 
-  /// Number of heaps ever created (stats).
+  /// Frees every heap, returning the chunks of those not yet joined to the
+  /// pool. rt::Runtime calls it when a run ends: workers are quiescent, so
+  /// no barrier or join still holds a heap pointer.
+  void releaseAll();
+
+  /// Number of heaps the current run has created (the hh.heaps gauge).
   size_t heapCount() const;
 
-  /// Every heap ever created (live and dead), copied under the manager
-  /// lock. Heaps are never freed before the manager, so the pointers stay
-  /// valid; used by the invariant checker (em::verifyInvariants).
-  std::vector<Heap *> snapshotHeaps() const;
+  /// Runs \p Fn on every heap of the current run (live and dead) under the
+  /// manager lock, so releaseAll cannot free a heap \p Fn is reading. Used
+  /// by the invariant checker and the heap-tree walker.
+  template <typename F> void forEachHeap(F &&Fn) const {
+    std::lock_guard<std::mutex> G(Lock);
+    for (Heap *H : AllHeaps)
+      Fn(H);
+  }
 
 private:
   mutable std::mutex Lock;

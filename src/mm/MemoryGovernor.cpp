@@ -323,12 +323,12 @@ void MemoryGovernor::raiseOom(size_t Bytes) {
   OomRaised.inc();
   // Post-mortem introspection: dump the live heap tree before unwinding so
   // the operator can see *where* the bytes were pinned when the limit was
-  // hit (MPL_OOM_HEAP_TREE=<path>; off by default because the pressure
-  // tests raise OOM on purpose). ScopedGcExempt threads never reach here,
-  // so no heap lock is held and the snapshot cannot deadlock.
-  if (const char *Path = std::getenv("MPL_OOM_HEAP_TREE"))
+  // hit (MPL_OBS_DIR/oom-heap-tree.json; off without MPL_OBS_DIR because
+  // the pressure tests raise OOM on purpose). ScopedGcExempt threads never
+  // reach here, so no heap lock is held and the snapshot cannot deadlock.
+  if (std::string Path = obs::sinkPath(obs::Sink::OomHeapTree); !Path.empty())
     if (!writeFile(Path, obs::snapshotHeapTree() + "\n"))
-      std::fprintf(stderr, "mpl: cannot write %s\n", Path);
+      std::fprintf(stderr, "mpl: cannot write %s\n", Path.c_str());
   throw OutOfMemoryError(Bytes, ChunkPool::get().outstandingBytes(),
                          LimitBytes.load(std::memory_order_relaxed),
                          pinnedBytes());

@@ -399,7 +399,7 @@ struct Server::Impl {
   /// Post-batch: attach the run's hottest critical-path source line to any
   /// exemplar this batch produced. Runs on the executor thread right after
   /// Runtime::run returned, while SpanLedger::lastRun() still describes
-  /// this batch's DAG (no-op unless MPL_SPANS armed the ledger).
+  /// this batch's DAG (no-op unless MPL_OBS=spans armed the ledger).
   void annotateExemplars(const std::vector<std::shared_ptr<Pending>> &Batch) {
     obs::SpanRunSummary Sum = obs::SpanLedger::get().lastRun();
     if (!Sum.Valid || Sum.Lines.empty())
@@ -675,7 +675,7 @@ struct Server::Impl {
     while (!Owner->draining()) {
       // The accept loop doubles as the introspection plane's periodic
       // driver: rotate the rolling-window snapshots and service a pending
-      // MPL_STATS_DUMP each ~100ms tick. Both are O(buckets) and touch no
+      // SIGUSR1 stats dump each ~100ms tick. Both are O(buckets) and touch no
       // executor state.
       int64_t Tick = nowNs();
       WinLatency.maybeRotate(Tick);

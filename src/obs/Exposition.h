@@ -30,10 +30,11 @@
 /// scheduler or executor lock is held, so rendering is safe from a
 /// connection thread while the runtime is under load.
 ///
-/// `MPL_STATS_DUMP=<path>` arms a SIGUSR1-triggered dump: the handler is
-/// one relaxed store (async-signal-safe); any periodic thread that calls
-/// serviceStatsDump() (the metrics sampler thread and the request server's
-/// accept loop both do) notices the flag and writes the exposition file.
+/// With `MPL_OBS_DIR` set, SIGUSR1 asks for a dump to
+/// `MPL_OBS_DIR/stats.prom`: the handler is one relaxed store
+/// (async-signal-safe); any periodic thread that calls serviceStatsDump()
+/// (the metrics sampler thread and the request server's accept loop both
+/// do) notices the flag and writes the exposition file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,12 +65,12 @@ bool checkExposition(const std::string &Text, std::string &Err,
                      int *SeriesOut = nullptr);
 
 //===----------------------------------------------------------------------===//
-// Signal-driven stats dump (MPL_STATS_DUMP)
+// Signal-driven stats dump (SIGUSR1 -> MPL_OBS_DIR/stats.prom)
 //===----------------------------------------------------------------------===//
 
 /// Remembers \p Path and installs a SIGUSR1 handler that calls
 /// requestStatsDump(). Call once, before threads that might service the
-/// request exist (obs::initFromEnv does this when MPL_STATS_DUMP is set).
+/// request exist (obs::initFromEnv does this when MPL_OBS_DIR is set).
 void armStatsDump(const std::string &Path);
 
 /// Flags that a dump is wanted. One relaxed atomic store:

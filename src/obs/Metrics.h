@@ -20,9 +20,10 @@
 ///    per depth) counted from obs::readHeapTree(), so the series shows the
 ///    heap hierarchy growing and collapsing across forks and joins.
 ///
-/// Exported as a JSON document ({"samples": [...], "histograms": [...]}).
-/// Gated by MPL_METRICS=<path> (+ MPL_METRICS_INTERVAL_US, default 1000);
-/// tests and benches drive sampleOnce()/start() directly.
+/// The series has no document of its own: Tracer::chromeTraceJson renders
+/// each sample as Chrome counter events on the trace's timeline. MPL_OBS=trace
+/// starts the sampler at a 1 ms interval; tests drive sampleOnce()/start()
+/// directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -71,12 +73,16 @@ struct MetricsSample {
 /// and end-of-run flushes).
 class MetricsSampler {
 public:
+  /// The series keeps its newest MaxSamples samples (16 s at the 1 ms
+  /// interval), so a long-lived traced process stays bounded the way the
+  /// trace rings do: an idle server's samples alone add ~0.8 MB/s.
+  static constexpr size_t MaxSamples = size_t(1) << 14;
+
   static MetricsSampler &get();
 
-  /// Starts the background thread sampling every \p IntervalUs. \p Path is
-  /// remembered for env-driven flushes ("" = explicit writes only).
-  /// No-op when already running (the path/interval are kept).
-  void start(int64_t IntervalUs, std::string Path = "");
+  /// Starts the background thread sampling every \p IntervalUs. No-op when
+  /// already running (the interval is kept).
+  void start(int64_t IntervalUs);
 
   /// Stops and joins the background thread (idempotent).
   void stop();
@@ -86,18 +92,10 @@ public:
   /// Takes one sample now and appends it to the series.
   MetricsSample sampleOnce();
 
-  /// Copy of the series so far.
+  /// Copy of the retained series, oldest first.
   std::vector<MetricsSample> series() const;
   size_t sampleCount() const;
   void clearSeries();
-
-  /// Writes jsonDump() to \p Path; false on I/O failure.
-  bool writeJson(const std::string &Path) const;
-
-  /// The whole series (plus every registered histogram) as JSON.
-  std::string jsonDump() const;
-
-  const std::string &configuredPath() const { return Path; }
 
 private:
   void threadMain(int64_t IntervalUs);
@@ -105,11 +103,10 @@ private:
 
   mutable std::mutex Mu;
   std::condition_variable Cv;
-  std::vector<MetricsSample> Series;
+  std::deque<MetricsSample> Series;
   std::thread Thread;
   bool Running = false;
   bool StopRequested = false;
-  std::string Path;
 };
 
 } // namespace obs

@@ -61,28 +61,15 @@ void Profiler::disable() {
 
 bool Profiler::enabled() const { return profileEnabled(); }
 
-/// TLS shard handle. The shard itself is owned by the Profiler (threads
-/// come and go across Runtimes; shards persist so a quiescent merge sees
-/// every recording that ever happened).
-thread_local Profiler::Shard *Profiler::TlsShard = nullptr;
-
 namespace {
 void zeroCell(std::atomic<int64_t> &A) {
   A.store(0, std::memory_order_relaxed);
 }
 } // namespace
 
-Profiler::Shard *Profiler::threadShard() {
-  std::lock_guard<std::mutex> G(Mu);
-  Shards.push_back(std::make_unique<Shard>());
-  return Shards.back().get();
-}
-
 void Profiler::noteEvent(Site S, int64_t Bytes, uint32_t Depth,
                          int64_t DurNs) {
-  if (!TlsShard)
-    TlsShard = threadShard();
-  SiteCell &C = TlsShard->Cells[static_cast<int>(S)];
+  SiteCell &C = Cells[static_cast<int>(S)];
   C.Events.fetch_add(1, std::memory_order_relaxed);
   C.Bytes.fetch_add(Bytes, std::memory_order_relaxed);
   int DB = std::min<uint32_t>(Depth, SiteSnap::DepthBuckets - 1);
@@ -115,70 +102,33 @@ void Profiler::noteUnpin(const void *Obj) {
   }
   int64_t LifeNs = std::max<int64_t>(0, nowNs() - R.TimeNs);
   pinLifetimeHist().record(LifeNs);
-  if (!TlsShard)
-    TlsShard = threadShard();
-  SiteCell &C = TlsShard->Cells[static_cast<int>(R.S)];
+  SiteCell &C = Cells[static_cast<int>(R.S)];
   C.Dur[Histogram::bucketOf(LifeNs)].fetch_add(1, std::memory_order_relaxed);
   C.DurCount.fetch_add(1, std::memory_order_relaxed);
   C.DurSumNs.fetch_add(LifeNs, std::memory_order_relaxed);
 }
 
-void Profiler::mergeShardsLocked() {
-  auto Fold = [](std::atomic<int64_t> &Dst, std::atomic<int64_t> &Src) {
-    int64_t V = Src.exchange(0, std::memory_order_relaxed);
-    if (V)
-      Dst.fetch_add(V, std::memory_order_relaxed);
-  };
-  for (auto &Sh : Shards) {
-    for (int I = 0; I < NumSites; ++I) {
-      SiteCell &Src = Sh->Cells[I];
-      SiteCell &Dst = Merged.Cells[I];
-      Fold(Dst.Events, Src.Events);
-      Fold(Dst.Bytes, Src.Bytes);
-      for (int D = 0; D < SiteSnap::DepthBuckets; ++D)
-        Fold(Dst.Depth[D], Src.Depth[D]);
-      for (int D = 0; D < Histogram::NumBuckets; ++D)
-        Fold(Dst.Dur[D], Src.Dur[D]);
-      Fold(Dst.DurCount, Src.DurCount);
-      Fold(Dst.DurSumNs, Src.DurSumNs);
-    }
-  }
-}
-
-void Profiler::mergeThreadShards() {
-  std::lock_guard<std::mutex> G(Mu);
-  mergeShardsLocked();
-}
-
 void Profiler::reset() {
-  std::lock_guard<std::mutex> G(Mu);
-  auto Zero = [](Shard &Sh) {
-    for (SiteCell &C : Sh.Cells) {
-      zeroCell(C.Events);
-      zeroCell(C.Bytes);
-      for (auto &A : C.Depth)
-        zeroCell(A);
-      for (auto &A : C.Dur)
-        zeroCell(A);
-      zeroCell(C.DurCount);
-      zeroCell(C.DurSumNs);
-    }
-  };
-  for (auto &Sh : Shards)
-    Zero(*Sh);
-  Zero(Merged);
+  for (SiteCell &C : Cells) {
+    zeroCell(C.Events);
+    zeroCell(C.Bytes);
+    for (auto &A : C.Depth)
+      zeroCell(A);
+    for (auto &A : C.Dur)
+      zeroCell(A);
+    zeroCell(C.DurCount);
+    zeroCell(C.DurSumNs);
+  }
   for (PinBucket &B : PinTable) {
     std::lock_guard<std::mutex> BG(B.Mu);
     B.Live.clear();
   }
 }
 
-std::vector<SiteSnap> Profiler::snapshot() {
-  std::lock_guard<std::mutex> G(Mu);
-  mergeShardsLocked();
+std::vector<SiteSnap> Profiler::snapshot() const {
   std::vector<SiteSnap> Out;
   for (int I = 0; I < NumSites; ++I) {
-    SiteCell &C = Merged.Cells[I];
+    const SiteCell &C = Cells[I];
     int64_t Events = C.Events.load(std::memory_order_relaxed);
     if (Events == 0)
       continue;
@@ -223,7 +173,7 @@ int64_t Profiler::livePinBytes() const {
   return N;
 }
 
-std::string Profiler::jsonDump() {
+std::string Profiler::jsonDump() const {
   std::vector<SiteSnap> Snap = snapshot();
   json::Writer W;
   W.beginObject()
@@ -281,15 +231,15 @@ bool readHeapTree(HeapTree &Out) {
   std::lock_guard<std::mutex> G(HeapTreeMu);
   if (!HeapTreeProvider)
     return false;
+  Out.TimeNs = nowNs();
   HeapTreeProvider(Out);
   return true;
 }
 
-void writeHeapTree(json::Writer &W) {
-  HeapTree T;
+void writeHeapTree(json::Writer &W, const HeapTree &T) {
   W.beginObject().kv("schema", "mpl-heap-tree/1");
-  if (readHeapTree(T))
-    W.kv("t_ns", nowNs())
+  if (T.TimeNs >= 0)
+    W.kv("t_ns", T.TimeNs)
         .kv("pressure_level", T.PressureLevel)
         .kv("pressure", T.Pressure);
   std::vector<std::vector<int>> Children(T.Heaps.size());
@@ -316,8 +266,10 @@ void writeHeapTree(json::Writer &W) {
 }
 
 std::string snapshotHeapTree() {
+  HeapTree T;
+  readHeapTree(T);
   json::Writer W;
-  writeHeapTree(W);
+  writeHeapTree(W, T);
   return W.take();
 }
 

@@ -22,14 +22,14 @@
 /// Design constraints, in order (mirroring obs/Trace.h):
 ///
 ///  1. Disabled cost ~ zero: every hook is a relaxed atomic load and a
-///     predictable not-taken branch. MPL_PROFILE unset/0 means the barrier
-///     fast paths are untouched (results/M1_barriers.txt records this).
-///  2. Enabled cost is bounded: the recording thread owns a per-worker
-///     shard of plain relaxed atomics (no locks on the event path); only
-///     pin-lifetime tracking takes a sharded leaf mutex, and only on the
-///     already-lock-protected pin/unpin slow paths.
-///  3. Shards are merged at quiescence: rt::Runtime::endRun folds every
-///     worker shard into the merged table (workers idle outside run()).
+///     predictable not-taken branch. With the profile plane off the
+///     barrier fast paths are untouched (results/M1_barriers.txt records
+///     this).
+///  2. Enabled cost is bounded: one process-wide table of relaxed atomics
+///     per site (no locks on the event path), like the em cost counters
+///     on the same slow paths; only pin-lifetime tracking takes a sharded
+///     leaf mutex, and only on the already-lock-protected pin/unpin slow
+///     paths. A snapshot reads the table at any time.
 ///
 /// Pin lifetimes: notePin() records the pin instant keyed by object
 /// address; noteUnpin() (the join rule) attributes the elapsed lifetime to
@@ -43,13 +43,14 @@
 /// walker that fills the records is registered by rt::Runtime as a
 /// provider callback (the same inversion the registry's gauges use); it is
 /// thread-safe and is called from the MetricsSampler thread (each sample
-/// counts heaps per depth; the metrics JSON embeds a final tree) and by the
-/// MemoryGovernor on OutOfMemoryError (MPL_OOM_HEAP_TREE=<path>).
+/// counts heaps per depth), by the trace exporter (a final tree under
+/// otherData) and by the MemoryGovernor on OutOfMemoryError
+/// (MPL_OBS_DIR/oom-heap-tree.json).
 ///
-/// Gating: MPL_PROFILE=1 arms the profiler; any other non-"0" value is an
-/// output path to which the merged profile JSON is flushed on Runtime
-/// destruction / process exit (see obs::initFromEnv). Tests and benches
-/// use Profiler::get().enable() directly.
+/// Gating: MPL_OBS=profile arms the profiler, and the profile JSON goes to
+/// MPL_OBS_DIR/profile.json on Runtime destruction / process exit (see
+/// obs::initFromEnv). Tests and benches use Profiler::get().enable()
+/// directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +62,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -77,8 +77,8 @@ namespace obs {
 /// The fixed program points costs are attributed to. Their dotted names
 /// come from a constexpr table in Profile.cpp, the way obs::Ev names trace
 /// events, so a profile can be written at any time — including an
-/// exit-time flush after static destruction — and every shard is a plain
-/// SiteCell[NumSites].
+/// exit-time flush after static destruction — and the site table is a
+/// plain SiteCell[NumSites].
 enum class Site : uint8_t {
   PinDown,       ///< "em.pin.down": write barrier, down-pointer.
   PinCross,      ///< "em.pin.cross": write barrier, cross-pointer.
@@ -95,7 +95,7 @@ enum class Site : uint8_t {
   NumSites
 };
 
-/// Merged per-site profile data at one instant (Profiler::snapshot).
+/// Per-site profile data at one instant (Profiler::snapshot).
 struct SiteSnap {
   std::string Name;
   int64_t Events = 0;
@@ -115,7 +115,7 @@ struct SiteSnap {
   int64_t DurSumNs = 0;
 };
 
-/// Process-wide profiler: per-worker shards, live-pin table.
+/// Process-wide profiler: the site table and the live-pin table.
 class Profiler {
 public:
   static Profiler &get();
@@ -126,28 +126,20 @@ public:
   void disable();
   bool enabled() const;
 
-  /// Drops all recorded data (shards, merged table, live-pin table).
-  /// Recording threads must be quiescent (outside Runtime::run).
+  /// Drops all recorded data (site table, live-pin table). Recording
+  /// threads must be quiescent (outside Runtime::run).
   void reset();
 
-  /// Folds every worker shard into the merged table. Called by
-  /// rt::Runtime::endRun at quiescence; cheap no-op when nothing recorded.
-  void mergeThreadShards();
-
-  /// mergeThreadShards() + a copy of every site with recorded events,
-  /// sorted by attributed bytes (then events) descending.
-  std::vector<SiteSnap> snapshot();
+  /// A copy of every site with recorded events, sorted by attributed bytes
+  /// (then events) descending.
+  std::vector<SiteSnap> snapshot() const;
 
   /// Pins recorded by notePin and not yet released by noteUnpin.
   int64_t livePinCount() const;
   int64_t livePinBytes() const;
 
-  /// The merged profile as a schema-versioned JSON document.
-  std::string jsonDump();
-
-  /// Output path for env-driven flushes ("" = explicit only).
-  const std::string &configuredPath() const { return Path; }
-  void setConfiguredPath(std::string P) { Path = std::move(P); }
+  /// The profile as a schema-versioned JSON document.
+  std::string jsonDump() const;
 
   // Recording slow paths — call through the obs::profile* inline gates.
   void noteEvent(Site S, int64_t Bytes, uint32_t Depth, int64_t DurNs = -1);
@@ -167,13 +159,6 @@ private:
   };
   static constexpr int NumSites = static_cast<int>(Site::NumSites);
 
-  /// One worker/thread's private accumulator. Relaxed atomics so the
-  /// quiescent merge is race-free under TSan without locking the hot path
-  /// (the owner is the only writer).
-  struct Shard {
-    SiteCell Cells[NumSites];
-  };
-
   struct PinRec {
     Site S = Site::Pin;
     int64_t TimeNs = 0;
@@ -189,19 +174,12 @@ private:
     std::unordered_map<const void *, PinRec> Live;
   };
 
-  static thread_local Shard *TlsShard;
-
-  Shard *threadShard();
   PinBucket &bucketOf(const void *Obj) {
     return PinTable[(reinterpret_cast<uintptr_t>(Obj) >> 4) % PinShards];
   }
-  void mergeShardsLocked();
 
-  mutable std::mutex Mu;
-  std::vector<std::unique_ptr<Shard>> Shards; ///< All threads, ever.
-  Shard Merged;                               ///< Folded at quiescence.
+  SiteCell Cells[NumSites];
   PinBucket PinTable[PinShards];
-  std::string Path;
 };
 
 namespace detail {
@@ -254,6 +232,7 @@ struct HeapRecord {
 /// The live heap hierarchy plus the governor's pressure level, as the
 /// runtime's provider fills it.
 struct HeapTree {
+  int64_t TimeNs = -1; ///< Read instant; -1 when no runtime was alive.
   int PressureLevel = 0;
   const char *Pressure = "none";
   std::vector<HeapRecord> Heaps;
@@ -269,11 +248,11 @@ void setHeapTreeProvider(std::function<void(HeapTree &)> Provider);
 /// returns false, leaving \p Out empty, when no runtime is alive.
 bool readHeapTree(HeapTree &Out);
 
-/// Writes readHeapTree() into \p W as one mpl-heap-tree/1 object (a valid
-/// empty tree when no runtime is alive).
-void writeHeapTree(json::Writer &W);
+/// Writes \p T into \p W as one mpl-heap-tree/1 object (a valid empty tree
+/// when no runtime was alive).
+void writeHeapTree(json::Writer &W, const HeapTree &T);
 
-/// writeHeapTree() as a standalone JSON document.
+/// readHeapTree() as a standalone mpl-heap-tree/1 document.
 std::string snapshotHeapTree();
 
 } // namespace obs

@@ -301,16 +301,6 @@ SpanRunSummary SpanLedger::lastRun() const {
   return LastRun;
 }
 
-void SpanLedger::setConfiguredPath(const std::string &P) {
-  std::lock_guard<std::mutex> G(Mu);
-  Path = P;
-}
-
-std::string SpanLedger::configuredPath() const {
-  std::lock_guard<std::mutex> G(Mu);
-  return Path;
-}
-
 void obs::detail::finishTask(const SpanTask &T, int64_t StopNs) {
   SpanRecord R;
   R.Id = T.Id;
@@ -413,7 +403,7 @@ std::string SpanRunSummary::summaryText() const {
   char Buf[256];
   std::string Out;
   if (!Valid && Tasks == 0) {
-    Out = "spans: no run recorded (is the ledger armed? MPL_SPANS=1)\n";
+    Out = "spans: no run recorded (is the ledger armed? MPL_OBS=spans)\n";
     return Out;
   }
   std::snprintf(Buf, sizeof(Buf),

@@ -18,7 +18,7 @@
 ///
 ///  1. Disabled cost ~ zero: every hook is a relaxed atomic load and a
 ///     predictable not-taken branch. No state is touched until the ledger
-///     is enabled (MPL_SPANS, or SpanLedger::enable()).
+///     is enabled (MPL_OBS=spans, or SpanLedger::enable()).
 ///  2. Armed cost is bounded: the live task state is a stack-allocated POD
 ///     in the scheduler frame that runs the task; finishing a task appends
 ///     one record to the executing thread's shard (single producer, no
@@ -179,10 +179,6 @@ public:
   /// The last runEnd() summary (Valid == false before the first run).
   SpanRunSummary lastRun() const;
 
-  /// Env-driven flush target (MPL_SPANS=<path>); "" = none.
-  void setConfiguredPath(const std::string &P);
-  std::string configuredPath() const;
-
   /// Names the calling thread's shard after scheduler worker \p Id.
   void labelThread(int Id);
 
@@ -217,7 +213,6 @@ private:
   mutable std::mutex Mu;
   std::vector<std::unique_ptr<Shard>> Shards;
   SpanRunSummary LastRun;
-  std::string Path;
   std::atomic<int64_t> RunBaseNs{0};
   int NextForeignWorker = 1000;
 };

@@ -16,11 +16,11 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
+
+#include <sys/stat.h>
 
 using namespace mpl;
 using namespace mpl::obs;
@@ -106,12 +106,6 @@ static_assert(sizeof(Kinds) / sizeof(Kinds[0]) ==
                   static_cast<size_t>(Ev::NumKinds),
               "KindInfo table out of sync with Ev");
 
-uint64_t roundUpPow2(uint64_t V) {
-  if (V < 2)
-    return 2;
-  return std::bit_ceil(V);
-}
-
 void writeEvent(json::Writer &W, const KindInfo &KI, int Track, double TsUs,
                 const TraceEvent &E) {
   W.newline()
@@ -138,32 +132,84 @@ void writeEvent(json::Writer &W, const KindInfo &KI, int Track, double TsUs,
   W.endObject();
 }
 
+/// Opens a Chrome counter event up to its "args" key. Each numeric arg is
+/// one counter track in Perfetto, named "<Name> <arg>".
+json::Writer &beginCounter(json::Writer &W, const char *Name, double TsUs) {
+  return W.newline()
+      .beginObject()
+      .kv("name", Name)
+      .kv("ph", "C")
+      .kv("pid", 0)
+      .kv("tid", 0)
+      .kv("ts", TsUs)
+      .key("args");
+}
+
+/// A per-depth histogram as counter args "0".."Width-1", zero-padded so
+/// every sample sets every track (a counter holds its last value).
+void writeDepths(json::Writer &W, const char *Name, double TsUs,
+                 const std::vector<int64_t> &Hist, size_t Width) {
+  if (Width == 0)
+    return;
+  beginCounter(W, Name, TsUs).beginObject();
+  for (size_t D = 0; D < Width; ++D)
+    W.kv(std::to_string(D), D < Hist.size() ? Hist[D] : 0);
+  W.endObject().endObject();
+}
+
+/// One MetricsSampler sample as counter events: the em cost counters, the
+/// registry gauges, the live-heap summary and the per-depth heap and task
+/// histograms.
+void writeSample(json::Writer &W, const MetricsSample &S, double TsUs,
+                 size_t DepthWidth, size_t TaskWidth) {
+  beginCounter(W, "em", TsUs);
+  em::writeJson(W, S.Em);
+  W.endObject();
+  beginCounter(W, "gauges", TsUs).beginObject();
+  for (const auto &[Name, V] : S.Gauges)
+    W.kv(Name, V);
+  W.endObject().endObject();
+  beginCounter(W, "heaps", TsUs)
+      .beginObject()
+      .kv("live", S.LiveHeaps)
+      .kv("max_depth", S.MaxHeapDepth)
+      .endObject()
+      .endObject();
+  writeDepths(W, "depth_hist", TsUs, S.DepthHist, DepthWidth);
+  writeDepths(W, "task_depth_hist", TsUs, S.TaskDepthHist, TaskWidth);
+}
+
+void writeHistogram(json::Writer &W, const Histogram::Snapshot &H) {
+  Histogram::Percentiles Pct = H.percentiles();
+  W.newline()
+      .beginObject()
+      .kv("name", H.Name)
+      .kv("count", H.count())
+      .kv("sum", H.Sum)
+      .kv("p50", Pct.P50)
+      .kv("p95", Pct.P95)
+      .kv("p99", Pct.P99)
+      .kv("p999", Pct.P999)
+      .key("buckets")
+      .beginArray();
+  for (int B = 0; B < Histogram::NumBuckets; ++B)
+    if (int64_t C = H.Counts[B])
+      W.beginObject().kv("lo", Histogram::bucketLo(B)).kv("n", C).endObject();
+  W.endArray().endObject();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // TraceBuffer / Tracer
 //===----------------------------------------------------------------------===//
 
-TraceBuffer::TraceBuffer(uint64_t CapacityPow2)
-    : Mask(CapacityPow2 - 1), Slots(new TraceEvent[CapacityPow2]) {}
-
 Tracer &Tracer::get() {
   static Tracer Instance;
   return Instance;
 }
 
-void Tracer::enable(const TraceOptions &O) {
-  {
-    std::lock_guard<std::mutex> G(Mu);
-    Opts = O;
-    Opts.Capacity = roundUpPow2(O.Capacity);
-    BaseTimeNs = nowNs();
-    // Buffers of still-live threads persist across enable() calls; bring
-    // them to the new capacity (producers are quiescent by contract).
-    for (auto &B : Buffers)
-      if (B->capacity() != Opts.Capacity)
-        B->resize(Opts.Capacity);
-  }
+void Tracer::enable() {
   detail::TraceActiveFlag.store(1, std::memory_order_release);
 }
 
@@ -214,7 +260,7 @@ TraceBuffer *Tracer::threadBuffer() {
   if (Tls.B)
     return Tls.B;
   std::lock_guard<std::mutex> G(Mu);
-  auto B = std::make_unique<TraceBuffer>(Opts.Capacity);
+  auto B = std::make_unique<TraceBuffer>();
   B->TrackId = TlsTrackId >= 0 ? TlsTrackId : NextForeignTrack++;
   Tls.B = B.get();
   Buffers.push_back(std::move(B));
@@ -228,20 +274,35 @@ void Tracer::labelThread(int TrackId) {
 }
 
 std::string Tracer::chromeTraceJson() const {
-  // The registry is read before Mu: a registry snapshot runs the
-  // obs.trace.dropped gauge, which takes Mu, so the order is always
-  // registry lock, then Mu.
+  // Everything outside the rings is read before Mu: a sample and a registry
+  // snapshot both run the obs.trace.dropped gauge, which takes Mu, so the
+  // order is always sampler, registry, then Mu. These reads run no gauge
+  // callback themselves, so an exit-time flush reads nothing destroyed.
+  std::vector<MetricsSample> Samples = MetricsSampler::get().series();
   auto Counters = StatRegistry::get().snapshotAll();
+  std::vector<Histogram::Snapshot> Hists = StatRegistry::get().histograms();
+  HeapTree Tree;
+  readHeapTree(Tree);
   std::lock_guard<std::mutex> G(Mu);
 
-  // Export timestamps relative to the earliest retained event so traces
-  // open centered in Perfetto regardless of process uptime.
+  // Export timestamps relative to the earliest retained event or sample so
+  // traces open centered in Perfetto regardless of process uptime, and no
+  // ts is negative.
   int64_t Base = INT64_MAX;
+  size_t DepthWidth = 0, TaskWidth = 0;
+  for (const MetricsSample &S : Samples) {
+    Base = std::min(Base, S.TimeNs);
+    DepthWidth = std::max(DepthWidth, S.DepthHist.size());
+    TaskWidth = std::max(TaskWidth, S.TaskDepthHist.size());
+  }
   for (const auto &B : Buffers)
     for (uint64_t I = B->first(), E = B->head(); I != E; ++I)
       Base = std::min(Base, B->at(I).TimeNs);
   if (Base == INT64_MAX)
     Base = 0;
+  auto TsUs = [Base](int64_t Ns) {
+    return static_cast<double>(Ns - Base) / 1000.0;
+  };
 
   json::Writer W;
   W.beginObject()
@@ -279,25 +340,30 @@ std::string Tracer::chromeTraceJson() const {
         Depth = 0;
         continue;
       }
-      double TsUs = static_cast<double>(Rec.TimeNs - Base) / 1000.0;
-      writeEvent(W, KI, B->TrackId, TsUs, Rec);
+      writeEvent(W, KI, B->TrackId, TsUs(Rec.TimeNs), Rec);
     }
   }
+  for (const MetricsSample &S : Samples)
+    writeSample(W, S, TsUs(S.TimeNs), DepthWidth, TaskWidth);
   W.newline()
       .endArray()
       .key("otherData")
       .beginObject()
       .kv("dropped_events", std::to_string(Dropped));
-  // A counters block so post-mortem checkers (trace_check
-  // --check-net-balance) can assert cross-counter invariants without a
-  // separate metrics file. The registry folds retired Stats into
-  // snapshotAll(), so even the final atexit flush — which runs after a
-  // net::Server's Impl (and its net.* Stats) has been destroyed — still
-  // reports the full net.* family.
+  // Counters, histograms and the live heap tree at export time, so
+  // post-mortem checkers (trace_check --check-net-balance) need no second
+  // file. The registry folds retired Stats into snapshotAll(), so even the
+  // final atexit flush — which runs after a net::Server's Impl (and its
+  // net.* Stats) has been destroyed — still reports the full net.* family.
   W.key("counters").beginObject();
   for (const auto &[Name, V] : Counters)
     W.kv(Name, V);
-  W.endObject().endObject().endObject().newline();
+  W.endObject().key("histograms").beginArray();
+  for (const Histogram::Snapshot &H : Hists)
+    writeHistogram(W, H);
+  W.newline().endArray().key("heap_tree");
+  writeHeapTree(W, Tree);
+  W.endObject().endObject().newline();
   return W.take();
 }
 
@@ -322,90 +388,108 @@ void obs::labelCurrentThread(int Id) {
 }
 
 namespace {
+
+constexpr const char *SinkFiles[] = {
+    /* Trace       */ "trace.json",
+    /* Profile     */ "profile.json",
+    /* Spans       */ "spans.json",
+    /* Stats       */ "stats.prom",
+    /* OomHeapTree */ "oom-heap-tree.json",
+};
+
+/// The planes MPL_OBS armed; only these write files at a flush.
+unsigned EnvPlanes = 0;
+
+/// MPL_OBS_DIR, read once ("" when unset).
+const std::string &obsDir() {
+  static const std::string Dir = [] {
+    const char *D = std::getenv("MPL_OBS_DIR");
+    return std::string(D ? D : "");
+  }();
+  return Dir;
+}
+
 void flushAtExit() {
   MetricsSampler::get().stop();
   flushEnvSinks();
 }
+
 } // namespace
+
+unsigned obs::armPlanes(std::string_view List) {
+  constexpr std::pair<std::string_view, Plane> Names[] = {
+      {"trace", PlaneTrace}, {"profile", PlaneProfile}, {"spans", PlaneSpans}};
+  unsigned Planes = 0;
+  for (size_t Pos = 0; Pos <= List.size();) {
+    size_t End = std::min(List.find(',', Pos), List.size());
+    std::string_view Name = List.substr(Pos, End - Pos);
+    Pos = End + 1;
+    if (Name.empty())
+      continue;
+    auto It = std::find_if(std::begin(Names), std::end(Names),
+                           [&](const auto &N) { return N.first == Name; });
+    if (It == std::end(Names)) {
+      std::fprintf(stderr,
+                   "mpl: MPL_OBS: unknown plane '%.*s' (trace, profile, "
+                   "spans); no plane armed\n",
+                   static_cast<int>(Name.size()), Name.data());
+      return 0;
+    }
+    Planes |= It->second;
+  }
+  if (Planes & PlaneTrace) {
+    Tracer::get().enable();
+    MetricsSampler::get().start(/*IntervalUs=*/1000);
+  }
+  if (Planes & PlaneProfile)
+    Profiler::get().enable();
+  if (Planes & PlaneSpans)
+    SpanLedger::get().enable();
+  return Planes;
+}
+
+std::string obs::sinkPath(Sink S) {
+  if (obsDir().empty())
+    return "";
+  return obsDir() + "/" + SinkFiles[static_cast<int>(S)];
+}
 
 void obs::initFromEnv() {
   static std::once_flag Once;
   std::call_once(Once, [] {
-    bool AnySink = false;
-    if (const char *Path = std::getenv("MPL_TRACE")) {
-      TraceOptions O;
-      O.Path = Path;
-      if (const char *Cap = std::getenv("MPL_TRACE_CAPACITY"))
-        if (long long V = std::atoll(Cap); V > 0)
-          O.Capacity = static_cast<uint64_t>(V);
-      Tracer::get().enable(O);
-      AnySink = true;
+    if (const char *List = std::getenv("MPL_OBS"))
+      EnvPlanes = armPlanes(List);
+    if (!obsDir().empty()) {
+      // Create MPL_OBS_DIR if needed; a failure shows at the first write.
+      ::mkdir(obsDir().c_str(), 0777);
+      armStatsDump(sinkPath(Sink::Stats));
     }
-    if (const char *Path = std::getenv("MPL_METRICS")) {
-      int64_t IntervalUs = 1000;
-      if (const char *I = std::getenv("MPL_METRICS_INTERVAL_US"))
-        if (long long V = std::atoll(I); V > 0)
-          IntervalUs = V;
-      MetricsSampler::get().start(IntervalUs, Path);
-      AnySink = true;
-    }
-    // MPL_PROFILE: "0"/unset = off, "1" = armed (query via the Profiler
-    // API), anything else = armed + merged profile JSON flushed to that
-    // path at exit / Runtime destruction.
-    if (const char *P = std::getenv("MPL_PROFILE")) {
-      if (std::strcmp(P, "0") != 0) {
-        Profiler::get().enable();
-        if (std::strcmp(P, "1") != 0) {
-          Profiler::get().setConfiguredPath(P);
-          AnySink = true;
-        }
-      }
-    }
-    // MPL_SPANS mirrors MPL_PROFILE: "0"/unset = off, "1" = armed (query
-    // via SpanLedger / tools), anything else = armed + the last run's
-    // mpl-spans/1 JSON flushed to that path.
-    if (const char *P = std::getenv("MPL_SPANS")) {
-      if (std::strcmp(P, "0") != 0) {
-        SpanLedger::get().enable();
-        if (std::strcmp(P, "1") != 0) {
-          SpanLedger::get().setConfiguredPath(P);
-          AnySink = true;
-        }
-      }
-    }
-    // MPL_STATS_DUMP=<path>: arm the SIGUSR1-triggered Prometheus dump.
-    // Not a quiescence sink — the file is written whenever a periodic
-    // thread services the request — but a final service at exit catches a
-    // signal that landed after the last tick.
-    if (const char *Path = std::getenv("MPL_STATS_DUMP")) {
-      armStatsDump(Path);
-      AnySink = true;
-    }
-    if (AnySink)
+    // The exit flush also stops a sampler thread that `trace` started.
+    if (EnvPlanes || !obsDir().empty())
       std::atexit(flushAtExit);
   });
 }
 
 void obs::flushEnvSinks() {
   serviceStatsDump();
+  if (obsDir().empty())
+    return; // Armed planes without MPL_OBS_DIR write nothing.
+  // The exit flush stops the sampler first, so a running sampler means a
+  // live Runtime: sample once more while its gauges are registered, so a
+  // run shorter than one interval still reaches the trace.
+  if (MetricsSampler::get().running())
+    MetricsSampler::get().sampleOnce();
   // A sink whose file cannot be written says so once on stderr.
-  auto Check = [](const std::string &Path, bool Ok) {
-    if (!Ok)
+  auto Write = [](Plane P, Sink S, auto Render) {
+    std::string Path = sinkPath(S);
+    if ((EnvPlanes & P) && !writeFile(Path, Render()))
       std::fprintf(stderr, "mpl: cannot write %s\n", Path.c_str());
   };
-  Tracer &T = Tracer::get();
-  if (T.enabled() && !T.configuredPath().empty())
-    Check(T.configuredPath(), T.writeChromeTrace(T.configuredPath()));
-  MetricsSampler &M = MetricsSampler::get();
-  if (!M.configuredPath().empty())
-    Check(M.configuredPath(), M.writeJson(M.configuredPath()));
-  Profiler &P = Profiler::get();
-  if (!P.configuredPath().empty())
-    Check(P.configuredPath(), writeFile(P.configuredPath(), P.jsonDump()));
-  SpanLedger &S = SpanLedger::get();
-  if (std::string SpanPath = S.configuredPath(); !SpanPath.empty()) {
-    SpanRunSummary Sum = S.lastRun();
-    if (Sum.Valid || Sum.Tasks > 0)
-      Check(SpanPath, writeFile(SpanPath, Sum.toJson()));
-  }
+  Write(PlaneTrace, Sink::Trace,
+        [] { return Tracer::get().chromeTraceJson(); });
+  Write(PlaneProfile, Sink::Profile, [] { return Profiler::get().jsonDump(); });
+  if (EnvPlanes & PlaneSpans)
+    if (SpanRunSummary Sum = SpanLedger::get().lastRun();
+        Sum.Valid || Sum.Tasks > 0)
+      Write(PlaneSpans, Sink::Spans, [&] { return Sum.toJson(); });
 }

@@ -29,10 +29,10 @@
 ///     store on Head and the consumer's acquire load make the no-wrap case
 ///     race-free, and quiescence covers the wrap case.
 ///
-/// Gating: MPL_TRACE=<path> arms the tracer process-wide (see
-/// obs::initFromEnv, called by rt::Runtime) and the trace is flushed to
-/// <path> on Runtime destruction and at exit. MPL_TRACE_CAPACITY overrides
-/// the per-thread ring capacity (events, rounded up to a power of two).
+/// Gating: MPL_OBS=trace arms the tracer process-wide (see
+/// obs::initFromEnv, called by rt::Runtime) together with the metrics
+/// sampler, whose series the exporter renders as counter tracks; the trace
+/// goes to MPL_OBS_DIR/trace.json on Runtime destruction and at exit.
 /// Tests and the fuzz harness use Tracer::enable() directly.
 ///
 //===----------------------------------------------------------------------===//
@@ -46,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mpl {
@@ -91,29 +92,36 @@ enum class Ev : uint16_t {
   NumKinds
 };
 
-/// One trace record. 32 bytes so a 64 Ki-event ring is 2 MiB per worker
+/// One trace record. 32 bytes so a TraceBuffer ring is 8 MiB per thread
 /// and an emit dirties at most one cache line beyond the index.
+/// Trivially constructible: a new ring's pages stay untouched until events
+/// land in them.
 struct TraceEvent {
   int64_t TimeNs;  ///< Steady-clock timestamp (support/Timer nowNs).
   uint64_t Arg0;
   uint64_t Arg1;
   uint16_t Kind;   ///< An Ev value.
-  uint16_t Pad16 = 0;
-  uint32_t Pad32 = 0;
+  uint16_t Pad16;
+  uint32_t Pad32;
 };
 static_assert(sizeof(TraceEvent) == 32, "trace record layout changed");
 
 /// A single-producer ring of TraceEvents owned by one thread. The producer
-/// only ever writes Slots[Head & Mask] then publishes Head+1; when Head
+/// only ever writes Slots[Head % Capacity] then publishes Head+1; when Head
 /// exceeds the capacity the ring has wrapped and Head - Capacity events
 /// have been dropped (overwritten). Consumers read at quiescence.
 class TraceBuffer {
 public:
-  explicit TraceBuffer(uint64_t CapacityPow2);
+  /// Ring capacity in events. The CI server smoke (16 MiB limit, every
+  /// 5th chunk allocation failing) records 74-77K events on its busiest
+  /// worker, more than a 2^16 ring holds.
+  static constexpr uint64_t Capacity = uint64_t(1) << 18;
+
+  TraceBuffer() : Slots(new TraceEvent[Capacity]) {}
 
   void emit(Ev K, int64_t TimeNs, uint64_t A0, uint64_t A1) {
     uint64_t H = Head.load(std::memory_order_relaxed);
-    TraceEvent &E = Slots[H & Mask];
+    TraceEvent &E = Slots[H % Capacity];
     E.TimeNs = TimeNs;
     E.Arg0 = A0;
     E.Arg1 = A1;
@@ -121,7 +129,7 @@ public:
     Head.store(H + 1, std::memory_order_release);
   }
 
-  uint64_t capacity() const { return Mask + 1; }
+  uint64_t capacity() const { return Capacity; }
   uint64_t head() const { return Head.load(std::memory_order_acquire); }
 
   /// Events currently held (<= capacity).
@@ -139,19 +147,10 @@ public:
     return H > capacity() ? H - capacity() : 0;
   }
 
-  const TraceEvent &at(uint64_t I) const { return Slots[I & Mask]; }
+  const TraceEvent &at(uint64_t I) const { return Slots[I % Capacity]; }
 
   /// Consumer-side reset (quiescent producers only).
   void reset() { Head.store(0, std::memory_order_release); }
-
-  /// Reallocates the ring at a new capacity, dropping all events. Only
-  /// valid while the owning producer is quiescent (enable() contract); the
-  /// buffer's address stays stable so the owner's TLS pointer survives.
-  void resize(uint64_t CapacityPow2) {
-    Mask = CapacityPow2 - 1;
-    Slots.reset(new TraceEvent[CapacityPow2]);
-    Head.store(0, std::memory_order_release);
-  }
 
   /// Track id: the scheduler worker id when the owning thread is a worker,
   /// otherwise 1000 + a registration ordinal.
@@ -162,19 +161,8 @@ public:
   std::atomic<bool> Retired{false};
 
 private:
-  uint64_t Mask;
   std::atomic<uint64_t> Head{0};
   std::unique_ptr<TraceEvent[]> Slots;
-};
-
-/// Tracer options (programmatic enabling; env gating fills these from
-/// MPL_TRACE / MPL_TRACE_CAPACITY).
-struct TraceOptions {
-  /// Per-thread ring capacity in events; rounded up to a power of two.
-  uint64_t Capacity = uint64_t(1) << 16;
-
-  /// Output path for env-driven flushes ("" = only explicit writes).
-  std::string Path;
 };
 
 /// Process-wide tracer: owns every thread's ring buffer and the exporter.
@@ -182,8 +170,8 @@ class Tracer {
 public:
   static Tracer &get();
 
-  /// Arms tracing. Safe to call again to change options (quiescent only).
-  void enable(const TraceOptions &O);
+  /// Arms tracing (idempotent).
+  void enable();
 
   /// Disarms every hook; buffers and their events are kept until clear().
   void disable();
@@ -201,13 +189,13 @@ public:
   /// Runs \p Fn over every buffer under the registry lock.
   void forEachBuffer(const std::function<void(const TraceBuffer &)> &Fn) const;
 
-  /// Renders the whole trace as Chrome trace-event JSON.
+  /// Renders the whole trace as Chrome trace-event JSON: every retained
+  /// event, the MetricsSampler series as counter ("C") events, and under
+  /// otherData the counters, histograms and live heap tree.
   std::string chromeTraceJson() const;
 
   /// Writes chromeTraceJson() to \p Path; false on I/O failure.
   bool writeChromeTrace(const std::string &Path) const;
-
-  const std::string &configuredPath() const { return Opts.Path; }
 
   // Internal: called from detail::emitSlow / labelCurrentThread.
   TraceBuffer *threadBuffer();
@@ -216,8 +204,6 @@ public:
 private:
   mutable std::mutex Mu;
   std::vector<std::unique_ptr<TraceBuffer>> Buffers;
-  TraceOptions Opts;
-  int64_t BaseTimeNs = 0; ///< enable() time; exported ts are relative.
   int NextForeignTrack = 1000;
 };
 
@@ -242,13 +228,43 @@ inline void emit(Ev K, uint64_t A0 = 0, uint64_t A1 = 0) {
 /// it when binding worker threads.
 void labelCurrentThread(int Id);
 
-/// Reads MPL_TRACE / MPL_METRICS (and their tuning knobs) once per process
-/// and arms the tracer / metrics sampler accordingly. Called by
-/// rt::Runtime's constructor; idempotent and cheap afterwards.
+//===----------------------------------------------------------------------===//
+// The observability switch: MPL_OBS=<planes>, MPL_OBS_DIR=<dir>
+//===----------------------------------------------------------------------===//
+
+/// The planes MPL_OBS arms, as bit flags.
+enum Plane : unsigned {
+  PlaneTrace = 1,   ///< "trace": Tracer + MetricsSampler -> trace.json.
+  PlaneProfile = 2, ///< "profile": site Profiler -> profile.json.
+  PlaneSpans = 4,   ///< "spans": SpanLedger -> spans.json.
+};
+
+/// Arms the planes named by \p List, a comma list of trace, profile and
+/// spans, and returns them. An unknown name arms nothing: it returns 0 and
+/// prints one line on stderr.
+unsigned armPlanes(std::string_view List);
+
+/// Every file the observability layer writes under MPL_OBS_DIR.
+enum class Sink {
+  Trace,       ///< trace.json, at Runtime destruction and at exit.
+  Profile,     ///< profile.json, likewise.
+  Spans,       ///< spans.json, likewise (the last run's DAG).
+  Stats,       ///< stats.prom, on SIGUSR1.
+  OomHeapTree, ///< oom-heap-tree.json, when OutOfMemoryError is raised.
+};
+
+/// MPL_OBS_DIR/<file of \p S>, or "" when MPL_OBS_DIR is unset (the planes
+/// are then armed but write nothing).
+std::string sinkPath(Sink S);
+
+/// Reads MPL_OBS / MPL_OBS_DIR once per process, arms the named planes and
+/// the SIGUSR1 stats dump. Called by rt::Runtime's constructor; idempotent
+/// and cheap afterwards.
 void initFromEnv();
 
-/// Flushes the trace and metrics series to their env-configured paths, if
-/// any. Called on Runtime destruction (quiescent) and at process exit.
+/// Writes each armed plane's file under MPL_OBS_DIR. Called on Runtime
+/// destruction (quiescent; a running sampler first takes a final sample)
+/// and at process exit (the sampler is stopped first, so no gauge runs).
 void flushEnvSinks();
 
 } // namespace obs

@@ -41,7 +41,7 @@ Worker *Scheduler::currentWorker() { return CurWorker; }
 Scheduler::Scheduler(const Config &Cfg) : ProfileEnabled(Cfg.Profile) {
   // The span ledger rides the strand clock, so an armed ledger forces
   // profiling on even when the caller turned it off (e.g. the REPL).
-  // initFromEnv is idempotent; calling it here means MPL_SPANS is honored
+  // initFromEnv is idempotent; calling it here means MPL_OBS=spans is honored
   // even for the first Runtime (whose Scheduler is constructed before the
   // Runtime constructor body runs).
   obs::initFromEnv();

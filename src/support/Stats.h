@@ -9,8 +9,8 @@
 /// name plus a read callback) and log2 histograms (support/Histogram.h).
 /// Each registers when constructed and unregisters in its destructor, and
 /// every exporter renders what StatRegistry reads: the Prometheus text,
-/// the metrics series and report() one snapshot(), the exit-time trace
-/// and metrics flushes its counters and histograms alone. The paper's cost
+/// the metrics samples and report() one snapshot(), the exit-time trace
+/// flush its counters and histograms alone. The paper's cost
 /// metrics (entangled reads, pins, pinned bytes, unpins) are Stats like the
 /// rest (support/EmCounters.h).
 ///
@@ -133,7 +133,7 @@ public:
   /// retired ones: counters are process-lifetime monotone, so a component
   /// tearing down (e.g. a net::Server unregistering its net.* Stats) must
   /// not make its events vanish from exports flushed later (trace counters
-  /// block, Prometheus exposition, MPL_STATS_DUMP at exit).
+  /// block, Prometheus exposition, the SIGUSR1 stats dump at exit).
   std::vector<std::pair<std::string, int64_t>> snapshotAll() const;
 
   /// A copy of every live histogram, in registration order.

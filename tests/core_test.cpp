@@ -7,6 +7,7 @@
 #include "core/Handles.h"
 #include "core/Ops.h"
 #include "core/Runtime.h"
+#include "obs/Profile.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>
@@ -116,6 +117,25 @@ TEST(RuntimeTest, NestedParFib) {
     int64_t Got = 0;
     R.run([&] { Got = parFib(20); });
     EXPECT_EQ(Got, 6765) << "workers=" << Workers;
+  }
+}
+
+TEST(RuntimeTest, RunEndFreesItsHeaps) {
+  // A long-lived Runtime (the request server, the REPL) keeps no heap past
+  // the run that created it: between runs the manager holds none and the
+  // heap-tree walker sees none, while each run still sees its own root.
+  rt::Runtime R(cfg(2));
+  for (int Run = 0; Run < 100; ++Run) {
+    size_t InRun = 0;
+    R.run([&] {
+      EXPECT_EQ(parFib(14), 377);
+      InRun = R.heaps().heapCount();
+    });
+    EXPECT_GT(InRun, 1u) << "run " << Run;
+    EXPECT_EQ(R.heaps().heapCount(), 0u) << "run " << Run;
+    obs::HeapTree T;
+    ASSERT_TRUE(obs::readHeapTree(T));
+    EXPECT_TRUE(T.Heaps.empty()) << "run " << Run;
   }
 }
 

@@ -110,13 +110,11 @@ FuzzOutcome runUnderChaos(const chaos::Config &C, int Workers,
   StatRegistry::get().resetAll();
   jit::setCompileThreshold(1);
   jit::setEnabled(UseJit);
-  // Arm the tracer with a small ring so a failing seed can flush the last
-  // window of scheduler/barrier/GC events next to its printed seed. The
-  // previous case's events are dropped so the flush shows only this run.
+  // Arm the tracer so a failing seed can flush the last window of
+  // scheduler/barrier/GC events next to its printed seed. The previous
+  // case's events are dropped so the flush shows only this run.
   obs::Tracer::get().clear();
-  obs::TraceOptions TO;
-  TO.Capacity = uint64_t(1) << 12;
-  obs::Tracer::get().enable(TO);
+  obs::Tracer::get().enable();
   chaos::enable(C);
 
   auto valueCheck = [&](bool Cond, const char *What) {

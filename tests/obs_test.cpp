@@ -6,7 +6,8 @@
 // support, so these tests drive the Tracer / MetricsSampler directly):
 // ring wrap and the dropped-event counter, per-thread event ordering, the
 // well-formedness of the Chrome trace-event export (parsed back with
-// support/Json), sampler monotonicity, and the everything-disabled smoke.
+// support/Json) including the sampler series as counter events, sampler
+// monotonicity, the MPL_OBS plane list, and the everything-disabled smoke.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -68,7 +70,7 @@ TEST_F(ObsTest, DisabledEmitsNothing) {
 }
 
 TEST_F(ObsTest, EnableDisableRoundTrip) {
-  obs::Tracer::get().enable(obs::TraceOptions{});
+  obs::Tracer::get().enable();
   EXPECT_TRUE(obs::traceEnabled());
   obs::emit(obs::Ev::Fork);
   obs::Tracer::get().disable();
@@ -81,40 +83,38 @@ TEST_F(ObsTest, EnableDisableRoundTrip) {
 // Ring wrap / overflow
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// Emits \p N fork events on the calling thread's track.
+void emitForks(uint64_t N) {
+  for (uint64_t I = 0; I < N; ++I)
+    obs::emit(obs::Ev::Fork);
+}
+} // namespace
+
 TEST_F(ObsTest, RingWrapKeepsNewestAndCountsDropped) {
-  obs::TraceOptions O;
-  O.Capacity = 64;
-  obs::Tracer::get().enable(O);
-  const uint64_t Total = 64 * 3 + 17;
+  obs::Tracer::get().enable();
+  const uint64_t Cap = obs::TraceBuffer::Capacity;
+  const uint64_t Total = Cap * 2 + 17;
   for (uint64_t I = 0; I < Total; ++I)
     obs::emit(obs::Ev::Pin, /*A0=*/I);
   obs::Tracer::get().disable();
 
   obs::TraceBuffer *B = obs::Tracer::get().threadBuffer();
   ASSERT_NE(B, nullptr);
-  EXPECT_EQ(B->capacity(), 64u);
+  EXPECT_EQ(B->capacity(), Cap);
   EXPECT_EQ(B->head(), Total);
-  EXPECT_EQ(B->size(), 64u);
-  EXPECT_EQ(B->dropped(), Total - 64);
-  EXPECT_EQ(obs::Tracer::get().totalDropped(), Total - 64);
+  EXPECT_EQ(B->size(), Cap);
+  EXPECT_EQ(B->dropped(), Total - Cap);
+  EXPECT_EQ(obs::Tracer::get().totalDropped(), Total - Cap);
 
-  // The retained window is exactly the newest 64 events, uncorrupted and
+  // The retained window is exactly the newest Cap events, uncorrupted and
   // in emission order.
-  uint64_t Expect = Total - 64;
+  uint64_t Expect = Total - Cap, Bad = 0;
   for (uint64_t I = B->first(); I < B->head(); ++I, ++Expect) {
     const obs::TraceEvent &E = B->at(I);
-    EXPECT_EQ(E.Kind, static_cast<uint16_t>(obs::Ev::Pin));
-    EXPECT_EQ(E.Arg0, Expect);
+    Bad += E.Kind != static_cast<uint16_t>(obs::Ev::Pin) || E.Arg0 != Expect;
   }
-}
-
-TEST_F(ObsTest, CapacityRoundsUpToPowerOfTwo) {
-  obs::TraceOptions O;
-  O.Capacity = 100; // Not a power of two.
-  obs::Tracer::get().enable(O);
-  obs::emit(obs::Ev::Fork);
-  obs::Tracer::get().disable();
-  EXPECT_EQ(obs::Tracer::get().threadBuffer()->capacity(), 128u);
+  EXPECT_EQ(Bad, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -122,7 +122,7 @@ TEST_F(ObsTest, CapacityRoundsUpToPowerOfTwo) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ObsTest, PerThreadEventsStayOrdered) {
-  obs::Tracer::get().enable(obs::TraceOptions{});
+  obs::Tracer::get().enable();
   const int NThreads = 4, PerThread = 2000;
   std::vector<std::thread> Ts;
   for (int T = 0; T < NThreads; ++T)
@@ -162,7 +162,7 @@ TEST_F(ObsTest, PerThreadEventsStayOrdered) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ObsTest, ChromeTraceJsonParsesBack) {
-  obs::Tracer::get().enable(obs::TraceOptions{});
+  obs::Tracer::get().enable();
   obs::labelCurrentThread(0);
   obs::emit(obs::Ev::GcBegin, 2);
   obs::emit(obs::Ev::GcMarkBegin);
@@ -218,7 +218,7 @@ TEST_F(ObsTest, ChromeTraceJsonParsesBack) {
 }
 
 TEST_F(ObsTest, ChromeTraceFlowEventsExport) {
-  obs::Tracer::get().enable(obs::TraceOptions{});
+  obs::Tracer::get().enable();
   obs::labelCurrentThread(0);
   obs::emit(obs::Ev::FlowOut, 7);
   obs::emit(obs::Ev::FlowIn, 7);
@@ -258,7 +258,7 @@ TEST_F(ObsTest, ChromeTraceRoundTripMatchesBufferCounts) {
   // including the span ledger's task_flow edges — must survive the export
   // with its phase intact, so the JSON's per-phase counts equal the ring
   // buffers' per-kind counts.
-  obs::Tracer::get().enable(obs::TraceOptions{});
+  obs::Tracer::get().enable();
   obs::SpanLedger::get().enable();
   {
     rt::Config Cfg;
@@ -303,41 +303,28 @@ TEST_F(ObsTest, ChromeTraceRoundTripMatchesBufferCounts) {
 
 TEST_F(ObsTest, ExporterDropsOrphanedEndEvents) {
   // A wrapped ring can retain an End whose Begin was overwritten; the
-  // exporter must drop it (Perfetto rejects E-without-B timelines).
-  obs::TraceOptions O;
-  O.Capacity = 4;
-  obs::Tracer::get().enable(O);
-  obs::emit(obs::Ev::GcBegin);       // Will be overwritten...
-  obs::emit(obs::Ev::GcEnd);         // ...leaving this End orphaned.
-  obs::emit(obs::Ev::Pin);
-  obs::emit(obs::Ev::Pin);
-  obs::emit(obs::Ev::Pin); // Wraps: GcBegin is gone.
+  // exporter must drop it (Perfetto rejects E-without-B timelines). The
+  // full-ring export is searched as text rather than parsed.
+  obs::Tracer::get().enable();
+  obs::emit(obs::Ev::GcBegin); // Will be overwritten...
+  obs::emit(obs::Ev::GcEnd);   // ...leaving this End orphaned.
+  emitForks(obs::TraceBuffer::Capacity - 1); // Wraps by one: GcBegin is gone.
   obs::Tracer::get().disable();
+  ASSERT_EQ(obs::Tracer::get().totalDropped(), 1u);
 
   std::string Text = obs::Tracer::get().chromeTraceJson();
-  json::Value Doc;
-  std::string Err;
-  ASSERT_TRUE(json::parse(Text, Doc, Err)) << Err;
-  for (const json::Value &E : Doc.field("traceEvents")->Items)
-    EXPECT_NE(E.field("ph")->StrV, "E") << "orphaned E survived export";
+  EXPECT_EQ(Text.find("\"ph\":\"E\""), std::string::npos)
+      << "orphaned E survived export";
+  EXPECT_NE(Text.find("\"name\":\"fork\""), std::string::npos);
 }
 
 TEST_F(ObsTest, DroppedCountIsExported) {
-  obs::TraceOptions O;
-  O.Capacity = 8;
-  obs::Tracer::get().enable(O);
-  for (int I = 0; I < 20; ++I)
-    obs::emit(obs::Ev::Fork);
+  obs::Tracer::get().enable();
+  emitForks(obs::TraceBuffer::Capacity + 12);
   obs::Tracer::get().disable();
 
-  json::Value Doc;
-  std::string Err;
-  ASSERT_TRUE(json::parse(obs::Tracer::get().chromeTraceJson(), Doc, Err));
-  const json::Value *Other = Doc.field("otherData");
-  ASSERT_NE(Other, nullptr);
-  const json::Value *Dropped = Other->field("dropped_events");
-  ASSERT_NE(Dropped, nullptr);
-  EXPECT_EQ(Dropped->StrV, "12");
+  std::string Text = obs::Tracer::get().chromeTraceJson();
+  EXPECT_NE(Text.find("\"dropped_events\":\"12\""), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -347,11 +334,8 @@ TEST_F(ObsTest, DroppedCountIsExported) {
 TEST_F(ObsTest, TraceDroppedGaugeIsSampled) {
   // Every sample carries the tracer's cumulative drop counter so a metrics
   // series reveals *when* a trace went gappy, not just that it did.
-  obs::TraceOptions O;
-  O.Capacity = 8;
-  obs::Tracer::get().enable(O);
-  for (int I = 0; I < 20; ++I)
-    obs::emit(obs::Ev::Fork);
+  obs::Tracer::get().enable();
+  emitForks(obs::TraceBuffer::Capacity + 12);
   obs::Tracer::get().disable();
 
   auto &S = obs::MetricsSampler::get();
@@ -413,7 +397,19 @@ TEST_F(ObsTest, BackgroundSamplerCollectsAndStops) {
   EXPECT_EQ(S.sampleCount(), N);
 }
 
-TEST_F(ObsTest, MetricsJsonParsesBackWithHistograms) {
+namespace {
+/// The counter ("C") events named \p Name in a parsed trace, in order.
+std::vector<const json::Value *> counterEvents(const json::Value &Doc,
+                                               const std::string &Name) {
+  std::vector<const json::Value *> Out;
+  for (const json::Value &E : Doc.field("traceEvents")->Items)
+    if (E.field("ph")->StrV == "C" && E.field("name")->StrV == Name)
+      Out.push_back(&E);
+  return Out;
+}
+} // namespace
+
+TEST_F(ObsTest, TraceCarriesSamplesAndHistograms) {
   Histogram H("obs.test.latency.ns");
   H.record(100);
   H.record(100000);
@@ -421,16 +417,16 @@ TEST_F(ObsTest, MetricsJsonParsesBackWithHistograms) {
 
   json::Value Doc;
   std::string Err;
-  ASSERT_TRUE(json::parse(obs::MetricsSampler::get().jsonDump(), Doc, Err))
+  ASSERT_TRUE(json::parse(obs::Tracer::get().chromeTraceJson(), Doc, Err))
       << Err;
-  const json::Value *Samples = Doc.field("samples");
-  ASSERT_NE(Samples, nullptr);
-  ASSERT_EQ(Samples->Items.size(), 1u);
-  ASSERT_NE(Samples->Items[0].field("em"), nullptr);
-  ASSERT_NE(Samples->Items[0].field("em")->field("live_pinned_bytes"),
-            nullptr);
+  std::vector<const json::Value *> Em = counterEvents(Doc, "em");
+  ASSERT_EQ(Em.size(), 1u);
+  const json::Value *Args = Em[0]->field("args");
+  ASSERT_NE(Args, nullptr);
+  ASSERT_NE(Args->field("live_pinned_bytes"), nullptr);
+  EXPECT_GE(Em[0]->field("ts")->NumV, 0);
 
-  const json::Value *Hists = Doc.field("histograms");
+  const json::Value *Hists = Doc.field("otherData")->field("histograms");
   ASSERT_NE(Hists, nullptr);
   bool Found = false;
   for (const json::Value &HV : Hists->Items)
@@ -440,6 +436,100 @@ TEST_F(ObsTest, MetricsJsonParsesBackWithHistograms) {
       EXPECT_EQ(static_cast<int64_t>(HV.field("sum")->NumV), 100100);
     }
   EXPECT_TRUE(Found);
+}
+
+TEST_F(ObsTest, TraceCarriesEveryMetricsSampleField) {
+  // Each sample becomes counter events at one ts carrying every field the
+  // sample holds: the em block, the registry gauges, the live-heap summary
+  // and both per-depth histograms; the histograms and the final heap tree
+  // sit under otherData. No ts may be negative, even for samples taken
+  // before the first retained event.
+  auto &S = obs::MetricsSampler::get();
+  obs::SpanLedger::get().enable();
+  obs::Tracer::get().enable();
+  obs::MetricsSample Inside;
+  {
+    rt::Config C;
+    C.NumWorkers = 2;
+    rt::Runtime R(C);
+    S.sampleOnce(); // Before any trace event.
+    R.run([&] {
+      rt::par([&] {
+                Inside = S.sampleOnce(); // Root plus two children live.
+                return ops::unit();
+              },
+              [] { return ops::unit(); });
+    });
+    R.run([] { (void)wl::fib(12, 4); });
+    S.sampleOnce(); // Task depths recorded by the span ledger.
+  }
+  obs::Tracer::get().disable();
+  obs::SpanLedger::get().disable();
+  std::vector<obs::MetricsSample> Series = S.series();
+  ASSERT_EQ(Series.size(), 3u);
+  ASSERT_GE(Inside.LiveHeaps, 2);
+
+  json::Value Doc;
+  std::string Err;
+  ASSERT_TRUE(json::parse(obs::Tracer::get().chromeTraceJson(), Doc, Err))
+      << Err;
+  for (const json::Value &E : Doc.field("traceEvents")->Items)
+    if (const json::Value *Ts = E.field("ts")) {
+      EXPECT_GE(Ts->NumV, 0) << "negative ts";
+    }
+  auto Em = counterEvents(Doc, "em");
+  auto Gauges = counterEvents(Doc, "gauges");
+  auto Heaps = counterEvents(Doc, "heaps");
+  auto Depths = counterEvents(Doc, "depth_hist");
+  auto Tasks = counterEvents(Doc, "task_depth_hist");
+  ASSERT_EQ(Em.size(), 3u);
+  ASSERT_EQ(Gauges.size(), 3u);
+  ASSERT_EQ(Heaps.size(), 3u);
+  ASSERT_EQ(Depths.size(), 3u);
+  ASSERT_EQ(Tasks.size(), 3u);
+  for (size_t I = 0; I < 3; ++I) {
+    const obs::MetricsSample &M = Series[I];
+    double Ts = Em[I]->field("ts")->NumV;
+    for (auto *Ev : {Gauges[I], Heaps[I], Depths[I], Tasks[I]})
+      EXPECT_EQ(Ev->field("ts")->NumV, Ts) << "one sample, one instant";
+    // The em block: every counter of the sample, by name.
+    const json::Value *EmArgs = Em[I]->field("args");
+    EXPECT_EQ(EmArgs->Fields.size(), 13u);
+    EXPECT_EQ(EmArgs->field("pinned_bytes")->NumV, M.Em.PinnedBytes);
+    EXPECT_EQ(EmArgs->field("live_pinned_bytes")->NumV,
+              M.Em.livePinnedBytes());
+    // The gauges, in registration order.
+    const json::Value *GArgs = Gauges[I]->field("args");
+    ASSERT_EQ(GArgs->Fields.size(), M.Gauges.size());
+    for (size_t G = 0; G < M.Gauges.size(); ++G) {
+      EXPECT_EQ(GArgs->Fields[G].first, M.Gauges[G].first);
+      EXPECT_EQ(GArgs->Fields[G].second.NumV, M.Gauges[G].second);
+    }
+    EXPECT_EQ(Heaps[I]->field("args")->field("live")->NumV, M.LiveHeaps);
+    EXPECT_EQ(Heaps[I]->field("args")->field("max_depth")->NumV,
+              M.MaxHeapDepth);
+    // Per-depth histograms, zero-padded to the widest sample.
+    auto CheckDepths = [](const json::Value *Ev,
+                          const std::vector<int64_t> &Want) {
+      const json::Value *A = Ev->field("args");
+      for (size_t D = 0; D < A->Fields.size(); ++D) {
+        EXPECT_EQ(A->Fields[D].first, std::to_string(D));
+        EXPECT_EQ(A->Fields[D].second.NumV, D < Want.size() ? Want[D] : 0);
+      }
+      EXPECT_GE(A->Fields.size(), Want.size());
+    };
+    CheckDepths(Depths[I], M.DepthHist);
+    CheckDepths(Tasks[I], M.TaskDepthHist);
+  }
+  EXPECT_FALSE(Series[2].TaskDepthHist.empty());
+
+  const json::Value *Other = Doc.field("otherData");
+  ASSERT_NE(Other->field("counters"), nullptr);
+  ASSERT_NE(Other->field("histograms"), nullptr);
+  EXPECT_TRUE(Other->field("histograms")->isArray());
+  const json::Value *Tree = Other->field("heap_tree");
+  ASSERT_NE(Tree, nullptr);
+  EXPECT_EQ(Tree->field("schema")->StrV, "mpl-heap-tree/1");
 }
 
 //===----------------------------------------------------------------------===//
@@ -509,9 +599,7 @@ TEST_F(ObsTest, RegistrationRacesRenderers) {
   // threads render every export. Under the tsan preset this checks the
   // lock order (the registry lock is always taken before Tracer::Mu) and
   // that a destroyed gauge's callback never runs again.
-  obs::TraceOptions O;
-  O.Capacity = 64;
-  obs::Tracer::get().enable(O);
+  obs::Tracer::get().enable();
   std::atomic<bool> Done{false};
   std::thread Churn([&] {
     for (int I = 0; I < 100; ++I) {
@@ -777,25 +865,23 @@ TEST_F(ProfileTest, MetricsSampleCarriesHeapTreeSummary) {
   }
   EXPECT_EQ(HistSum, Inside.LiveHeaps);
 
-  // The exported series carries the per-sample summary.
+  // The trace's counter events carry the per-sample summary.
   json::Value Doc;
   std::string Err;
-  ASSERT_TRUE(json::parse(S.jsonDump(), Doc, Err)) << Err;
-  const json::Value *Samples = Doc.field("samples");
-  ASSERT_NE(Samples, nullptr);
-  ASSERT_EQ(Samples->Items.size(), 2u);
-  const json::Value *H = Samples->Items[1].field("heaps");
-  ASSERT_NE(H, nullptr);
+  ASSERT_TRUE(json::parse(obs::Tracer::get().chromeTraceJson(), Doc, Err))
+      << Err;
+  std::vector<const json::Value *> Heaps = counterEvents(Doc, "heaps");
+  std::vector<const json::Value *> Depths = counterEvents(Doc, "depth_hist");
+  ASSERT_EQ(Heaps.size(), 2u);
+  ASSERT_EQ(Depths.size(), 2u);
+  const json::Value *H = Heaps[1]->field("args");
   ASSERT_NE(H->field("live"), nullptr);
   EXPECT_GE(H->field("live")->NumV, 1);
   ASSERT_NE(H->field("max_depth"), nullptr);
   EXPECT_GE(H->field("max_depth")->NumV, 0);
-  const json::Value *Hist = H->field("depth_hist");
-  ASSERT_NE(Hist, nullptr);
-  ASSERT_TRUE(Hist->isArray());
   int64_t JsonSum = 0;
-  for (const json::Value &B : Hist->Items)
-    JsonSum += static_cast<int64_t>(B.NumV);
+  for (const auto &[Depth, N] : Depths[1]->field("args")->Fields)
+    JsonSum += static_cast<int64_t>(N.NumV);
   EXPECT_EQ(JsonSum, static_cast<int64_t>(H->field("live")->NumV));
   S.clearSeries();
 }
@@ -1031,7 +1117,7 @@ TEST_F(ObsTest, RollingWindowCatchUpCollapsesStall) {
 }
 
 //===----------------------------------------------------------------------===//
-// Signal-safe stats dump (MPL_STATS_DUMP)
+// Signal-safe stats dump (SIGUSR1 -> MPL_OBS_DIR/stats.prom)
 //===----------------------------------------------------------------------===//
 
 TEST_F(ObsTest, StatsDumpWritesExpositionFile) {
@@ -1052,4 +1138,36 @@ TEST_F(ObsTest, StatsDumpWritesExpositionFile) {
   EXPECT_TRUE(obs::checkExposition(Buf.str(), Err, &Series)) << Err;
   EXPECT_GT(Series, 0);
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The observability switch (MPL_OBS)
+//===----------------------------------------------------------------------===//
+
+TEST_F(ObsTest, UnknownObsPlaneArmsNothing) {
+  // One bad name voids the whole list: nothing is armed, the sampler does
+  // not start, and stderr gets exactly one line naming the culprit.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(obs::armPlanes("trace,profile,spanz"), 0u);
+  std::string Err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(Err.find("'spanz'"), std::string::npos) << Err;
+  EXPECT_EQ(std::count(Err.begin(), Err.end(), '\n'), 1) << Err;
+  EXPECT_FALSE(obs::traceEnabled());
+  EXPECT_FALSE(obs::profileEnabled());
+  EXPECT_FALSE(obs::spansEnabled());
+  EXPECT_FALSE(obs::MetricsSampler::get().running());
+
+  // Known names arm exactly their planes; empty items are skipped.
+  EXPECT_EQ(obs::armPlanes("profile,,spans"),
+            unsigned(obs::PlaneProfile | obs::PlaneSpans));
+  EXPECT_TRUE(obs::profileEnabled());
+  EXPECT_TRUE(obs::spansEnabled());
+  EXPECT_FALSE(obs::traceEnabled());
+  obs::Profiler::get().disable();
+  obs::SpanLedger::get().disable();
+
+  // `trace` starts the sampler with the tracer.
+  EXPECT_EQ(obs::armPlanes("trace"), unsigned(obs::PlaneTrace));
+  EXPECT_TRUE(obs::traceEnabled());
+  EXPECT_TRUE(obs::MetricsSampler::get().running());
 }

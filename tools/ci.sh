@@ -73,12 +73,32 @@ PRESSURE_SEEDS=${PRESSURE_SEEDS:-10}
 # mixed workload through the retry/backoff path, then SIGTERM drains the
 # server. Pass criteria: server exits 0 (clean drain, leaked pins == 0),
 # zero protocol errors, every shed structured, a mid-load stats frame
-# answered in both JSON and checker-clean Prometheus form, the trace's
-# net.request_flow enqueue/execute pairs balanced, and the request
+# answered in both JSON and checker-clean Prometheus form, no heap left
+# once the client is done (mpl_hh_heaps 0: each run frees its heaps), the
+# trace's net.request_flow enqueue/execute pairs balanced, and the request
 # counters balanced (requests == ok+shed+deadline+error+draining).
 SERVER_SMOKE_SEED=${SERVER_SMOKE_SEED:-7}
 SERVER_SMOKE_REQS=${SERVER_SMOKE_REQS:-120}
 SERVER_SMOKE_WIRE_PERMILLE=${SERVER_SMOKE_WIRE_PERMILLE:-30}
+
+# Runs "$@" up to five times, 0.2 s apart, until it succeeds. Wire chaos
+# can hit a scrape connection too, so a scraper retries.
+retry5() {
+  local i
+  for i in 1 2 3 4 5; do
+    "$@" && return 0
+    sleep 0.2
+  done
+  return 1
+}
+
+# One stats frame from the smoke's server; "$@" are extra mpl_top flags.
+# Reads $bdir and $srv_port from server_smoke via bash dynamic scoping.
+top_once() {
+  ASAN_OPTIONS="detect_leaks=0" \
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    "$bdir/tools/mpl_top" -port "$srv_port" -once "$@"
+}
 
 # One full server-smoke pass with the criteria above. $1 tags the artifact
 # files ("" or "_jit"), $2 is the MPL_JIT value the server runs under (the
@@ -86,17 +106,14 @@ SERVER_SMOKE_WIRE_PERMILLE=${SERVER_SMOKE_WIRE_PERMILLE:-30}
 # $bdir from the calling run_config via bash dynamic scoping.
 server_smoke() {
   local tag=$1 jit=$2
-  local srv_log="$bdir/server_smoke$tag.log"
-  # The 16MB limit makes gc/pressure events dominate the trace; the default
-  # 64K-slot per-thread ring wraps and loses the earliest request_flow 'f'
-  # halves, so give the smoke a 256K ring (8MB/thread, 32B/event).
+  local srv_log="$bdir/server_smoke$tag.log" obs_dir="$bdir/server_obs$tag"
+  rm -rf "$obs_dir"
   ASAN_OPTIONS="detect_leaks=0" \
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   MPL_MEM_LIMIT_MB=$PRESSURE_LIMIT_MB \
   MPL_MEM_SOFT_FRAC=$PRESSURE_SOFT_FRAC \
   MPL_JIT="$jit" MPL_JIT_THRESHOLD=1 \
-  MPL_TRACE="$bdir/server_trace$tag.json" \
-  MPL_TRACE_CAPACITY=262144 \
+  MPL_OBS=trace MPL_OBS_DIR="$obs_dir" \
     "$bdir/tools/mpl_server" -port 0 -workers 2 -queue-cap 16 \
     -chaos-seed "$SERVER_SMOKE_SEED" \
     -wire-permille "$SERVER_SMOKE_WIRE_PERMILLE" \
@@ -118,25 +135,13 @@ server_smoke() {
   # Mid-load introspection (DESIGN.md §16): a stats frame must answer
   # while the client hammers the server, and its Prometheus form must
   # pass the format checker (no duplicate series, monotone le buckets,
-  # non-negative counters). Wire chaos can hit the scrape connection
-  # too, so allow a few retries — that's what a real scraper does.
+  # non-negative counters).
   sleep 0.3
-  local stats_ok=0
-  for i in $(seq 1 5); do
-    if ASAN_OPTIONS="detect_leaks=0" \
-       TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-         "$bdir/tools/mpl_top" -port "$srv_port" -once -format prom -check \
-         > "$bdir/server_stats$tag.prom" &&
-       ASAN_OPTIONS="detect_leaks=0" \
-       TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-         "$bdir/tools/mpl_top" -port "$srv_port" -once \
-         > "$bdir/server_stats$tag.json"; then
-      stats_ok=1
-      break
-    fi
-    sleep 0.2
-  done
-  [[ "$stats_ok" == 1 ]]
+  scrape_stats() {
+    top_once -format prom -check > "$bdir/server_stats$tag.prom" &&
+      top_once > "$bdir/server_stats$tag.json"
+  }
+  retry5 scrape_stats
   # One gauge from each layer that registers them must reach the wire.
   local gauge
   for gauge in mpl_net_queue_depth mpl_sched_deque_w0 mpl_hh_heaps \
@@ -147,6 +152,12 @@ server_smoke() {
   grep -q '"stage"' "$bdir/server_stats$tag.json"
   wait "$client_pid"
   cat "$bdir/server_client$tag.json"
+  # Idle server, no heaps: every run freed its heaps when it ended.
+  idle_heaps() {
+    top_once -format prom > "$bdir/server_idle$tag.prom" &&
+      grep -q '^mpl_hh_heaps 0$' "$bdir/server_idle$tag.prom"
+  }
+  retry5 idle_heaps
   kill -TERM "$srv_pid"
   wait "$srv_pid" # exit 0 iff clean drain and leaked pins == 0
   cat "$srv_log"
@@ -160,7 +171,7 @@ server_smoke() {
   # carrying both its enqueue ('s') and execute ('f') half, and the
   # request-counter balance (requests == ok+shed+deadline+error+draining,
   # stats frames excluded) must hold in the trace's counters block.
-  "$bdir/tools/mpl_trace_check" "$bdir/server_trace$tag.json" \
+  "$bdir/tools/mpl_trace_check" "$obs_dir/trace.json" \
     --require-event net.accept --require-event net.request_flow \
     --check-flow-pairs --check-net-balance
 }
@@ -228,15 +239,17 @@ run_config() {
 
   echo "==== [$preset] trace smoke ===="
   # Run a real workload with the tracer armed and validate the exported
-  # Chrome trace (Perfetto-loadable, B/E balanced, expected event kinds).
+  # Chrome trace (Perfetto-loadable, B/E balanced, expected event kinds,
+  # the metrics series as numeric "em" counter events).
   local bdir="build-$preset"
+  rm -rf "$bdir/trace_smoke"
   ASAN_OPTIONS="detect_leaks=0" \
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  MPL_TRACE="$bdir/trace_smoke.json" MPL_METRICS="$bdir/metrics_smoke.json" \
+  MPL_OBS=trace MPL_OBS_DIR="$bdir/trace_smoke" \
     "$bdir/examples/quickstart" > /dev/null
-  "$bdir/tools/mpl_trace_check" "$bdir/trace_smoke.json" \
+  "$bdir/tools/mpl_trace_check" "$bdir/trace_smoke/trace.json" \
     --require-event fork --require-event heap_join \
-    --require-event pin --require-event gc
+    --require-event pin --require-event gc --require-event em
 
   echo "==== [$preset] server smoke (wire chaos + 1/${PRESSURE_FAULT_EVERY_N} alloc faults + ${PRESSURE_LIMIT_MB}MB limit) ===="
   server_smoke "" 0
@@ -256,14 +269,15 @@ run_config() {
   # exported DAG: the ledger's critical path must agree with the
   # scheduler's online span S to within 5% (the consistency oracle,
   # DESIGN.md §14), and the entangled read must attribute to a source line.
+  rm -rf "$bdir/spans_smoke"
   ASAN_OPTIONS="detect_leaks=0" \
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  MPL_SPANS="$bdir/spans_smoke.json" \
+  MPL_OBS=spans MPL_OBS_DIR="$bdir/spans_smoke" \
     "$bdir/examples/pml_repl" -workers 2 -e \
     'let val r = ref (ref 0) in par ((r := ref 7; 0), !(!r)) end' > /dev/null
-  "$bdir/tools/mpl_spans" critical-path "$bdir/spans_smoke.json" \
+  "$bdir/tools/mpl_spans" critical-path "$bdir/spans_smoke/spans.json" \
     --check-agreement 5
-  "$bdir/tools/mpl_spans" top-lines "$bdir/spans_smoke.json"
+  "$bdir/tools/mpl_spans" top-lines "$bdir/spans_smoke/spans.json"
 
   if [[ "$preset" == "release" ]]; then
     echo "==== [$preset] perf smoke (scale $PERF_SCALE, k=$PERF_STDDEV_K floor ${PERF_TOLERANCE_PCT}%) ===="
@@ -278,10 +292,10 @@ run_config() {
       --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT"
 
     echo "==== [$preset] spans-on overhead gate ===="
-    # Same T1 table with the span ledger armed for every run (MPL_SPANS=1):
+    # Same T1 table with the span ledger armed for every run (MPL_OBS=spans):
     # the per-task ledger bookkeeping must stay inside the same stddev
     # envelope as an unchanged build, bounding the ledger's overhead.
-    MPL_SPANS=1 "$bdir/bench/bench_table_time" -scale "$PERF_SCALE" \
+    MPL_OBS=spans "$bdir/bench/bench_table_time" -scale "$PERF_SCALE" \
       -reps "$PERF_REPS" -json "$bdir/spans_overhead.json" \
       > "$bdir/spans_overhead.txt"
     "$bdir/tools/mpl_report" --baseline BENCH_T1.json \

@@ -3,7 +3,7 @@
 // Part of mpl-em (PLDI 2023 reproduction).
 //
 // Thin CLI over the mpl-spans/1 readers in tools/GateLib.{h,cpp}. Consumes
-// the span-ledger export a run writes when MPL_SPANS names a path
+// the spans.json a run writes under MPL_OBS=spans MPL_OBS_DIR=<dir>
 // (src/obs/Span.h, DESIGN.md §14) and does four jobs:
 //
 //   analyze:        mpl_spans analyze FILE.json

@@ -2,11 +2,13 @@
 //
 // Part of mpl-em (PLDI 2023 reproduction).
 //
-// Validates a trace file produced by MPL_TRACE=<path> (src/obs): parses the
-// JSON, checks the Chrome trace-event shape (ph/pid/tid/ts on every event,
-// B/E balance per track, thread_name metadata), and prints a one-line
+// Validates the trace.json that MPL_OBS=trace writes to MPL_OBS_DIR
+// (src/obs): parses the JSON, checks the Chrome trace-event shape
+// (ph/pid/tid/ts on every event, B/E balance per track, thread_name
+// metadata, all-numeric args on counter events), and prints a one-line
 // summary. CI runs it over the smoke workload's trace; exits non-zero on
-// any malformation so a broken exporter fails the pipeline.
+// any malformation so a broken exporter fails the pipeline. A counter
+// event's name counts for --require-event like any other.
 //
 // Usage: mpl_trace_check <trace.json> [--require-event NAME]...
 //                        [--allow-drops] [--check-flow-pairs]
@@ -33,7 +35,7 @@
 //
 // A trace that dropped events (otherData.dropped_events != 0) fails the
 // check — a gappy trace silently lies about the schedule — unless
-// --allow-drops is given for deliberately tiny ring-buffer runs.
+// --allow-drops is given for runs known to outgrow the ring.
 //
 //===----------------------------------------------------------------------===//
 
@@ -103,7 +105,8 @@ int main(int argc, char **argv) {
   std::set<std::string> Names;
   // Flow binding key (cat + name + id) -> bit 0: 's' seen, bit 1: 'f' seen.
   std::map<std::string, int> FlowHalves;
-  long NEvents = 0, NMeta = 0, NSlices = 0, NInstants = 0, NFlows = 0;
+  long NEvents = 0, NMeta = 0, NSlices = 0, NInstants = 0, NFlows = 0,
+       NCounters = 0;
 
   for (const json::Value &E : Evs->Items) {
     if (!E.isObject())
@@ -140,6 +143,17 @@ int main(int argc, char **argv) {
                     std::to_string(static_cast<long>(Tid->NumV)));
     } else if (P == "i") {
       ++NInstants;
+    } else if (P == "C") {
+      // Counter samples (the metrics series): each arg is one counter
+      // track, so every arg must be a number.
+      const json::Value *Args = E.field("args");
+      if (!Args || !Args->isObject())
+        return fail("counter event '" + Name->StrV + "' without args");
+      for (const auto &[Key, V] : Args->Fields)
+        if (!V.isNumber())
+          return fail("counter event '" + Name->StrV + "' arg '" + Key +
+                      "' is not a number");
+      ++NCounters;
     } else if (P == "s" || P == "f") {
       // Flow events (span ledger task edges) carry a binding id; Perfetto
       // drops flows without one.
@@ -178,8 +192,8 @@ int main(int argc, char **argv) {
       Dropped = D->StrV;
   if (Dropped != "0" && !AllowDrops)
     return fail(Dropped + " events dropped (ring buffer overflow); the "
-                          "trace is incomplete — rerun with a larger "
-                          "MPL_TRACE_CAPACITY or pass --allow-drops");
+                          "trace is incomplete — pass --allow-drops to "
+                          "accept a gappy trace");
 
   if (CheckFlowPairs)
     for (const auto &[Key, Halves] : FlowHalves)
@@ -237,8 +251,9 @@ int main(int argc, char **argv) {
   }
 
   std::printf("trace_check: OK: %ld events (%ld slices, %ld instants, "
-              "%ld flows, %ld metadata), %zu distinct names, %s dropped\n",
-              NEvents, NSlices, NInstants, NFlows, NMeta, Names.size(),
-              Dropped.c_str());
+              "%ld flows, %ld counters, %ld metadata), %zu distinct names, "
+              "%s dropped\n",
+              NEvents, NSlices, NInstants, NFlows, NCounters, NMeta,
+              Names.size(), Dropped.c_str());
   return 0;
 }
