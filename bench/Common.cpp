@@ -6,6 +6,7 @@
 
 #include "bench/Common.h"
 
+#include "baseline/Native.h"
 #include "obs/Profile.h"
 #include "obs/Span.h"
 #include "support/File.h"
@@ -46,6 +47,7 @@ std::vector<SuiteEntry> makeSuite(double Scale) {
   Suite.push_back({"fib", false, [=](bool Seq) {
                      return wl::fib(FibN, Seq ? FibN : 18);
                    }});
+  Suite.back().Native = [=] { return nat::fib(FibN); };
 
   Suite.push_back({"tabulate", false, [=](bool Seq) {
                      Local A(wl::tabulate(
@@ -97,6 +99,13 @@ std::vector<SuiteEntry> makeSuite(double Scale) {
                      MPL_CHECK(wl::isSortedInts(S.get()), "msort broken");
                      return unboxInt(arrGet(S.get(), 0));
                    }});
+  Suite.back().Native = [=] {
+    return nat::sortIdiomatic(nat::randomInts(NSort, int64_t(1) << 40, 42))[0];
+  };
+  Suite.back().NativeAllocMatch = [=] {
+    return nat::msortFunctional(
+        nat::randomInts(NSort, int64_t(1) << 40, 42))[0];
+  };
 
   Suite.push_back({"quicksort", false, [=](bool Seq) {
                      Local A(wl::randomInts(NQSort, int64_t(1) << 40, 7));
@@ -115,11 +124,13 @@ std::vector<SuiteEntry> makeSuite(double Scale) {
                                             Seq ? NPrimes + 2 : 8192));
                      return static_cast<int64_t>(arrLen(P.get()));
                    }});
+  Suite.back().Native = [=] { return nat::primesCount(NPrimes); };
 
   Suite.push_back({"tokens", false, [=](bool Seq) {
                      Local T(wl::randomText(NText, 3));
                      return wl::tokens(T.get(), Seq ? NText : 8192);
                    }});
+  Suite.back().Native = [=] { return nat::tokens(nat::randomText(NText, 3)); };
 
   Suite.push_back({"histogram", false, [=](bool Seq) {
                      int64_t Grain = Seq ? NHist : wl::DefaultGrain;
@@ -134,6 +145,9 @@ std::vector<SuiteEntry> makeSuite(double Scale) {
                                      Seq ? NGraph : 64));
                      return wl::countReached(P.get());
                    }});
+  Suite.back().Native = [=] {
+    return nat::bfsReached(nat::buildRandomGraph(NGraph, 4, 11), 0);
+  };
 
   const int64_t NHull = scaled(Scale, 1'000'000);
   Suite.push_back({"quickhull", false, [=](bool Seq) {
@@ -148,6 +162,9 @@ std::vector<SuiteEntry> makeSuite(double Scale) {
                      Local K(wl::randomInts(NDedup, NDedup / 4, 23));
                      return wl::dedup(K.get(), Seq ? NDedup : 512);
                    }});
+  Suite.back().Native = [=] {
+    return nat::dedupIdiomatic(nat::randomInts(NDedup, NDedup / 4, 23));
+  };
 
   Suite.push_back({"channel", true, [=](bool Seq) {
                      (void)Seq; // Two tasks by construction.
@@ -221,13 +238,10 @@ int64_t RunResult::profilePinnedBytes() const {
   return N;
 }
 
-RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
-                  em::Mode Mode, bool Profile, int Reps, bool SiteProfile,
-                  bool Spans) {
-  rt::Config Cfg;
-  Cfg.NumWorkers = Workers;
-  Cfg.Mode = Mode;
-  Cfg.Profile = Profile;
+RunResult measure(const std::function<int64_t()> &Body,
+                  const std::optional<rt::Config> &Cfg, int Reps,
+                  bool SiteProfile, bool Spans) {
+  MPL_CHECK(Cfg || !Spans, "the spans rep needs a Runtime");
   // Honour an env-armed profiler (MPL_OBS=profile) even when the caller
   // did not ask, so any bench binary can be site-profiled ad hoc.
   bool ProfWasEnabled = obs::profileEnabled();
@@ -244,17 +258,23 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
       obs::Profiler::get().reset();
       obs::Profiler::get().enable();
     }
-    rt::Runtime R(Cfg);
+    std::optional<rt::Runtime> R;
+    if (Cfg)
+      R.emplace(*Cfg);
     StatRegistry::get().resetAll();
     int64_t RepChecksum = 0;
+    WorkSpan WS;
     Timer T;
-    WorkSpan WS = R.run([&] { RepChecksum = Entry.Run(Sequential); });
+    if (R)
+      WS = R->run([&] { RepChecksum = Body(); });
+    else
+      RepChecksum = Body();
     double Sec = T.elapsedSec();
+    MPL_CHECK(Rep < 0 || RepChecksum == Checksum,
+              "benchmark checksum varies across repetitions");
+    Checksum = RepChecksum;
     if (Rep < 0)
       continue; // Warmup: discard.
-    if (Rep > 0 && Checksum != RepChecksum)
-      MPL_CHECK(false, "benchmark checksum varies across repetitions");
-    Checksum = RepChecksum;
     RepData D;
     D.Seconds = Sec;
     D.WS = WS;
@@ -293,8 +313,8 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
     bool WasEnabled = Ledger.enabled();
     Ledger.enable();
     {
-      rt::Runtime R(Cfg);
-      R.run([&] { (void)Entry.Run(Sequential); });
+      rt::Runtime R(*Cfg);
+      R.run([&] { (void)Body(); });
     }
     if (!WasEnabled)
       Ledger.disable();
@@ -308,6 +328,15 @@ RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
   }
 
   return Out;
+}
+
+RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
+                  em::Mode Mode, int Reps, bool SiteProfile, bool Spans) {
+  rt::Config Cfg;
+  Cfg.NumWorkers = Workers;
+  Cfg.Mode = Mode;
+  return measure([&] { return Entry.Run(Sequential); }, Cfg, Reps,
+                 SiteProfile, Spans);
 }
 
 RepStats repStats(const std::vector<double> &Seconds) {
@@ -470,32 +499,16 @@ void BenchJson::addRow(const std::string &Name, const std::string &Config,
 
 void BenchJson::addCustomRow(const std::string &Name,
                              const std::string &Config, double MedianSec,
-                             const ExtraFields &Extra) {
-  beginRow(Name, Config)
-      .key("time")
-      .beginObject()
-      .kv("median_s", MedianSec)
-      .endObject();
-  if (Extra)
-    Extra(W);
-  W.endObject();
-}
-
-void BenchJson::addCustomRow(const std::string &Name,
-                             const std::string &Config, double MedianSec,
                              const std::vector<double> &RepSeconds,
                              const ExtraFields &Extra) {
-  double Stddev = repStats(RepSeconds).Stddev;
-  beginRow(Name, Config)
-      .key("time")
-      .beginObject()
-      .kv("median_s", MedianSec)
-      .kv("stddev_s", Stddev)
-      .key("rep_s")
-      .beginArray();
-  for (double R : RepSeconds)
-    W.value(R);
-  W.endArray().endObject();
+  beginRow(Name, Config).key("time").beginObject().kv("median_s", MedianSec);
+  if (!RepSeconds.empty()) {
+    W.kv("stddev_s", repStats(RepSeconds).Stddev).key("rep_s").beginArray();
+    for (double R : RepSeconds)
+      W.value(R);
+    W.endArray();
+  }
+  W.endObject();
   if (Extra)
     Extra(W);
   W.endObject();

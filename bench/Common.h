@@ -14,9 +14,10 @@
 ///    our analogue of the sequential-runtime (MLton) baseline. Entangled
 ///    benchmarks cannot run without management, so their T_s uses Manage
 ///    (that *is* the paper's point) and is flagged in the output.
-///  - T_1: 1 worker, full entanglement management, profiled.
+///  - T_1: 1 worker, full entanglement management.
 ///  - T_P: Brent bound W/P + S from the measured work W and span S.
 ///  - R_*: peak chunk-pool residency (mm.bytes.peak).
+/// Every timed figure comes from measure(), the one timed-rep loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +38,7 @@
 #include "workloads/Quickhull.h"
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,13 @@ struct SuiteEntry {
   std::string Name;
   bool Entangled = false;
   std::function<int64_t(bool Sequential)> Run;
+  /// The same kernel at the same size in plain C++ (src/baseline), run
+  /// with no Runtime: table T3's idiomatic column. Empty for the kernels
+  /// T3 does not compare. Returns Run's checksum.
+  std::function<int64_t()> Native = {};
+  /// T3's allocation-matched C++ variant, set only where it is a
+  /// different function from Native.
+  std::function<int64_t()> NativeAllocMatch = {};
 };
 
 /// Builds the benchmark suite. \p Scale in (0, 1] shrinks the default
@@ -141,18 +150,29 @@ struct RunResult {
   SpanSnap Spans;
 };
 
-/// Runs \p Entry under the given configuration, with stats reset before
-/// every timed region. Rep -1 is an untimed warmup (chunk pool + page
-/// faults); the reported statistic is the lower median across the \p Reps
-/// timed repetitions. With \p SiteProfile the entanglement profiler
-/// (obs/Profile.h) is armed around every rep and the median rep's site
-/// table is attached to the result — this adds slow-path overhead, so time
-/// tables keep it off except for entanglement-focused rows. With \p Spans
-/// one extra untimed rep runs with the causal span ledger armed and its
-/// DAG summary is attached as RunResult::Spans (the cp%% table column).
-RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
-                  em::Mode Mode, bool Profile, int Reps = 3,
+/// The one timed-rep loop of every bench table. Rep -1 is an untimed
+/// warmup (chunk pool + page faults); then \p Reps timed reps follow,
+/// with stats reset before every timed region. Each rep runs \p Body in
+/// a fresh Runtime built from \p Cfg, or on the calling thread with no
+/// Runtime when \p Cfg is empty (a native C++ baseline). \p Body returns
+/// the run's checksum, which must be the same in every rep, warmup
+/// included. The reported statistic is the lower median rep, and the
+/// result's counters, work/span and leaked pins come from that same rep.
+/// With \p SiteProfile the entanglement profiler (obs/Profile.h) is armed
+/// around every rep and the median rep's site table is attached — this
+/// adds slow-path overhead, so time tables keep it off except for
+/// entanglement-focused rows. With \p Spans one extra untimed rep runs
+/// with the causal span ledger armed and its DAG summary is attached as
+/// RunResult::Spans (the cp%% table column); it needs a Runtime.
+RunResult measure(const std::function<int64_t()> &Body,
+                  const std::optional<rt::Config> &Cfg, int Reps,
                   bool SiteProfile = false, bool Spans = false);
+
+/// measure() of a suite kernel, sequential (the T_s shape) or parallel,
+/// on \p Workers workers under \p Mode.
+RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
+                  em::Mode Mode, int Reps, bool SiteProfile = false,
+                  bool Spans = false);
 
 /// The rep statistic every bench reports (methodologyLine): the lower
 /// median — index (N-1)/2 of the sorted times, so always a measured rep —
@@ -192,17 +212,14 @@ public:
   /// Writes a custom row's own fields after its "time" block.
   using ExtraFields = std::function<void(json::Writer &)>;
 
-  /// Row for binaries with hand-rolled measurement loops (bench_table_lang,
-  /// bench_table_pml, bench_fig_*, bench_server); \p Extra may be empty.
-  void addCustomRow(const std::string &Name, const std::string &Config,
-                    double MedianSec, const ExtraFields &Extra = {});
-
-  /// addCustomRow variant that also records the per-rep times (and the
-  /// sample stddev recomputed from them), so hand-rolled rows can feed the
-  /// stddev-aware time gate like measure()d rows do (BENCH_T3 jit rows).
+  /// Row for a table that is not a measure()d suite run (the pml
+  /// ablation, the server's latency, the space-time series), then
+  /// \p Extra's fields. Non-empty \p RepSeconds adds the per-rep times
+  /// and their sample stddev, so the row can feed the stddev-aware time
+  /// gate like addRow()'s rows do (BENCH_T3 jit rows).
   void addCustomRow(const std::string &Name, const std::string &Config,
                     double MedianSec, const std::vector<double> &RepSeconds,
-                    const ExtraFields &Extra = {});
+                    const ExtraFields &Extra);
 
   std::string dump() const;
 

@@ -41,9 +41,9 @@ int main(int Argc, char **Argv) {
   for (const SuiteEntry &E : makeSuite(Scale)) {
     if (E.Entangled)
       continue; // Detect/Off modes are only sound for disentangled code.
-    RunResult Off = measure(E, false, 1, em::Mode::Off, false, Reps);
-    RunResult Det = measure(E, false, 1, em::Mode::Detect, false, Reps);
-    RunResult Man = measure(E, false, 1, em::Mode::Manage, false, Reps);
+    RunResult Off = measure(E, false, 1, em::Mode::Off, Reps);
+    RunResult Det = measure(E, false, 1, em::Mode::Detect, Reps);
+    RunResult Man = measure(E, false, 1, em::Mode::Manage, Reps);
     MPL_CHECK(Off.Checksum == Man.Checksum && Det.Checksum == Man.Checksum,
               "ablation modes disagree");
     T.addRow({E.Name, fmtSecPm(Off.Seconds, Off.StddevSeconds),
@@ -65,10 +65,10 @@ int main(int Argc, char **Argv) {
       continue;
     // Whole-heap shape: the sequential run keeps everything in the root
     // heap, so every collection scans the full live set.
-    RunResult Seq = measure(E, true, 1, em::Mode::Manage, false, Reps);
+    RunResult Seq = measure(E, true, 1, em::Mode::Manage, Reps);
     int64_t SeqTotal = Seq.Stats.GcTotalPauseNs;
     // Hierarchical shape: the parallel run collects small private chains.
-    RunResult Par = measure(E, false, 1, em::Mode::Manage, false, Reps);
+    RunResult Par = measure(E, false, 1, em::Mode::Manage, Reps);
     int64_t ParTotal = Par.Stats.GcTotalPauseNs;
 
     T2.addRow({E.Name, "whole-heap", Table::fmtInt(Seq.Stats.GcCount),

@@ -55,7 +55,6 @@ int main(int Argc, char **Argv) {
   {
     rt::Config Cfg;
     Cfg.NumWorkers = 2;
-    Cfg.Profile = false;
     rt::Runtime R(Cfg);
     const int64_t NDedup =
         std::max<int64_t>(1024, static_cast<int64_t>(1'000'000 * Scale));
@@ -92,7 +91,7 @@ int main(int Argc, char **Argv) {
                    Samples.empty()
                        ? 0.0
                        : static_cast<double>(Samples.back().Ms) * 1e-3,
-                   [&](json::Writer &W) {
+                   /*RepSeconds=*/{}, [&](json::Writer &W) {
                      W.key("samples").beginArray();
                      for (const auto &S : Samples)
                        W.beginObject()

@@ -107,7 +107,6 @@ void BM_RefGetDisentangled(benchmark::State &State) {
   TracerConfig TC(State);
   rt::Config Cfg;
   Cfg.NumWorkers = 1;
-  Cfg.Profile = false;
   Cfg.Mode = modeOf(State.range(0));
   rt::Runtime R(Cfg);
   R.run([&] {
@@ -124,7 +123,6 @@ void BM_RefSetDisentangled(benchmark::State &State) {
   TracerConfig TC(State);
   rt::Config Cfg;
   Cfg.NumWorkers = 1;
-  Cfg.Profile = false;
   Cfg.Mode = modeOf(State.range(0));
   rt::Runtime R(Cfg);
   R.run([&] {
@@ -141,7 +139,6 @@ void BM_ArrayGetInt(benchmark::State &State) {
   TracerConfig TC(State);
   rt::Config Cfg;
   Cfg.NumWorkers = 1;
-  Cfg.Profile = false;
   Cfg.Mode = modeOf(State.range(0));
   rt::Runtime R(Cfg);
   R.run([&] {
@@ -160,7 +157,6 @@ void BM_ImmutableRecordGet(benchmark::State &State) {
   TracerConfig TC(State);
   rt::Config Cfg;
   Cfg.NumWorkers = 1;
-  Cfg.Profile = false;
   Cfg.Mode = modeOf(State.range(0));
   rt::Runtime R(Cfg);
   R.run([&] {
@@ -176,7 +172,6 @@ void BM_Allocation(benchmark::State &State) {
   TracerConfig TC(State);
   rt::Config Cfg;
   Cfg.NumWorkers = 1;
-  Cfg.Profile = false;
   Cfg.Mode = modeOf(State.range(0));
   rt::Runtime R(Cfg);
   R.run([&] {

@@ -282,7 +282,7 @@ int main(int Argc, char **Argv) {
     J.addMetaInt("fault_every_n", FaultEveryN);
     J.addCustomRow(
         "request_latency", "open-loop", static_cast<double>(P.P50) * 1e-9,
-        [&](json::Writer &W) {
+        /*RepSeconds=*/{}, [&](json::Writer &W) {
           W.kv("p50_ns", P.P50)
               .kv("p95_ns", P.P95)
               .kv("p99_ns", P.P99)

@@ -39,7 +39,7 @@ int main(int Argc, char **Argv) {
     // SiteProfile: every pin in this table must be attributed to a named
     // barrier site, and no pin may outlive the final join.
     RunResult R = measure(E, /*Sequential=*/false, /*Workers=*/2,
-                          em::Mode::Manage, /*Profile=*/false, /*Reps=*/1,
+                          em::Mode::Manage, /*Reps=*/1,
                           /*SiteProfile=*/true);
     int64_t PinnedObjects = R.Stats.PinnedObjects;
     // The profiler and the em counters observe the same chokepoint

@@ -33,8 +33,8 @@ int main(int Argc, char **Argv) {
 
   for (const SuiteEntry &E : makeSuite(Scale)) {
     em::Mode SeqMode = E.Entangled ? em::Mode::Manage : em::Mode::Off;
-    RunResult Seq = measure(E, true, 1, SeqMode, false, Reps);
-    RunResult Par = measure(E, false, 1, em::Mode::Manage, false, Reps);
+    RunResult Seq = measure(E, true, 1, SeqMode, Reps);
+    RunResult Par = measure(E, false, 1, em::Mode::Manage, Reps);
 
     std::string Blowup =
         Seq.Stats.PeakResidency > 0

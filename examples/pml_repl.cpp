@@ -25,12 +25,12 @@
 #include "obs/Span.h"
 #include "pml/Vm.h"
 #include "support/Cli.h"
+#include "support/File.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 
 using namespace mpl;
 
@@ -112,7 +112,6 @@ int runOne(const std::string &Title, const std::string &Source,
            int Workers) {
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
-  Cfg.Profile = false;
   rt::Runtime R(Cfg);
 
   std::printf("--- %s ---\n", Title.c_str());
@@ -128,7 +127,6 @@ int runOne(const std::string &Title, const std::string &Source,
 int runInteractive(int Workers) {
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
-  Cfg.Profile = false;
   // One Runtime for the whole session (only one may exist at a time); its
   // constructor installs the heap-tree provider `:heaps` reads through.
   rt::Runtime R(Cfg);
@@ -227,14 +225,12 @@ int main(int Argc, char **Argv) {
 
   if (!C.positional().empty()) {
     const std::string &Path = C.positional()[0];
-    std::ifstream In(Path);
-    if (!In) {
+    std::optional<std::string> Source = readFile(Path);
+    if (!Source) {
       std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
       return 1;
     }
-    std::stringstream Ss;
-    Ss << In.rdbuf();
-    return runOne(Path, Ss.str(), Workers);
+    return runOne(Path, *Source, Workers);
   }
 
   int Rc = 0;

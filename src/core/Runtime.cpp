@@ -58,7 +58,7 @@ void fillHeapTree(obs::HeapTree &T, HeapManager &HM) {
 } // namespace
 
 Runtime::Runtime(const Config &C)
-    : Cfg(C), Sched(Scheduler::Config{C.NumWorkers, C.Profile}),
+    : Cfg(C), Sched(Scheduler::Config{C.NumWorkers}),
       HeapsGauge("hh.heaps",
                  [this] { return static_cast<int64_t>(Heaps.heapCount()); }),
       FreeListGauge("mm.freelist.bytes",

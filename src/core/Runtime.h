@@ -52,9 +52,6 @@ struct Config {
   /// more than max(GcMinBytes, GcFactor * live-after-last-GC).
   int64_t GcMinBytes = int64_t(1) << 21;
   double GcFactor = 2.0;
-
-  /// Enable the work-span profiler (adds one clock read per fork).
-  bool Profile = true;
 };
 
 /// The runtime instance. At most one may exist at a time.

@@ -38,15 +38,7 @@ std::atomic<void (*)()> StrandPollHook{nullptr};
 Scheduler *Scheduler::current() { return CurScheduler; }
 Worker *Scheduler::currentWorker() { return CurWorker; }
 
-Scheduler::Scheduler(const Config &Cfg) : ProfileEnabled(Cfg.Profile) {
-  // The span ledger rides the strand clock, so an armed ledger forces
-  // profiling on even when the caller turned it off (e.g. the REPL).
-  // initFromEnv is idempotent; calling it here means MPL_OBS=spans is honored
-  // even for the first Runtime (whose Scheduler is constructed before the
-  // Runtime constructor body runs).
-  obs::initFromEnv();
-  if (obs::spansEnabled())
-    ProfileEnabled = true;
+Scheduler::Scheduler(const Config &Cfg) {
   int N = std::max(1, Cfg.NumWorkers);
   Workers.reserve(N);
   for (int I = 0; I < N; ++I) {
@@ -83,12 +75,11 @@ void Scheduler::setStrandPollHook(void (*Hook)()) {
 }
 
 void Scheduler::strandPause(Worker *W) {
-  // The quantum boundary is the deadline poll point: it runs whether or not
-  // the profiler is on, so expired requests are latched even in -noprofile
-  // runs. The hook never throws (flag-latch only).
+  // The quantum boundary is the deadline poll point. The hook never throws
+  // (flag-latch only).
   if (void (*Hook)() = StrandPollHook.load(std::memory_order_acquire))
     Hook();
-  if (!ProfileEnabled || W->StrandStartNs == 0)
+  if (W->StrandStartNs == 0)
     return;
   obs::emit(obs::Ev::StrandEnd);
   int64_t ElapsedNs = nowNs() - W->StrandStartNs;
@@ -102,8 +93,6 @@ void Scheduler::strandPause(Worker *W) {
 }
 
 void Scheduler::strandResume(Worker *W) {
-  if (!ProfileEnabled)
-    return;
   obs::emit(obs::Ev::StrandBegin);
   W->StrandStartNs = nowNs();
 }
@@ -121,13 +110,11 @@ WorkSpan Scheduler::runImpl(Thunk Root, void *Env) {
   }
   // Arm the span ledger for this run. The check happens per run (not just
   // at construction) so tests and benches that enable the ledger after
-  // building the Runtime still get a DAG; ProfileEnabled stays on for the
-  // scheduler's lifetime once forced (it defaults on anyway).
+  // building the Runtime still get a DAG. The ledger's self times come
+  // from the strand clock, which always runs.
   bool SpansOn = obs::spansEnabled();
-  if (SpansOn) {
-    ProfileEnabled = true;
+  if (SpansOn)
     obs::SpanLedger::get().runBegin();
-  }
   Active.store(true, std::memory_order_release);
 
   obs::SpanTask RootTask;

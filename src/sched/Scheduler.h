@@ -68,7 +68,6 @@ class Scheduler {
 public:
   struct Config {
     int NumWorkers = 1;
-    bool Profile = true;
   };
 
   explicit Scheduler(const Config &Cfg);
@@ -84,7 +83,6 @@ public:
   static Worker *currentWorker();
 
   int numWorkers() const { return static_cast<int>(Workers.size()); }
-  bool profiling() const { return ProfileEnabled; }
 
   /// Executes \p Root on worker 0 with all workers active; returns the
   /// work-span measurement of the whole computation.
@@ -152,7 +150,6 @@ private:
   /// they did).
   alignas(64) std::atomic<bool> ShuttingDown{false};
   std::atomic<bool> Active{false};
-  bool ProfileEnabled;
   WorkSpan Last;
 };
 

@@ -20,14 +20,14 @@ using namespace mpl;
 using namespace mpl::ops;
 
 TEST(BaselineTest, FibMatches) {
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   int64_t Rt = 0;
   R.run([&] { Rt = wl::fib(20, 8); });
   EXPECT_EQ(Rt, nat::fib(20));
 }
 
 TEST(BaselineTest, RandomIntsMatch) {
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   std::vector<int64_t> FromRt;
   R.run([&] {
     Local A(wl::randomInts(1000, 1 << 20, 77));
@@ -47,7 +47,7 @@ TEST(BaselineTest, SortsAgree) {
 }
 
 TEST(BaselineTest, SortMatchesRuntimeSort) {
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   std::vector<int64_t> FromRt;
   R.run([&] {
     Local A(wl::randomInts(5000, 1 << 16, 3));
@@ -61,7 +61,7 @@ TEST(BaselineTest, SortMatchesRuntimeSort) {
 }
 
 TEST(BaselineTest, NQueensMatches) {
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   int64_t Rt = 0;
   R.run([&] { Rt = wl::nqueens(8); });
   EXPECT_EQ(Rt, nat::nqueens(8));
@@ -69,7 +69,7 @@ TEST(BaselineTest, NQueensMatches) {
 }
 
 TEST(BaselineTest, PrimesMatch) {
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   int64_t Count = 0;
   R.run([&] {
     Local P(wl::primesUpTo(50000));
@@ -79,7 +79,7 @@ TEST(BaselineTest, PrimesMatch) {
 }
 
 TEST(BaselineTest, TokensMatch) {
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   int64_t Rt = 0;
   R.run([&] {
     Local T(wl::randomText(50000, 5));
@@ -89,7 +89,7 @@ TEST(BaselineTest, TokensMatch) {
 }
 
 TEST(BaselineTest, DedupMatches) {
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   int64_t Rt = 0;
   R.run([&] {
     Local K(wl::randomInts(4000, 600, 13));
@@ -100,7 +100,7 @@ TEST(BaselineTest, DedupMatches) {
 
 TEST(BaselineTest, GraphsIdenticalAndBfsAgrees) {
   nat::Graph NG = nat::buildRandomGraph(2000, 4, 11);
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   int64_t Reached = 0;
   R.run([&] {
     Local G(wl::buildRandomGraph(2000, 4, 11));
@@ -122,7 +122,7 @@ TEST(BaselineTest, GraphsIdenticalAndBfsAgrees) {
 TEST(BaselineTest, HistogramMatches) {
   std::vector<int64_t> V = nat::randomInts(10000, 64, 21);
   std::vector<int64_t> NH = nat::histogram(V, 64);
-  rt::Runtime R({.NumWorkers = 1, .Profile = false});
+  rt::Runtime R({.NumWorkers = 1});
   std::vector<int64_t> RH;
   R.run([&] {
     Local A(wl::randomInts(10000, 64, 21));

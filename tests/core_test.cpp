@@ -20,7 +20,6 @@ rt::Config cfg(int Workers, em::Mode M = em::Mode::Manage) {
   rt::Config C;
   C.NumWorkers = Workers;
   C.Mode = M;
-  C.Profile = false;
   C.GcMinBytes = 1 << 16; // Small budget: tests exercise GC aggressively.
   return C;
 }

@@ -52,7 +52,6 @@ EvalResult evalP(const std::string &Src, int Workers = 1,
   EvalResult R;
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
-  Cfg.Profile = false;
   Cfg.GcMinBytes = 1 << 18;
   Cfg.Mode = Mode;
   rt::Runtime Rt(Cfg);
@@ -319,7 +318,6 @@ void runAndCheckPins(const char *Src, int Workers, const char *ExpectOut,
   EvalResult R;
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
-  Cfg.Profile = false;
   Cfg.GcMinBytes = 1 << 16; // Aggressive: collections race parked conts.
   rt::Runtime Rt(Cfg);
   Rt.run([&] {

@@ -30,7 +30,6 @@ namespace {
 rt::Config cfg1() {
   rt::Config C;
   C.NumWorkers = 1;
-  C.Profile = false;
   C.GcMinBytes = 1 << 16;
   return C;
 }

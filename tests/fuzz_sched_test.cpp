@@ -127,7 +127,6 @@ FuzzOutcome runUnderChaos(const chaos::Config &C, int Workers,
   {
     rt::Config RC;
     RC.NumWorkers = Workers;
-    RC.Profile = false;
     RC.GcMinBytes = 1 << 16; // Aggressive: maximize GC interleavings.
     rt::Runtime R(RC);
 

@@ -87,7 +87,6 @@ TierOutcome runTier(const std::string &Src, int Workers, em::Mode Mode,
 
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
-  Cfg.Profile = false;
   Cfg.GcMinBytes = 1 << 18;
   Cfg.Mode = Mode;
   rt::Runtime Rt(Cfg);
@@ -398,7 +397,6 @@ TEST(JitTiering, ThresholdGatesCompilation) {
   ASSERT_TRUE(compile(*Ast, Prog, Errs));
   rt::Config Cfg;
   Cfg.NumWorkers = 1;
-  Cfg.Profile = false;
   rt::Runtime Rt(Cfg);
   std::string Out;
   Rt.run([&] {

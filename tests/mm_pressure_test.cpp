@@ -54,7 +54,6 @@ protected:
   rt::Config runtimeCfg(int Workers = 1) {
     rt::Config C;
     C.NumWorkers = Workers;
-    C.Profile = false;
     return C;
   }
 

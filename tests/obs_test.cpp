@@ -263,7 +263,6 @@ TEST_F(ObsTest, ChromeTraceRoundTripMatchesBufferCounts) {
   {
     rt::Config Cfg;
     Cfg.NumWorkers = 2;
-    Cfg.Profile = true;
     rt::Runtime R(Cfg);
     R.run([] { wl::fib(18, 5); });
   }
@@ -652,7 +651,6 @@ protected:
 rt::Config workerCfg(int Workers) {
   rt::Config C;
   C.NumWorkers = Workers;
-  C.Profile = false;
   C.GcMinBytes = 1 << 16;
   return C;
 }

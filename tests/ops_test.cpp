@@ -18,7 +18,7 @@ using namespace mpl::ops;
 
 namespace {
 struct OpsFixture : ::testing::Test {
-  rt::Runtime R{{.NumWorkers = 1, .Profile = false}};
+  rt::Runtime R{{.NumWorkers = 1}};
 
   template <typename Fn> void inTask(Fn &&F) {
     R.run(std::forward<Fn>(F));

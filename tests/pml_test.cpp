@@ -227,7 +227,6 @@ EvalResult evalP(const std::string &Src, int Workers = 1) {
   EvalResult R{false, "", "", "", ""};
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
-  Cfg.Profile = false;
   Cfg.GcMinBytes = 1 << 18;
   rt::Runtime Rt(Cfg);
   Rt.run([&] {

@@ -9,7 +9,8 @@
 // profile-site drift, counter/residency gates, and malformed/empty input
 // rejected with a diagnostic instead of a crash. Also round-trips the
 // BenchJson writer (bench/Common.h) through src/support/Json.h to pin the
-// schema the gate consumes.
+// schema the gate consumes, and checks bench::measure, the timed-rep loop
+// that produces every row.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace mpl;
@@ -669,6 +672,62 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
   GateOptions Opts;
   Opts.GateResidency = Opts.GateCounters = Opts.ProfileDrift = true;
   EXPECT_TRUE(gate::compare(F, F, Opts).ok());
+}
+
+//===----------------------------------------------------------------------===//
+// bench::measure, the one timed-rep loop behind every row
+//===----------------------------------------------------------------------===//
+
+TEST(Measure, WarmupRepIsNotInRepTimes) {
+  // The warmup rep sleeps far longer than any timed rep runs, so a
+  // warmup time leaking into rep_s (or the median) would stand out.
+  int Calls = 0;
+  bench::RunResult R = bench::measure(
+      [&] {
+        if (Calls++ == 0)
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        return int64_t(7);
+      },
+      std::nullopt, /*Reps=*/3);
+  EXPECT_EQ(Calls, 4);
+  ASSERT_EQ(R.RepSeconds.size(), 3u);
+  for (double S : R.RepSeconds)
+    EXPECT_LT(S, 0.1);
+  EXPECT_LT(R.Seconds, 0.1);
+  EXPECT_EQ(R.Checksum, 7);
+}
+
+TEST(Measure, CountersComeFromTheMedianRep) {
+  // Timed rep I sleeps SleepsMs[I] ms and captures I+1 continuations;
+  // the warmup captures 100. Sorted by time the reps are 0, 2, 3, 4, 1,
+  // so the lower median is rep 3 — neither the first, the last, nor the
+  // middle index.
+  const int SleepsMs[] = {0, 80, 20, 40, 60};
+  int Rep = -1;
+  bench::RunResult R = bench::measure(
+      [&] {
+        if (Rep >= 0)
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(SleepsMs[Rep]));
+        em::Counts.ContCaptured.add(Rep < 0 ? 100 : Rep + 1);
+        ++Rep;
+        return int64_t(1);
+      },
+      rt::Config{}, /*Reps=*/5);
+  ASSERT_EQ(R.RepSeconds.size(), 5u);
+  EXPECT_EQ(R.Seconds, R.RepSeconds[3]);
+  EXPECT_EQ(R.Stats.ContCaptured, 4);
+  EXPECT_EQ(R.LeakedPins, 0);
+}
+
+TEST(MeasureDeathTest, VaryingChecksumFails) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        int64_t N = 0;
+        bench::measure([&] { return N++; }, std::nullopt, /*Reps=*/2);
+      },
+      "checksum varies across repetitions");
 }
 
 //===----------------------------------------------------------------------===//

@@ -42,7 +42,6 @@ SampleResult runSample(const std::string &Name, int Workers) {
 
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
-  Cfg.Profile = false;
   rt::Runtime Rt(Cfg);
   Rt.run([&] {
     std::string Rendered, TypeStr;

@@ -68,14 +68,14 @@ TEST(DequeTest, ConcurrentStealersGetEachJobOnce) {
 }
 
 TEST(SchedulerTest, RunsRoot) {
-  Scheduler S({.NumWorkers = 1, .Profile = false});
+  Scheduler S({.NumWorkers = 1});
   int X = 0;
   S.run([&] { X = 42; });
   EXPECT_EQ(X, 42);
 }
 
 TEST(SchedulerTest, ForkJoinComputesBothBranches) {
-  Scheduler S({.NumWorkers = 2, .Profile = false});
+  Scheduler S({.NumWorkers = 2});
   int A = 0, B = 0;
   S.run([&] { S.fork2join([&] { A = 1; }, [&] { B = 2; }); });
   EXPECT_EQ(A, 1);
@@ -95,7 +95,7 @@ static int64_t schedFib(Scheduler &S, int64_t N) {
 
 TEST(SchedulerTest, NestedForkJoinFib) {
   for (int Workers : {1, 2, 4}) {
-    Scheduler S({.NumWorkers = Workers, .Profile = false});
+    Scheduler S({.NumWorkers = Workers});
     int64_t R = 0;
     S.run([&] { R = schedFib(S, 22); });
     EXPECT_EQ(R, 17711) << "workers=" << Workers;
@@ -103,7 +103,7 @@ TEST(SchedulerTest, NestedForkJoinFib) {
 }
 
 TEST(SchedulerTest, ParallelForCoversRange) {
-  Scheduler S({.NumWorkers = 3, .Profile = false});
+  Scheduler S({.NumWorkers = 3});
   constexpr int64_t N = 10000;
   std::vector<std::atomic<int>> Hits(N);
   S.run([&] {
@@ -114,7 +114,7 @@ TEST(SchedulerTest, ParallelForCoversRange) {
 }
 
 TEST(SchedulerTest, ParallelForEmptyAndTinyRanges) {
-  Scheduler S({.NumWorkers = 2, .Profile = false});
+  Scheduler S({.NumWorkers = 2});
   int Count = 0;
   S.run([&] {
     S.parallelFor(5, 5, 1, [&](int64_t) { ++Count; });
@@ -124,7 +124,7 @@ TEST(SchedulerTest, ParallelForEmptyAndTinyRanges) {
 }
 
 TEST(ProfilerTest, WorkAtLeastSpan) {
-  Scheduler S({.NumWorkers = 1, .Profile = true});
+  Scheduler S({.NumWorkers = 1});
   WorkSpan WS = S.run([&] { volatile int64_t X = schedFib(S, 20); (void)X; });
   EXPECT_GT(WS.WorkSec, 0.0);
   EXPECT_GT(WS.SpanSec, 0.0);
@@ -135,7 +135,7 @@ TEST(ProfilerTest, WorkAtLeastSpan) {
 TEST(ProfilerTest, ParallelWorkloadHasParallelism) {
   // fib has abundant parallelism: W/S should clearly exceed 1 even with
   // sequential execution underneath.
-  Scheduler S({.NumWorkers = 1, .Profile = true});
+  Scheduler S({.NumWorkers = 1});
   WorkSpan WS = S.run([&] { volatile int64_t X = schedFib(S, 26); (void)X; });
   EXPECT_GT(WS.WorkSec / WS.SpanSec, 1.5);
   // And the Brent bound must be monotone in P.
@@ -145,7 +145,7 @@ TEST(ProfilerTest, ParallelWorkloadHasParallelism) {
 
 TEST(ProfilerTest, SequentialChainHasNoParallelism) {
   // A purely sequential computation: span == work (no forks).
-  Scheduler S({.NumWorkers = 2, .Profile = true});
+  Scheduler S({.NumWorkers = 2});
   WorkSpan WS = S.run([&] {
     volatile int64_t Acc = 0;
     for (int I = 0; I < 2000000; ++I)

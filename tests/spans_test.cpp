@@ -46,7 +46,6 @@ protected:
     {
       rt::Config Cfg;
       Cfg.NumWorkers = Workers;
-      Cfg.Profile = true;
       rt::Runtime R(Cfg);
       R.run(Body);
     }

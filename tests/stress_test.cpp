@@ -30,7 +30,6 @@ namespace {
 rt::Config stressCfg(int Workers) {
   rt::Config C;
   C.NumWorkers = Workers;
-  C.Profile = false;
   C.GcMinBytes = 1 << 17; // Very aggressive: maximize GC interleavings.
   return C;
 }

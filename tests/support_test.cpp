@@ -339,6 +339,19 @@ TEST(WriteFileTest, WritesWholeText) {
   EXPECT_FALSE(writeFile(testing::TempDir() + "no/such/dir/x.json", "{}"));
 }
 
+TEST(ReadFileTest, ReadsBackWhatWriteFileWrote) {
+  std::string Path = testing::TempDir() + "support_test_read_file.json";
+  ASSERT_TRUE(writeFile(Path, "{\"a\":1}\n"));
+  std::optional<std::string> Text = readFile(Path);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Text.has_value());
+  EXPECT_EQ(*Text, "{\"a\":1}\n");
+}
+
+TEST(ReadFileTest, MissingPathIsNullopt) {
+  EXPECT_FALSE(readFile(testing::TempDir() + "no/such/dir/x.json"));
+}
+
 TEST(WriteFileTest, FullDeviceFails) {
   // The write itself fits in the stdio buffer and succeeds; only the
   // flush in fclose hits ENOSPC.

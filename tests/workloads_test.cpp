@@ -30,7 +30,6 @@ protected:
   rt::Config cfg() {
     rt::Config C;
     C.NumWorkers = GetParam();
-    C.Profile = false;
     C.GcMinBytes = 1 << 19; // Aggressive GC in tests.
     return C;
   }

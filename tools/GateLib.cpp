@@ -6,14 +6,14 @@
 
 #include "GateLib.h"
 
+#include "support/File.h"
 #include "support/Json.h"
 #include "support/Table.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <unordered_map>
 
 namespace mpl {
@@ -218,14 +218,12 @@ bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err) {
 }
 
 bool loadBenchFile(const std::string &Path, BenchFile &Out, std::string &Err) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text) {
     Err = Path + ": cannot open";
     return false;
   }
-  std::stringstream Ss;
-  Ss << In.rdbuf();
-  if (!parseBenchJson(Ss.str(), Out, Err)) {
+  if (!parseBenchJson(*Text, Out, Err)) {
     Err = Path + ": " + Err;
     return false;
   }
@@ -581,14 +579,12 @@ bool parseSpansJson(const std::string &Text, SpansFile &Out, std::string &Err) {
 }
 
 bool loadSpansFile(const std::string &Path, SpansFile &Out, std::string &Err) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text) {
     Err = Path + ": cannot open";
     return false;
   }
-  std::stringstream Ss;
-  Ss << In.rdbuf();
-  if (!parseSpansJson(Ss.str(), Out, Err)) {
+  if (!parseSpansJson(*Text, Out, Err)) {
     Err = Path + ": " + Err;
     return false;
   }

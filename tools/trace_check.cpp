@@ -39,13 +39,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/File.h"
 #include "support/Json.h"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -82,16 +82,13 @@ int main(int argc, char **argv) {
       return fail("unknown argument: " + A);
   }
 
-  std::ifstream In(argv[1]);
-  if (!In)
+  std::optional<std::string> Text = readFile(argv[1]);
+  if (!Text)
     return fail(std::string("cannot open ") + argv[1]);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Text = Buf.str();
 
   json::Value Doc;
   std::string Err;
-  if (!json::parse(Text, Doc, Err))
+  if (!json::parse(*Text, Doc, Err))
     return fail("JSON parse error: " + Err);
   if (!Doc.isObject())
     return fail("top-level value is not an object");
