@@ -8,7 +8,6 @@
 
 #include "baseline/Native.h"
 #include "obs/Profile.h"
-#include "obs/Span.h"
 #include "support/File.h"
 
 #include <algorithm>
@@ -240,8 +239,7 @@ int64_t RunResult::profilePinnedBytes() const {
 
 RunResult measure(const std::function<int64_t()> &Body,
                   const std::optional<rt::Config> &Cfg, int Reps,
-                  bool SiteProfile, bool Spans) {
-  MPL_CHECK(Cfg || !Spans, "the spans rep needs a Runtime");
+                  bool SiteProfile) {
   // Honour an env-armed profiler (MPL_OBS=profile) even when the caller
   // did not ask, so any bench binary can be site-profiled ad hoc.
   bool ProfWasEnabled = obs::profileEnabled();
@@ -304,39 +302,16 @@ RunResult measure(const std::function<int64_t()> &Body,
   Out.ProfileSites = Med.Sites;
   Out.LeakedPins = Med.LeakedPins;
   Out.LeakedBytes = Med.LeakedBytes;
-
-  if (Spans) {
-    // One extra untimed rep with the span ledger armed: the ledger's
-    // per-task bookkeeping never contaminates the timed reps, and the DAG
-    // belongs to exactly one run.
-    auto &Ledger = obs::SpanLedger::get();
-    bool WasEnabled = Ledger.enabled();
-    Ledger.enable();
-    {
-      rt::Runtime R(*Cfg);
-      R.run([&] { (void)Body(); });
-    }
-    if (!WasEnabled)
-      Ledger.disable();
-    obs::SpanRunSummary Sum = Ledger.lastRun();
-    Out.Spans.Valid = Sum.Valid;
-    Out.Spans.Tasks = Sum.Tasks;
-    Out.Spans.Stolen = Sum.Stolen;
-    Out.Spans.WorkSec = Sum.LedgerWorkSec;
-    Out.Spans.CriticalPathSec = Sum.CriticalPathSec;
-    Out.Spans.AgreementPct = Sum.agreementPct();
-  }
-
   return Out;
 }
 
 RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
-                  em::Mode Mode, int Reps, bool SiteProfile, bool Spans) {
+                  em::Mode Mode, int Reps, bool SiteProfile) {
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
   Cfg.Mode = Mode;
   return measure([&] { return Entry.Run(Sequential); }, Cfg, Reps,
-                 SiteProfile, Spans);
+                 SiteProfile);
 }
 
 RepStats repStats(const std::vector<double> &Seconds) {
@@ -389,13 +364,14 @@ std::string fmtSecPm(double MedianSec, double StddevSec) {
 // BenchJson
 //===----------------------------------------------------------------------===//
 
-BenchJson::BenchJson(std::string BenchId, double Scale, int Reps) {
+BenchJson::BenchJson(std::string BenchId, double Scale, int Reps,
+                     int WarmupReps) {
   W.beginObject()
       .kv("schema", "mpl-bench/1")
       .kv("bench", BenchId)
       .kv("scale", Scale)
       .kv("reps", Reps)
-      .kv("warmup_reps", 1)
+      .kv("warmup_reps", WarmupReps)
       .kv("statistic", "median_lower");
 }
 
@@ -450,8 +426,8 @@ void BenchJson::addRow(const std::string &Name, const std::string &Config,
       .kv("cont_captured", St.ContCaptured)
       .kv("cont_resumed", St.ContResumed)
       .endObject();
-  // Additive like "spans": only rows that actually ran the JIT tier carry
-  // the block, so existing baselines keep parsing unchanged.
+  // Only rows that actually ran the JIT tier carry the block, so existing
+  // baselines keep parsing unchanged.
   if (St.JitCompiled > 0)
     W.key("jit")
         .beginObject()
@@ -468,17 +444,6 @@ void BenchJson::addRow(const std::string &Name, const std::string &Config,
       .endObject()
       .kv("max_residency_bytes", St.PeakResidency)
       .kv("checksum", R.Checksum);
-  // Additive: rows measured without Spans carry no block, so existing
-  // baselines keep parsing and the gate's join is unaffected.
-  if (R.Spans.Valid)
-    W.key("spans")
-        .beginObject()
-        .kv("tasks", R.Spans.Tasks)
-        .kv("stolen", R.Spans.Stolen)
-        .kv("work_s", R.Spans.WorkSec)
-        .kv("critical_path_s", R.Spans.CriticalPathSec)
-        .kv("agreement_pct", R.Spans.AgreementPct)
-        .endObject();
   W.key("profile")
       .beginObject()
       .kv("leaked_pins", R.LeakedPins)

@@ -98,26 +98,6 @@ struct ProfileSiteRow {
   int64_t LifetimeP99Ns = 0;
 };
 
-/// Span-ledger snapshot (obs/Span.h) from one extra *untimed* repetition
-/// run with the causal span ledger armed — attached only when measure()
-/// is called with Spans=true, so the published times never carry the
-/// ledger's overhead. CriticalPathSec/WorkSec come from the ledger DAG;
-/// AgreementPct is the ledger-vs-scheduler consistency check.
-struct SpanSnap {
-  bool Valid = false;
-  int64_t Tasks = 0;
-  int64_t Stolen = 0;
-  double WorkSec = 0;
-  double CriticalPathSec = 0;
-  double AgreementPct = 0;
-
-  /// Critical-path fraction CP/W in percent — the table column. 100% on
-  /// one worker means a serial schedule; low % means slack to steal.
-  double cpPct() const {
-    return WorkSec > 0 ? 100.0 * CriticalPathSec / WorkSec : 0;
-  }
-};
-
 /// Result of one measured configuration.
 ///
 /// Headline statistic: the (lower) median across the timed repetitions —
@@ -144,10 +124,6 @@ struct RunResult {
   /// Sum of bytes attributed to pin sites ("em.pin.*" / "hh.pin"): equals
   /// Stats.PinnedBytes when the profiler attributed every pin.
   int64_t profilePinnedBytes() const;
-
-  /// Span-ledger snapshot of the extra untimed rep (Valid only when
-  /// measured with Spans=true and the ledger captured a complete DAG).
-  SpanSnap Spans;
 };
 
 /// The one timed-rep loop of every bench table. Rep -1 is an untimed
@@ -161,18 +137,15 @@ struct RunResult {
 /// With \p SiteProfile the entanglement profiler (obs/Profile.h) is armed
 /// around every rep and the median rep's site table is attached — this
 /// adds slow-path overhead, so time tables keep it off except for
-/// entanglement-focused rows. With \p Spans one extra untimed rep runs
-/// with the causal span ledger armed and its DAG summary is attached as
-/// RunResult::Spans (the cp%% table column); it needs a Runtime.
+/// entanglement-focused rows.
 RunResult measure(const std::function<int64_t()> &Body,
                   const std::optional<rt::Config> &Cfg, int Reps,
-                  bool SiteProfile = false, bool Spans = false);
+                  bool SiteProfile = false);
 
 /// measure() of a suite kernel, sequential (the T_s shape) or parallel,
 /// on \p Workers workers under \p Mode.
 RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
-                  em::Mode Mode, int Reps, bool SiteProfile = false,
-                  bool Spans = false);
+                  em::Mode Mode, int Reps, bool SiteProfile = false);
 
 /// The rep statistic every bench reports (methodologyLine): the lower
 /// median — index (N-1)/2 of the sorted times, so always a measured rep —
@@ -198,7 +171,9 @@ std::string fmtSecPm(double MedianSec, double StddevSec);
 /// first: add them all before the first row.
 class BenchJson {
 public:
-  BenchJson(std::string BenchId, double Scale, int Reps);
+  /// \p WarmupReps is the untimed reps each row took before its timed
+  /// ones: measure()'s one, or 0 for a bench timed outside it.
+  BenchJson(std::string BenchId, double Scale, int Reps, int WarmupReps = 1);
 
   /// Extra top-level metadata (string / integer valued).
   void addMeta(const std::string &Key, const std::string &Value);

@@ -37,6 +37,13 @@ int main(int Argc, char **Argv) {
 
   Table T({"benchmark", "off", "detect", "manage", "detect/off",
            "manage/off"});
+  Table T2({"benchmark", "mode", "collections", "max-pause", "total-pause"});
+  auto addPauses = [&T2](const std::string &Name, const char *Mode,
+                         const StatSnap &S) {
+    T2.addRow({Name, Mode, Table::fmtInt(S.GcCount),
+               Table::fmtSec(static_cast<double>(S.GcMaxPauseNs) * 1e-9),
+               Table::fmtSec(static_cast<double>(S.GcTotalPauseNs) * 1e-9)});
+  };
 
   for (const SuiteEntry &E : makeSuite(Scale)) {
     if (E.Entangled)
@@ -54,34 +61,23 @@ int main(int Argc, char **Argv) {
     J.addRow(E.Name, "off", false, Off);
     J.addRow(E.Name, "detect", false, Det);
     J.addRow(E.Name, "manage", false, Man);
+
+    if (E.Name != "msort" && E.Name != "quicksort")
+      continue;
+    // A1. Whole-heap shape: the sequential run keeps everything in the
+    // root heap, so every collection scans the full live set.
+    RunResult Seq = measure(E, true, 1, em::Mode::Manage, Reps);
+    addPauses(E.Name, "whole-heap", Seq.Stats);
+    // Hierarchical shape: the parallel run, which collects small private
+    // chains, is the manage cell above.
+    addPauses(E.Name, "hierarchical", Man.Stats);
+    J.addRow(E.Name, "gc-whole-heap", false, Seq);
+    J.addRow(E.Name, "gc-hierarchical", false, Man);
   }
   T.print();
 
   std::printf("\n== A1: local (hierarchical) vs whole-heap collection "
               "pauses ==\n");
-  Table T2({"benchmark", "mode", "collections", "max-pause", "total-pause"});
-  for (const SuiteEntry &E : makeSuite(Scale)) {
-    if (E.Name != "msort" && E.Name != "quicksort")
-      continue;
-    // Whole-heap shape: the sequential run keeps everything in the root
-    // heap, so every collection scans the full live set.
-    RunResult Seq = measure(E, true, 1, em::Mode::Manage, Reps);
-    int64_t SeqTotal = Seq.Stats.GcTotalPauseNs;
-    // Hierarchical shape: the parallel run collects small private chains.
-    RunResult Par = measure(E, false, 1, em::Mode::Manage, Reps);
-    int64_t ParTotal = Par.Stats.GcTotalPauseNs;
-
-    T2.addRow({E.Name, "whole-heap", Table::fmtInt(Seq.Stats.GcCount),
-               Table::fmtSec(static_cast<double>(Seq.Stats.GcMaxPauseNs) *
-                             1e-9),
-               Table::fmtSec(static_cast<double>(SeqTotal) * 1e-9)});
-    T2.addRow({E.Name, "hierarchical", Table::fmtInt(Par.Stats.GcCount),
-               Table::fmtSec(static_cast<double>(Par.Stats.GcMaxPauseNs) *
-                             1e-9),
-               Table::fmtSec(static_cast<double>(ParTotal) * 1e-9)});
-    J.addRow(E.Name, "gc-whole-heap", E.Entangled, Seq);
-    J.addRow(E.Name, "gc-hierarchical", E.Entangled, Par);
-  }
   T2.print();
   std::printf("\nHierarchical collection trades a few more collections for "
               "far smaller\nper-collection pauses — the property that lets "

@@ -84,7 +84,7 @@ int main(int Argc, char **Argv) {
               static_cast<long long>(FinalPinned));
 
   if (!JsonPath.empty()) {
-    BenchJson J("fig_spacetime", Scale, /*Reps=*/1);
+    BenchJson J("fig_spacetime", Scale, /*Reps=*/1, /*WarmupReps=*/0);
     J.addMetaInt("sample_us", SampleUs);
     J.addMetaInt("final_pinned_bytes", FinalPinned);
     J.addCustomRow("dedup-ht", "spacetime-w2",

@@ -272,7 +272,7 @@ int main(int Argc, char **Argv) {
                  static_cast<long long>(SB.QueueP99), DeadlineMs);
 
   if (!JsonPath.empty()) {
-    bench::BenchJson J("server", /*Scale=*/1.0, /*Reps=*/1);
+    bench::BenchJson J("server", /*Scale=*/1.0, /*Reps=*/1, /*WarmupReps=*/0);
     J.addMetaInt("rate", Rate);
     J.addMetaInt("duration_ms", DurationMs);
     J.addMetaInt("conns", Conns);

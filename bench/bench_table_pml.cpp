@@ -95,14 +95,12 @@ struct Cell {
   std::string Value;
 };
 
-Cell measureCell(const Kernel &K, em::Mode Mode, bool UseJit, int Reps,
-                 bool Spans) {
+Cell measureCell(const Kernel &K, em::Mode Mode, bool UseJit, int Reps) {
   rt::Config Cfg;
   Cfg.Mode = Mode;
   Cell C;
   jit::setEnabled(UseJit);
-  C.R = measure([&] { return evalPml(K.Src, C.Output, C.Value); }, Cfg, Reps,
-                /*SiteProfile=*/false, Spans);
+  C.R = measure([&] { return evalPml(K.Src, C.Output, C.Value); }, Cfg, Reps);
   jit::setEnabled(false);
   return C;
 }
@@ -204,7 +202,7 @@ int main(int Argc, char **Argv) {
   }();
 
   Table T({"benchmark", "native C++", "C++ embedding", "PML (VM)",
-           "vm/embed", "embed/native", "cp%"});
+           "vm/embed", "embed/native"});
   Table A({"benchmark", "mode", "interp", "jit", "speedup", "jit fns",
            "code KiB"});
   for (const Kernel &K : Kernels) {
@@ -216,15 +214,11 @@ int main(int Argc, char **Argv) {
     // zero pins; the JSON rows carry the pml.jit.* counters and per-rep
     // times so CI can arm the stddev-aware time gate for the jit rows
     // (tools/ci.sh, --time-gate-config pml-jit). The carrier table's PML
-    // column is the interpreter's Manage cell; its extra spans rep gives
-    // the cp% column (100% on one worker means a serial schedule).
+    // column is the interpreter's Manage cell.
     RunResult Pml;
     for (const ModeCase &M : Modes) {
-      bool Manage = M.Mode == em::Mode::Manage;
-      Cell In = measureCell(K, M.Mode, /*UseJit=*/false, Reps,
-                            /*Spans=*/Manage);
-      Cell Jt = measureCell(K, M.Mode, /*UseJit=*/true, Reps,
-                            /*Spans=*/false);
+      Cell In = measureCell(K, M.Mode, /*UseJit=*/false, Reps);
+      Cell Jt = measureCell(K, M.Mode, /*UseJit=*/true, Reps);
       const StatSnap &SI = In.R.Stats, &SJ = Jt.R.Stats;
       MPL_CHECK(In.Output == Jt.Output && In.Value == Jt.Value,
                 "interp and jit runs disagree");
@@ -253,7 +247,7 @@ int main(int Argc, char **Argv) {
                 std::to_string(SJ.JitCompiled), KiB});
       addCellRow(J, K, std::string("pml-interp-") + M.Name, In.R);
       addCellRow(J, K, std::string("pml-jit-") + M.Name, Jt.R);
-      if (Manage)
+      if (M.Mode == em::Mode::Manage)
         Pml = In.R;
     }
     MPL_CHECK(Nat.Checksum == Emb.Checksum && Emb.Checksum == Pml.Checksum,
@@ -261,8 +255,7 @@ int main(int Argc, char **Argv) {
     T.addRow({K.Name, Table::fmtSec(Nat.Seconds), Table::fmtSec(Emb.Seconds),
               Table::fmtSec(Pml.Seconds),
               Table::fmtRatio(Pml.Seconds / Emb.Seconds),
-              Table::fmtRatio(Emb.Seconds / Nat.Seconds),
-              Pml.Spans.Valid ? Table::fmtPct(Pml.Spans.cpPct()) : "-"});
+              Table::fmtRatio(Emb.Seconds / Nat.Seconds)});
   }
 
   T.print();

@@ -1,4 +1,4 @@
-//===- bench/bench_table_time.cpp - Paper tables T1, T3 and figure F1 -----===//
+//===- bench/bench_table_time.cpp - Paper tables T1-T3 and figure F1 ------===//
 //
 // Part of mpl-em (PLDI 2023 reproduction).
 //
@@ -12,8 +12,12 @@
 //   * good scalability (large T_s/T_72 for the parallel benchmarks),
 //   * entangled programs run (pre-paper MPL rejects the last three rows).
 //
-// The cross-language table (T3) and the speedup figure (F1) are two more
-// views of the same runs:
+// The space table (T2), the cross-language table (T3) and the speedup
+// figure (F1) are three more views of the same runs:
+//   * T2 sets the maximum residency of the T_s run (R_s) beside the T_1
+//     run's (R_1), with the T_1 run's pinned and in-place-preserved bytes.
+//     The claim: space overhead over sequential runs is small, and the
+//     extra space of entanglement is bounded by the pinned data.
 //   * T3 sets T_1 beside the same kernel in C++ (src/baseline) at the same
 //     size. Only the C++ column of the paper's comparison is reproducible
 //     offline (DESIGN.md §2). The claim: the managed functional runtime is
@@ -45,9 +49,12 @@ int main(int Argc, char **Argv) {
               Scale, P, methodologyLine(Reps).c_str());
 
   Table T({"benchmark", "T_s", "T_1", "ovhd(T_1/T_s)", "W/S",
-           "T_" + std::to_string(P), "speedup(T_s/T_P)", "cp%"});
+           "T_" + std::to_string(P), "speedup(T_s/T_P)"});
   BenchJson J("table_time", Scale, Reps);
   J.addMetaInt("procs", P);
+
+  Table Space({"benchmark", "R_s", "R_1", "blowup", "pinned", "gc-inplace",
+               "gc-count", "max-pause"});
 
   Table Lang({"benchmark", "C++ idiomatic", "C++ alloc-match", "mpl-em T_1",
               "mpl/idiomatic"});
@@ -69,12 +76,8 @@ int main(int Argc, char **Argv) {
     // per-event attribution would inflate the entangled T_1 it reports.
     // MPL_OBS=profile opts in (measure() honors it); the attribution datum
     // lives in bench_table_entangle, which always arms it.
-    // Spans=true attaches the causal span ledger's critical-path fraction
-    // (cp% column) from one extra untimed rep — the timed T_1 never runs
-    // with the ledger armed.
     RunResult Par = measure(E, /*Sequential=*/false, /*Workers=*/1,
-                            em::Mode::Manage, Reps, /*SiteProfile=*/false,
-                            /*Spans=*/true);
+                            em::Mode::Manage, Reps);
     MPL_CHECK(Seq.Checksum == Par.Checksum,
               "sequential and parallel runs disagree");
 
@@ -82,13 +85,24 @@ int main(int Argc, char **Argv) {
     double Parallelism = Par.WS.SpanSec > 0
                              ? Par.WS.WorkSec / Par.WS.SpanSec
                              : 0;
-    T.addRow({E.Name + (E.Entangled ? " (ent)" : ""),
-              fmtSecPm(Seq.Seconds, Seq.StddevSeconds),
+    std::string Label = E.Name + (E.Entangled ? " (ent)" : "");
+    T.addRow({Label, fmtSecPm(Seq.Seconds, Seq.StddevSeconds),
               fmtSecPm(Par.Seconds, Par.StddevSeconds),
               Table::fmtRatio(Par.Seconds / Seq.Seconds),
               Table::fmtRatio(Parallelism), Table::fmtSec(TP),
-              Table::fmtRatio(Seq.Seconds / TP),
-              Par.Spans.Valid ? Table::fmtPct(Par.Spans.cpPct()) : "-"});
+              Table::fmtRatio(Seq.Seconds / TP)});
+    const StatSnap &RS = Seq.Stats, &R1 = Par.Stats;
+    std::string Blowup =
+        RS.PeakResidency > 0
+            ? Table::fmtRatio(static_cast<double>(R1.PeakResidency) /
+                              static_cast<double>(RS.PeakResidency))
+            : "-"; // Allocation-free benchmark (e.g. fib).
+    Space.addRow({Label, Table::fmtBytes(RS.PeakResidency),
+                  Table::fmtBytes(R1.PeakResidency), Blowup,
+                  Table::fmtBytes(R1.PinnedBytes),
+                  Table::fmtBytes(R1.GcInPlaceBytes),
+                  Table::fmtInt(R1.GcCount),
+                  Table::fmtSec(static_cast<double>(R1.GcMaxPauseNs) * 1e-9)});
     J.addRow(E.Name, "seq", E.Entangled, Seq);
     J.addRow(E.Name, "par-w1", E.Entangled, Par);
 
@@ -122,6 +136,14 @@ int main(int Argc, char **Argv) {
   std::printf("\n(ent) = entangled benchmark: its T_s runs with management "
               "enabled because\npre-paper MPL cannot run it at all; "
               "see bench_table_entangle for its stats.\n");
+
+  std::printf("\n== T2: maximum residency (scale=%.2f) ==\n", Scale);
+  Space.print();
+  std::printf("\nR_s and R_1 are the peak chunk-pool residency of T1's T_s "
+              "and T_1 runs.\ngc-inplace = bytes preserved in place for "
+              "pinned (entangled) closures across\nall collections — the "
+              "paper's space cost of entanglement. ~0 for the\n"
+              "disentangled suite (the shielding claim).\n");
 
   std::printf("\n== T3: cross-language comparison (scale=%.2f; Go/Java/OCaml "
               "columns not reproducible offline) ==\n",

@@ -109,8 +109,8 @@ struct Server::Impl {
   Stat WireFaults{"net.wire.faults"};
   /// Stats frames served. Deliberately NOT part of Requests/Resp* — the
   /// introspection plane must not disturb the request-counter balance
-  /// invariant (net.requests == sum of net.resp.*) that trace_check
-  /// --check-net-balance asserts.
+  /// invariant (net.requests == sum of net.resp.*) that `mpl_report trace
+  /// --check-net-balance` asserts.
   Stat Introspects{"net.introspect"};
   Histogram LatencyNs{"net.request.latency.ns"};
   Histogram StageQueueNs{"net.stage.queue.ns"};

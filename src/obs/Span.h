@@ -30,8 +30,7 @@
 ///     merged into a DAG keyed by task id, CP(T) = Self(T) + Σ over fork
 ///     pairs max(CP(a), CP(b)) is computed iteratively, the winner tree is
 ///     marked, and a RunSummary (JSON-exportable as "mpl-spans/1") is
-///     stored for tools/mpl_spans, the REPL's :spans command, and the
-///     bench tables' critical-path-fraction column.
+///     stored for `mpl_report spans` and the REPL's :spans command.
 ///
 /// Task ids come from one global counter, allocated in consecutive pairs
 /// at each fork (A = n, B = n+1); children of a parent sorted by id thus
@@ -148,7 +147,7 @@ struct SpanRunSummary {
     return 100.0 * (CriticalPathSec - SchedSpanSec) / SchedSpanSec;
   }
 
-  /// "mpl-spans/1" JSON document (tools/mpl_spans input).
+  /// "mpl-spans/1" JSON document (`mpl_report spans` input).
   std::string toJson() const;
 
   /// Short human-readable rendering (pml_repl :spans).

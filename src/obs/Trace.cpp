@@ -49,7 +49,7 @@ thread_local int TlsTrackId = -1;
 
 /// Trace-ring overflow is a first-class health signal: a metrics series
 /// with rising drops means the capture window was too small for the
-/// workload (tools/trace_check fails on it unless --allow-drops).
+/// workload (`mpl_report trace` fails on it unless --allow-drops).
 Gauge TraceDropped("obs.trace.dropped", [] {
   return static_cast<int64_t>(Tracer::get().totalDropped());
 });
@@ -351,7 +351,7 @@ std::string Tracer::chromeTraceJson() const {
       .beginObject()
       .kv("dropped_events", std::to_string(Dropped));
   // Counters, histograms and the live heap tree at export time, so
-  // post-mortem checkers (trace_check --check-net-balance) need no second
+  // post-mortem checkers (mpl_report trace) need no second
   // file. The registry folds retired Stats into snapshotAll(), so even the
   // final atexit flush — which runs after a net::Server's Impl (and its
   // net.* Stats) has been destroyed — still reports the full net.* family.

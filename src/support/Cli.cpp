@@ -62,3 +62,11 @@ bool Cli::getBool(const std::string &Name) const {
     return false;
   return *V != "0" && *V != "false" && *V != "no";
 }
+
+std::vector<std::string> Cli::getAll(const std::string &Name) const {
+  std::vector<std::string> Values;
+  for (const auto &KV : Flags)
+    if (KV.first == Name)
+      Values.push_back(KV.second);
+  return Values;
+}

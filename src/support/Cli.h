@@ -12,6 +12,8 @@
 ///   bool Verbose = Cli.getBool("verbose");
 /// \endcode
 /// Flags are written as `-name value` or `-name=value`; bools as `-name`.
+/// A bare flag followed by a non-flag word takes that word as its value,
+/// so positional arguments go before bool flags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +38,18 @@ public:
                         const std::string &Default) const;
   bool getBool(const std::string &Name) const;
 
+  /// Every value of a flag given more than once, in order (empty when
+  /// the flag is absent).
+  std::vector<std::string> getAll(const std::string &Name) const;
+
   /// Positional (non-flag) arguments, in order.
   const std::vector<std::string> &positional() const { return Positional; }
+
+  /// Every flag as given, (name, value) in order; a bare flag's value is
+  /// empty. Lets a tool reject flags it does not know.
+  const std::vector<std::pair<std::string, std::string>> &flags() const {
+    return Flags;
+  }
 
 private:
   const std::string *find(const std::string &Name) const;

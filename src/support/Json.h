@@ -7,7 +7,7 @@
 /// \file
 /// A deliberately small JSON library: every document the runtime, benches
 /// and tools emit is written through json::Writer, and the trace checker
-/// (tools/trace_check.cpp), the gates and tests parse exported files back
+/// (tools/GateLib.cpp), the gates and tests parse exported files back
 /// with json::parse. Header-only, no dependencies beyond the STL; not a
 /// general-purpose library (no \uXXXX surrogate pairs, numbers parse as
 /// double).

@@ -35,12 +35,6 @@ std::string Table::fmtRatio(double Ratio) {
   return Buf;
 }
 
-std::string Table::fmtPct(double Pct) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.1f%%", Pct);
-  return Buf;
-}
-
 std::string Table::fmtBytes(int64_t Bytes) {
   char Buf[64];
   double B = static_cast<double>(Bytes);

@@ -29,7 +29,6 @@ public:
   /// Formats helpers for numeric cells.
   static std::string fmtSec(double Seconds);
   static std::string fmtRatio(double Ratio);
-  static std::string fmtPct(double Pct);
   static std::string fmtBytes(int64_t Bytes);
   static std::string fmtInt(int64_t V);
 

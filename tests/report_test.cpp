@@ -9,8 +9,9 @@
 // profile-site drift, counter/residency gates, and malformed/empty input
 // rejected with a diagnostic instead of a crash. Also round-trips the
 // BenchJson writer (bench/Common.h) through src/support/Json.h to pin the
-// schema the gate consumes, and checks bench::measure, the timed-rep loop
-// that produces every row.
+// schema the gate consumes, checks bench::measure, the timed-rep loop
+// that produces every row, and drives the span-DAG readers and the
+// trace-event checker behind `mpl_report spans` and `mpl_report trace`.
 //
 //===----------------------------------------------------------------------===//
 
@@ -674,6 +675,22 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
   EXPECT_TRUE(gate::compare(F, F, Opts).ok());
 }
 
+TEST(BenchJsonRoundTrip, WarmupRepsAreTheOnesTheBenchTook) {
+  // measure()'s tables take one untimed warmup rep; the server's open
+  // loop and the space-time figure's one sampled run take none.
+  json::Value Measured, Untimed;
+  std::string Err;
+  ASSERT_TRUE(json::parse(bench::BenchJson("table_time", 0.05, 2).dump(),
+                          Measured, Err))
+      << Err;
+  ASSERT_TRUE(json::parse(
+      bench::BenchJson("server", 1.0, 1, /*WarmupReps=*/0).dump(), Untimed,
+      Err))
+      << Err;
+  EXPECT_EQ(Measured.field("warmup_reps")->NumV, 1);
+  EXPECT_EQ(Untimed.field("warmup_reps")->NumV, 0);
+}
+
 //===----------------------------------------------------------------------===//
 // bench::measure, the one timed-rep loop behind every row
 //===----------------------------------------------------------------------===//
@@ -731,7 +748,7 @@ TEST(MeasureDeathTest, VaryingChecksumFails) {
 }
 
 //===----------------------------------------------------------------------===//
-// mpl-spans/1 (tools/mpl_spans)
+// mpl-spans/1 (mpl_report spans)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -839,4 +856,133 @@ TEST(SpansRender, SummaryPathLinesAndFold) {
   EXPECT_NE(Fold.find("root 4000000\n"), std::string::npos) << Fold;
   EXPECT_NE(Fold.find("root;L4:3 2000000\n"), std::string::npos) << Fold;
   EXPECT_NE(Fold.find("root;L4:3 4000000\n"), std::string::npos) << Fold;
+}
+
+//===----------------------------------------------------------------------===//
+// Chrome trace-event files (mpl_report trace)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A trace in the exporter's shape: one thread_name record, then
+/// \p Events (each with a leading comma), then otherData.
+std::string traceDoc(const std::string &Events, const std::string &Dropped,
+                     const std::string &Counters) {
+  return "{\"traceEvents\":[{\"name\":\"thread_name\",\"ph\":\"M\","
+         "\"pid\":0,\"tid\":0,\"args\":{\"name\":\"worker 0\"}}" +
+         Events + "],\"otherData\":{\"dropped_events\":\"" + Dropped +
+         "\",\"counters\":" + Counters + "}}";
+}
+
+/// One event on track \p Tid; \p Tail adds fields after ts.
+std::string event(const char *Name, const char *Ph, int Tid,
+                  const std::string &Tail = "") {
+  return std::string(",{\"name\":\"") + Name + "\",\"ph\":\"" + Ph +
+         "\",\"pid\":0,\"tid\":" + std::to_string(Tid) + ",\"ts\":1" +
+         Tail + "}";
+}
+
+/// A slice, a counter sample and one request's enqueue/execute flow pair.
+const std::string CleanEvents =
+    event("fork", "B", 0) + event("fork", "E", 0) +
+    event("em", "C", 0, ",\"args\":{\"pins\":2}") +
+    event("net.request_flow", "s", 1000, ",\"cat\":\"net\",\"id\":7") +
+    event("net.request_flow", "f", 1, ",\"cat\":\"net\",\"id\":7");
+const std::string Balanced =
+    "{\"net.requests\":3,\"net.resp.ok\":2,\"net.resp.shed\":1}";
+
+gate::TraceCheckOptions everyCheck() {
+  gate::TraceCheckOptions O;
+  O.RequiredEvents = {"fork", "em"};
+  O.CheckFlowPairs = O.CheckNetBalance = true;
+  return O;
+}
+
+/// checkTrace's diagnostic for \p Doc, or "" when it passes.
+std::string traceError(const std::string &Doc,
+                       const gate::TraceCheckOptions &O) {
+  std::string Summary, Err;
+  return gate::checkTrace(Doc, O, Summary, Err) ? "" : Err;
+}
+
+} // namespace
+
+TEST(TraceCheck, CleanTracePassesEveryCheck) {
+  std::string Summary, Err;
+  ASSERT_TRUE(gate::checkTrace(traceDoc(CleanEvents, "0", Balanced),
+                               everyCheck(), Summary, Err))
+      << Err;
+  EXPECT_NE(Summary.find("net balance ok: 3 requests == 3 responses"),
+            std::string::npos)
+      << Summary;
+  EXPECT_NE(Summary.find("trace ok: 5 events (1 slices, 0 instants, 2 flows, "
+                         "1 counters, 1 metadata), 3 distinct names, 0 "
+                         "dropped"),
+            std::string::npos)
+      << Summary;
+  gate::TraceCheckOptions MoreRequired = everyCheck();
+  MoreRequired.RequiredEvents.push_back("gc");
+  EXPECT_NE(traceError(traceDoc(CleanEvents, "0", Balanced), MoreRequired)
+                .find("required event 'gc' absent"),
+            std::string::npos);
+}
+
+TEST(TraceCheck, UnbalancedSliceFails) {
+  // Balance is per track: a B on worker 0 does not open a slice that an E
+  // on worker 1 may close.
+  EXPECT_NE(traceError(traceDoc(event("fork", "B", 0) + event("fork", "E", 1),
+                                "0", "{}"),
+                       {})
+                .find("E without matching B on track tid=1"),
+            std::string::npos);
+  EXPECT_NE(traceError(traceDoc(event("fork", "B", 0), "0", "{}"), {})
+                .find("unclosed B slice on track tid=0"),
+            std::string::npos);
+}
+
+TEST(TraceCheck, NonNumericCounterArgFails) {
+  std::string Doc =
+      traceDoc(event("em", "C", 0, ",\"args\":{\"pins\":\"2\"}"), "0", "{}");
+  EXPECT_NE(traceError(Doc, {}).find("counter event 'em' arg 'pins' is not "
+                                     "a number"),
+            std::string::npos);
+}
+
+TEST(TraceCheck, DroppedEventsFailUnlessAllowed) {
+  std::string Doc = traceDoc(CleanEvents, "12", Balanced);
+  EXPECT_NE(traceError(Doc, everyCheck()).find("12 events dropped"),
+            std::string::npos);
+  gate::TraceCheckOptions Allow = everyCheck();
+  Allow.AllowDrops = true;
+  std::string Summary, Err;
+  ASSERT_TRUE(gate::checkTrace(Doc, Allow, Summary, Err)) << Err;
+  EXPECT_NE(Summary.find("12 dropped"), std::string::npos) << Summary;
+}
+
+TEST(TraceCheck, UnpairedFlowFailsUnderFlowPairs) {
+  std::string Doc = traceDoc(
+      event("net.request_flow", "s", 1000, ",\"cat\":\"net\",\"id\":9"), "0",
+      "{}");
+  EXPECT_EQ(traceError(Doc, {}), "");
+  gate::TraceCheckOptions Pairs;
+  Pairs.CheckFlowPairs = true;
+  EXPECT_NE(traceError(Doc, Pairs).find("flow 'net|net.request_flow|9' has "
+                                        "only its start ('s') half"),
+            std::string::npos);
+}
+
+TEST(TraceCheck, NetBalanceFailsOnImbalanceAndOnZeroRequests) {
+  gate::TraceCheckOptions Net;
+  Net.CheckNetBalance = true;
+  std::string Lost =
+      "{\"net.requests\":4,\"net.resp.ok\":2,\"net.resp.shed\":1}";
+  EXPECT_NE(traceError(traceDoc(CleanEvents, "0", Lost), Net)
+                .find("net counter imbalance: net.requests=4 but "
+                      "ok+shed+deadline+error+draining=3"),
+            std::string::npos);
+  // Without the net.* family the balance would hold vacuously (0 == 0).
+  EXPECT_NE(traceError(traceDoc(CleanEvents, "0", "{}"), Net)
+                .find("net.requests is 0/absent"),
+            std::string::npos);
+  EXPECT_EQ(traceError(traceDoc(CleanEvents, "0", Lost), {}), "");
 }

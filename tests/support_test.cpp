@@ -136,6 +136,23 @@ TEST(CliTest, DoubleFlags) {
   EXPECT_DOUBLE_EQ(C.getDouble("factor", 0.0), 2.5);
 }
 
+TEST(CliTest, RepeatedFlagKeepsEveryValue) {
+  const char *Argv[] = {"prog", "trace.json", "--require-event", "fork", "-n",
+                        "3",    "--require-event=em", "--allow-drops"};
+  Cli C(8, const_cast<char **>(Argv));
+  EXPECT_EQ(C.getAll("require-event"),
+            (std::vector<std::string>{"fork", "em"}));
+  EXPECT_TRUE(C.getAll("missing").empty());
+  // The single-value lookups still read the first occurrence.
+  EXPECT_EQ(C.getString("require-event", ""), "fork");
+  // flags() lists every flag as given, so a tool can reject unknown ones.
+  ASSERT_EQ(C.flags().size(), 4u);
+  EXPECT_EQ(C.flags()[1].first, "n");
+  EXPECT_EQ(C.flags()[3].first, "allow-drops");
+  EXPECT_TRUE(C.flags()[3].second.empty());
+  ASSERT_EQ(C.positional().size(), 1u);
+}
+
 TEST(TableTest, AlignsColumns) {
   Table T({"name", "time"});
   T.addRow({"fib", "1.5s"});

@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <optional>
+#include <set>
 #include <unordered_map>
 
 namespace mpl {
@@ -42,6 +44,14 @@ std::string strField(const json::Value *V, const char *Name) {
 std::string fmtMs(double Sec) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%.3fms", Sec * 1e3);
+  return Buf;
+}
+
+/// A JSON number from a file as an integer label, printed rather than
+/// cast so an out-of-range value cannot overflow an integer type.
+std::string intLabel(double V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.0f", V);
   return Buf;
 }
 
@@ -716,6 +726,184 @@ std::string foldSpans(const SpansFile &F) {
     Out += Buf;
   }
   return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Chrome trace-event files
+//===----------------------------------------------------------------------===//
+
+bool checkTrace(const std::string &Text, const TraceCheckOptions &Opts,
+                std::string &Summary, std::string &Err) {
+  auto Fail = [&Err](std::string Msg) {
+    Err = std::move(Msg);
+    return false;
+  };
+  json::Value Doc;
+  std::string ParseErr;
+  if (!json::parse(Text, Doc, ParseErr))
+    return Fail("JSON parse error: " + ParseErr);
+  if (!Doc.isObject())
+    return Fail("top-level value is not an object");
+
+  const json::Value *Evs = Doc.field("traceEvents");
+  if (!Evs || !Evs->isArray())
+    return Fail("missing traceEvents array");
+
+  // Per-(pid,tid) B/E nesting depth; Perfetto rejects unbalanced tracks.
+  std::map<std::pair<double, double>, long> Depth;
+  std::set<std::string> Names;
+  // Flow binding key (cat + name + id) -> bit 0: 's' seen, bit 1: 'f' seen.
+  std::map<std::string, int> FlowHalves;
+  long NEvents = 0, NMeta = 0, NSlices = 0, NInstants = 0, NFlows = 0,
+       NCounters = 0;
+
+  for (const json::Value &E : Evs->Items) {
+    if (!E.isObject())
+      return Fail("traceEvents entry is not an object");
+    const json::Value *Ph = E.field("ph");
+    const json::Value *Pid = E.field("pid");
+    const json::Value *Tid = E.field("tid");
+    if (!Ph || !Ph->isString())
+      return Fail("event without a ph phase");
+    if (!Pid || !Pid->isNumber() || !Tid || !Tid->isNumber())
+      return Fail("event without numeric pid/tid");
+    const std::string &P = Ph->StrV;
+    if (P == "M") {
+      ++NMeta;
+      continue;
+    }
+    ++NEvents;
+    const json::Value *Ts = E.field("ts");
+    const json::Value *Name = E.field("name");
+    if (!Ts || !Ts->isNumber())
+      return Fail("non-metadata event without numeric ts");
+    if (Ts->NumV < 0)
+      return Fail("negative timestamp");
+    if (!Name || !Name->isString() || Name->StrV.empty())
+      return Fail("non-metadata event without a name");
+    Names.insert(Name->StrV);
+    auto Track = std::make_pair(Pid->NumV, Tid->NumV);
+    if (P == "B") {
+      ++Depth[Track];
+      ++NSlices;
+    } else if (P == "E") {
+      if (--Depth[Track] < 0)
+        return Fail("E without matching B on track tid=" + intLabel(Tid->NumV));
+    } else if (P == "i") {
+      ++NInstants;
+    } else if (P == "C") {
+      // Counter samples (the metrics series): each arg is one counter
+      // track, so every arg must be a number.
+      const json::Value *Args = E.field("args");
+      if (!Args || !Args->isObject())
+        return Fail("counter event '" + Name->StrV + "' without args");
+      for (const auto &[Key, V] : Args->Fields)
+        if (!V.isNumber())
+          return Fail("counter event '" + Name->StrV + "' arg '" + Key +
+                      "' is not a number");
+      ++NCounters;
+    } else if (P == "s" || P == "f") {
+      // Flow events (span ledger task edges) carry a binding id; Perfetto
+      // drops flows without one.
+      const json::Value *Id = E.field("id");
+      if (!Id || !Id->isNumber())
+        return Fail("flow event without numeric id");
+      ++NFlows;
+      if (Opts.CheckFlowPairs) {
+        std::string Key = strField(&E, "cat") + "|" + Name->StrV + "|" +
+                          intLabel(Id->NumV);
+        FlowHalves[Key] |= P == "s" ? 1 : 2;
+      }
+    } else {
+      return Fail("unexpected phase '" + P + "'");
+    }
+  }
+
+  for (const auto &[Track, D] : Depth)
+    if (D != 0)
+      return Fail("unclosed B slice on track tid=" + intLabel(Track.second));
+
+  for (const std::string &R : Opts.RequiredEvents)
+    if (!Names.count(R))
+      return Fail("required event '" + R + "' absent from trace");
+
+  // Diagnose drops before flow pairing: a wrapped ring overwrites the
+  // oldest events, so a missing flow half on a gappy trace means "trace
+  // incomplete", not "pairing broken" — report the actionable cause.
+  const json::Value *Other = Doc.field("otherData");
+  std::string Dropped = "0";
+  if (const json::Value *D = Other ? Other->field("dropped_events") : nullptr)
+    Dropped = D->StrV;
+  if (Dropped != "0" && !Opts.AllowDrops)
+    return Fail(Dropped + " events dropped (ring buffer overflow); the "
+                          "trace is incomplete — pass --allow-drops to "
+                          "accept a gappy trace");
+
+  if (Opts.CheckFlowPairs)
+    for (const auto &[Key, Halves] : FlowHalves)
+      if (Halves != 3)
+        return Fail("flow '" + Key + "' has only its " +
+                    (Halves == 1 ? std::string("start ('s')")
+                                 : std::string("finish ('f')")) +
+                    " half — enqueue/execute pairing broken");
+
+  Summary.clear();
+  if (Opts.CheckNetBalance) {
+    const json::Value *Ctr = Other ? Other->field("counters") : nullptr;
+    if (!Ctr || !Ctr->isObject())
+      return Fail("--check-net-balance: trace has no otherData.counters "
+                  "block (exporter too old?)");
+    auto Counter = [&](const char *Name) -> double {
+      const json::Value *V = Ctr->field(Name);
+      if (V && !V->isNumber())
+        return -1; // malformed; caught below
+      return V ? V->NumV : 0;
+    };
+    double Requests = Counter("net.requests");
+    double Parts[] = {Counter("net.resp.ok"), Counter("net.resp.shed"),
+                      Counter("net.resp.deadline_expired"),
+                      Counter("net.resp.error"),
+                      Counter("net.resp.draining")};
+    double Sum = 0;
+    for (double Part : Parts) {
+      if (Part < 0)
+        return Fail("--check-net-balance: non-numeric net.resp.* counter");
+      Sum += Part;
+    }
+    if (Requests < 0)
+      return Fail("--check-net-balance: non-numeric net.requests");
+    // The flag is only passed for traces from a request-serving run, so a
+    // zero count means the counters block lost the net.* family (e.g. the
+    // exporter snapshotted after the server unregistered its Stats) — the
+    // balance would hold vacuously and hide exactly the bugs this check
+    // exists to catch.
+    if (Requests == 0)
+      return Fail("--check-net-balance: net.requests is 0/absent — counters "
+                  "block has no net.* family, balance would be vacuous");
+    char Msg[256];
+    if (Requests != Sum) {
+      std::snprintf(Msg, sizeof(Msg),
+                    "net counter imbalance: net.requests=%.0f but "
+                    "ok+shed+deadline+error+draining=%.0f — a request "
+                    "was silently dropped or double-counted",
+                    Requests, Sum);
+      return Fail(Msg);
+    }
+    std::snprintf(Msg, sizeof(Msg),
+                  "net balance ok: %.0f requests == %.0f responses\n",
+                  Requests, Sum);
+    Summary += Msg;
+  }
+
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
+                "trace ok: %ld events (%ld slices, %ld instants, %ld flows, "
+                "%ld counters, %ld metadata), %zu distinct names, %s "
+                "dropped\n",
+                NEvents, NSlices, NInstants, NFlows, NCounters, NMeta,
+                Names.size(), Dropped.c_str());
+  Summary += Buf;
+  return true;
 }
 
 } // namespace gate

@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The join/compare/gate logic behind tools/mpl_report, extracted into a
-/// library so the CI perf gate is unit-testable like any other subsystem
+/// Every reader and check behind tools/mpl_report, in a library so the CI
+/// gates are unit-testable like any other subsystem
 /// (tests/report_test.cpp). The CLI is a thin flag-parser over these
-/// entry points.
+/// entry points. It reads three formats:
 ///
-/// Inputs are the schema-versioned "mpl-bench/1" records every bench
-/// binary emits with `-json <path>` (bench/Common.h, BenchJson).
+///  - the schema-versioned "mpl-bench/1" records every bench binary emits
+///    with `-json <path>` (bench/Common.h, BenchJson);
+///  - the "mpl-spans/1" DAG of the causal span ledger (obs/Span.h);
+///  - the Chrome trace-event file the tracer writes (obs/Trace.h).
+///
 /// parseBenchJson() validates the schema and rejects malformed input with
 /// a diagnostic instead of crashing; compare() joins baseline and current
 /// rows on (name, config) and returns a structured list of findings.
@@ -148,7 +151,8 @@ struct GateOptions {
   /// interpreter-dominated) carrier rows stay counter-gated only.
   std::string TimeGateConfigSubstr;
 
-  // Space gate (BENCH_T2): max_residency_bytes and em.pinned_bytes.
+  // Space gate (T2's claim, on BENCH_T1's rows): max_residency_bytes and
+  // em.pinned_bytes.
   bool GateResidency = false;
   double ResidencyTolerancePct = 50.0;
   int64_t ResidencyAbsSlackBytes = 1 << 20;
@@ -207,7 +211,7 @@ struct GateResult {
 GateResult compare(const BenchFile &Base, const BenchFile &Cur,
                    const GateOptions &Opts);
 
-/// The paper-style render of one file (mpl_report FILE.json), returned as
+/// The paper-style render of one file (mpl_report FILE), returned as
 /// a string so tests can assert on it.
 std::string renderTable(const BenchFile &F);
 
@@ -216,7 +220,7 @@ std::string renderTable(const BenchFile &F);
 std::string renderFindings(const GateResult &R, const GateOptions &Opts);
 
 //===----------------------------------------------------------------------===//
-// mpl-spans/1 (causal span ledger exports; obs/Span.h, tools/mpl_spans)
+// mpl-spans/1 (causal span ledger exports; obs/Span.h, mpl_report spans)
 //===----------------------------------------------------------------------===//
 
 /// One per-source-line aggregate from a spans file.
@@ -273,20 +277,54 @@ bool parseSpansJson(const std::string &Text, SpansFile &Out, std::string &Err);
 /// loadSpansFile = read \p Path + parseSpansJson; \p Err includes the path.
 bool loadSpansFile(const std::string &Path, SpansFile &Out, std::string &Err);
 
-/// Human-readable summary table of one spans file (mpl_spans analyze).
+/// Human-readable summary table of one spans file (mpl_report spans
+/// analyze).
 std::string renderSpansSummary(const SpansFile &F);
 
-/// The critical path, one task per line, root first (mpl_spans
+/// The critical path, one task per line, root first (mpl_report spans
 /// critical-path).
 std::string renderCriticalPath(const SpansFile &F);
 
 /// Per-line attribution table sorted by em reads then CP self time, top
-/// \p TopK rows (mpl_spans top-lines).
+/// \p TopK rows (mpl_report spans top-lines).
 std::string renderTopLines(const SpansFile &F, int TopK);
 
 /// Folded stacks for flamegraph tools: one "root;L3:5;L7:2 <self_ns>" line
 /// per task with nonzero self time, stack = chain of ancestor fork sites.
 std::string foldSpans(const SpansFile &F);
+
+//===----------------------------------------------------------------------===//
+// Chrome trace-event files (MPL_OBS=trace; obs/Trace.h, mpl_report trace)
+//===----------------------------------------------------------------------===//
+
+/// What checkTrace() asserts beyond the trace-event shape.
+struct TraceCheckOptions {
+  /// Names that must appear on some event; a counter event's name counts.
+  std::vector<std::string> RequiredEvents;
+  /// Accept a trace whose ring dropped events (otherData.dropped_events).
+  /// Otherwise a gappy trace fails: it silently lies about the schedule.
+  bool AllowDrops = false;
+  /// Every flow id, keyed by cat + name as Chrome binds them, carries both
+  /// its start ('s') and finish ('f') half. The server's net.request_flow
+  /// binds enqueue to execution, so a lone half is a request enqueued but
+  /// never run, or run but never enqueued.
+  bool CheckFlowPairs = false;
+  /// otherData.counters: net.requests == net.resp.ok + shed +
+  /// deadline_expired + error + draining, so every decoded request got
+  /// exactly one counted response. net.requests == 0 fails: the check is
+  /// only asked of serving runs, where zero means the net.* family is
+  /// missing and the balance would hold vacuously.
+  bool CheckNetBalance = false;
+};
+
+/// Validates one Chrome trace-event document: ph/pid/tid on every event,
+/// ts and name on every non-metadata one, B/E balance per track, numeric
+/// args on counter ('C') events, numeric ids on flow events, then the
+/// checks \p Opts arms. On success returns true with a summary (one line
+/// per check) in \p Summary; otherwise false with the first failure in
+/// \p Err. Never crashes on malformed input.
+bool checkTrace(const std::string &Text, const TraceCheckOptions &Opts,
+                std::string &Summary, std::string &Err);
 
 } // namespace gate
 } // namespace mpl

@@ -29,19 +29,22 @@ RELEASE_SEEDS=${RELEASE_SEEDS:-25}
 TSAN_SEEDS=${TSAN_SEEDS:-50}
 ASAN_SEEDS=${ASAN_SEEDS:-25}
 
-# Perf-smoke knobs. The stage reruns three paper tables at smoke scale
-# and gates each against its committed baseline with tools/mpl_report
+# Perf-smoke knobs. The stage reruns three bench binaries at smoke scale
+# and gates each file against its committed baseline with tools/mpl_report
 # (DESIGN.md §12): checksum mismatches and leaked pins always fail.
-#   T1 (time):     median beyond baseline + max(k*sigma, floor%), sigma
-#                  recomputed from the baseline's per-rep times;
-#   T2 (space):    max residency / pinned bytes past tolerance;
+#   T1 (time and space, one file): median beyond baseline +
+#                  max(k*sigma, floor%), sigma recomputed from the
+#                  baseline's per-rep times, and max residency / pinned
+#                  bytes past tolerance (T2 is printed from T1's runs).
+#                  One compare judges both, so a run whose time rule fails
+#                  still reports its residency verdict;
 #   T3 (pml):      VM carrier checksums + effect-handler continuation
 #                  capture/resume + pml.jit.* counters past tolerance;
 #                  the interp-vs-jit ablation's jit rows additionally get
 #                  the T1 time rule (--time-gate-config pml-jit) — the
 #                  JIT's speedup over the interpreter is a gated artifact;
 #   T4 (entangle): em counters past tolerance + top-site profile drift.
-# T2/T4 run single-rep (no spread), so their time rule is off
+# T4 runs single-rep (no spread), so its time rule is off
 # (--no-time-gate); wall time is T1's and the jit rows' job.
 PERF_SCALE=${PERF_SCALE:-0.05}
 PERF_REPS=${PERF_REPS:-2}
@@ -171,7 +174,7 @@ server_smoke() {
   # carrying both its enqueue ('s') and execute ('f') half, and the
   # request-counter balance (requests == ok+shed+deadline+error+draining,
   # stats frames excluded) must hold in the trace's counters block.
-  "$bdir/tools/mpl_trace_check" "$obs_dir/trace.json" \
+  "$bdir/tools/mpl_report" trace "$obs_dir/trace.json" \
     --require-event net.accept --require-event net.request_flow \
     --check-flow-pairs --check-net-balance
 }
@@ -247,7 +250,7 @@ run_config() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   MPL_OBS=trace MPL_OBS_DIR="$bdir/trace_smoke" \
     "$bdir/examples/quickstart" > /dev/null
-  "$bdir/tools/mpl_trace_check" "$bdir/trace_smoke/trace.json" \
+  "$bdir/tools/mpl_report" trace "$bdir/trace_smoke/trace.json" \
     --require-event fork --require-event heap_join \
     --require-event pin --require-event gc --require-event em
 
@@ -275,12 +278,12 @@ run_config() {
   MPL_OBS=spans MPL_OBS_DIR="$bdir/spans_smoke" \
     "$bdir/examples/pml_repl" -workers 2 -e \
     'let val r = ref (ref 0) in par ((r := ref 7; 0), !(!r)) end' > /dev/null
-  "$bdir/tools/mpl_spans" critical-path "$bdir/spans_smoke/spans.json" \
-    --check-agreement 5
-  "$bdir/tools/mpl_spans" top-lines "$bdir/spans_smoke/spans.json"
+  "$bdir/tools/mpl_report" spans critical-path \
+    "$bdir/spans_smoke/spans.json" --check-agreement 5
+  "$bdir/tools/mpl_report" spans top-lines "$bdir/spans_smoke/spans.json"
 
   if [[ "$preset" == "release" ]]; then
-    echo "==== [$preset] perf smoke (scale $PERF_SCALE, k=$PERF_STDDEV_K floor ${PERF_TOLERANCE_PCT}%) ===="
+    echo "==== [$preset] perf smoke: T1 time + residency (scale $PERF_SCALE, k=$PERF_STDDEV_K floor ${PERF_TOLERANCE_PCT}%) ===="
     # Sanitizer presets skew times beyond any tolerance, so only release
     # runs the gates. The fresh JSONs and rendered reports are left in
     # the build dir for CI to upload as artifacts.
@@ -289,7 +292,8 @@ run_config() {
     "$bdir/tools/mpl_report" "$bdir/perf_smoke.json"
     "$bdir/tools/mpl_report" --baseline BENCH_T1.json \
       --current "$bdir/perf_smoke.json" \
-      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT"
+      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT" \
+      --gate-residency
 
     echo "==== [$preset] spans-on overhead gate ===="
     # Same T1 table with the span ledger armed for every run (MPL_OBS=spans):
@@ -301,13 +305,6 @@ run_config() {
     "$bdir/tools/mpl_report" --baseline BENCH_T1.json \
       --current "$bdir/spans_overhead.json" \
       --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT"
-
-    echo "==== [$preset] space gate (BENCH_T2) ===="
-    "$bdir/bench/bench_table_space" -scale "$PERF_SCALE" -reps 1 \
-      -json "$bdir/space_smoke.json" > "$bdir/space_smoke.txt"
-    "$bdir/tools/mpl_report" --baseline BENCH_T2.json \
-      --current "$bdir/space_smoke.json" \
-      --no-time-gate --gate-residency
 
     echo "==== [$preset] pml carrier gate (BENCH_T3, jit rows time-gated) ===="
     # The effects row's continuation capture/resume counts are a pure
