@@ -9,7 +9,7 @@
 /// binary. Each binary regenerates one table/figure of the paper's
 /// evaluation (see DESIGN.md §5 and EXPERIMENTS.md).
 ///
-/// Measurement methodology (1-core container; DESIGN.md §2):
+/// Measurement methodology (DESIGN.md §2; results/ from a 4-vCPU VM):
 ///  - T_s: the kernel with all parallel grains >= n, Mode::Off, 1 worker —
 ///    our analogue of the sequential-runtime (MLton) baseline. Entangled
 ///    benchmarks cannot run without management, so their T_s uses Manage
@@ -62,7 +62,7 @@ struct SuiteEntry {
 };
 
 /// Builds the benchmark suite. \p Scale in (0, 1] shrinks the default
-/// problem sizes (which target ~0.2-1s per run on one core).
+/// problem sizes (which target ~0.2-1s per run on one worker).
 std::vector<SuiteEntry> makeSuite(double Scale = 1.0);
 
 /// Snapshot of the entanglement/GC statistics relevant to the tables.

@@ -90,17 +90,6 @@ public:
     return WS;
   }
 
-  /// Request-scoped run entry: like run(), but attaches \p DL to the root
-  /// strand for the duration, so rt::checkDeadline() fires inside \p Root
-  /// and all its par descendants. A null \p DL degrades to plain run().
-  template <typename Fn> WorkSpan runWithDeadline(DeadlineCtx *DL, Fn &&Root) {
-    return run([&] {
-      ScopedDeadline SD(DL);
-      checkDeadline();
-      Root();
-    });
-  }
-
   /// The mutator context of the calling thread (created on first use).
   static WorkerCtx *ctx();
 

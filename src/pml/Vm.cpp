@@ -48,6 +48,21 @@ using namespace mpl;
 using namespace mpl::ops;
 using namespace mpl::pml;
 
+namespace {
+
+/// The traps JIT templates raise inline, indexed by jit::Trap* code
+/// (VmJit::opTrap). The interpreter raises the same ones from the same
+/// opcodes, so each message is spelled here once for both tiers.
+constexpr const char *TrapMsg[] = {
+    "division by zero",                   // jit::TrapDivZero
+    "array index out of bounds",          // jit::TrapOob
+    "match failure: no case arm matched", // jit::TrapMatchFail
+    "value stack overflow",               // jit::TrapStackOverflow
+};
+static_assert(std::size(TrapMsg) == jit::TrapStackOverflow + 1);
+
+} // namespace
+
 Vm::Vm(const Program &P, std::string *CaptureOut)
     : Vm(P, CaptureOut, std::make_shared<TrapState>()) {
   // Attach the JIT tier before any parallelism exists: only the root Vm
@@ -69,7 +84,7 @@ Vm::~Vm() { rt::Runtime::ctx()->Roots.popRange(&StackBase); }
 
 void Vm::push(Slot V) {
   if (Sp >= StackCap) {
-    Trap->trap("value stack overflow");
+    Trap->trap(TrapMsg[jit::TrapStackOverflow]);
     return;
   }
   Stack[Sp++] = V;
@@ -288,7 +303,6 @@ void Vm::doSuspend(int32_t EffectId) {
   // the merged heap would otherwise move them out from under the snapshot.
   // The bitmap records exactly the pins this capture took, so the resume
   // can release them early when the continuation stayed private.
-  int64_t PinnedHere = 0;
   for (size_t I = 0; I < NumArms + SegLen; ++I) {
     Slot V = I < NumArms ? Stack[Ent.ArmsBase + I]
                          : Stack[SegBase + (I - NumArms)];
@@ -297,10 +311,8 @@ void Vm::doSuspend(int32_t EffectId) {
       uint32_t WordIdx = static_cast<uint32_t>(ContHeader + I / 32);
       int64_t Word = unboxInt(C->getSlot(WordIdx));
       SetInt(WordIdx, Word | (int64_t(1) << (I % 32)));
-      ++PinnedHere;
     }
   }
-  (void)PinnedHere;
   int64_t ContBytes = static_cast<int64_t>(C->sizeBytes());
 
   // (payload, cont) for the arm. Both operands are rooted on the stack;
@@ -347,7 +359,7 @@ void Vm::doResume() {
     return;
   }
   if (Sp + NumArms + SegLen + 1 > StackCap) {
-    Trap->trap("value stack overflow");
+    Trap->trap(TrapMsg[jit::TrapStackOverflow]);
     return;
   }
   if (Frames.size() + NumFrames > static_cast<size_t>(MaxCallDepth)) {
@@ -449,6 +461,319 @@ void Vm::doResume() {
   push(ResumeV);
 }
 
+bool Vm::step(const Instr &In) {
+  Frame &F = Frames.back();
+  auto Local = [&](int32_t I) -> Slot & {
+    return Stack[F.Base + 1 + static_cast<size_t>(I)];
+  };
+  switch (In.O) {
+  case Op::PushInt:
+    push(boxInt(In.A));
+    break;
+  case Op::PushBigInt:
+    push(boxInt(P.IntPool[static_cast<size_t>(In.A)]));
+    break;
+  case Op::PushBool:
+    push(boxBool(In.A != 0));
+    break;
+  case Op::PushUnit:
+    push(unit());
+    break;
+  case Op::PushStr: {
+    const std::string &S = P.StrPool[static_cast<size_t>(In.A)];
+    push(Object::fromPointer(newString(S.data(), S.size())));
+    break;
+  }
+  case Op::LoadLocal:
+    push(Local(In.A));
+    break;
+  case Op::StoreLocal:
+    Local(In.A) = pop();
+    break;
+  case Op::LoadCapture: {
+    Object *C = Object::asPointer(Stack[F.Base]);
+    MPL_DASSERT(C, "missing closure for capture load");
+    push(arrGet(C, static_cast<uint32_t>(In.A) + 1));
+    break;
+  }
+  case Op::Pop:
+    pop();
+    break;
+
+  case Op::MkClosure: {
+    uint32_t N = static_cast<uint32_t>(In.B);
+    // Captures are the top N stack slots (rooted); allocate then fill.
+    Object *C = newArray(N + 1, boxInt(In.A));
+    for (uint32_t I = 0; I < N; ++I)
+      arrSet(C, I + 1, Stack[Sp - N + I]);
+    Sp -= N;
+    push(Object::fromPointer(C));
+    break;
+  }
+  case Op::FixSelf: {
+    Object *C = Object::asPointer(Stack[Sp - 1]);
+    MPL_DASSERT(C, "FixSelf on non-closure");
+    arrSet(C, static_cast<uint32_t>(In.A) + 1, Stack[Sp - 1]);
+    break;
+  }
+
+  case Op::Call: {
+    Slot FnV = Stack[Sp - 2];
+    if (!isClosure(FnV)) {
+      Trap->trap("calling a non-function value");
+      break;
+    }
+    // The callee's frame adopts the [fn, arg] slots in place; its Ret
+    // pops back to them and pushes the result.
+    pushFrame(closureFn(Object::asPointer(FnV)), -1, 0);
+    return true;
+  }
+
+  case Op::TailCall: {
+    Slot ArgV = Stack[Sp - 1];
+    Slot FnV = Stack[Sp - 2];
+    if (!isClosure(FnV)) {
+      Trap->trap("calling a non-function value");
+      break;
+    }
+    // Rebuild the frame in place: proper tail calls give PML loops
+    // constant stack space. HandlerIdx/OperandsToPop carry over — the
+    // final Ret still settles this frame's protocol slots.
+    int NewFn = closureFn(Object::asPointer(FnV));
+    if (P.Jit)
+      P.Jit->countCall(NewFn);
+    F.Fn = &P.Fns[static_cast<size_t>(NewFn)];
+    F.FnIdx = NewFn;
+    F.Ip = 0;
+    Sp = F.Base;
+    push(FnV);
+    push(ArgV);
+    for (int I = 1; I < F.Fn->NumLocals; ++I)
+      push(unit());
+    return true;
+  }
+
+  case Op::Ret: {
+    Slot R = Stack[Sp - 1];
+    Frame Popped = Frames.back();
+    Frames.pop_back();
+    Sp = Popped.Base;
+    if (Popped.HandlerIdx >= 0)
+      Handlers.resize(static_cast<size_t>(Popped.HandlerIdx));
+    Sp -= Popped.OperandsToPop;
+    push(R);
+    return true;
+  }
+
+  case Op::Jmp:
+    F.Ip = static_cast<size_t>(In.A);
+    break;
+  case Op::Jz:
+    if (!unboxBool(pop()))
+      F.Ip = static_cast<size_t>(In.A);
+    break;
+  case Op::Jnz:
+    if (unboxBool(pop()))
+      F.Ip = static_cast<size_t>(In.A);
+    break;
+  case Op::MatchFail:
+    Trap->trap(TrapMsg[jit::TrapMatchFail]);
+    break;
+
+#define MPL_ARITH(OPNAME, EXPR)                                              \
+case Op::OPNAME: {                                                         \
+  int64_t B2 = unboxInt(pop());                                            \
+  int64_t A2 = unboxInt(pop());                                            \
+  (void)A2;                                                                \
+  (void)B2;                                                                \
+  push(EXPR);                                                              \
+  break;                                                                   \
+}
+    MPL_ARITH(Add, boxInt(A2 + B2))
+    MPL_ARITH(Sub, boxInt(A2 - B2))
+    MPL_ARITH(Mul, boxInt(A2 * B2))
+    MPL_ARITH(Lt, boxBool(A2 < B2))
+    MPL_ARITH(Le, boxBool(A2 <= B2))
+    MPL_ARITH(Gt, boxBool(A2 > B2))
+    MPL_ARITH(Ge, boxBool(A2 >= B2))
+#undef MPL_ARITH
+
+  case Op::Div:
+  case Op::Mod: {
+    int64_t B2 = unboxInt(pop());
+    int64_t A2 = unboxInt(pop());
+    if (B2 == 0) {
+      Trap->trap(TrapMsg[jit::TrapDivZero]);
+      break;
+    }
+    push(boxInt(In.O == Op::Div ? A2 / B2 : A2 % B2));
+    break;
+  }
+
+  case Op::Neg:
+    push(boxInt(-unboxInt(pop())));
+    break;
+  case Op::Not:
+    push(boxBool(!unboxBool(pop())));
+    break;
+
+  case Op::Eq: {
+    Slot B2 = pop(), A2 = pop();
+    push(boxBool(slotsEqual(A2, B2)));
+    break;
+  }
+  case Op::Ne: {
+    Slot B2 = pop(), A2 = pop();
+    push(boxBool(!slotsEqual(A2, B2)));
+    break;
+  }
+
+  case Op::MkPair: {
+    // Operands stay rooted on the stack across the allocation.
+    Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
+    Sp -= 2;
+    push(Object::fromPointer(Pr));
+    break;
+  }
+  case Op::Fst: {
+    Object *Pr = Object::asPointer(pop());
+    MPL_DASSERT(Pr, "fst of non-pair");
+    push(recGet(Pr, 0));
+    break;
+  }
+  case Op::Snd: {
+    Object *Pr = Object::asPointer(pop());
+    MPL_DASSERT(Pr, "snd of non-pair");
+    push(recGet(Pr, 1));
+    break;
+  }
+
+  case Op::MkRef: {
+    Object *R = newRef(Stack[Sp - 1]);
+    Stack[Sp - 1] = Object::fromPointer(R);
+    break;
+  }
+  case Op::Deref: {
+    Object *R = Object::asPointer(pop());
+    MPL_DASSERT(R && R->kind() == ObjKind::Ref, "! of non-ref");
+    push(refGet(R));
+    break;
+  }
+  case Op::Assign: {
+    Slot V = pop();
+    Object *R = Object::asPointer(pop());
+    MPL_DASSERT(R && R->kind() == ObjKind::Ref, ":= on non-ref");
+    refSet(R, V);
+    push(unit());
+    break;
+  }
+
+  case Op::Alloc: {
+    // Stack: [n, init]; newArray roots its init argument internally.
+    Slot Init = pop();
+    int64_t N = unboxInt(pop());
+    if (N < 0 || N > int64_t(Object::MaxLength)) {
+      Trap->trap("alloc size out of range");
+      break;
+    }
+    push(Object::fromPointer(newArray(static_cast<uint32_t>(N), Init)));
+    break;
+  }
+  case Op::AGet: {
+    int64_t I = unboxInt(pop());
+    Object *A = Object::asPointer(pop());
+    MPL_DASSERT(A && A->kind() == ObjKind::Array, "get on non-array");
+    if (I < 0 || I >= int64_t(arrLen(A))) {
+      Trap->trap(TrapMsg[jit::TrapOob]);
+      break;
+    }
+    push(arrGet(A, static_cast<uint32_t>(I)));
+    break;
+  }
+  case Op::ASet: {
+    Slot V = pop();
+    int64_t I = unboxInt(pop());
+    Object *A = Object::asPointer(pop());
+    MPL_DASSERT(A && A->kind() == ObjKind::Array, "set on non-array");
+    if (I < 0 || I >= int64_t(arrLen(A))) {
+      Trap->trap(TrapMsg[jit::TrapOob]);
+      break;
+    }
+    arrSet(A, static_cast<uint32_t>(I), V);
+    push(unit());
+    break;
+  }
+  case Op::ALen: {
+    Object *A = Object::asPointer(pop());
+    MPL_DASSERT(A && A->kind() == ObjKind::Array, "length on non-array");
+    push(boxInt(arrLen(A)));
+    break;
+  }
+
+  case Op::ParCall: {
+    // Closures stay rooted on the parent's stack during the fork.
+    BranchEnv EnvA{&P, CaptureOut, Trap, Stack[Sp - 2]};
+    BranchEnv EnvB{&P, CaptureOut, Trap, Stack[Sp - 1]};
+    auto [RA, RB] = rt::par([&] { return VmBranch::run(EnvA); },
+                            [&] { return VmBranch::run(EnvB); });
+    // Results are rooted by re-using the two operand slots.
+    Stack[Sp - 2] = RA;
+    Stack[Sp - 1] = RB;
+    Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
+    Sp -= 2;
+    push(Object::fromPointer(Pr));
+    break;
+  }
+
+  case Op::Print: {
+    Object *S = Object::asPointer(pop());
+    MPL_DASSERT(S, "print of non-string");
+    if (CaptureOut)
+      CaptureOut->append(strBytes(S), strLen(S));
+    else
+      std::fwrite(strBytes(S), 1, strLen(S), stdout);
+    push(unit());
+    break;
+  }
+  case Op::PrintInt: {
+    char Buf[32];
+    int Len = std::snprintf(Buf, sizeof(Buf), "%lld\n",
+                            static_cast<long long>(unboxInt(pop())));
+    if (CaptureOut)
+      CaptureOut->append(Buf, static_cast<size_t>(Len));
+    else
+      std::fwrite(Buf, 1, static_cast<size_t>(Len), stdout);
+    push(unit());
+    break;
+  }
+
+  case Op::Handle: {
+    // Stack: [..., arms..., thunk]. The arms stay below the body's frame
+    // for its dynamic extent; the frame's OperandsToPop settles them.
+    Slot Thunk = Stack[Sp - 1];
+    MPL_DASSERT(isClosure(Thunk), "handle body is not a thunk");
+    int EntIdx = static_cast<int>(Handlers.size());
+    HandlerEnt E;
+    E.TableIdx = In.A;
+    E.ArmsBase = Sp - 1 - static_cast<size_t>(In.B);
+    E.NumArms = In.B;
+    E.FrameIdx = Frames.size();
+    Handlers.push_back(E);
+    push(unit()); // The thunk's () argument.
+    pushFrame(closureFn(Object::asPointer(Thunk)), EntIdx,
+              static_cast<uint32_t>(In.B));
+    return true;
+  }
+  case Op::Suspend:
+    doSuspend(In.A);
+    return true;
+  case Op::Resume:
+    doResume();
+    return true;
+  }
+  return false;
+}
+
 void Vm::runLoop(size_t Floor) {
   // Deadline poll cadence: cheap enough to be invisible (one decrement per
   // dispatch), frequent enough that a tight pml loop that never allocates
@@ -461,10 +786,10 @@ void Vm::runLoop(size_t Floor) {
   // locations, and exact pml Line:Col attribution is the ledger's contract.
   jit::ProgramJit *PJ =
       (P.Jit && jit::enabled() && !obs::spansEnabled()) ? P.Jit.get() : nullptr;
-  // Re-check the tier only at frame boundaries (every Call/TailCall/Ret/
-  // Handle/Suspend/Resume re-arms this): tiering decisions happen where the
-  // interpreter counts calls, so interp-vs-JIT transitions are deterministic
-  // for a given schedule.
+  // Re-check the tier only at frame boundaries (every step that switches
+  // frames re-arms this): tiering decisions happen where the interpreter
+  // counts calls, so interp-vs-JIT transitions are deterministic for a
+  // given schedule.
   bool TryJit = PJ != nullptr;
   while (true) {
     if (Trap->Trapped.load(std::memory_order_relaxed))
@@ -485,12 +810,12 @@ void Vm::runLoop(size_t Floor) {
         jit::noteEntry();
         size_t EntryIp = JF.Ip;
         uint64_t EntryBase = JF.Base;
-        // JF dies here: helpers running under invoke() may grow Frames.
+        // JF dies here: steps run under invoke() may grow Frames.
         CF->invoke(this, EntryIp, rt::Runtime::ctx()->CurrentHeap, EntryBase);
         if (PendingExc) {
           // Helpers never unwind through native frames; rethrow from this
           // C++ frame so Detect errors / deadline expiry / OOM propagate
-          // exactly as they do from the interpreter's own opcode bodies.
+          // exactly as they do from the interpreter's own step.
           std::exception_ptr Ex = std::move(PendingExc);
           PendingExc = nullptr;
           std::rethrow_exception(Ex);
@@ -509,321 +834,10 @@ void Vm::runLoop(size_t Floor) {
     // store, behind the same armed check every obs hook uses.
     if (obs::spansEnabled()) [[unlikely]]
       obs::spanSetPmlLoc(F.Fn->Src[F.Ip - 1]);
-    auto Local = [&](int32_t I) -> Slot & {
-      return Stack[F.Base + 1 + static_cast<size_t>(I)];
-    };
-    switch (In.O) {
-    case Op::PushInt:
-      push(boxInt(In.A));
-      break;
-    case Op::PushBigInt:
-      push(boxInt(P.IntPool[static_cast<size_t>(In.A)]));
-      break;
-    case Op::PushBool:
-      push(boxBool(In.A != 0));
-      break;
-    case Op::PushUnit:
-      push(unit());
-      break;
-    case Op::PushStr: {
-      const std::string &S = P.StrPool[static_cast<size_t>(In.A)];
-      push(Object::fromPointer(newString(S.data(), S.size())));
-      break;
-    }
-    case Op::LoadLocal:
-      push(Local(In.A));
-      break;
-    case Op::StoreLocal:
-      Local(In.A) = pop();
-      break;
-    case Op::LoadCapture: {
-      Object *C = Object::asPointer(Stack[F.Base]);
-      MPL_DASSERT(C, "missing closure for capture load");
-      push(arrGet(C, static_cast<uint32_t>(In.A) + 1));
-      break;
-    }
-    case Op::Pop:
-      pop();
-      break;
-
-    case Op::MkClosure: {
-      uint32_t N = static_cast<uint32_t>(In.B);
-      // Captures are the top N stack slots (rooted); allocate then fill.
-      Object *C = newArray(N + 1, boxInt(In.A));
-      for (uint32_t I = 0; I < N; ++I)
-        arrSet(C, I + 1, Stack[Sp - N + I]);
-      Sp -= N;
-      push(Object::fromPointer(C));
-      break;
-    }
-    case Op::FixSelf: {
-      Object *C = Object::asPointer(Stack[Sp - 1]);
-      MPL_DASSERT(C, "FixSelf on non-closure");
-      arrSet(C, static_cast<uint32_t>(In.A) + 1, Stack[Sp - 1]);
-      break;
-    }
-
-    case Op::Call: {
-      Slot FnV = Stack[Sp - 2];
-      if (!isClosure(FnV)) {
-        Trap->trap("calling a non-function value");
-        break;
-      }
-      // The callee's frame adopts the [fn, arg] slots in place; its Ret
-      // pops back to them and pushes the result.
-      pushFrame(closureFn(Object::asPointer(FnV)), -1, 0);
-      TryJit = true;
-      break;
-    }
-
-    case Op::TailCall: {
-      Slot ArgV = Stack[Sp - 1];
-      Slot FnV = Stack[Sp - 2];
-      if (!isClosure(FnV)) {
-        Trap->trap("calling a non-function value");
-        break;
-      }
-      // Rebuild the frame in place: proper tail calls give PML loops
-      // constant stack space. HandlerIdx/OperandsToPop carry over — the
-      // final Ret still settles this frame's protocol slots.
-      int NewFn = closureFn(Object::asPointer(FnV));
-      if (P.Jit)
-        P.Jit->countCall(NewFn);
-      F.Fn = &P.Fns[static_cast<size_t>(NewFn)];
-      F.FnIdx = NewFn;
-      F.Ip = 0;
-      Sp = F.Base;
-      push(FnV);
-      push(ArgV);
-      for (int I = 1; I < F.Fn->NumLocals; ++I)
-        push(unit());
-      TryJit = true;
-      break;
-    }
-
-    case Op::Ret: {
-      Slot R = Stack[Sp - 1];
-      Frame Popped = Frames.back();
-      Frames.pop_back();
-      Sp = Popped.Base;
-      if (Popped.HandlerIdx >= 0)
-        Handlers.resize(static_cast<size_t>(Popped.HandlerIdx));
-      Sp -= Popped.OperandsToPop;
-      push(R);
+    if (step(In)) {
       if (Frames.size() == Floor)
-        return;
+        return; // The floor frame's Ret left the result on top.
       TryJit = true;
-      break;
-    }
-
-    case Op::Jmp:
-      F.Ip = static_cast<size_t>(In.A);
-      break;
-    case Op::Jz:
-      if (!unboxBool(pop()))
-        F.Ip = static_cast<size_t>(In.A);
-      break;
-    case Op::Jnz:
-      if (unboxBool(pop()))
-        F.Ip = static_cast<size_t>(In.A);
-      break;
-    case Op::MatchFail:
-      Trap->trap("match failure: no case arm matched");
-      break;
-
-#define MPL_ARITH(OPNAME, EXPR)                                              \
-  case Op::OPNAME: {                                                         \
-    int64_t B2 = unboxInt(pop());                                            \
-    int64_t A2 = unboxInt(pop());                                            \
-    (void)A2;                                                                \
-    (void)B2;                                                                \
-    push(EXPR);                                                              \
-    break;                                                                   \
-  }
-      MPL_ARITH(Add, boxInt(A2 + B2))
-      MPL_ARITH(Sub, boxInt(A2 - B2))
-      MPL_ARITH(Mul, boxInt(A2 * B2))
-      MPL_ARITH(Lt, boxBool(A2 < B2))
-      MPL_ARITH(Le, boxBool(A2 <= B2))
-      MPL_ARITH(Gt, boxBool(A2 > B2))
-      MPL_ARITH(Ge, boxBool(A2 >= B2))
-#undef MPL_ARITH
-
-    case Op::Div:
-    case Op::Mod: {
-      int64_t B2 = unboxInt(pop());
-      int64_t A2 = unboxInt(pop());
-      if (B2 == 0) {
-        Trap->trap("division by zero");
-        break;
-      }
-      push(boxInt(In.O == Op::Div ? A2 / B2 : A2 % B2));
-      break;
-    }
-
-    case Op::Neg:
-      push(boxInt(-unboxInt(pop())));
-      break;
-    case Op::Not:
-      push(boxBool(!unboxBool(pop())));
-      break;
-
-    case Op::Eq: {
-      Slot B2 = pop(), A2 = pop();
-      push(boxBool(slotsEqual(A2, B2)));
-      break;
-    }
-    case Op::Ne: {
-      Slot B2 = pop(), A2 = pop();
-      push(boxBool(!slotsEqual(A2, B2)));
-      break;
-    }
-
-    case Op::MkPair: {
-      // Operands stay rooted on the stack across the allocation.
-      Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
-      Sp -= 2;
-      push(Object::fromPointer(Pr));
-      break;
-    }
-    case Op::Fst: {
-      Object *Pr = Object::asPointer(pop());
-      MPL_DASSERT(Pr, "fst of non-pair");
-      push(recGet(Pr, 0));
-      break;
-    }
-    case Op::Snd: {
-      Object *Pr = Object::asPointer(pop());
-      MPL_DASSERT(Pr, "snd of non-pair");
-      push(recGet(Pr, 1));
-      break;
-    }
-
-    case Op::MkRef: {
-      Object *R = newRef(Stack[Sp - 1]);
-      Stack[Sp - 1] = Object::fromPointer(R);
-      break;
-    }
-    case Op::Deref: {
-      Object *R = Object::asPointer(pop());
-      MPL_DASSERT(R && R->kind() == ObjKind::Ref, "! of non-ref");
-      push(refGet(R));
-      break;
-    }
-    case Op::Assign: {
-      Slot V = pop();
-      Object *R = Object::asPointer(pop());
-      MPL_DASSERT(R && R->kind() == ObjKind::Ref, ":= on non-ref");
-      refSet(R, V);
-      push(unit());
-      break;
-    }
-
-    case Op::Alloc: {
-      // Stack: [n, init]; newArray roots its init argument internally.
-      Slot Init = pop();
-      int64_t N = unboxInt(pop());
-      if (N < 0 || N > int64_t(Object::MaxLength)) {
-        Trap->trap("alloc size out of range");
-        break;
-      }
-      push(Object::fromPointer(newArray(static_cast<uint32_t>(N), Init)));
-      break;
-    }
-    case Op::AGet: {
-      int64_t I = unboxInt(pop());
-      Object *A = Object::asPointer(pop());
-      MPL_DASSERT(A && A->kind() == ObjKind::Array, "get on non-array");
-      if (I < 0 || I >= int64_t(arrLen(A))) {
-        Trap->trap("array index out of bounds");
-        break;
-      }
-      push(arrGet(A, static_cast<uint32_t>(I)));
-      break;
-    }
-    case Op::ASet: {
-      Slot V = pop();
-      int64_t I = unboxInt(pop());
-      Object *A = Object::asPointer(pop());
-      MPL_DASSERT(A && A->kind() == ObjKind::Array, "set on non-array");
-      if (I < 0 || I >= int64_t(arrLen(A))) {
-        Trap->trap("array index out of bounds");
-        break;
-      }
-      arrSet(A, static_cast<uint32_t>(I), V);
-      push(unit());
-      break;
-    }
-    case Op::ALen: {
-      Object *A = Object::asPointer(pop());
-      MPL_DASSERT(A && A->kind() == ObjKind::Array, "length on non-array");
-      push(boxInt(arrLen(A)));
-      break;
-    }
-
-    case Op::ParCall: {
-      // Closures stay rooted on the parent's stack during the fork.
-      BranchEnv EnvA{&P, CaptureOut, Trap, Stack[Sp - 2]};
-      BranchEnv EnvB{&P, CaptureOut, Trap, Stack[Sp - 1]};
-      auto [RA, RB] = rt::par([&] { return VmBranch::run(EnvA); },
-                              [&] { return VmBranch::run(EnvB); });
-      // Results are rooted by re-using the two operand slots.
-      Stack[Sp - 2] = RA;
-      Stack[Sp - 1] = RB;
-      Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
-      Sp -= 2;
-      push(Object::fromPointer(Pr));
-      break;
-    }
-
-    case Op::Print: {
-      Object *S = Object::asPointer(pop());
-      MPL_DASSERT(S, "print of non-string");
-      if (CaptureOut)
-        CaptureOut->append(strBytes(S), strLen(S));
-      else
-        std::fwrite(strBytes(S), 1, strLen(S), stdout);
-      push(unit());
-      break;
-    }
-    case Op::PrintInt: {
-      char Buf[32];
-      int Len = std::snprintf(Buf, sizeof(Buf), "%lld\n",
-                              static_cast<long long>(unboxInt(pop())));
-      if (CaptureOut)
-        CaptureOut->append(Buf, static_cast<size_t>(Len));
-      else
-        std::fwrite(Buf, 1, static_cast<size_t>(Len), stdout);
-      push(unit());
-      break;
-    }
-
-    case Op::Handle: {
-      // Stack: [..., arms..., thunk]. The arms stay below the body's frame
-      // for its dynamic extent; the frame's OperandsToPop settles them.
-      Slot Thunk = Stack[Sp - 1];
-      MPL_DASSERT(isClosure(Thunk), "handle body is not a thunk");
-      int EntIdx = static_cast<int>(Handlers.size());
-      HandlerEnt E;
-      E.TableIdx = In.A;
-      E.ArmsBase = Sp - 1 - static_cast<size_t>(In.B);
-      E.NumArms = In.B;
-      E.FrameIdx = Frames.size();
-      Handlers.push_back(E);
-      push(unit()); // The thunk's () argument.
-      pushFrame(closureFn(Object::asPointer(Thunk)), EntIdx,
-                static_cast<uint32_t>(In.B));
-      TryJit = true;
-      break;
-    }
-    case Op::Suspend:
-      doSuspend(In.A);
-      TryJit = true;
-      break;
-    case Op::Resume:
-      doResume();
-      TryJit = true;
-      break;
     }
   }
 }
@@ -923,13 +937,15 @@ bool mpl::pml::evalSource(const std::string &Source, std::string &Output,
 }
 
 //===----------------------------------------------------------------------===//
-// JIT out-of-line helpers (pml/jit/Jit.h §17). Each body is the
-// interpreter's own opcode code run on the synced VM state — same ops::
-// allocation wrappers, same em:: barriers, same trap messages — which is
-// what makes interpreter and JIT bit-identical down to the entanglement
-// counters. Native frames must never be unwound through, so every body
-// catches into Vm::PendingExc; the dispatcher rethrows after the generated
-// code has returned.
+// JIT out-of-line helpers (pml/jit/Jit.h, DESIGN.md §17). Every op the
+// templates do not finish inline runs VmJit::step: the interpreter's own
+// Vm::step on the synced VM state — same ops:: allocation wrappers, same em::
+// barriers, same trap messages — which is what makes interpreter and JIT
+// bit-identical down to the entanglement counters. The barrier slow paths,
+// the deadline poll and the inline trap stubs have no opcode of their own
+// and keep their own helpers. Native frames must never be unwound through,
+// so every helper catches into Vm::PendingExc; the dispatcher rethrows after
+// the generated code has returned.
 //===----------------------------------------------------------------------===//
 
 using mpl::jit::StExit;
@@ -943,154 +959,19 @@ size_t jit::VmJit::stackBaseOffset() { return offsetof(Vm, StackBase); }
 
 size_t jit::VmJit::stackCap() { return Vm::StackCap; }
 
-/// Shared epilogue of every continue-helper: a trap raised by the body (or
-/// by another strand, noticed here) sends the native code to its exit.
+/// Shared epilogue of every helper: a trap raised by the body (or by another
+/// strand, noticed here) sends the native code to its exit.
 #define MPL_JIT_OK_UNLESS_TRAPPED(V)                                         \
   ((V)->Trap->Trapped.load(std::memory_order_relaxed) ? StExit : StOk)
 
-uint64_t jit::VmJit::opPushStr(Vm *V, uint64_t StrIdx) noexcept {
+uint64_t jit::VmJit::step(Vm *V, uint64_t IpAfter) noexcept {
   try {
-    const std::string &S = V->P.StrPool[static_cast<size_t>(StrIdx)];
-    V->push(Object::fromPointer(newString(S.data(), S.size())));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opMkClosure(Vm *V, uint64_t FnIdx,
-                                 uint64_t NumCaps) noexcept {
-  try {
-    uint32_t N = static_cast<uint32_t>(NumCaps);
-    // Captures are the top N stack slots (rooted); allocate then fill.
-    Object *C = newArray(N + 1, boxInt(static_cast<int64_t>(FnIdx)));
-    for (uint32_t I = 0; I < N; ++I)
-      arrSet(C, I + 1, V->Stack[V->Sp - N + I]);
-    V->Sp -= N;
-    V->push(Object::fromPointer(C));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opFixSelf(Vm *V, uint64_t CapIdx) noexcept {
-  try {
-    Object *C = Object::asPointer(V->Stack[V->Sp - 1]);
-    MPL_DASSERT(C, "FixSelf on non-closure");
-    arrSet(C, static_cast<uint32_t>(CapIdx) + 1, V->Stack[V->Sp - 1]);
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opMkPair(Vm *V) noexcept {
-  try {
-    // Operands stay rooted on the stack across the allocation.
-    Object *Pr = newRecord(0b11, {V->Stack[V->Sp - 2], V->Stack[V->Sp - 1]});
-    V->Sp -= 2;
-    V->push(Object::fromPointer(Pr));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opMkRef(Vm *V) noexcept {
-  try {
-    Object *R = newRef(V->Stack[V->Sp - 1]);
-    V->Stack[V->Sp - 1] = Object::fromPointer(R);
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opAlloc(Vm *V) noexcept {
-  try {
-    // Stack: [n, init]; newArray roots its init argument internally.
-    Slot Init = V->pop();
-    int64_t N = unboxInt(V->pop());
-    if (N < 0 || N > int64_t(Object::MaxLength)) {
-      V->Trap->trap("alloc size out of range");
-      return StExit;
-    }
-    V->push(Object::fromPointer(newArray(static_cast<uint32_t>(N), Init)));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opParCall(Vm *V) noexcept {
-  try {
-    // Closures stay rooted on the parent's stack during the fork. rt::par
-    // restores this strand's CurrentHeap before returning, so the native
-    // caller's pinned heap register stays valid across the fork-join.
-    BranchEnv EnvA{&V->P, V->CaptureOut, V->Trap, V->Stack[V->Sp - 2]};
-    BranchEnv EnvB{&V->P, V->CaptureOut, V->Trap, V->Stack[V->Sp - 1]};
-    auto [RA, RB] = rt::par([&] { return VmBranch::run(EnvA); },
-                            [&] { return VmBranch::run(EnvB); });
-    // Results are rooted by re-using the two operand slots.
-    V->Stack[V->Sp - 2] = RA;
-    V->Stack[V->Sp - 1] = RB;
-    Object *Pr = newRecord(0b11, {V->Stack[V->Sp - 2], V->Stack[V->Sp - 1]});
-    V->Sp -= 2;
-    V->push(Object::fromPointer(Pr));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opPrint(Vm *V) noexcept {
-  try {
-    Object *S = Object::asPointer(V->pop());
-    MPL_DASSERT(S, "print of non-string");
-    if (V->CaptureOut)
-      V->CaptureOut->append(strBytes(S), strLen(S));
-    else
-      std::fwrite(strBytes(S), 1, strLen(S), stdout);
-    V->push(unit());
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opPrintInt(Vm *V) noexcept {
-  try {
-    char Buf[32];
-    int Len = std::snprintf(Buf, sizeof(Buf), "%lld\n",
-                            static_cast<long long>(unboxInt(V->pop())));
-    if (V->CaptureOut)
-      V->CaptureOut->append(Buf, static_cast<size_t>(Len));
-    else
-      std::fwrite(Buf, 1, static_cast<size_t>(Len), stdout);
-    V->push(unit());
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
-}
-
-uint64_t jit::VmJit::opEqSlow(Vm *V, uint64_t Negate) noexcept {
-  try {
-    // Reached only for two distinct heap pointers (the template folds the
-    // identity and immediate cases inline); writes the result and pops.
-    bool Eq = slotsEqual(V->Stack[V->Sp - 2], V->Stack[V->Sp - 1]);
-    V->Stack[V->Sp - 2] = boxBool(Negate ? !Eq : Eq);
-    V->Sp -= 1;
+    // The Ip the interpreter's dispatch would leave: past this op, so a
+    // call, handle or capture records the right resume point.
+    Vm::Frame &F = V->Frames.back();
+    F.Ip = static_cast<size_t>(IpAfter);
+    if (V->step(F.Fn->Code[F.Ip - 1]))
+      return StExit; // The dispatcher re-enters the new top frame.
   } catch (...) {
     V->PendingExc = std::current_exception();
     return StExit;
@@ -1134,127 +1015,9 @@ uint64_t jit::VmJit::poll(Vm *V) noexcept {
   return MPL_JIT_OK_UNLESS_TRAPPED(V);
 }
 
-uint64_t jit::VmJit::opCall(Vm *V, uint64_t IpAfter) noexcept {
-  try {
-    V->Frames.back().Ip = static_cast<size_t>(IpAfter);
-    Slot FnV = V->Stack[V->Sp - 2];
-    if (!isClosure(FnV))
-      V->Trap->trap("calling a non-function value");
-    else
-      V->pushFrame(closureFn(Object::asPointer(FnV)), -1, 0);
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
-}
-
-uint64_t jit::VmJit::opTailCall(Vm *V) noexcept {
-  try {
-    // The template handles only the self-recursive shape inline; this is
-    // the interpreter's general rebuild (different callee, or a frame too
-    // large for the inline path).
-    Vm::Frame &F = V->Frames.back();
-    Slot ArgV = V->Stack[V->Sp - 1];
-    Slot FnV = V->Stack[V->Sp - 2];
-    if (!isClosure(FnV)) {
-      V->Trap->trap("calling a non-function value");
-      return StExit;
-    }
-    int NewFn = closureFn(Object::asPointer(FnV));
-    if (V->P.Jit)
-      V->P.Jit->countCall(NewFn);
-    F.Fn = &V->P.Fns[static_cast<size_t>(NewFn)];
-    F.FnIdx = NewFn;
-    F.Ip = 0;
-    V->Sp = F.Base;
-    V->push(FnV);
-    V->push(ArgV);
-    for (int I = 1; I < F.Fn->NumLocals; ++I)
-      V->push(unit());
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
-}
-
-uint64_t jit::VmJit::opRet(Vm *V) noexcept {
-  try {
-    Slot R = V->Stack[V->Sp - 1];
-    Vm::Frame Popped = V->Frames.back();
-    V->Frames.pop_back();
-    V->Sp = Popped.Base;
-    if (Popped.HandlerIdx >= 0)
-      V->Handlers.resize(static_cast<size_t>(Popped.HandlerIdx));
-    V->Sp -= Popped.OperandsToPop;
-    V->push(R);
-    // The dispatcher performs the Floor check after the native code exits.
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
-}
-
-uint64_t jit::VmJit::opHandle(Vm *V, uint64_t IpAfter, uint64_t TableIdx,
-                              uint64_t NumArms) noexcept {
-  try {
-    V->Frames.back().Ip = static_cast<size_t>(IpAfter);
-    Slot Thunk = V->Stack[V->Sp - 1];
-    MPL_DASSERT(isClosure(Thunk), "handle body is not a thunk");
-    int EntIdx = static_cast<int>(V->Handlers.size());
-    Vm::HandlerEnt E;
-    E.TableIdx = static_cast<int>(TableIdx);
-    E.ArmsBase = V->Sp - 1 - static_cast<size_t>(NumArms);
-    E.NumArms = static_cast<int>(NumArms);
-    E.FrameIdx = V->Frames.size();
-    V->Handlers.push_back(E);
-    V->push(unit()); // The thunk's () argument.
-    V->pushFrame(closureFn(Object::asPointer(Thunk)), EntIdx,
-                 static_cast<uint32_t>(NumArms));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
-}
-
-uint64_t jit::VmJit::opSuspend(Vm *V, uint64_t IpAfter,
-                               uint64_t EffectId) noexcept {
-  try {
-    // The suspending frame's Ip must already be past the Suspend before the
-    // capture walks the frame chain.
-    V->Frames.back().Ip = static_cast<size_t>(IpAfter);
-    V->doSuspend(static_cast<int32_t>(EffectId));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
-}
-
-uint64_t jit::VmJit::opResume(Vm *V, uint64_t IpAfter) noexcept {
-  try {
-    V->Frames.back().Ip = static_cast<size_t>(IpAfter);
-    V->doResume();
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
-}
-
 uint64_t jit::VmJit::opTrap(Vm *V, uint64_t Code) noexcept {
   try {
-    switch (Code) {
-    case jit::TrapDivZero:
-      V->Trap->trap("division by zero");
-      break;
-    case jit::TrapOob:
-      V->Trap->trap("array index out of bounds");
-      break;
-    case jit::TrapMatchFail:
-      V->Trap->trap("match failure: no case arm matched");
-      break;
-    default:
-      V->Trap->trap("value stack overflow");
-      break;
-    }
+    V->Trap->trap(TrapMsg[Code]);
   } catch (...) {
     V->PendingExc = std::current_exception();
   }

@@ -89,8 +89,8 @@ public:
 
 private:
   friend struct VmBranch;
-  /// The JIT's out-of-line helpers (pml/jit/Jit.h) run interpreter opcode
-  /// bodies on this VM's state from native code.
+  /// The JIT's out-of-line helpers (pml/jit/Jit.h) run step() on this VM's
+  /// state from native code.
   friend struct jit::VmJit;
   Vm(const Program &P, std::string *CaptureOut,
      std::shared_ptr<TrapState> Trap);
@@ -127,6 +127,11 @@ private:
   Slot callFunction(int FnIdx, Slot Closure, Slot Arg);
   /// Executes until the frame stack shrinks back to \p Floor.
   void runLoop(size_t Floor);
+  /// Executes one instruction of the top frame, whose Ip is already past
+  /// it: the one body of every opcode, for the interpreter's dispatch loop
+  /// and for the JIT's out-of-line ops alike. Returns true when it switched
+  /// frames (call, tail call, return, handle, suspend, resume).
+  [[gnu::always_inline]] inline bool step(const Instr &In);
   /// Expects [closure, arg] on top of the value stack; false on trap.
   bool pushFrame(int FnIdx, int HandlerIdx, uint32_t OperandsToPop);
   void doSuspend(int32_t EffectId);

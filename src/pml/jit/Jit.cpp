@@ -20,10 +20,11 @@
 ///   r13  Sp (slot index)              ebp  poll countdown
 ///
 /// r12 is stable because the VM never reallocates its value stack; r15 is
-/// stable because every helper that can switch heaps (ParCall via rt::par)
-/// restores CurrentHeap before returning. r13 is the only mirrored value:
-/// it is written back to vm->Sp before every helper call (collections read
-/// the stack through vm->Sp) and reloaded after every continue-helper.
+/// stable because the one op that can switch heaps (ParCall via rt::par)
+/// restores CurrentHeap before its step returns. r13 is the only mirrored
+/// value: it is written back to vm->Sp before every helper call
+/// (collections read the stack through vm->Sp) and reloaded whenever native
+/// code continues after one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -213,65 +214,23 @@ struct FnCompiler {
     E.callR(R11);
   }
 
-  /// After a continue-helper: status in rax; nonzero exits, zero reloads Sp
-  /// and continues inline.
+  /// After a helper: status in rax; nonzero exits, zero reloads Sp and
+  /// continues inline.
   void checkOkReload() {
     E.testRR(RAX, RAX);
     E.jcc(CcNe, LEpilogue);
     reloadSp();
   }
 
-  void helperOk0(uint64_t Fn) {
+  /// Every op the template does not finish inline: VmJit::step runs the
+  /// interpreter's own body for the op ending at \p IpAfter. Ops that switch
+  /// frames always exit; the rest continue unless they trapped or threw.
+  void emitStep(uint64_t IpAfter) {
     syncSp();
     E.movRR(RDI, RegVm);
-    callAbs(Fn);
+    E.movRI(RSI, IpAfter);
+    callAbs(addrOf(&VmJit::step));
     checkOkReload();
-  }
-  void helperOk1(uint64_t Fn, uint64_t A) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    callAbs(Fn);
-    checkOkReload();
-  }
-  void helperOk2(uint64_t Fn, uint64_t A, uint64_t B) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    E.movRI(RDX, B);
-    callAbs(Fn);
-    checkOkReload();
-  }
-
-  void helperExit0(uint64_t Fn) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    callAbs(Fn);
-    E.jmp(LEpilogue);
-  }
-  void helperExit1(uint64_t Fn, uint64_t A) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    callAbs(Fn);
-    E.jmp(LEpilogue);
-  }
-  void helperExit2(uint64_t Fn, uint64_t A, uint64_t B) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    E.movRI(RDX, B);
-    callAbs(Fn);
-    E.jmp(LEpilogue);
-  }
-  void helperExit3(uint64_t Fn, uint64_t A, uint64_t B, uint64_t C) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    E.movRI(RDX, B);
-    E.movRI(RCX, C);
-    callAbs(Fn);
-    E.jmp(LEpilogue);
   }
 
   /// Sp >= StackCap would make the next push trap in the interpreter; the
@@ -436,9 +395,9 @@ struct FnCompiler {
   }
 
   /// Eq/Ne: identity and mixed immediate/pointer cases inline (exactly
-  /// slotsEqual's prefix); two distinct pointers take the structural-
-  /// equality helper, which writes the result and pops itself.
-  void emitEq(bool Negate) {
+  /// slotsEqual's prefix); two distinct pointers take the interpreter's
+  /// structural comparison through emitStep.
+  void emitEq(bool Negate, uint64_t IpAfter) {
     X64Emitter::Label LEq, LDiff, LStore, LNext;
     E.loadRMIdx8(RAX, RegStk, RegSp, -8);  // B
     E.loadRMIdx8(RCX, RegStk, RegSp, -16); // A
@@ -452,13 +411,7 @@ struct FnCompiler {
     E.jcc(CcE, LDiff);
     E.testRR(RAX, RAX);
     E.jcc(CcE, LDiff);
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, Negate ? 1 : 0);
-    callAbs(addrOf(&VmJit::opEqSlow));
-    E.testRR(RAX, RAX);
-    E.jcc(CcNe, LEpilogue);
-    reloadSp();
+    emitStep(IpAfter);
     E.jmp(LNext);
     E.bind(LEq);
     E.movRI32(RAX, static_cast<uint32_t>(boxImm(Negate ? 0 : 1)));
@@ -482,8 +435,8 @@ struct FnCompiler {
   /// TailCall. Self-recursive tail calls — the hot shape of every compiled
   /// pml loop — rebuild the frame entirely in native code and jump back to
   /// ip 0; anything else (different callee, non-closure, oversized frame)
-  /// exits through the generic helper.
-  void emitTailCall() {
+  /// takes the interpreter's generic rebuild through emitStep.
+  void emitTailCall(uint64_t IpAfter) {
     const int NumLocals = F.NumLocals;
     const bool Fast = NumLocals >= 1 && NumLocals <= 16;
     X64Emitter::Label LGeneric;
@@ -516,7 +469,7 @@ struct FnCompiler {
       E.jmp(Ips[0]);
       E.bind(LGeneric);
     }
-    helperExit0(addrOf(&VmJit::opTailCall));
+    emitStep(IpAfter);
   }
 
   /// One bytecode instruction's template. \p IpAfter = ip + 1 (what the
@@ -535,8 +488,22 @@ struct FnCompiler {
     case Op::PushUnit:
       emitPushImm(boxImm(0));
       break;
+    // Allocation, frame switches, effects, I/O: the interpreter's own body.
     case Op::PushStr:
-      helperOk1(addrOf(&VmJit::opPushStr), static_cast<uint64_t>(In.A));
+    case Op::MkClosure:
+    case Op::FixSelf:
+    case Op::Call:
+    case Op::Ret:
+    case Op::MkPair:
+    case Op::MkRef:
+    case Op::Alloc:
+    case Op::ParCall: // rt::par restores CurrentHeap, so r15 stays valid.
+    case Op::Print:
+    case Op::PrintInt:
+    case Op::Handle:
+    case Op::Suspend:
+    case Op::Resume:
+      emitStep(IpAfter);
       break;
 
     case Op::LoadLocal:
@@ -564,22 +531,8 @@ struct FnCompiler {
       E.decR(RegSp);
       break;
 
-    case Op::MkClosure:
-      helperOk2(addrOf(&VmJit::opMkClosure), static_cast<uint64_t>(In.A),
-                static_cast<uint64_t>(In.B));
-      break;
-    case Op::FixSelf:
-      helperOk1(addrOf(&VmJit::opFixSelf), static_cast<uint64_t>(In.A));
-      break;
-
-    case Op::Call:
-      helperExit1(addrOf(&VmJit::opCall), IpAfter);
-      break;
     case Op::TailCall:
-      emitTailCall();
-      break;
-    case Op::Ret:
-      helperExit0(addrOf(&VmJit::opRet));
+      emitTailCall(IpAfter);
       break;
 
     case Op::Jmp:
@@ -628,15 +581,12 @@ struct FnCompiler {
       E.storeMRIdx8(RegStk, RegSp, -8, RAX);
       break;
     case Op::Eq:
-      emitEq(/*Negate=*/false);
+      emitEq(/*Negate=*/false, IpAfter);
       break;
     case Op::Ne:
-      emitEq(/*Negate=*/true);
+      emitEq(/*Negate=*/true, IpAfter);
       break;
 
-    case Op::MkPair:
-      helperOk0(addrOf(&VmJit::opMkPair));
-      break;
     case Op::Fst:
     case Op::Snd:
       // recGet on an immutable record: barrier-free by design.
@@ -645,9 +595,6 @@ struct FnCompiler {
       E.storeMRIdx8(RegStk, RegSp, -8, RAX);
       break;
 
-    case Op::MkRef:
-      helperOk0(addrOf(&VmJit::opMkRef));
-      break;
     case Op::Deref:
       E.loadRMIdx8(RCX, RegStk, RegSp, -8);
       E.loadRM(RAX, RCX, 8); // refGet slot 0 (acquire == mov on x86).
@@ -666,9 +613,6 @@ struct FnCompiler {
       E.storeMI32Idx8(RegStk, RegSp, -8, 1); // unit()
       break;
 
-    case Op::Alloc:
-      helperOk0(addrOf(&VmJit::opAlloc));
-      break;
     case Op::AGet:
       E.loadRMIdx8(RCX, RegStk, RegSp, -8);
       E.sarRI(RCX, 1); // Index.
@@ -705,30 +649,6 @@ struct FnCompiler {
       E.leaIdx1(RAX, RAX, RAX, 1); // boxInt
       E.storeMRIdx8(RegStk, RegSp, -8, RAX);
       break;
-
-    case Op::ParCall:
-      // rt::par restores CurrentHeap on the calling thread before the
-      // helper returns, so the pinned r15 stays valid across the fork.
-      helperOk0(addrOf(&VmJit::opParCall));
-      break;
-    case Op::Print:
-      helperOk0(addrOf(&VmJit::opPrint));
-      break;
-    case Op::PrintInt:
-      helperOk0(addrOf(&VmJit::opPrintInt));
-      break;
-
-    case Op::Handle:
-      helperExit3(addrOf(&VmJit::opHandle), IpAfter,
-                  static_cast<uint64_t>(In.A), static_cast<uint64_t>(In.B));
-      break;
-    case Op::Suspend:
-      helperExit2(addrOf(&VmJit::opSuspend), IpAfter,
-                  static_cast<uint64_t>(In.A));
-      break;
-    case Op::Resume:
-      helperExit1(addrOf(&VmJit::opResume), IpAfter);
-      break;
     }
   }
 
@@ -751,12 +671,7 @@ struct FnCompiler {
       case Op::LoadLocal:
       case Op::StoreLocal:
       case Op::LoadCapture:
-      case Op::FixSelf:
         if (In.A < 0)
-          return nullptr;
-        break;
-      case Op::MkClosure:
-        if (In.B < 0)
           return nullptr;
         break;
       default:

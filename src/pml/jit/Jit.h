@@ -19,10 +19,11 @@
 ///    paths tail into the existing em:: machinery — so all three barrier
 ///    modes (Off/Detect/Manage) behave bit-identically to the interpreter,
 ///    counters included;
-///  - anything that allocates, traps, switches frames or performs effects
-///    calls an out-of-line helper (jit::VmJit, implemented next to the
-///    interpreter in Vm.cpp) that runs the interpreter's own code on the
-///    synced VM state.
+///  - anything that allocates, switches frames or performs effects calls
+///    one out-of-line helper, jit::VmJit::step, which runs the
+///    interpreter's own Vm::step for that op on the synced VM state; a
+///    failed inline divisor, bounds or stack check exits through
+///    VmJit::opTrap with the interpreter's message.
 ///
 /// The design is deopt-free at function granularity: a compiled function
 /// has a native entry for *every* bytecode ip (templates are self-contained
@@ -187,46 +188,32 @@ const CompiledFn *hotOrCompile(ProgramJit &PJ, const pml::Program &P,
 void noteEntry();
 
 /// The out-of-line helpers native code calls, plus the Vm field offsets the
-/// templates bake in. Implemented in Vm.cpp (a friend of pml::Vm), so each
-/// helper body is literally the interpreter's own code for that opcode.
-/// All helpers return StOk / StExit per the protocol above and never let
-/// an exception escape (they catch into Vm::PendingExc).
+/// templates bake in. Implemented in Vm.cpp (a friend of pml::Vm). step is
+/// the one helper for bytecode ops: it runs the interpreter's own Vm::step,
+/// so every opcode body exists once. The rest cover what has no opcode of
+/// its own: the barrier slow paths, the deadline poll and the inline trap
+/// stubs. All helpers return StOk / StExit per the protocol above and never
+/// let an exception escape (they catch into Vm::PendingExc).
 struct VmJit {
   static size_t spOffset();
   static size_t stackBaseOffset();
   static size_t stackCap();
 
-  // Continue helpers (StOk unless a trap/exception occurred).
-  static uint64_t opPushStr(pml::Vm *V, uint64_t StrIdx) noexcept;
-  static uint64_t opMkClosure(pml::Vm *V, uint64_t FnIdx,
-                              uint64_t NumCaps) noexcept;
-  static uint64_t opFixSelf(pml::Vm *V, uint64_t CapIdx) noexcept;
-  static uint64_t opMkPair(pml::Vm *V) noexcept;
-  static uint64_t opMkRef(pml::Vm *V) noexcept;
-  static uint64_t opAlloc(pml::Vm *V) noexcept;
-  static uint64_t opParCall(pml::Vm *V) noexcept;
-  static uint64_t opPrint(pml::Vm *V) noexcept;
-  static uint64_t opPrintInt(pml::Vm *V) noexcept;
-  static uint64_t opEqSlow(pml::Vm *V, uint64_t Negate) noexcept;
+  /// Runs the op at \p IpAfter - 1 of the top frame, with the frame's Ip
+  /// set to \p IpAfter as the interpreter's dispatch leaves it. StExit when
+  /// the op switched frames, trapped or threw.
+  static uint64_t step(pml::Vm *V, uint64_t IpAfter) noexcept;
   static uint64_t opReadBarrier(pml::Vm *V, uint64_t Val,
                                 uint64_t Reader) noexcept;
   static uint64_t opWriteBarrier(pml::Vm *V, uint64_t Holder,
                                  uint64_t Val) noexcept;
   static uint64_t poll(pml::Vm *V) noexcept;
-
-  // Exit helpers (always StExit; the dispatcher re-dispatches).
-  static uint64_t opCall(pml::Vm *V, uint64_t IpAfter) noexcept;
-  static uint64_t opTailCall(pml::Vm *V) noexcept;
-  static uint64_t opRet(pml::Vm *V) noexcept;
-  static uint64_t opHandle(pml::Vm *V, uint64_t IpAfter, uint64_t TableIdx,
-                           uint64_t NumArms) noexcept;
-  static uint64_t opSuspend(pml::Vm *V, uint64_t IpAfter,
-                            uint64_t EffectId) noexcept;
-  static uint64_t opResume(pml::Vm *V, uint64_t IpAfter) noexcept;
+  /// Raises the inline trap \p Code (always StExit).
   static uint64_t opTrap(pml::Vm *V, uint64_t Code) noexcept;
 };
 
-/// Inline-trap codes (opTrap), matching the interpreter's messages.
+/// Inline-trap codes (opTrap); Vm.cpp holds their messages, which the
+/// interpreter raises too.
 enum : uint32_t {
   TrapDivZero = 0,
   TrapOob = 1,

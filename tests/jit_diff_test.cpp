@@ -18,6 +18,10 @@
 // interpreter's business, not the contract's). Every successful run must
 // also end with zero leaked pins, in both tiers.
 //
+// Every program whose outcome does not depend on the schedule runs a second
+// time at four workers, where real parallelism reorders the barrier events:
+// value, output, error and zero leaked pins must still agree.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Em.h"
@@ -150,6 +154,9 @@ struct DiffProgram {
   const char *Src;
   int Workers;
   unsigned Modes; ///< Off is only sound for disentangled programs.
+  /// Modes whose outcome depends on which strand runs first; the P = 4
+  /// plane skips them.
+  unsigned ScheduleDependent = 0;
 };
 
 const DiffProgram Corpus[] = {
@@ -167,6 +174,8 @@ const DiffProgram Corpus[] = {
     {"trap_match_fail", "case [1] of [] => 0", 1, MAll},
     {"trap_non_tail_recursion",
      "fun loop x = loop x + 1\nloop 0", 1, MAll},
+    // Traps raised by the interpreter's own step from native code.
+    {"trap_alloc_negative", "alloc (0 - 1) 0", 1, MAll},
     // Closures, captures (LoadCapture read barrier), FixSelf.
     {"closures_nested_capture",
      "fun add x y = x + y\n"
@@ -183,7 +192,7 @@ const DiffProgram Corpus[] = {
      "fun loop i acc = if i = 0 then acc else loop (i - 1) (acc + i)\n"
      "printInt (loop 300000 0)",
      1, MAll},
-    // Generic tail calls through a ref'd closure (helper path).
+    // Generic tail calls through a ref'd closure (the shared step).
     {"tail_cross_functions",
      "val next = ref (fn x => x)\n"
      "fun stepA n = if n = 0 then 0 else !next (n - 1)\n"
@@ -191,7 +200,7 @@ const DiffProgram Corpus[] = {
      "next := stepB;\n"
      "printInt (stepA 100000)",
      1, MAll},
-    // Eq/Ne: inline identity/immediate cases plus the structural helper.
+    // Eq/Ne: inline identity/immediate cases plus the structural step.
     {"equality_structural",
      "printInt (if \"ab\" = \"ab\" then 1 else 0);\n"
      "printInt (if \"ab\" = \"ac\" then 1 else 0);\n"
@@ -205,7 +214,7 @@ const DiffProgram Corpus[] = {
      " fun go i = if i = 1000 then () else (r := !r + i; go (i+1))\n"
      "in go 0; printInt (!r) end",
      1, MAll},
-    // Arrays: Alloc helper, AGet/ASet/ALen templates with bounds checks.
+    // Arrays: Alloc step, AGet/ASet/ALen templates with bounds checks.
     {"arrays_fill_sum",
      "let val a = alloc 64 0\n"
      " fun fill i = if i = 64 then () else (set a i (i * i); fill (i+1))\n"
@@ -219,7 +228,7 @@ const DiffProgram Corpus[] = {
     {"strings_print",
      "print \"hello \"; print \"world\\n\"; printInt 42",
      1, MAll},
-    // ParCall helper: fork-join with disentangled branches.
+    // ParCall step: fork-join with disentangled branches.
     {"par_fill_tree",
      "let val a = alloc 100 0\n"
      "    fun fill lo hi = if hi - lo < 1 then ()\n"
@@ -241,13 +250,14 @@ const DiffProgram Corpus[] = {
     {"par_trap_in_branch", "par (1 / 0, 2)", 1, MAll},
     // Entangled: branch B reads an object branch A just published. Manage
     // pins it; Detect rejects it; Off is unsound by construction — both
-    // tiers must do exactly the same thing, so Off is excluded.
+    // tiers must do exactly the same thing, so Off is excluded. Detect
+    // rejects only when A's write lands before B's read.
     {"par_entangled_read",
      "let val r = ref (ref 0)\n"
      "    val p = par ((r := ref 7; 0), !(!r))\n"
      "in printInt 1 end",
-     1, MDetect | MManage},
-    // Effects: Suspend/Resume/Handle exit helpers, continuation pins.
+     1, MDetect | MManage, MDetect},
+    // Effects: Suspend/Resume/Handle steps, continuation pins.
     {"eff_basic_resume",
      "effect Ask\n"
      "fun client x = perform Ask x + perform Ask 10\n"
@@ -275,6 +285,11 @@ const DiffProgram Corpus[] = {
      "printInt (handle down 100 with | E x k => resume k 5 end)",
      1, MAll},
     {"eff_unhandled", "effect E\nperform E 1", 1, MAll},
+    {"eff_resume_twice",
+     "effect E\n"
+     "printInt (handle perform E 0 + 1 with\n"
+     "          | E x k => resume k 1 + resume k 2 end)",
+     1, MAll},
     {"eff_resume_in_par",
      "effect Yield\n"
      "val r =\n"
@@ -304,16 +319,10 @@ unsigned modeBit(em::Mode M) {
 // The differential plane
 //===----------------------------------------------------------------------===//
 
-class JitDiffTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(JitDiffTest, InterpAndJitAgree) {
-  const DiffProgram &P = Corpus[static_cast<size_t>(std::get<0>(GetParam()))];
-  const ModeCase &MC = ModeCases[static_cast<size_t>(std::get<1>(GetParam()))];
-  if (!(P.Modes & modeBit(MC.Mode)))
-    GTEST_SKIP() << P.Name << " is not sound under mode " << MC.Name;
-
-  TierOutcome I = runTier(P.Src, P.Workers, MC.Mode, /*UseJit=*/false);
-  TierOutcome J = runTier(P.Src, P.Workers, MC.Mode, /*UseJit=*/true);
+/// Runs \p P at \p Workers in both tiers under \p MC and checks the contract.
+void expectTiersAgree(const DiffProgram &P, const ModeCase &MC, int Workers) {
+  TierOutcome I = runTier(P.Src, Workers, MC.Mode, /*UseJit=*/false);
+  TierOutcome J = runTier(P.Src, Workers, MC.Mode, /*UseJit=*/true);
 
   // The observable contract: same success/failure, same value, same print
   // output, same trap/error message.
@@ -340,7 +349,7 @@ TEST_P(JitDiffTest, InterpAndJitAgree) {
   // Entanglement counter checksum: bit-identical barrier behavior. Only on
   // successful deterministic (1-worker) runs — a trapping run unwinds at an
   // unspecified point, and a multi-worker schedule reorders events.
-  if (I.Ok && J.Ok && P.Workers == 1)
+  if (I.Ok && J.Ok && Workers == 1)
     expectCountersEqual(I.Counters, J.Counters, P.Name);
 
   // No leaked pins in either tier: every pin the run took was released by
@@ -353,6 +362,35 @@ TEST_P(JitDiffTest, InterpAndJitAgree) {
     EXPECT_EQ(J.Counters.livePinnedObjects(), 0) << P.Name << " (jit)";
     EXPECT_EQ(J.Counters.livePinnedBytes(), 0) << P.Name << " (jit)";
   }
+}
+
+class JitDiffTest : public ::testing::TestWithParam<std::tuple<int, int>> {
+protected:
+  const DiffProgram &program() const {
+    return Corpus[static_cast<size_t>(std::get<0>(GetParam()))];
+  }
+  const ModeCase &modeCase() const {
+    return ModeCases[static_cast<size_t>(std::get<1>(GetParam()))];
+  }
+};
+
+TEST_P(JitDiffTest, InterpAndJitAgree) {
+  const DiffProgram &P = program();
+  const ModeCase &MC = modeCase();
+  if (!(P.Modes & modeBit(MC.Mode)))
+    GTEST_SKIP() << P.Name << " is not sound under mode " << MC.Name;
+  expectTiersAgree(P, MC, P.Workers);
+}
+
+TEST_P(JitDiffTest, InterpAndJitAgreeAtP4) {
+  const DiffProgram &P = program();
+  const ModeCase &MC = modeCase();
+  if (!(P.Modes & modeBit(MC.Mode)))
+    GTEST_SKIP() << P.Name << " is not sound under mode " << MC.Name;
+  if (P.ScheduleDependent & modeBit(MC.Mode))
+    GTEST_SKIP() << P.Name << " depends on the schedule under mode "
+                 << MC.Name;
+  expectTiersAgree(P, MC, 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
