@@ -178,35 +178,12 @@ std::vector<SuiteEntry> makeSuite(double Scale) {
   return Suite;
 }
 
-StatSnap StatSnap::read() {
-  StatRegistry &Reg = StatRegistry::get();
-  StatSnap S;
-  S.EntangledReads = Reg.valueOf("em.reads.entangled");
-  S.PinsDown = Reg.valueOf("em.pins.down");
-  S.PinsCross = Reg.valueOf("em.pins.cross");
-  S.PinsHolder = Reg.valueOf("em.pins.holder");
-  S.PinnedObjects = Reg.valueOf("em.pins.objects");
-  S.PinnedBytes = Reg.valueOf("em.pinned.bytes");
-  S.Unpins = Reg.valueOf("em.unpins");
-  S.ContCaptured = Reg.valueOf("em.cont.captured");
-  S.ContResumed = Reg.valueOf("em.cont.resumed");
-  S.JitCompiled = Reg.valueOf("pml.jit.compiled");
-  S.JitEntries = Reg.valueOf("pml.jit.entries");
-  S.JitCodeBytes = Reg.valueOf("pml.jit.code_bytes");
-  S.GcCount = Reg.valueOf("gc.collections");
-  S.GcMaxPauseNs = Reg.valueOf("gc.pause.max.ns");
-  S.GcTotalPauseNs = Reg.valueOf("gc.pause.ns");
-  S.GcInPlaceBytes = Reg.valueOf("gc.bytes.inplace");
-  S.PeakResidency = Reg.valueOf("mm.bytes.peak");
-  return S;
-}
-
 namespace {
 /// Per-rep capture so the reported row is one internally consistent rep.
 struct RepData {
   double Seconds = 0;
   WorkSpan WS;
-  StatSnap Stats;
+  MetricsSnapshot::Values Counters;
   std::vector<ProfileSiteRow> Sites;
   int64_t LeakedPins = 0;
   int64_t LeakedBytes = 0;
@@ -228,6 +205,13 @@ std::vector<ProfileSiteRow> snapshotProfileRows() {
   return Rows;
 }
 } // namespace
+
+int64_t RunResult::counter(std::string_view Name) const {
+  auto It = std::lower_bound(
+      Counters.begin(), Counters.end(), Name,
+      [](const auto &C, std::string_view N) { return C.first < N; });
+  return It != Counters.end() && It->first == Name ? It->second : 0;
+}
 
 int64_t RunResult::profilePinnedBytes() const {
   int64_t N = 0;
@@ -276,7 +260,7 @@ RunResult measure(const std::function<int64_t()> &Body,
     RepData D;
     D.Seconds = Sec;
     D.WS = WS;
-    D.Stats = StatSnap::read();
+    D.Counters = StatRegistry::get().snapshotAll();
     em::CounterSnapshot Em = em::Counts.snapshot();
     D.LeakedPins = Em.livePinnedObjects();
     D.LeakedBytes = Em.livePinnedBytes();
@@ -297,7 +281,7 @@ RunResult measure(const std::function<int64_t()> &Body,
   Out.MinSeconds = St.Min;
   Out.StddevSeconds = St.Stddev;
   Out.WS = Med.WS;
-  Out.Stats = Med.Stats;
+  Out.Counters = Med.Counters;
   Out.Checksum = Checksum;
   Out.ProfileSites = Med.Sites;
   Out.LeakedPins = Med.LeakedPins;
@@ -367,7 +351,7 @@ std::string fmtSecPm(double MedianSec, double StddevSec) {
 BenchJson::BenchJson(std::string BenchId, double Scale, int Reps,
                      int WarmupReps) {
   W.beginObject()
-      .kv("schema", "mpl-bench/1")
+      .kv("schema", "mpl-bench/2")
       .kv("bench", BenchId)
       .kv("scale", Scale)
       .kv("reps", Reps)
@@ -406,45 +390,16 @@ void BenchJson::addRow(const std::string &Name, const std::string &Config,
       .beginArray();
   for (double S : R.RepSeconds)
     W.value(S);
-  const StatSnap &St = R.Stats;
   W.endArray()
       .endObject()
       .key("work_span")
       .beginObject()
       .kv("work_s", R.WS.WorkSec)
       .kv("span_s", R.WS.SpanSec)
-      .endObject()
-      .key("em")
-      .beginObject()
-      .kv("entangled_reads", St.EntangledReads)
-      .kv("pins_down", St.PinsDown)
-      .kv("pins_cross", St.PinsCross)
-      .kv("pins_holder", St.PinsHolder)
-      .kv("pinned_objects", St.PinnedObjects)
-      .kv("pinned_bytes", St.PinnedBytes)
-      .kv("unpins", St.Unpins)
-      .kv("cont_captured", St.ContCaptured)
-      .kv("cont_resumed", St.ContResumed)
       .endObject();
-  // Only rows that actually ran the JIT tier carry the block, so existing
-  // baselines keep parsing unchanged.
-  if (St.JitCompiled > 0)
-    W.key("jit")
-        .beginObject()
-        .kv("compiled", St.JitCompiled)
-        .kv("entries", St.JitEntries)
-        .kv("code_bytes", St.JitCodeBytes)
-        .endObject();
-  W.key("gc")
-      .beginObject()
-      .kv("collections", St.GcCount)
-      .kv("max_pause_ns", St.GcMaxPauseNs)
-      .kv("total_pause_ns", St.GcTotalPauseNs)
-      .kv("inplace_bytes", St.GcInPlaceBytes)
-      .endObject()
-      .kv("max_residency_bytes", St.PeakResidency)
-      .kv("checksum", R.Checksum);
-  W.key("profile")
+  writeJson(W.key("counters"), R.Counters);
+  W.kv("checksum", R.Checksum)
+      .key("profile")
       .beginObject()
       .kv("leaked_pins", R.LeakedPins)
       .kv("leaked_bytes", R.LeakedBytes)
@@ -464,16 +419,12 @@ void BenchJson::addRow(const std::string &Name, const std::string &Config,
 
 void BenchJson::addCustomRow(const std::string &Name,
                              const std::string &Config, double MedianSec,
-                             const std::vector<double> &RepSeconds,
                              const ExtraFields &Extra) {
-  beginRow(Name, Config).key("time").beginObject().kv("median_s", MedianSec);
-  if (!RepSeconds.empty()) {
-    W.kv("stddev_s", repStats(RepSeconds).Stddev).key("rep_s").beginArray();
-    for (double R : RepSeconds)
-      W.value(R);
-    W.endArray();
-  }
-  W.endObject();
+  beginRow(Name, Config)
+      .key("time")
+      .beginObject()
+      .kv("median_s", MedianSec)
+      .endObject();
   if (Extra)
     Extra(W);
   W.endObject();

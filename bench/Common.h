@@ -40,6 +40,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mpl {
@@ -65,29 +66,6 @@ struct SuiteEntry {
 /// problem sizes (which target ~0.2-1s per run on one worker).
 std::vector<SuiteEntry> makeSuite(double Scale = 1.0);
 
-/// Snapshot of the entanglement/GC statistics relevant to the tables.
-struct StatSnap {
-  int64_t EntangledReads = 0;
-  int64_t PinsDown = 0;
-  int64_t PinsCross = 0;
-  int64_t PinsHolder = 0;
-  int64_t PinnedObjects = 0;
-  int64_t PinnedBytes = 0;
-  int64_t Unpins = 0;
-  int64_t ContCaptured = 0; ///< pml continuations captured (em.cont.captured).
-  int64_t ContResumed = 0;  ///< pml continuations resumed (em.cont.resumed).
-  int64_t JitCompiled = 0;  ///< pml functions tiered up (pml.jit.compiled).
-  int64_t JitEntries = 0;   ///< dispatcher entries into native code.
-  int64_t JitCodeBytes = 0; ///< executable bytes published (pml.jit.code_bytes).
-  int64_t GcCount = 0;
-  int64_t GcMaxPauseNs = 0;
-  int64_t GcTotalPauseNs = 0;
-  int64_t GcInPlaceBytes = 0;
-  int64_t PeakResidency = 0;
-
-  static StatSnap read();
-};
-
 /// One entanglement-profiler site row (obs/Profile.h) carried into the
 /// bench JSON records.
 struct ProfileSiteRow {
@@ -101,8 +79,8 @@ struct ProfileSiteRow {
 /// Result of one measured configuration.
 ///
 /// Headline statistic: the (lower) median across the timed repetitions —
-/// Seconds is always one actually-measured rep, so WS/Stats/profile data
-/// come from that same rep and stay mutually consistent. MinSeconds /
+/// Seconds is always one actually-measured rep, so WS/Counters/profile
+/// data come from that same rep and stay mutually consistent. MinSeconds /
 /// StddevSeconds / RepSeconds carry the full spread for the JSON records.
 struct RunResult {
   double Seconds = 0;        ///< Median (lower) across timed reps.
@@ -111,7 +89,12 @@ struct RunResult {
   std::vector<double> RepSeconds;
   WorkSpan WS;               ///< From the median rep.
   int64_t Checksum = 0;
-  StatSnap Stats;            ///< From the median rep.
+  /// The median rep's StatRegistry::snapshotAll(): every counter, zeros
+  /// included, under its registry name, sorted by name.
+  MetricsSnapshot::Values Counters;
+
+  /// Counter \p Name of the median rep; 0 when no such counter exists.
+  int64_t counter(std::string_view Name) const;
 
   /// Site-attributed entanglement profile of the median rep (empty unless
   /// measured with SiteProfile; empty for disentangled runs regardless).
@@ -122,7 +105,7 @@ struct RunResult {
   int64_t LeakedBytes = 0;
 
   /// Sum of bytes attributed to pin sites ("em.pin.*" / "hh.pin"): equals
-  /// Stats.PinnedBytes when the profiler attributed every pin.
+  /// counter("em.pinned.bytes") when the profiler attributed every pin.
   int64_t profilePinnedBytes() const;
 };
 
@@ -166,9 +149,9 @@ std::string methodologyLine(int Reps);
 std::string fmtSecPm(double MedianSec, double StddevSec);
 
 /// Accumulates schema-versioned benchmark records and writes the `-json`
-/// output file. Schema "mpl-bench/1": see tools/mpl_report.cpp (the
-/// renderer / regression gate) for the consumer side. Meta fields come
-/// first: add them all before the first row.
+/// output file. Schema "mpl-bench/2": see tools/GateLib.h (the renderer /
+/// regression gate behind mpl_report) for the consumer side. Meta fields
+/// come first: add them all before the first row.
 class BenchJson {
 public:
   /// \p WarmupReps is the untimed reps each row took before its timed
@@ -187,14 +170,11 @@ public:
   /// Writes a custom row's own fields after its "time" block.
   using ExtraFields = std::function<void(json::Writer &)>;
 
-  /// Row for a table that is not a measure()d suite run (the pml
-  /// ablation, the server's latency, the space-time series), then
-  /// \p Extra's fields. Non-empty \p RepSeconds adds the per-rep times
-  /// and their sample stddev, so the row can feed the stddev-aware time
-  /// gate like addRow()'s rows do (BENCH_T3 jit rows).
+  /// Row for a table that is not a measure()d suite run (the server's
+  /// latency, the space-time series): the row's median time, then
+  /// \p Extra's fields.
   void addCustomRow(const std::string &Name, const std::string &Config,
-                    double MedianSec, const std::vector<double> &RepSeconds,
-                    const ExtraFields &Extra);
+                    double MedianSec, const ExtraFields &Extra);
 
   std::string dump() const;
 

@@ -39,10 +39,12 @@ int main(int Argc, char **Argv) {
            "manage/off"});
   Table T2({"benchmark", "mode", "collections", "max-pause", "total-pause"});
   auto addPauses = [&T2](const std::string &Name, const char *Mode,
-                         const StatSnap &S) {
-    T2.addRow({Name, Mode, Table::fmtInt(S.GcCount),
-               Table::fmtSec(static_cast<double>(S.GcMaxPauseNs) * 1e-9),
-               Table::fmtSec(static_cast<double>(S.GcTotalPauseNs) * 1e-9)});
+                         const RunResult &R) {
+    auto Sec = [&R](const char *Ns) {
+      return Table::fmtSec(static_cast<double>(R.counter(Ns)) * 1e-9);
+    };
+    T2.addRow({Name, Mode, Table::fmtInt(R.counter("gc.collections")),
+               Sec("gc.pause.max.ns"), Sec("gc.pause.ns")});
   };
 
   for (const SuiteEntry &E : makeSuite(Scale)) {
@@ -67,10 +69,10 @@ int main(int Argc, char **Argv) {
     // A1. Whole-heap shape: the sequential run keeps everything in the
     // root heap, so every collection scans the full live set.
     RunResult Seq = measure(E, true, 1, em::Mode::Manage, Reps);
-    addPauses(E.Name, "whole-heap", Seq.Stats);
+    addPauses(E.Name, "whole-heap", Seq);
     // Hierarchical shape: the parallel run, which collects small private
     // chains, is the manage cell above.
-    addPauses(E.Name, "hierarchical", Man.Stats);
+    addPauses(E.Name, "hierarchical", Man);
     J.addRow(E.Name, "gc-whole-heap", false, Seq);
     J.addRow(E.Name, "gc-hierarchical", false, Man);
   }

@@ -91,7 +91,7 @@ int main(int Argc, char **Argv) {
                    Samples.empty()
                        ? 0.0
                        : static_cast<double>(Samples.back().Ms) * 1e-3,
-                   /*RepSeconds=*/{}, [&](json::Writer &W) {
+                   [&](json::Writer &W) {
                      W.key("samples").beginArray();
                      for (const auto &S : Samples)
                        W.beginObject()

@@ -17,14 +17,14 @@
 /// exec p50/p99, fetched via the live stats frame before drain). Exits 1
 /// if queue p99 exceeds the deadline with zero sheds — a coordinated-
 /// omission check: a backlog that deep with no pushback means admission
-/// control is blind. `-json` emits an mpl-bench/1 record (rows
+/// control is blind. `-json` emits an mpl-bench/2 record (rows
 /// keyed "request_latency"/"open-loop" with p*_ns and shed_rate fields) so
 /// the GateLib regression gate can hold tail latency and shed rate to a
 /// baseline. Chaos flags mirror mpl_server's, making this the one-command
 /// reproduction of the robustness acceptance scenario:
 ///
-///   MPL_MEM_LIMIT_MB=16 bench_server -rate 300 -duration-ms 4000 \
-///     -chaos-seed 7 -wire-permille 20 -fault-every-n 5 -json out.json
+///   MPL_MEM_LIMIT_MB=16 bench_server -rate 300 -duration-ms 4000
+///       -chaos-seed 7 -wire-permille 20 -fault-every-n 5 -json out.json
 ///
 //===----------------------------------------------------------------------===//
 
@@ -282,7 +282,7 @@ int main(int Argc, char **Argv) {
     J.addMetaInt("fault_every_n", FaultEveryN);
     J.addCustomRow(
         "request_latency", "open-loop", static_cast<double>(P.P50) * 1e-9,
-        /*RepSeconds=*/{}, [&](json::Writer &W) {
+        [&](json::Writer &W) {
           W.kv("p50_ns", P.P50)
               .kv("p95_ns", P.P95)
               .kv("p99_ns", P.P99)

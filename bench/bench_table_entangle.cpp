@@ -41,24 +41,24 @@ int main(int Argc, char **Argv) {
     RunResult R = measure(E, /*Sequential=*/false, /*Workers=*/2,
                           em::Mode::Manage, /*Reps=*/1,
                           /*SiteProfile=*/true);
-    int64_t PinnedObjects = R.Stats.PinnedObjects;
+    int64_t PinnedObjects = R.counter("em.pins.objects");
+    int64_t PinnedBytes = R.counter("em.pinned.bytes");
+    int64_t Unpins = R.counter("em.unpins");
     // The profiler and the em counters observe the same chokepoint
     // (Heap::addPinned), and both are read from the same rep: the profiler
     // must attribute 100% of the pinned bytes to named sites.
-    MPL_CHECK(R.profilePinnedBytes() == R.Stats.PinnedBytes,
+    MPL_CHECK(R.profilePinnedBytes() == PinnedBytes,
               "profiler lost track of pinned bytes");
     MPL_CHECK(R.LeakedPins == 0, "pins survived final join");
 
     T.addRow({E.Name + (E.Entangled ? " (ent)" : ""),
-              Table::fmtInt(R.Stats.EntangledReads),
-              Table::fmtInt(R.Stats.PinsDown),
-              Table::fmtInt(R.Stats.PinsCross),
-              Table::fmtInt(R.Stats.PinsHolder),
-              Table::fmtInt(PinnedObjects),
-              Table::fmtBytes(R.Stats.PinnedBytes),
-              Table::fmtBytes(R.profilePinnedBytes()),
-              Table::fmtInt(R.Stats.Unpins),
-              Table::fmtInt(PinnedObjects - R.Stats.Unpins)});
+              Table::fmtInt(R.counter("em.reads.entangled")),
+              Table::fmtInt(R.counter("em.pins.down")),
+              Table::fmtInt(R.counter("em.pins.cross")),
+              Table::fmtInt(R.counter("em.pins.holder")),
+              Table::fmtInt(PinnedObjects), Table::fmtBytes(PinnedBytes),
+              Table::fmtBytes(R.profilePinnedBytes()), Table::fmtInt(Unpins),
+              Table::fmtInt(PinnedObjects - Unpins)});
     J.addRow(E.Name, "par-w2", E.Entangled, R);
   }
   T.print();

@@ -105,31 +105,6 @@ Cell measureCell(const Kernel &K, em::Mode Mode, bool UseJit, int Reps) {
   return C;
 }
 
-void addCellRow(BenchJson &J, const Kernel &K, const std::string &Config,
-                const RunResult &R) {
-  J.addCustomRow(K.Name, Config, R.Seconds, R.RepSeconds,
-                 [&](json::Writer &W) {
-                   W.key("em")
-                       .beginObject()
-                       .kv("cont_captured", R.Stats.ContCaptured)
-                       .kv("cont_resumed", R.Stats.ContResumed)
-                       .endObject();
-                   if (R.Stats.JitCompiled > 0)
-                     W.key("jit")
-                         .beginObject()
-                         .kv("compiled", R.Stats.JitCompiled)
-                         .kv("entries", R.Stats.JitEntries)
-                         .kv("code_bytes", R.Stats.JitCodeBytes)
-                         .endObject();
-                   W.key("profile")
-                       .beginObject()
-                       .kv("leaked_pins", R.LeakedPins)
-                       .kv("leaked_bytes", R.LeakedBytes)
-                       .endObject()
-                       .kv("checksum", R.Checksum);
-                 });
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -219,34 +194,39 @@ int main(int Argc, char **Argv) {
     for (const ModeCase &M : Modes) {
       Cell In = measureCell(K, M.Mode, /*UseJit=*/false, Reps);
       Cell Jt = measureCell(K, M.Mode, /*UseJit=*/true, Reps);
-      const StatSnap &SI = In.R.Stats, &SJ = Jt.R.Stats;
+      int64_t Captured = In.R.counter("em.cont.captured");
+      int64_t Resumed = In.R.counter("em.cont.resumed");
+      int64_t JitCompiled = Jt.R.counter("pml.jit.compiled");
       MPL_CHECK(In.Output == Jt.Output && In.Value == Jt.Value,
                 "interp and jit runs disagree");
       MPL_CHECK(In.R.Checksum == Jt.R.Checksum,
                 "interp and jit checksums disagree");
       MPL_CHECK(In.R.LeakedPins == 0 && Jt.R.LeakedPins == 0,
                 "ablation run leaked pins");
-      MPL_CHECK(SI.ContCaptured == SJ.ContCaptured &&
-                    SI.ContResumed == SJ.ContResumed,
+      MPL_CHECK(Captured == Jt.R.counter("em.cont.captured") &&
+                    Resumed == Jt.R.counter("em.cont.resumed"),
                 "interp and jit continuation traffic disagree");
-      MPL_CHECK(SI.ContCaptured == K.Conts && SI.ContResumed == K.Conts,
+      MPL_CHECK(Captured == K.Conts && Resumed == K.Conts,
                 "continuation capture/resume counts off");
       // Total JIT loss (env plumbing broken, tiering never fires) must
       // fail here deterministically: the counter gate is upward-only,
       // so a drop to zero compiled functions would pass it, and the
       // time gate's floor is too wide to catch it on the flatter
       // kernels.
-      MPL_CHECK(SJ.JitCompiled > 0 && SJ.JitEntries > 0,
+      MPL_CHECK(JitCompiled > 0 && Jt.R.counter("pml.jit.entries") > 0,
                 "jit ablation cell did not tier any function");
       char KiB[32];
-      std::snprintf(KiB, sizeof(KiB), "%.1f",
-                    static_cast<double>(SJ.JitCodeBytes) / 1024.0);
+      std::snprintf(
+          KiB, sizeof(KiB), "%.1f",
+          static_cast<double>(Jt.R.counter("pml.jit.code_bytes")) / 1024.0);
       A.addRow({K.Name, M.Name, Table::fmtSec(In.R.Seconds),
                 Table::fmtSec(Jt.R.Seconds),
                 Table::fmtRatio(In.R.Seconds / Jt.R.Seconds),
-                std::to_string(SJ.JitCompiled), KiB});
-      addCellRow(J, K, std::string("pml-interp-") + M.Name, In.R);
-      addCellRow(J, K, std::string("pml-jit-") + M.Name, Jt.R);
+                std::to_string(JitCompiled), KiB});
+      J.addRow(K.Name, std::string("pml-interp-") + M.Name,
+               /*Entangled=*/false, In.R);
+      J.addRow(K.Name, std::string("pml-jit-") + M.Name, /*Entangled=*/false,
+               Jt.R);
       if (M.Mode == em::Mode::Manage)
         Pml = In.R;
     }

@@ -91,18 +91,19 @@ int main(int Argc, char **Argv) {
               Table::fmtRatio(Par.Seconds / Seq.Seconds),
               Table::fmtRatio(Parallelism), Table::fmtSec(TP),
               Table::fmtRatio(Seq.Seconds / TP)});
-    const StatSnap &RS = Seq.Stats, &R1 = Par.Stats;
+    int64_t SeqPeak = Seq.counter("mm.bytes.peak");
+    int64_t ParPeak = Par.counter("mm.bytes.peak");
     std::string Blowup =
-        RS.PeakResidency > 0
-            ? Table::fmtRatio(static_cast<double>(R1.PeakResidency) /
-                              static_cast<double>(RS.PeakResidency))
-            : "-"; // Allocation-free benchmark (e.g. fib).
-    Space.addRow({Label, Table::fmtBytes(RS.PeakResidency),
-                  Table::fmtBytes(R1.PeakResidency), Blowup,
-                  Table::fmtBytes(R1.PinnedBytes),
-                  Table::fmtBytes(R1.GcInPlaceBytes),
-                  Table::fmtInt(R1.GcCount),
-                  Table::fmtSec(static_cast<double>(R1.GcMaxPauseNs) * 1e-9)});
+        SeqPeak > 0 ? Table::fmtRatio(static_cast<double>(ParPeak) /
+                                      static_cast<double>(SeqPeak))
+                    : "-"; // Allocation-free benchmark (e.g. fib).
+    Space.addRow(
+        {Label, Table::fmtBytes(SeqPeak), Table::fmtBytes(ParPeak), Blowup,
+         Table::fmtBytes(Par.counter("em.pinned.bytes")),
+         Table::fmtBytes(Par.counter("gc.bytes.inplace")),
+         Table::fmtInt(Par.counter("gc.collections")),
+         Table::fmtSec(static_cast<double>(Par.counter("gc.pause.max.ns")) *
+                       1e-9)});
     J.addRow(E.Name, "seq", E.Entangled, Seq);
     J.addRow(E.Name, "par-w1", E.Entangled, Par);
 

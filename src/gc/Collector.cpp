@@ -85,7 +85,7 @@ Object *Collector::copyObject(ChainState &CS, Object *O) {
   size_t Bytes = O->sizeBytes();
   void *Mem = H->allocate(Bytes);
   Object *New = reinterpret_cast<Object *>(Mem);
-  __builtin_memcpy(New, O, Bytes);
+  __builtin_memcpy(static_cast<void *>(New), O, Bytes);
   O->forwardTo(New);
   CS.Out.BytesCopied += static_cast<int64_t>(Bytes);
   CS.Out.ObjectsCopied++;

@@ -9,13 +9,11 @@
 #include "chaos/ChaosSchedule.h"
 #include "core/Ops.h"
 #include "core/Runtime.h"
-#include "mm/Chunk.h"
 #include "mm/MemoryGovernor.h"
 #include "obs/Exposition.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
 #include "pml/Vm.h"
-#include "support/EmCounters.h"
 #include "support/Histogram.h"
 #include "support/Json.h"
 #include "support/Stats.h"
@@ -421,73 +419,43 @@ struct Server::Impl {
           E.CpLine = Buf;
   }
 
-  static void writePercentiles(json::Writer &W, std::string_view Key,
-                               int64_t Count,
-                               const Histogram::Percentiles &P) {
-    W.key(Key)
-        .beginObject()
-        .kv("count", Count)
-        .kv("p50", P.P50)
-        .kv("p95", P.P95)
-        .kv("p99", P.P99)
-        .kv("p999", P.P999)
-        .endObject();
-  }
-  static void writeHist(json::Writer &W, std::string_view Key,
-                        const Histogram &H) {
-    writePercentiles(W, Key, H.count(), H.percentiles());
-  }
-  static void writeWindow(json::Writer &W, std::string_view Key,
-                          const RollingWindow::WindowStats &S) {
-    writePercentiles(W, Key, S.Count, S.Pct);
-  }
-
-  /// The mpl-stats/1 snapshot: everything here is a relaxed atomic read, a
-  /// registry snapshot under its own short lock, or the rolling windows'
-  /// small internal mutex — never the queue lock, the executor, or any
-  /// runtime lock, so this answers at full speed mid-load, under Critical
-  /// pressure, and during drain.
+  /// The mpl-stats/1 snapshot: everything here is a relaxed atomic read,
+  /// one registry snapshot under its own short lock (whose gauge callbacks
+  /// take at most a leaf lock, as for the Prometheus form), or the rolling
+  /// windows' small internal mutex — never the queue lock or the executor,
+  /// so this answers at full speed mid-load, under Critical pressure, and
+  /// during drain. Counters, gauges and histograms keep their registry
+  /// names; the counters are process totals (snapshotAll()).
   std::string statsJson() {
     int64_t Now = nowNs();
-    MemoryGovernor &MG = MemoryGovernor::get();
+    MetricsSnapshot Reg = StatRegistry::get().snapshot();
     json::Writer W;
+    auto Hist = [&W](std::string_view Key, const Histogram::Snapshot &H) {
+      writeJson(W.key(Key), H);
+    };
     W.beginObject()
         .key("mpl-stats/1")
         .beginObject()
         .kv("t_ns", Now)
         .kv("status", Owner->draining() ? "draining" : "serving")
-        .kv("pressure", pressureName(MG.pressure()))
+        .kv("pressure", pressureName(MemoryGovernor::get().pressure()))
         .kv("queue_depth", QueueDepth.load(std::memory_order_relaxed))
         .kv("queue_cap", Cfg.QueueCap)
-        .kv("inflight", Inflight.load(std::memory_order_relaxed))
-        .key("counters")
-        .beginObject();
-    const Stat *Counters[] = {&Accepted,      &Requests,  &RespOk,
-                              &RespShed,      &RespDeadline, &RespError,
-                              &RespDraining,  &ProtocolErrors, &WireFaults,
-                              &Introspects};
-    for (const Stat *S : Counters)
-      W.kv(S->name(), S->get());
-    W.endObject().key("em");
-    em::writeJson(W, em::Counts.snapshot());
-    W.key("mm")
-        .beginObject()
-        .kv("outstanding_bytes", ChunkPool::get().outstandingBytes())
-        .kv("limit_bytes", MG.config().LimitBytes)
-        .kv("pinned_bytes", MG.pinnedBytes())
-        .endObject();
-    writeHist(W, "latency", LatencyNs);
+        .kv("inflight", Inflight.load(std::memory_order_relaxed));
+    writeJson(W.key("counters"), Reg.Counters);
+    writeJson(W.key("gauges"), Reg.Gauges);
+    Hist("latency", LatencyNs.snapshot());
     W.key("stage").beginObject();
-    writeHist(W, "queue", StageQueueNs);
-    writeHist(W, "exec", StageExecNs);
-    writeHist(W, "reply", StageReplyNs);
+    Hist("queue", StageQueueNs.snapshot());
+    Hist("exec", StageExecNs.snapshot());
+    Hist("reply", StageReplyNs.snapshot());
     W.endObject();
 
     RollingWindow::WindowStats WL = WinLatency.window(Now);
     W.key("window").beginObject().kv("window_ns", WL.WindowNs);
-    writeWindow(W, "latency", WL);
-    writeWindow(W, "queue", WinQueue.window(Now));
-    writeWindow(W, "exec", WinExec.window(Now));
+    Hist("latency", WL.Hist);
+    Hist("queue", WinQueue.window(Now).Hist);
+    Hist("exec", WinExec.window(Now).Hist);
     W.endObject().key("exemplars").beginArray();
     {
       std::lock_guard<std::mutex> G(ExemplarMu);

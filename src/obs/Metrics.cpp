@@ -74,10 +74,13 @@ MetricsSample MetricsSampler::sampleOnce() {
 MetricsSample MetricsSampler::recordSampleLocked() {
   MetricsSample S;
   S.TimeNs = nowNs();
-  S.Em = em::Counts.snapshot();
   // The registry lock and HeapTreeMu each nest under Mu here, and nothing
   // that holds either takes Mu, so the order is acyclic.
-  S.Gauges = StatRegistry::get().snapshot().Gauges;
+  MetricsSnapshot Reg = StatRegistry::get().snapshot();
+  for (auto &C : Reg.Counters)
+    if (C.first.starts_with("em."))
+      S.Counters.push_back(std::move(C));
+  S.Gauges = std::move(Reg.Gauges);
   HeapTree Tree;
   readHeapTree(Tree);
   S.LiveHeaps = static_cast<int64_t>(Tree.Heaps.size());

@@ -9,13 +9,14 @@
 /// periodically snapshots the paper's cost metrics into an in-memory time
 /// series. Each sample carries:
 ///
-///  - the full em::CounterSnapshot (entangled reads, pins by kind,
-///    cumulative and *live* pinned bytes/objects — the paper's space cost);
-///  - every gauge in one StatRegistry snapshot (support/Stats.h). The
-///    layers own their gauges (obs depends only on support, so it cannot
-///    reach into the scheduler or the chunk pool itself): deque depths,
-///    heap count, memory pressure, the request queue, live pinned bytes,
-///    trace drops;
+///  - the em.* counters of one StatRegistry::snapshot() (support/Stats.h),
+///    under their registry names: entangled reads, pins by kind, pinned
+///    and unpinned bytes/objects, continuation traffic;
+///  - every gauge of that snapshot. The layers own their gauges (obs
+///    depends only on support, so it cannot reach into the scheduler or
+///    the chunk pool itself): deque depths, heap count, memory pressure,
+///    the request queue, the *live* pinned bytes/objects (the paper's
+///    space cost), trace drops;
 ///  - a live-heap-tree summary (live heap count, deepest live depth, heaps
 ///    per depth) counted from obs::readHeapTree(), so the series shows the
 ///    heap hierarchy growing and collapsing across forks and joins.
@@ -30,7 +31,7 @@
 #ifndef MPL_OBS_METRICS_H
 #define MPL_OBS_METRICS_H
 
-#include "support/EmCounters.h"
+#include "support/Stats.h"
 
 #include <condition_variable>
 #include <cstdint>
@@ -46,10 +47,11 @@ namespace obs {
 
 /// One point of the cost-metric time series.
 struct MetricsSample {
-  int64_t TimeNs = 0;           ///< Steady-clock timestamp.
-  em::CounterSnapshot Em;       ///< All entanglement cost counters.
+  int64_t TimeNs = 0; ///< Steady-clock timestamp.
+  /// The snapshot's em.* counters, sorted by name.
+  MetricsSnapshot::Values Counters;
   /// Registered gauges, in registration order.
-  std::vector<std::pair<std::string, int64_t>> Gauges;
+  MetricsSnapshot::Values Gauges;
   /// Live-heap-tree summary at the sample instant, counted from
   /// obs::readHeapTree(): how many heaps are live and the deepest live
   /// depth (0 / -1 when no runtime is alive).

@@ -157,18 +157,15 @@ void writeDepths(json::Writer &W, const char *Name, double TsUs,
   W.endObject().endObject();
 }
 
-/// One MetricsSampler sample as counter events: the em cost counters, the
-/// registry gauges, the live-heap summary and the per-depth heap and task
-/// histograms.
+/// One MetricsSampler sample as counter events: the em cost counters and
+/// the registry gauges under their registry names, the live-heap summary
+/// and the per-depth heap and task histograms.
 void writeSample(json::Writer &W, const MetricsSample &S, double TsUs,
                  size_t DepthWidth, size_t TaskWidth) {
-  beginCounter(W, "em", TsUs);
-  em::writeJson(W, S.Em);
+  writeJson(beginCounter(W, "em", TsUs), S.Counters);
   W.endObject();
-  beginCounter(W, "gauges", TsUs).beginObject();
-  for (const auto &[Name, V] : S.Gauges)
-    W.kv(Name, V);
-  W.endObject().endObject();
+  writeJson(beginCounter(W, "gauges", TsUs), S.Gauges);
+  W.endObject();
   beginCounter(W, "heaps", TsUs)
       .beginObject()
       .kv("live", S.LiveHeaps)
@@ -177,25 +174,6 @@ void writeSample(json::Writer &W, const MetricsSample &S, double TsUs,
       .endObject();
   writeDepths(W, "depth_hist", TsUs, S.DepthHist, DepthWidth);
   writeDepths(W, "task_depth_hist", TsUs, S.TaskDepthHist, TaskWidth);
-}
-
-void writeHistogram(json::Writer &W, const Histogram::Snapshot &H) {
-  Histogram::Percentiles Pct = H.percentiles();
-  W.newline()
-      .beginObject()
-      .kv("name", H.Name)
-      .kv("count", H.count())
-      .kv("sum", H.Sum)
-      .kv("p50", Pct.P50)
-      .kv("p95", Pct.P95)
-      .kv("p99", Pct.P99)
-      .kv("p999", Pct.P999)
-      .key("buckets")
-      .beginArray();
-  for (int B = 0; B < Histogram::NumBuckets; ++B)
-    if (int64_t C = H.Counts[B])
-      W.beginObject().kv("lo", Histogram::bucketLo(B)).kv("n", C).endObject();
-  W.endArray().endObject();
 }
 
 } // namespace
@@ -355,12 +333,10 @@ std::string Tracer::chromeTraceJson() const {
   // file. The registry folds retired Stats into snapshotAll(), so even the
   // final atexit flush — which runs after a net::Server's Impl (and its
   // net.* Stats) has been destroyed — still reports the full net.* family.
-  W.key("counters").beginObject();
-  for (const auto &[Name, V] : Counters)
-    W.kv(Name, V);
-  W.endObject().key("histograms").beginArray();
+  writeJson(W.key("counters"), Counters);
+  W.key("histograms").beginArray();
   for (const Histogram::Snapshot &H : Hists)
-    writeHistogram(W, H);
+    writeJson(W.newline(), H);
   W.newline().endArray().key("heap_tree");
   writeHeapTree(W, Tree);
   W.endObject().endObject().newline();

@@ -27,10 +27,6 @@
 #include <cstdint>
 
 namespace mpl {
-namespace json {
-class Writer;
-} // namespace json
-
 namespace em {
 
 /// A plain-value copy of the counters at one instant. All fields are
@@ -61,13 +57,10 @@ struct CounterSnapshot {
   int64_t livePinnedObjects() const { return PinnedObjects - UnpinnedObjects; }
 };
 
-/// Writes \p S as the "em" object every export shares (metrics samples,
-/// the mpl-stats/1 frame): each counter plus the two live quantities.
-void writeJson(json::Writer &W, const CounterSnapshot &S);
-
-/// The counters themselves: each is a registered Stat, so the registry
-/// (StatRegistry::valueOf / snapshotAll, the Prometheus exposition, the
-/// bench StatSnap) reads them by name with no second copy to keep in step.
+/// The counters themselves: each is a registered Stat, so every export
+/// (StatRegistry::snapshotAll, the Prometheus exposition, the stats frame,
+/// the trace, the bench rows) reads them under these names with no second
+/// copy to keep in step.
 struct Counters {
   Stat EntangledReads{"em.reads.entangled"};
   Stat EntangledReadsUnpinned{"em.reads.entangled.unpinned"};

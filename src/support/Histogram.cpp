@@ -107,15 +107,11 @@ RollingWindow::WindowStats RollingWindow::window(int64_t NowNs) const {
   std::lock_guard<std::mutex> G(Mu);
   const Snap &Base =
       Filled < NumSlots ? Ring[0] : Ring[(Head + 1) % NumSlots];
-  int64_t Diff[Histogram::NumBuckets];
-  int64_t Cur[Histogram::NumBuckets];
-  Hist.snapshotCounts(Cur);
   WindowStats W;
-  for (int B = 0; B < Histogram::NumBuckets; ++B) {
-    Diff[B] = Cur[B] - Base.Counts[B];
-    W.Count += Diff[B];
-  }
   W.WindowNs = Base.TimeNs > 0 ? NowNs - Base.TimeNs : 0;
-  W.Pct = Histogram::percentilesFrom(Diff, Hist.sum() - Base.Sum);
+  W.Hist = Hist.snapshot();
+  for (int B = 0; B < Histogram::NumBuckets; ++B)
+    W.Hist.Counts[B] -= Base.Counts[B];
+  W.Hist.Sum -= Base.Sum;
   return W;
 }

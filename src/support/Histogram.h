@@ -140,13 +140,14 @@ public:
   void maybeRotate(int64_t NowNs);
 
   struct WindowStats {
-    int64_t Count = 0;    ///< Samples recorded inside the window.
     int64_t WindowNs = 0; ///< Time actually covered (ramp-up < full window).
-    Histogram::Percentiles Pct;
+    /// The samples recorded inside the window: the histogram's counts and
+    /// sum minus the oldest retained snapshot's, under its name.
+    Histogram::Snapshot Hist;
   };
 
-  /// Percentiles of the samples recorded since the oldest retained
-  /// snapshot. \p NowNs bounds WindowNs.
+  /// The samples recorded since the oldest retained snapshot. \p NowNs
+  /// bounds WindowNs.
   WindowStats window(int64_t NowNs) const;
 
 private:

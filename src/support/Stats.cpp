@@ -6,6 +6,8 @@
 
 #include "support/Stats.h"
 
+#include "support/Json.h"
+
 #include <cstdio>
 
 using namespace mpl;
@@ -118,4 +120,29 @@ std::string StatRegistry::report() const {
     }
   }
   return Out;
+}
+
+void mpl::writeJson(json::Writer &W, const MetricsSnapshot::Values &Vals) {
+  W.beginObject();
+  for (const auto &[Name, V] : Vals)
+    W.kv(Name, V);
+  W.endObject();
+}
+
+void mpl::writeJson(json::Writer &W, const Histogram::Snapshot &H) {
+  Histogram::Percentiles Pct = H.percentiles();
+  W.beginObject()
+      .kv("name", H.Name)
+      .kv("count", H.count())
+      .kv("sum", H.Sum)
+      .kv("p50", Pct.P50)
+      .kv("p95", Pct.P95)
+      .kv("p99", Pct.P99)
+      .kv("p999", Pct.P999)
+      .key("buckets")
+      .beginArray();
+  for (int B = 0; B < Histogram::NumBuckets; ++B)
+    if (int64_t C = H.Counts[B])
+      W.beginObject().kv("lo", Histogram::bucketLo(B)).kv("n", C).endObject();
+  W.endArray().endObject();
 }

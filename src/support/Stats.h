@@ -8,11 +8,13 @@
 /// The one registry of named metrics: counters (Stat), gauges (Gauge, a
 /// name plus a read callback) and log2 histograms (support/Histogram.h).
 /// Each registers when constructed and unregisters in its destructor, and
-/// every exporter renders what StatRegistry reads: the Prometheus text,
-/// the metrics samples and report() one snapshot(), the exit-time trace
-/// flush its counters and histograms alone. The paper's cost
-/// metrics (entangled reads, pins, pinned bytes, unpins) are Stats like the
-/// rest (support/EmCounters.h).
+/// every exporter renders what StatRegistry reads, under the registry's
+/// own names: the Prometheus text, the stats frame, the metrics samples
+/// and report() one snapshot(), the exit-time trace flush its counters and
+/// histograms alone, and the bench rows its counters. Every JSON document
+/// renders them through writeJson() below. The paper's cost metrics
+/// (entangled reads, pins, pinned bytes, unpins) are Stats like the rest
+/// (support/EmCounters.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +34,9 @@
 #include <vector>
 
 namespace mpl {
+namespace json {
+class Writer;
+} // namespace json
 
 /// A single named statistic. Instances register themselves in StatRegistry
 /// on construction and unregister on destruction, so both static-duration
@@ -171,6 +176,15 @@ private:
   /// snapshotAll() and cleared by resetAll().
   std::map<std::string, int64_t> Retired;
 };
+
+/// The one JSON rendering of registry reads; each call writes one value,
+/// and the caller writes its key. Counters or gauges become one object,
+/// name -> value.
+void writeJson(json::Writer &W, const MetricsSnapshot::Values &Vals);
+
+/// One histogram: name, count, sum, the p50/p95/p99/p999 estimates and
+/// its non-empty buckets as {"lo", "n"} pairs.
+void writeJson(json::Writer &W, const Histogram::Snapshot &H);
 
 } // namespace mpl
 

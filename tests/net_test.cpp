@@ -21,6 +21,7 @@
 #include "obs/Exposition.h"
 #include "obs/Profile.h"
 #include "support/Json.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
@@ -343,8 +344,9 @@ TEST(ServerTest, DrainRefusesNewWorkThenStops) {
     // Same (still-open) connection: a request decoded during drain gets a
     // structured DRAINING response before the connection closes.
     R.Id = 12;
-    if (C.call(R, Resp))
+    if (C.call(R, Resp)) {
       EXPECT_EQ(Resp.St, Status::Draining);
+    }
   });
   EXPECT_EQ(T.Ok, 1);
 }
@@ -447,6 +449,9 @@ std::string statStr(const json::Value &V, const char *Name) {
 } // namespace
 
 TEST(ServerStatsTest, StatsFrameDuringLoadKeepsBalance) {
+  // The frame's counters are the registry's process totals, which fold in
+  // the servers earlier tests retired: start this one from zero.
+  StatRegistry::get().resetAll();
   ServerConfig SC;
   SC.NumWorkers = 2;
   ServerTotals T = withServer(SC, [&](Server &Srv) {
@@ -503,8 +508,11 @@ TEST(ServerStatsTest, StatsFrameDuringLoadKeepsBalance) {
     const json::Value *W = S->field("window");
     ASSERT_NE(W, nullptr);
     EXPECT_GT(statNum(*W, "window_ns"), 0);
-    EXPECT_NE(S->field("em"), nullptr);
-    EXPECT_NE(S->field("mm"), nullptr);
+    // Gauges by registry name, the memory ones mpl_top draws among them.
+    const json::Value *G = S->field("gauges");
+    ASSERT_NE(G, nullptr);
+    EXPECT_GE(statNum(*G, "mm.outstanding.bytes"), 0);
+    EXPECT_GE(statNum(*G, "em.live.pinned.bytes"), 0);
 
     // Tail exemplars: capped at the K worst, sorted worst-first.
     const json::Value *Ex = S->field("exemplars");
@@ -524,6 +532,48 @@ TEST(ServerStatsTest, StatsFrameDuringLoadKeepsBalance) {
   EXPECT_EQ(T.Requests, 6);
   EXPECT_EQ(T.Ok, 6);
   EXPECT_EQ(T.Introspects, 1);
+}
+
+TEST(ServerStatsTest, FrameNamesEveryEmCounterAsTheRegistryDoes) {
+  // One name per counter: after a request that pins, the frame's counters
+  // carry every em.* counter under its registry name, with the value
+  // snapshotAll() reports.
+  ServerConfig SC;
+  withServer(SC, [&](Server &Srv) {
+    Client C;
+    ASSERT_TRUE(C.connect(Srv.port()));
+    Request R;
+    R.Id = 1;
+    R.Kind = RequestKind::Pml;
+    // The left branch stores its own fresh ref into the parent's: a
+    // down-pointer, pinned whatever the schedule.
+    R.Body = "let val r = ref (ref 0) in par ((r := ref 7; 0), !(!r)) end";
+    Response Resp;
+    ASSERT_TRUE(C.call(R, Resp));
+    ASSERT_EQ(Resp.St, Status::Ok) << Resp.Body;
+    // Batches run one at a time, so once this answer arrives the pinning
+    // run has joined and released its pins: the counters are at rest.
+    R.Id = 2;
+    R.Kind = RequestKind::Workload;
+    R.Body = "fib 5";
+    ASSERT_TRUE(C.call(R, Resp));
+    ASSERT_EQ(Resp.St, Status::Ok);
+
+    json::Value Doc;
+    const json::Value *S = nullptr;
+    ASSERT_TRUE(fetchStats(C, Doc, S));
+    auto Snap = StatRegistry::get().snapshotAll();
+    const json::Value *Ctr = S->field("counters");
+    ASSERT_NE(Ctr, nullptr);
+    int EmNames = 0;
+    for (const auto &[Name, V] : Snap)
+      if (Name.starts_with("em.")) {
+        ++EmNames;
+        EXPECT_EQ(statNum(*Ctr, Name.c_str()), V) << Name;
+      }
+    EXPECT_GE(EmNames, 10);
+    EXPECT_GT(statNum(*Ctr, "em.pins.objects"), 0);
+  });
 }
 
 TEST(ServerStatsTest, PrometheusFormatPassesChecker) {

@@ -422,7 +422,7 @@ TEST_F(ObsTest, TraceCarriesSamplesAndHistograms) {
   ASSERT_EQ(Em.size(), 1u);
   const json::Value *Args = Em[0]->field("args");
   ASSERT_NE(Args, nullptr);
-  ASSERT_NE(Args->field("live_pinned_bytes"), nullptr);
+  ASSERT_NE(Args->field("em.pinned.bytes"), nullptr);
   EXPECT_GE(Em[0]->field("ts")->NumV, 0);
 
   const json::Value *Hists = Doc.field("otherData")->field("histograms");
@@ -491,12 +491,13 @@ TEST_F(ObsTest, TraceCarriesEveryMetricsSampleField) {
     double Ts = Em[I]->field("ts")->NumV;
     for (auto *Ev : {Gauges[I], Heaps[I], Depths[I], Tasks[I]})
       EXPECT_EQ(Ev->field("ts")->NumV, Ts) << "one sample, one instant";
-    // The em block: every counter of the sample, by name.
+    // The em block: every em.* counter of the sample, by registry name.
     const json::Value *EmArgs = Em[I]->field("args");
-    EXPECT_EQ(EmArgs->Fields.size(), 13u);
-    EXPECT_EQ(EmArgs->field("pinned_bytes")->NumV, M.Em.PinnedBytes);
-    EXPECT_EQ(EmArgs->field("live_pinned_bytes")->NumV,
-              M.Em.livePinnedBytes());
+    ASSERT_EQ(EmArgs->Fields.size(), M.Counters.size());
+    for (size_t C = 0; C < M.Counters.size(); ++C) {
+      EXPECT_EQ(EmArgs->Fields[C].first, M.Counters[C].first);
+      EXPECT_EQ(EmArgs->Fields[C].second.NumV, M.Counters[C].second);
+    }
     // The gauges, in registration order.
     const json::Value *GArgs = Gauges[I]->field("args");
     ASSERT_EQ(GArgs->Fields.size(), M.Gauges.size());
@@ -529,6 +530,42 @@ TEST_F(ObsTest, TraceCarriesEveryMetricsSampleField) {
   const json::Value *Tree = Other->field("heap_tree");
   ASSERT_NE(Tree, nullptr);
   EXPECT_EQ(Tree->field("schema")->StrV, "mpl-heap-tree/1");
+}
+
+TEST_F(ObsTest, TraceNamesEveryEmCounterAsTheRegistryDoes) {
+  // One name per counter: the em counter event and otherData.counters
+  // carry every em.* counter under its registry name, with the value
+  // snapshotAll() reports.
+  StatRegistry::get().resetAll();
+  {
+    rt::Runtime R(rt::Config{});
+    R.run([] { (void)wl::exchange(64); }); // pins a down-pointer per value
+  }
+  obs::MetricsSampler::get().sampleOnce();
+  auto Snap = StatRegistry::get().snapshotAll();
+
+  json::Value Doc;
+  std::string Err;
+  ASSERT_TRUE(json::parse(obs::Tracer::get().chromeTraceJson(), Doc, Err))
+      << Err;
+  std::vector<const json::Value *> Em = counterEvents(Doc, "em");
+  ASSERT_EQ(Em.size(), 1u);
+  const json::Value *Args = Em[0]->field("args");
+  const json::Value *Counters = Doc.field("otherData")->field("counters");
+  ASSERT_TRUE(Args && Counters);
+  size_t EmNames = 0;
+  for (const auto &[Name, V] : Snap) {
+    if (!Name.starts_with("em."))
+      continue;
+    ++EmNames;
+    for (const json::Value *Obj : {Args, Counters}) {
+      const json::Value *F = Obj->field(Name);
+      ASSERT_NE(F, nullptr) << Name;
+      EXPECT_EQ(F->NumV, V) << Name;
+    }
+  }
+  EXPECT_EQ(Args->Fields.size(), EmNames);
+  EXPECT_GT(Args->field("em.pins.objects")->NumV, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1078,9 +1115,10 @@ TEST_F(ObsTest, RollingWindowAgesOutOldSamples) {
   H.record(64);
   H.record(64);
   RollingWindow::WindowStats S = W.window(1050);
-  EXPECT_EQ(S.Count, 2);
+  EXPECT_EQ(S.Hist.count(), 2);
   EXPECT_EQ(S.WindowNs, 50);
-  EXPECT_EQ(S.Pct.P50, 127); // bucket upper bound of bit_width(64) == 7
+  // The bucket upper bound of bit_width(64) == 7.
+  EXPECT_EQ(S.Hist.percentiles().P50, 127);
 
   // One rotation per slot with no new samples: once the ring fills, the
   // oldest retained snapshot already contains both records, so the
@@ -1088,14 +1126,14 @@ TEST_F(ObsTest, RollingWindowAgesOutOldSamples) {
   for (int I = 1; I <= 4; ++I)
     W.maybeRotate(1000 + 100 * I);
   S = W.window(1450);
-  EXPECT_EQ(S.Count, 0);
+  EXPECT_EQ(S.Hist.count(), 0);
   EXPECT_EQ(H.count(), 2);
   EXPECT_LE(S.WindowNs, 4 * 100 + 50); // converged to ~Slots * SlotNs
 
   // New samples show up immediately (diff against the same base).
   H.record(128);
   S = W.window(1460);
-  EXPECT_EQ(S.Count, 1);
+  EXPECT_EQ(S.Hist.count(), 1);
 }
 
 TEST_F(ObsTest, RollingWindowCatchUpCollapsesStall) {
@@ -1110,7 +1148,7 @@ TEST_F(ObsTest, RollingWindowCatchUpCollapsesStall) {
   W.maybeRotate(2200);
   W.maybeRotate(2300);
   RollingWindow::WindowStats S = W.window(2310);
-  EXPECT_EQ(S.Count, 0);      // the stall-era sample aged out
+  EXPECT_EQ(S.Hist.count(), 0); // the stall-era sample aged out
   EXPECT_EQ(S.WindowNs, 310); // base is the collapsed post-stall snapshot
 }
 

@@ -3,7 +3,7 @@
 // Part of mpl-em (PLDI 2023 reproduction).
 //
 // Unit tests for the extracted gate library (tools/GateLib.h) that backs
-// the CI perf-smoke stage, driven with synthetic mpl-bench/1 fixtures:
+// the CI perf-smoke stage, driven with synthetic mpl-bench/2 fixtures:
 // stddev-aware pass/fail with noise classes, floor behaviour, missing
 // rows, leaked pins, checksum mismatches (same- and cross-scale),
 // profile-site drift, counter/residency gates, and malformed/empty input
@@ -36,7 +36,7 @@ using gate::Noise;
 
 namespace {
 
-/// One synthetic mpl-bench/1 row. Defaults describe a healthy 20ms row
+/// One synthetic mpl-bench/2 row. Defaults describe a healthy 20ms row
 /// with a moderate (5% cv) spread.
 struct RowSpec {
   std::string Name = "bench";
@@ -51,7 +51,7 @@ struct RowSpec {
   int64_t Unpins = 0;
   int64_t ContCaptured = 0;
   int64_t ContResumed = 0;
-  int64_t JitCompiled = 0; ///< >0 emits the optional "jit" block.
+  int64_t JitCompiled = 0; ///< >0 emits the pml.jit.* counters.
   int64_t JitEntries = 0;
   int64_t JitCodeBytes = 0;
   int64_t Residency = 0;
@@ -65,19 +65,29 @@ std::string rowJson(const RowSpec &S) {
   std::string Reps;
   for (size_t I = 0; I < S.RepS.size(); ++I)
     Reps += (I ? "," : "") + std::to_string(S.RepS[I]);
-  // Like the BenchJson writer, the "jit" block is additive: emitted only
-  // when the row actually compiled something.
-  std::string Jit;
-  if (S.JitCompiled > 0) {
-    char JBuf[160];
-    std::snprintf(JBuf, sizeof(JBuf),
-                  "\"jit\":{\"compiled\":%lld,\"entries\":%lld,"
-                  "\"code_bytes\":%lld},",
-                  static_cast<long long>(S.JitCompiled),
-                  static_cast<long long>(S.JitEntries),
-                  static_cast<long long>(S.JitCodeBytes));
-    Jit = JBuf;
-  }
+  // Counters by registry name, as BenchJson writes them. The pml.jit.*
+  // names are left out unless the row compiled something, so absent
+  // names (reading as 0) are exercised too.
+  std::vector<std::pair<std::string, int64_t>> Ctrs = {
+      {"em.cont.captured", S.ContCaptured},
+      {"em.cont.resumed", S.ContResumed},
+      {"em.pinned.bytes", S.PinnedBytes},
+      {"em.pins.cross", 0},
+      {"em.pins.down", S.PinsDown},
+      {"em.pins.holder", 0},
+      {"em.pins.objects", S.PinnedObjects},
+      {"em.reads.entangled", S.EntangledReads},
+      {"em.unpins", S.Unpins},
+      {"gc.collections", 1},
+      {"mm.bytes.peak", S.Residency}};
+  if (S.JitCompiled > 0)
+    Ctrs.insert(Ctrs.end(), {{"pml.jit.code_bytes", S.JitCodeBytes},
+                             {"pml.jit.compiled", S.JitCompiled},
+                             {"pml.jit.entries", S.JitEntries}});
+  std::string Counters;
+  for (const auto &[Name, V] : Ctrs)
+    Counters += (Counters.empty() ? "\"" : ",\"") + Name +
+                "\":" + std::to_string(V);
   char Buf[2048];
   std::snprintf(
       Buf, sizeof(Buf),
@@ -85,31 +95,19 @@ std::string rowJson(const RowSpec &S) {
       "\"time\":{\"median_s\":%.9g,\"min_s\":%.9g,\"stddev_s\":0,"
       "\"rep_s\":[%s]},"
       "\"work_span\":{\"work_s\":0.05,\"span_s\":0.01},"
-      "\"em\":{\"entangled_reads\":%lld,\"pins_down\":%lld,\"pins_cross\":0,"
-      "\"pins_holder\":0,\"pinned_objects\":%lld,\"pinned_bytes\":%lld,"
-      "\"unpins\":%lld,\"cont_captured\":%lld,\"cont_resumed\":%lld},"
-      "%s"
-      "\"gc\":{\"collections\":1,\"max_pause_ns\":0,\"total_pause_ns\":0,"
-      "\"inplace_bytes\":0},"
-      "\"max_residency_bytes\":%lld,\"checksum\":%lld,"
+      "\"counters\":{%s},\"checksum\":%lld,"
       "\"profile\":{\"leaked_pins\":%lld,\"leaked_bytes\":0,"
       "\"pin_bytes_attributed\":%lld,\"sites\":[%s]}}",
       S.Name.c_str(), S.Config.c_str(), S.Entangled ? "true" : "false",
-      S.MedianS, S.MedianS, Reps.c_str(),
-      static_cast<long long>(S.EntangledReads),
-      static_cast<long long>(S.PinsDown),
-      static_cast<long long>(S.PinnedObjects),
-      static_cast<long long>(S.PinnedBytes), static_cast<long long>(S.Unpins),
-      static_cast<long long>(S.ContCaptured),
-      static_cast<long long>(S.ContResumed), Jit.c_str(),
-      static_cast<long long>(S.Residency), static_cast<long long>(S.Checksum),
+      S.MedianS, S.MedianS, Reps.c_str(), Counters.c_str(),
+      static_cast<long long>(S.Checksum),
       static_cast<long long>(S.LeakedPins),
       static_cast<long long>(S.ProfBytes), S.SitesJson.c_str());
   return Buf;
 }
 
 std::string fileJson(double Scale, const std::vector<RowSpec> &Rows) {
-  std::string S = "{\"schema\":\"mpl-bench/1\",\"bench\":\"synthetic\","
+  std::string S = "{\"schema\":\"mpl-bench/2\",\"bench\":\"synthetic\","
                   "\"scale\":" +
                   std::to_string(Scale) + ",\"reps\":3,\"rows\":[";
   for (size_t I = 0; I < Rows.size(); ++I)
@@ -149,7 +147,7 @@ TEST(ReportParse, EmptyInputRejected) {
 TEST(ReportParse, MalformedJsonRejected) {
   BenchFile F;
   std::string Err;
-  EXPECT_FALSE(gate::parseBenchJson("{\"schema\":\"mpl-bench/1\",", F, Err));
+  EXPECT_FALSE(gate::parseBenchJson("{\"schema\":\"mpl-bench/2\",", F, Err));
   EXPECT_NE(Err.find("parse error"), std::string::npos) << Err;
   EXPECT_FALSE(gate::parseBenchJson("[1,2,3]", F, Err));
   EXPECT_NE(Err.find("not an object"), std::string::npos) << Err;
@@ -162,6 +160,14 @@ TEST(ReportParse, WrongSchemaRejected) {
   EXPECT_NE(Err.find("mpl-trace/1"), std::string::npos) << Err;
   EXPECT_FALSE(gate::parseBenchJson("{\"bench\":\"x\"}", F, Err));
   EXPECT_NE(Err.find("schema"), std::string::npos) << Err;
+  // A stale mpl-bench/1 baseline fails loudly, naming both schemas,
+  // rather than loading with every counter read as 0.
+  std::string Stale = fileJson(0.05, {RowSpec{}});
+  Stale.replace(Stale.find("mpl-bench/2"), 11, "mpl-bench/1");
+  EXPECT_FALSE(gate::parseBenchJson(Stale, F, Err));
+  EXPECT_EQ(Err.find('\n'), std::string::npos) << Err;
+  EXPECT_NE(Err.find("mpl-bench/1"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("mpl-bench/2"), std::string::npos) << Err;
 }
 
 TEST(ReportParse, MalformedRowsRejected) {
@@ -169,19 +175,19 @@ TEST(ReportParse, MalformedRowsRejected) {
   std::string Err;
   // No rows array.
   EXPECT_FALSE(
-      gate::parseBenchJson("{\"schema\":\"mpl-bench/1\"}", F, Err));
+      gate::parseBenchJson("{\"schema\":\"mpl-bench/2\"}", F, Err));
   EXPECT_NE(Err.find("rows"), std::string::npos) << Err;
   // Row without a name.
   EXPECT_FALSE(gate::parseBenchJson(
-      "{\"schema\":\"mpl-bench/1\",\"rows\":[{\"config\":\"seq\"}]}", F, Err));
+      "{\"schema\":\"mpl-bench/2\",\"rows\":[{\"config\":\"seq\"}]}", F, Err));
   EXPECT_NE(Err.find("name"), std::string::npos) << Err;
   // Row without a median.
   EXPECT_FALSE(gate::parseBenchJson(
-      "{\"schema\":\"mpl-bench/1\",\"rows\":[{\"name\":\"x\"}]}", F, Err));
+      "{\"schema\":\"mpl-bench/2\",\"rows\":[{\"name\":\"x\"}]}", F, Err));
   EXPECT_NE(Err.find("median"), std::string::npos) << Err;
   // Row that is not an object.
   EXPECT_FALSE(gate::parseBenchJson(
-      "{\"schema\":\"mpl-bench/1\",\"rows\":[7]}", F, Err));
+      "{\"schema\":\"mpl-bench/2\",\"rows\":[7]}", F, Err));
 }
 
 TEST(ReportParse, GoodFileParses) {
@@ -196,7 +202,7 @@ TEST(ReportParse, GoodFileParses) {
   ASSERT_NE(R, nullptr);
   EXPECT_TRUE(R->Entangled);
   EXPECT_EQ(R->RepS.size(), 3u);
-  EXPECT_EQ(R->PinnedBytes, 512);
+  EXPECT_EQ(R->counter("em.pinned.bytes"), 512);
   ASSERT_EQ(R->Sites.size(), 1u);
   EXPECT_EQ(R->Sites[0].Name, "em.pin.down");
   EXPECT_EQ(R->Sites[0].Bytes, 512);
@@ -447,27 +453,29 @@ TEST(ReportCounterGate, ContinuationTrafficJump) {
   EXPECT_FALSE(R.ok());
   const Finding *F = R.first(Finding::Kind::CounterRegression);
   ASSERT_NE(F, nullptr);
-  EXPECT_NE(F->Message.find("cont_captured"), std::string::npos) << F->Message;
+  EXPECT_NE(F->Message.find("em.cont.captured"), std::string::npos)
+      << F->Message;
   // Without the counter opt-in the same jump passes.
   EXPECT_TRUE(gateOne(Base, Cur).ok());
 }
 
-TEST(ReportCounterGate, JitBlockParsedAndGated) {
+TEST(ReportCounterGate, JitCountersParsedAndGated) {
   // The BENCH_T3 jit ablation rows: tiering at threshold 1 makes the
   // compile count a function of the program, so it gates like the
   // continuation counters — a compile explosion fails, fewer compiles
-  // (or an absent block, i.e. interpreter rows) never do.
+  // (or absent counters, read as 0) never do.
   RowSpec Base, Cur;
   Base.Config = Cur.Config = "pml-jit-manage";
   Base.JitCompiled = 6;
   Base.JitEntries = 4000;
   Base.JitCodeBytes = 9000;
   BenchFile F = parseOrDie(fileJson(0.05, {Base}));
-  EXPECT_EQ(F.Rows[0].JitCompiled, 6);
-  EXPECT_EQ(F.Rows[0].JitEntries, 4000);
-  EXPECT_EQ(F.Rows[0].JitCodeBytes, 9000);
-  // Absent block parses as zeros (old baselines stay loadable).
-  EXPECT_EQ(parseOrDie(fileJson(0.05, {RowSpec{}})).Rows[0].JitCompiled, 0);
+  EXPECT_EQ(F.Rows[0].counter("pml.jit.compiled"), 6);
+  EXPECT_EQ(F.Rows[0].counter("pml.jit.entries"), 4000);
+  EXPECT_EQ(F.Rows[0].counter("pml.jit.code_bytes"), 9000);
+  // An absent counter reads as 0.
+  BenchFile NoJit = parseOrDie(fileJson(0.05, {RowSpec{}}));
+  EXPECT_EQ(NoJit.Rows[0].counter("pml.jit.compiled"), 0);
 
   GateOptions Opts;
   Opts.GateCounters = true;
@@ -483,7 +491,7 @@ TEST(ReportCounterGate, JitBlockParsedAndGated) {
   EXPECT_FALSE(R.ok());
   const Finding *F2 = R.first(Finding::Kind::CounterRegression);
   ASSERT_NE(F2, nullptr);
-  EXPECT_NE(F2->Message.find("jit_compiled"), std::string::npos)
+  EXPECT_NE(F2->Message.find("pml.jit.compiled"), std::string::npos)
       << F2->Message;
 }
 
@@ -618,13 +626,10 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
   R.WS.WorkSec = 0.05;
   R.WS.SpanSec = 0.01;
   R.Checksum = 42;
-  R.Stats.EntangledReads = 7;
-  R.Stats.PinsDown = 3;
-  R.Stats.PinnedObjects = 3;
-  R.Stats.PinnedBytes = 1024;
-  R.Stats.Unpins = 3;
-  R.Stats.GcCount = 2;
-  R.Stats.PeakResidency = 1 << 20;
+  R.Counters = {{"em.pinned.bytes", 1024}, {"em.pins.down", 3},
+                {"em.pins.objects", 3},    {"em.reads.entangled", 7},
+                {"em.unpins", 3},          {"gc.collections", 2},
+                {"mm.bytes.peak", 1 << 20}};
   bench::ProfileSiteRow Site;
   Site.Name = "em.pin.down";
   Site.Events = 3;
@@ -643,7 +648,7 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
   json::Value Root;
   std::string Err;
   ASSERT_TRUE(json::parse(Doc, Root, Err)) << Err;
-  EXPECT_EQ(Root.field("schema")->StrV, "mpl-bench/1");
+  EXPECT_EQ(Root.field("schema")->StrV, "mpl-bench/2");
   EXPECT_EQ(Root.field("reps")->NumV, 3);
   EXPECT_EQ(Root.field("workers")->NumV, 2);
   EXPECT_NE(Root.field("note")->StrV.find("\"and\""), std::string::npos);
@@ -666,13 +671,56 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
   EXPECT_EQ(G.Name, "bench \"x\"");
   EXPECT_NEAR(G.sigmaS(), 0.001, 1e-9);
   EXPECT_EQ(G.PinBytesAttributed, 1024);
-  EXPECT_EQ(G.PinnedBytes, 1024);
+  EXPECT_EQ(G.counter("em.pinned.bytes"), 1024);
+  EXPECT_EQ(G.counter("mm.bytes.peak"), 1 << 20);
   ASSERT_EQ(G.Sites.size(), 1u);
   EXPECT_EQ(G.Sites[0].Events, 3);
   // A self-compare of the round-tripped file is clean under every gate.
   GateOptions Opts;
   Opts.GateResidency = Opts.GateCounters = Opts.ProfileDrift = true;
   EXPECT_TRUE(gate::compare(F, F, Opts).ok());
+}
+
+TEST(BenchJsonRoundTrip, RowCarriesEveryEmCounterByRegistryName) {
+  // A measured row's counters are the median rep's snapshotAll(), under
+  // the registry's own names: every em.* counter, with the value the
+  // registry reports, read back alike by a JSON parser and by the gate.
+  bench::RunResult R = bench::measure(
+      [] {
+        int64_t V = 1;
+        for (Stat *S :
+             {&em::Counts.EntangledReads, &em::Counts.DownPointerPins,
+              &em::Counts.CrossPointerPins, &em::Counts.PinnedHolderPins,
+              &em::Counts.UnpinnedObjects, &em::Counts.UnpinnedBytes,
+              &em::Counts.PinnedObjects, &em::Counts.PinnedBytes,
+              &em::Counts.ContCaptured, &em::Counts.ContResumed})
+          S->add(V++);
+        return int64_t(0);
+      },
+      rt::Config{}, /*Reps=*/1);
+  auto Snap = StatRegistry::get().snapshotAll();
+  bench::BenchJson J("counters", 0.05, 1);
+  J.addRow("bench", "par-w1", /*Entangled=*/true, R);
+  std::string Doc = J.dump();
+  json::Value Root;
+  std::string Err;
+  ASSERT_TRUE(json::parse(Doc, Root, Err)) << Err;
+  const json::Value *Ctr = Root.field("rows")->Items.at(0).field("counters");
+  ASSERT_NE(Ctr, nullptr);
+  BenchFile F = parseOrDie(Doc);
+  int EmNames = 0;
+  for (const auto &[Name, V] : Snap) {
+    if (!Name.starts_with("em."))
+      continue;
+    ++EmNames;
+    const json::Value *Field = Ctr->field(Name);
+    ASSERT_NE(Field, nullptr) << Name;
+    EXPECT_EQ(Field->NumV, V) << Name;
+    EXPECT_EQ(F.Rows.at(0).counter(Name), V) << Name;
+  }
+  EXPECT_GE(EmNames, 10);
+  EXPECT_EQ(R.counter("em.pins.holder"), 4);
+  StatRegistry::get().resetAll();
 }
 
 TEST(BenchJsonRoundTrip, WarmupRepsAreTheOnesTheBenchTook) {
@@ -733,7 +781,7 @@ TEST(Measure, CountersComeFromTheMedianRep) {
       rt::Config{}, /*Reps=*/5);
   ASSERT_EQ(R.RepSeconds.size(), 5u);
   EXPECT_EQ(R.Seconds, R.RepSeconds[3]);
-  EXPECT_EQ(R.Stats.ContCaptured, 4);
+  EXPECT_EQ(R.counter("em.cont.captured"), 4);
   EXPECT_EQ(R.LeakedPins, 0);
 }
 

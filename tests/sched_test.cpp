@@ -149,7 +149,7 @@ TEST(ProfilerTest, SequentialChainHasNoParallelism) {
   WorkSpan WS = S.run([&] {
     volatile int64_t Acc = 0;
     for (int I = 0; I < 2000000; ++I)
-      Acc += I;
+      Acc = Acc + I;
   });
   EXPECT_NEAR(WS.WorkSec, WS.SpanSec, WS.WorkSec * 0.2);
 }

@@ -120,6 +120,11 @@ Noise Row::noiseClass() const {
   return Noise::Noisy;
 }
 
+int64_t Row::counter(const std::string &Name) const {
+  auto It = Counters.find(Name);
+  return It != Counters.end() ? It->second : 0;
+}
+
 const Row *BenchFile::find(const std::string &Name,
                            const std::string &Config) const {
   for (const Row &R : Rows)
@@ -134,7 +139,7 @@ const Row *BenchFile::find(const std::string &Name,
 
 bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err) {
   if (Text.find_first_not_of(" \t\r\n") == std::string::npos) {
-    Err = "empty input (expected an mpl-bench/1 document)";
+    Err = "empty input (expected an mpl-bench/2 document)";
     return false;
   }
   json::Value Root;
@@ -147,9 +152,10 @@ bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err) {
     return false;
   }
   std::string Schema = strField(&Root, "schema");
-  if (Schema != "mpl-bench/1") {
+  if (Schema != "mpl-bench/2") {
     Err = Schema.empty() ? "missing schema field (not an mpl-bench file)"
-                         : "unsupported schema '" + Schema + "'";
+                         : "unsupported schema '" + Schema +
+                               "' (this reader loads mpl-bench/2 only)";
     return false;
   }
   Out.Bench = strField(&Root, "bench");
@@ -192,22 +198,10 @@ bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err) {
     const json::Value *WS = RV.field("work_span");
     R.WorkS = numField(WS, "work_s");
     R.SpanS = numField(WS, "span_s");
-    const json::Value *Em = RV.field("em");
-    R.EntangledReads = intField(Em, "entangled_reads");
-    R.PinsDown = intField(Em, "pins_down");
-    R.PinsCross = intField(Em, "pins_cross");
-    R.PinsHolder = intField(Em, "pins_holder");
-    R.PinnedObjects = intField(Em, "pinned_objects");
-    R.PinnedBytes = intField(Em, "pinned_bytes");
-    R.Unpins = intField(Em, "unpins");
-    R.ContCaptured = intField(Em, "cont_captured");
-    R.ContResumed = intField(Em, "cont_resumed");
-    const json::Value *Jit = RV.field("jit");
-    R.JitCompiled = intField(Jit, "compiled");
-    R.JitEntries = intField(Jit, "entries");
-    R.JitCodeBytes = intField(Jit, "code_bytes");
-    R.GcCount = intField(RV.field("gc"), "collections");
-    R.Residency = intField(&RV, "max_residency_bytes");
+    if (const json::Value *Ctr = RV.field("counters"); Ctr && Ctr->isObject())
+      for (const auto &[Name, V] : Ctr->Fields)
+        if (V.isNumber())
+          R.Counters[Name] = static_cast<int64_t>(V.NumV);
     if (const json::Value *Ck = RV.field("checksum"); Ck && Ck->isNumber()) {
       R.Checksum = static_cast<int64_t>(Ck->NumV);
       R.HasChecksum = true;
@@ -255,6 +249,42 @@ int64_t counterLimit(int64_t Base, double Pct, int64_t AbsSlack) {
   return std::max(static_cast<int64_t>(Rel), Base + AbsSlack);
 }
 
+/// One counter an opt-in gate holds upward: its registry name, the gate
+/// whose finding it raises, and the GateOptions field with its absolute
+/// slack.
+struct GatedCounter {
+  const char *Name;
+  Finding::Kind K;
+  int64_t GateOptions::*Slack;
+};
+
+constexpr Finding::Kind Residency = Finding::Kind::ResidencyRegression;
+constexpr Finding::Kind Counter = Finding::Kind::CounterRegression;
+
+/// The counters --gate-residency and --gate-counters hold, in finding
+/// order. The residency gate is T2's space claim on T1's rows. The counter
+/// gate holds the entanglement counters, the pml effect-handler traffic
+/// (capture/resume counts are a function of the program, so a jump means
+/// the VM started capturing where it didn't before) and the pml.jit.*
+/// counters of BENCH_T3's jit rows (deterministic at one worker: growth
+/// means a function recompiling or the dispatcher bouncing in and out of
+/// native code; compiling *less* shows in those rows' time gate instead).
+constexpr GatedCounter GatedCounters[] = {
+    {"mm.bytes.peak", Residency, &GateOptions::ResidencyAbsSlackBytes},
+    {"em.pinned.bytes", Residency, &GateOptions::CounterAbsSlackBytes},
+    {"em.reads.entangled", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"em.pins.down", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"em.pins.cross", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"em.pins.holder", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"em.pins.objects", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"em.pinned.bytes", Counter, &GateOptions::CounterAbsSlackBytes},
+    {"em.cont.captured", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"em.cont.resumed", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"pml.jit.compiled", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"pml.jit.entries", Counter, &GateOptions::CounterAbsSlackEvents},
+    {"pml.jit.code_bytes", Counter, &GateOptions::CounterAbsSlackBytes},
+};
+
 struct RowGate {
   const GateOptions &Opts;
   const Row &B;
@@ -294,42 +324,12 @@ struct RowGate {
     fail(Finding::Kind::TimeRegression, Buf);
   }
 
-  void gateResidency() {
-    counter("max_residency_bytes", B.Residency, C.Residency,
-            Opts.ResidencyTolerancePct, Opts.ResidencyAbsSlackBytes,
-            Finding::Kind::ResidencyRegression);
-    counter("pinned_bytes", B.PinnedBytes, C.PinnedBytes,
-            Opts.ResidencyTolerancePct, Opts.CounterAbsSlackBytes,
-            Finding::Kind::ResidencyRegression);
-  }
-
-  void gateCounters() {
-    double Pct = Opts.CounterTolerancePct;
-    int64_t Ev = Opts.CounterAbsSlackEvents;
-    int64_t By = Opts.CounterAbsSlackBytes;
-    auto K = Finding::Kind::CounterRegression;
-    counter("entangled_reads", B.EntangledReads, C.EntangledReads, Pct, Ev, K);
-    counter("pins_down", B.PinsDown, C.PinsDown, Pct, Ev, K);
-    counter("pins_cross", B.PinsCross, C.PinsCross, Pct, Ev, K);
-    counter("pins_holder", B.PinsHolder, C.PinsHolder, Pct, Ev, K);
-    counter("pinned_objects", B.PinnedObjects, C.PinnedObjects, Pct, Ev, K);
-    counter("pinned_bytes", B.PinnedBytes, C.PinnedBytes, Pct, By, K);
-    // pml effect-handler activity (BENCH_T3): capture/resume counts are a
-    // proxy for how much continuation traffic (and capture pinning) the
-    // carrier generates; upward-only like every counter.
-    counter("cont_captured", B.ContCaptured, C.ContCaptured, Pct, Ev, K);
-    counter("cont_resumed", B.ContResumed, C.ContResumed, Pct, Ev, K);
-    // pml.jit.* (jit-tier rows of BENCH_T3): compile count, native
-    // entries and code bytes are deterministic at one worker, so growth
-    // past tolerance means the tiering policy or the templates regressed
-    // (e.g. a function recompiling, or the dispatcher bouncing in and out
-    // of native code). Upward-only like every counter: compiling *less*
-    // shows up in the jit rows' time gate instead.
-    counter("jit_compiled", B.JitCompiled, C.JitCompiled, Pct, Ev, K);
-    counter("jit_entries", B.JitEntries, C.JitEntries, Pct, Ev, K);
-    counter("jit_code_bytes", B.JitCodeBytes, C.JitCodeBytes, Pct, By, K);
-    counter("prof_bytes", B.PinBytesAttributed, C.PinBytesAttributed, Pct, By,
-            K);
+  /// Holds every counter of \p K's gate (GatedCounters) to \p Pct.
+  void gateCounters(Finding::Kind K, double Pct) {
+    for (const GatedCounter &G : GatedCounters)
+      if (G.K == K)
+        counter(G.Name, B.counter(G.Name), C.counter(G.Name), Pct,
+                Opts.*G.Slack, K);
   }
 
   void gateDrift() {
@@ -416,14 +416,18 @@ GateResult compare(const BenchFile &Base, const BenchFile &Cur,
     // The profiler and em counters observe the same chokepoint
     // (Heap::addPinned): a profiled row that lost track of pinned bytes
     // is corrupt telemetry, not noise.
-    if (!C->Sites.empty() && C->PinBytesAttributed != C->PinnedBytes)
+    int64_t Pinned = C->counter("em.pinned.bytes");
+    if (!C->Sites.empty() && C->PinBytesAttributed != Pinned)
       G.fail(Finding::Kind::AttributionMismatch,
              "profiler attributed " + std::to_string(C->PinBytesAttributed) +
-                 " of " + std::to_string(C->PinnedBytes) + " pinned bytes");
+                 " of " + std::to_string(Pinned) + " pinned bytes");
     if (Opts.GateResidency)
-      G.gateResidency();
-    if (Opts.GateCounters)
-      G.gateCounters();
+      G.gateCounters(Residency, Opts.ResidencyTolerancePct);
+    if (Opts.GateCounters) {
+      G.gateCounters(Counter, Opts.CounterTolerancePct);
+      G.counter("prof_bytes", B.PinBytesAttributed, C->PinBytesAttributed,
+                Opts.CounterTolerancePct, Opts.CounterAbsSlackBytes, Counter);
+    }
     if (Opts.ProfileDrift)
       G.gateDrift();
     // The time gate: only rows long enough to be stable across machines.
@@ -460,8 +464,10 @@ std::string renderTable(const BenchFile &F) {
     double Sigma = R.sigmaS();
     T.addRow({R.Name, R.Config, Table::fmtSec(R.MedianS),
               Sigma > 0 ? Table::fmtSec(Sigma) : std::string("-"),
-              noiseName(R.noiseClass()), Par, Table::fmtBytes(R.PinnedBytes),
-              Table::fmtInt(R.GcCount), Table::fmtBytes(R.Residency), Top});
+              noiseName(R.noiseClass()), Par,
+              Table::fmtBytes(R.counter("em.pinned.bytes")),
+              Table::fmtInt(R.counter("gc.collections")),
+              Table::fmtBytes(R.counter("mm.bytes.peak")), Top});
   }
   return std::string(Head) + T.render();
 }

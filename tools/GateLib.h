@@ -10,8 +10,9 @@
 /// (tests/report_test.cpp). The CLI is a thin flag-parser over these
 /// entry points. It reads three formats:
 ///
-///  - the schema-versioned "mpl-bench/1" records every bench binary emits
-///    with `-json <path>` (bench/Common.h, BenchJson);
+///  - the schema-versioned "mpl-bench/2" records every bench binary emits
+///    with `-json <path>` (bench/Common.h, BenchJson), whose rows carry
+///    their counters under the registry's own names (support/Stats.h);
 ///  - the "mpl-spans/1" DAG of the causal span ledger (obs/Span.h);
 ///  - the Chrome trace-event file the tracer writes (obs/Trace.h).
 ///
@@ -33,9 +34,10 @@
 ///    10%+ at smoke scale, a tight floor only manufactures flakes. The
 ///    class is reported with every time verdict so a failure message
 ///    states how trustworthy the baseline spread was.
-///  - Counter/space gates (per-table opt-ins): max-residency and
-///    pinned-bytes (space table), em counters and profiler-attributed
-///    pin bytes (entangle table). All gate upward only — improvements
+///  - Counter/space gates (per-table opt-ins): mm.bytes.peak and
+///    em.pinned.bytes (space table), em, continuation and pml.jit
+///    counters and profiler-attributed pin bytes (entangle and pml
+///    tables), each by registry name. All gate upward only — improvements
 ///    never fail — with a relative tolerance plus an absolute slack so
 ///    zero/near-zero baselines do not turn scheduler jitter into
 ///    failures, while a disentangled row that *starts* pinning still
@@ -56,6 +58,7 @@
 #define MPL_TOOLS_GATELIB_H
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -84,20 +87,8 @@ struct Row {
   std::vector<double> RepS;    ///< Per-rep times (time.rep_s).
   double WorkS = 0;
   double SpanS = 0;
-  int64_t EntangledReads = 0;
-  int64_t PinsDown = 0;
-  int64_t PinsCross = 0;
-  int64_t PinsHolder = 0;
-  int64_t PinnedObjects = 0;
-  int64_t PinnedBytes = 0;
-  int64_t Unpins = 0;
-  int64_t ContCaptured = 0; ///< pml effect-handler captures (em block).
-  int64_t ContResumed = 0;
-  int64_t JitCompiled = 0;  ///< pml.jit.* ("jit" block; absent = 0).
-  int64_t JitEntries = 0;
-  int64_t JitCodeBytes = 0;
-  int64_t GcCount = 0;
-  int64_t Residency = 0;
+  /// The row's "counters" object: registry name -> value.
+  std::map<std::string, int64_t> Counters;
   int64_t Checksum = 0;
   bool HasChecksum = false;
   int64_t LeakedPins = 0;
@@ -110,9 +101,12 @@ struct Row {
 
   /// Noise class from sigmaS()/MedianS; Unknown when no spread exists.
   Noise noiseClass() const;
+
+  /// Counter \p Name, or 0 when the row does not carry it.
+  int64_t counter(const std::string &Name) const;
 };
 
-/// One parsed mpl-bench/1 file.
+/// One parsed mpl-bench/2 file.
 struct BenchFile {
   std::string Path;  ///< "" for in-memory parses.
   std::string Bench;
@@ -123,9 +117,9 @@ struct BenchFile {
   const Row *find(const std::string &Name, const std::string &Config) const;
 };
 
-/// Parses + validates one mpl-bench/1 document. On failure returns false
+/// Parses + validates one mpl-bench/2 document. On failure returns false
 /// with a one-line diagnostic in \p Err (never crashes on malformed or
-/// empty input).
+/// empty input, and names the expected schema when given another one).
 bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err);
 
 /// loadBenchFile = read \p Path + parseBenchJson; \p Err includes the path.
@@ -151,13 +145,14 @@ struct GateOptions {
   /// interpreter-dominated) carrier rows stay counter-gated only.
   std::string TimeGateConfigSubstr;
 
-  // Space gate (T2's claim, on BENCH_T1's rows): max_residency_bytes and
-  // em.pinned_bytes.
+  // Space gate (T2's claim, on BENCH_T1's rows): mm.bytes.peak and
+  // em.pinned.bytes.
   bool GateResidency = false;
   double ResidencyTolerancePct = 50.0;
   int64_t ResidencyAbsSlackBytes = 1 << 20;
 
-  // Counter gate (BENCH_T4): em counters + profiler-attributed pin bytes.
+  // Counter gate (BENCH_T3, BENCH_T4): em, continuation and pml.jit
+  // counters + profiler-attributed pin bytes.
   bool GateCounters = false;
   double CounterTolerancePct = 100.0;
   int64_t CounterAbsSlackEvents = 128;

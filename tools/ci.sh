@@ -153,6 +153,9 @@ server_smoke() {
   done
   grep -q '"mpl-stats/1"' "$bdir/server_stats$tag.json"
   grep -q '"stage"' "$bdir/server_stats$tag.json"
+  # The JSON frame names counters and gauges as the registry does.
+  grep -q '"em.reads.entangled"' "$bdir/server_stats$tag.json"
+  grep -q '"mm.outstanding.bytes"' "$bdir/server_stats$tag.json"
   wait "$client_pid"
   cat "$bdir/server_client$tag.json"
   # Idle server, no heaps: every run freed its heaps when it ended.

@@ -6,7 +6,7 @@
 // so tests/report_test.cpp can drive them directly. Four forms:
 //
 //   render:   mpl_report FILE
-//             Paper-style table of an "mpl-bench/1" file (what every
+//             Paper-style table of an "mpl-bench/2" file (what every
 //             bench binary writes with `-json <path>`; bench/Common.h,
 //             BenchJson): times with spread and noise class, work/span,
 //             entanglement counters, residency, and the top profiler site.

@@ -14,8 +14,8 @@
 /// the target of the robustness smoke: seeded wire faults plus every-N
 /// allocation faults, replayable from the printed seed.
 ///
-///   mpl_server -port 0 -workers 4 -queue-cap 64 \
-///     -chaos-seed 7 -wire-permille 30 -fault-every-n 5
+///   mpl_server -port 0 -workers 4 -queue-cap 64
+///       -chaos-seed 7 -wire-permille 30 -fault-every-n 5
 ///
 //===----------------------------------------------------------------------===//
 

@@ -130,11 +130,11 @@ void render(const json::Value &Stats, const CounterView &Prev,
               "draining=%.0f\n",
               Cur.Ok, Cur.Shed, Cur.Deadline, Cur.Errors, Cur.Draining);
 
-  if (const json::Value *Mm = Stats.field("mm")) {
+  if (const json::Value *G = Stats.field("gauges")) {
     char Pinned[32], Out[32], Lim[32];
-    fmtBytes(Pinned, sizeof(Pinned), numField(*Mm, "pinned_bytes"));
-    fmtBytes(Out, sizeof(Out), numField(*Mm, "outstanding_bytes"));
-    double LimB = numField(*Mm, "limit_bytes");
+    fmtBytes(Pinned, sizeof(Pinned), numField(*G, "em.live.pinned.bytes"));
+    fmtBytes(Out, sizeof(Out), numField(*G, "mm.outstanding.bytes"));
+    double LimB = numField(*G, "mm.limit.bytes");
     if (LimB > 0)
       fmtBytes(Lim, sizeof(Lim), LimB);
     else
