@@ -7,7 +7,6 @@
 #include "bench/Common.h"
 
 #include "baseline/Native.h"
-#include "obs/Profile.h"
 #include "support/File.h"
 
 #include <algorithm>
@@ -184,26 +183,7 @@ struct RepData {
   double Seconds = 0;
   WorkSpan WS;
   MetricsSnapshot::Values Counters;
-  std::vector<ProfileSiteRow> Sites;
-  int64_t LeakedPins = 0;
-  int64_t LeakedBytes = 0;
 };
-
-std::vector<ProfileSiteRow> snapshotProfileRows() {
-  std::vector<ProfileSiteRow> Rows;
-  for (const obs::SiteSnap &S : obs::Profiler::get().snapshot()) {
-    ProfileSiteRow R;
-    R.Name = S.Name;
-    R.Events = S.Events;
-    R.Bytes = S.Bytes;
-    Histogram::Percentiles Life =
-        Histogram::percentilesFrom(S.Dur, S.DurSumNs);
-    R.LifetimeP50Ns = Life.P50;
-    R.LifetimeP99Ns = Life.P99;
-    Rows.push_back(std::move(R));
-  }
-  return Rows;
-}
 } // namespace
 
 int64_t RunResult::counter(std::string_view Name) const {
@@ -213,33 +193,13 @@ int64_t RunResult::counter(std::string_view Name) const {
   return It != Counters.end() && It->first == Name ? It->second : 0;
 }
 
-int64_t RunResult::profilePinnedBytes() const {
-  int64_t N = 0;
-  for (const ProfileSiteRow &S : ProfileSites)
-    if (S.Name.rfind("em.pin.", 0) == 0 || S.Name == "hh.pin")
-      N += S.Bytes;
-  return N;
-}
-
 RunResult measure(const std::function<int64_t()> &Body,
-                  const std::optional<rt::Config> &Cfg, int Reps,
-                  bool SiteProfile) {
-  // Honour an env-armed profiler (MPL_OBS=profile) even when the caller
-  // did not ask, so any bench binary can be site-profiled ad hoc.
-  bool ProfWasEnabled = obs::profileEnabled();
-  bool Prof = SiteProfile || ProfWasEnabled;
-
+                  const std::optional<rt::Config> &Cfg, int Reps) {
   std::vector<RepData> Data;
   int64_t Checksum = 0;
   // Rep -1 is an untimed warmup: it populates the chunk pool and faults in
   // the pages, so later configurations are not advantaged by reuse.
   for (int Rep = -1; Rep < Reps; ++Rep) {
-    if (Prof) {
-      // Reset per rep so the captured profile belongs to exactly one rep
-      // (pin bytes can differ across reps under real parallelism).
-      obs::Profiler::get().reset();
-      obs::Profiler::get().enable();
-    }
     std::optional<rt::Runtime> R;
     if (Cfg)
       R.emplace(*Cfg);
@@ -261,15 +221,8 @@ RunResult measure(const std::function<int64_t()> &Body,
     D.Seconds = Sec;
     D.WS = WS;
     D.Counters = StatRegistry::get().snapshotAll();
-    em::CounterSnapshot Em = em::Counts.snapshot();
-    D.LeakedPins = Em.livePinnedObjects();
-    D.LeakedBytes = Em.livePinnedBytes();
-    if (Prof)
-      D.Sites = snapshotProfileRows();
     Data.push_back(std::move(D));
   }
-  if (Prof && !ProfWasEnabled)
-    obs::Profiler::get().disable();
 
   RunResult Out;
   for (const RepData &D : Data)
@@ -283,19 +236,15 @@ RunResult measure(const std::function<int64_t()> &Body,
   Out.WS = Med.WS;
   Out.Counters = Med.Counters;
   Out.Checksum = Checksum;
-  Out.ProfileSites = Med.Sites;
-  Out.LeakedPins = Med.LeakedPins;
-  Out.LeakedBytes = Med.LeakedBytes;
   return Out;
 }
 
 RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
-                  em::Mode Mode, int Reps, bool SiteProfile) {
+                  em::Mode Mode, int Reps) {
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
   Cfg.Mode = Mode;
-  return measure([&] { return Entry.Run(Sequential); }, Cfg, Reps,
-                 SiteProfile);
+  return measure([&] { return Entry.Run(Sequential); }, Cfg, Reps);
 }
 
 RepStats repStats(const std::vector<double> &Seconds) {
@@ -398,23 +347,7 @@ void BenchJson::addRow(const std::string &Name, const std::string &Config,
       .kv("span_s", R.WS.SpanSec)
       .endObject();
   writeJson(W.key("counters"), R.Counters);
-  W.kv("checksum", R.Checksum)
-      .key("profile")
-      .beginObject()
-      .kv("leaked_pins", R.LeakedPins)
-      .kv("leaked_bytes", R.LeakedBytes)
-      .kv("pin_bytes_attributed", R.profilePinnedBytes())
-      .key("sites")
-      .beginArray();
-  for (const ProfileSiteRow &P : R.ProfileSites)
-    W.beginObject()
-        .kv("name", P.Name)
-        .kv("events", P.Events)
-        .kv("bytes", P.Bytes)
-        .kv("lifetime_p50_ns", P.LifetimeP50Ns)
-        .kv("lifetime_p99_ns", P.LifetimeP99Ns)
-        .endObject();
-  W.endArray().endObject().endObject();
+  W.kv("checksum", R.Checksum).endObject();
 }
 
 void BenchJson::addCustomRow(const std::string &Name,

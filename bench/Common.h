@@ -66,21 +66,11 @@ struct SuiteEntry {
 /// problem sizes (which target ~0.2-1s per run on one worker).
 std::vector<SuiteEntry> makeSuite(double Scale = 1.0);
 
-/// One entanglement-profiler site row (obs/Profile.h) carried into the
-/// bench JSON records.
-struct ProfileSiteRow {
-  std::string Name;
-  int64_t Events = 0;
-  int64_t Bytes = 0;
-  int64_t LifetimeP50Ns = 0;
-  int64_t LifetimeP99Ns = 0;
-};
-
 /// Result of one measured configuration.
 ///
 /// Headline statistic: the (lower) median across the timed repetitions —
-/// Seconds is always one actually-measured rep, so WS/Counters/profile
-/// data come from that same rep and stay mutually consistent. MinSeconds /
+/// Seconds is always one actually-measured rep, so WS and Counters come
+/// from that same rep and stay mutually consistent. MinSeconds /
 /// StddevSeconds / RepSeconds carry the full spread for the JSON records.
 struct RunResult {
   double Seconds = 0;        ///< Median (lower) across timed reps.
@@ -96,17 +86,11 @@ struct RunResult {
   /// Counter \p Name of the median rep; 0 when no such counter exists.
   int64_t counter(std::string_view Name) const;
 
-  /// Site-attributed entanglement profile of the median rep (empty unless
-  /// measured with SiteProfile; empty for disentangled runs regardless).
-  std::vector<ProfileSiteRow> ProfileSites;
-  /// Pins (and their bytes) still live after the median rep's run:
-  /// em::Counts' pinned minus unpinned, zero once every pin is released.
-  int64_t LeakedPins = 0;
-  int64_t LeakedBytes = 0;
-
-  /// Sum of bytes attributed to pin sites ("em.pin.*" / "hh.pin"): equals
-  /// counter("em.pinned.bytes") when the profiler attributed every pin.
-  int64_t profilePinnedBytes() const;
+  /// Pins still live after the median rep's run, em.pins.objects minus
+  /// em.unpins: zero once every pin is released.
+  int64_t leakedPins() const {
+    return counter("em.pins.objects") - counter("em.unpins");
+  }
 };
 
 /// The one timed-rep loop of every bench table. Rep -1 is an untimed
@@ -116,19 +100,14 @@ struct RunResult {
 /// Runtime when \p Cfg is empty (a native C++ baseline). \p Body returns
 /// the run's checksum, which must be the same in every rep, warmup
 /// included. The reported statistic is the lower median rep, and the
-/// result's counters, work/span and leaked pins come from that same rep.
-/// With \p SiteProfile the entanglement profiler (obs/Profile.h) is armed
-/// around every rep and the median rep's site table is attached — this
-/// adds slow-path overhead, so time tables keep it off except for
-/// entanglement-focused rows.
+/// result's counters and work/span come from that same rep.
 RunResult measure(const std::function<int64_t()> &Body,
-                  const std::optional<rt::Config> &Cfg, int Reps,
-                  bool SiteProfile = false);
+                  const std::optional<rt::Config> &Cfg, int Reps);
 
 /// measure() of a suite kernel, sequential (the T_s shape) or parallel,
 /// on \p Workers workers under \p Mode.
 RunResult measure(const SuiteEntry &Entry, bool Sequential, int Workers,
-                  em::Mode Mode, int Reps, bool SiteProfile = false);
+                  em::Mode Mode, int Reps);
 
 /// The rep statistic every bench reports (methodologyLine): the lower
 /// median — index (N-1)/2 of the sorted times, so always a measured rep —

@@ -16,10 +16,6 @@
 // `manage+gov` is the per-op cost of limit admission on the chunk
 // acquisition path — zero for the barrier loops (they never acquire) and
 // a per-chunk, not per-object, accounting charge for the allocation loop.
-// The fourth argument arms the entanglement profiler (src/obs/Profile.h):
-// `manage` vs `manage+prof` is the per-op cost of the profiler's armed
-// check on the barrier paths — these loops are disentangled, so the slow
-// paths never fire and the price is the relaxed flag load alone.
 // Recorded in results/M1_barriers.txt.
 //
 // Accepts `-json <path>` (translated to google-benchmark's
@@ -29,7 +25,6 @@
 
 #include "bench/Common.h"
 #include "mm/MemoryGovernor.h"
-#include "obs/Profile.h"
 #include "obs/Trace.h"
 
 #include <benchmark/benchmark.h>
@@ -58,38 +53,27 @@ const char *modeName(int64_t I) {
   return I == 0 ? "off" : (I == 1 ? "detect" : "manage");
 }
 
-/// RAII for the tracer + governor + profiler configuration of one benchmark
-/// run; labels the state "<mode>", "<mode>+trace", "<mode>+gov" or
-/// "<mode>+prof". The governed runs use a limit far above the benchmark's
-/// residency, so they price the admission bookkeeping itself, never the
-/// recovery ladder.
+/// RAII for the tracer + governor configuration of one benchmark run;
+/// labels the state "<mode>", "<mode>+trace" or "<mode>+gov". The governed
+/// runs use a limit far above the benchmark's residency, so they price the
+/// admission bookkeeping itself, never the recovery ladder.
 class TracerConfig {
 public:
   TracerConfig(benchmark::State &State)
       : Traced(State.range(1) != 0), Governed(State.range(2) != 0),
-        Profiled(State.range(3) != 0),
         SavedGov(MemoryGovernor::get().config()) {
     if (Traced) {
       obs::Tracer::get().clear();
       obs::Tracer::get().enable();
     }
-    if (Profiled) {
-      obs::Profiler::get().reset();
-      obs::Profiler::get().enable();
-    }
     MemoryGovernor::Config G = SavedGov;
     G.LimitBytes = Governed ? (int64_t(4) << 30) : 0;
     MemoryGovernor::get().configure(G);
     State.SetLabel(std::string(modeName(State.range(0))) +
-                   (Traced ? "+trace" : "") + (Governed ? "+gov" : "") +
-                   (Profiled ? "+prof" : ""));
+                   (Traced ? "+trace" : "") + (Governed ? "+gov" : ""));
   }
   ~TracerConfig() {
     MemoryGovernor::get().configure(SavedGov);
-    if (Profiled) {
-      obs::Profiler::get().disable();
-      obs::Profiler::get().reset();
-    }
     if (Traced) {
       obs::Tracer::get().disable();
       obs::Tracer::get().clear();
@@ -99,7 +83,6 @@ public:
 private:
   bool Traced;
   bool Governed;
-  bool Profiled;
   MemoryGovernor::Config SavedGov;
 };
 
@@ -185,8 +168,8 @@ void BM_Allocation(benchmark::State &State) {
 } // namespace
 
 #define MPL_BARRIER_ARGS                                                       \
-  Args({0, 0, 0, 0})->Args({1, 0, 0, 0})->Args({2, 0, 0, 0})                   \
-      ->Args({2, 1, 0, 0})->Args({2, 0, 1, 0})->Args({2, 0, 0, 1})
+  Args({0, 0, 0})->Args({1, 0, 0})->Args({2, 0, 0})->Args({2, 1, 0})           \
+      ->Args({2, 0, 1})
 BENCHMARK(BM_RefGetDisentangled)->MPL_BARRIER_ARGS;
 BENCHMARK(BM_RefSetDisentangled)->MPL_BARRIER_ARGS;
 BENCHMARK(BM_ArrayGetInt)->MPL_BARRIER_ARGS;

@@ -253,7 +253,7 @@ int main(int Argc, char **Argv) {
     Tab.addRow({"stage_exec_p50_us", Table::fmtInt(SB.ExecP50 / 1000)});
     Tab.addRow({"stage_exec_p99_us", Table::fmtInt(SB.ExecP99 / 1000)});
   }
-  Tab.addRow({"wire_faults", Table::fmtInt(ST.WireFaults)});
+  Tab.addRow({"net.wire.faults", Table::fmtInt(ST.WireFaults)});
   Tab.addRow({"leaked_pins", Table::fmtInt(LeakedPins)});
   Tab.print();
 
@@ -292,7 +292,7 @@ int main(int Argc, char **Argv) {
               .kv("shed", T.Shed.load())
               .kv("deadline_expired", T.DeadlineExpired.load())
               .kv("undelivered", T.Undelivered.load())
-              .kv("wire_faults", ST.WireFaults)
+              .kv("net.wire.faults", ST.WireFaults)
               .kv("leaked_pins", LeakedPins);
           if (SB.Valid)
             W.kv("queue_p50_ns", SB.QueueP50)

@@ -30,44 +30,32 @@ int main(int Argc, char **Argv) {
               Scale, methodologyLine(1).c_str());
 
   Table T({"benchmark", "ent-reads", "pins-down", "pins-cross", "pins-holder",
-           "pinned-objs", "pinned-bytes", "prof-bytes", "unpins",
-           "leaked-pins"});
+           "pinned-objs", "pinned-bytes", "unpins", "leaked-pins"});
   BenchJson J("table_entangle", Scale, /*Reps=*/1);
   J.addMetaInt("workers", 2);
 
   for (const SuiteEntry &E : makeSuite(Scale)) {
-    // SiteProfile: every pin in this table must be attributed to a named
-    // barrier site, and no pin may outlive the final join.
     RunResult R = measure(E, /*Sequential=*/false, /*Workers=*/2,
-                          em::Mode::Manage, /*Reps=*/1,
-                          /*SiteProfile=*/true);
-    int64_t PinnedObjects = R.counter("em.pins.objects");
-    int64_t PinnedBytes = R.counter("em.pinned.bytes");
-    int64_t Unpins = R.counter("em.unpins");
-    // The profiler and the em counters observe the same chokepoint
-    // (Heap::addPinned), and both are read from the same rep: the profiler
-    // must attribute 100% of the pinned bytes to named sites.
-    MPL_CHECK(R.profilePinnedBytes() == PinnedBytes,
-              "profiler lost track of pinned bytes");
-    MPL_CHECK(R.LeakedPins == 0, "pins survived final join");
+                          em::Mode::Manage, /*Reps=*/1);
+    // No pin may outlive the final join.
+    MPL_CHECK(R.leakedPins() == 0, "pins survived final join");
 
     T.addRow({E.Name + (E.Entangled ? " (ent)" : ""),
               Table::fmtInt(R.counter("em.reads.entangled")),
               Table::fmtInt(R.counter("em.pins.down")),
               Table::fmtInt(R.counter("em.pins.cross")),
               Table::fmtInt(R.counter("em.pins.holder")),
-              Table::fmtInt(PinnedObjects), Table::fmtBytes(PinnedBytes),
-              Table::fmtBytes(R.profilePinnedBytes()), Table::fmtInt(Unpins),
-              Table::fmtInt(PinnedObjects - Unpins)});
+              Table::fmtInt(R.counter("em.pins.objects")),
+              Table::fmtBytes(R.counter("em.pinned.bytes")),
+              Table::fmtInt(R.counter("em.unpins")),
+              Table::fmtInt(R.leakedPins())});
     J.addRow(E.Name, "par-w2", E.Entangled, R);
   }
   T.print();
   std::printf("\npins-down/cross/holder count barrier *events* (re-pins "
               "included); pinned-objs\ncounts distinct objects. leaked-pins "
               "= pinned-objs - unpins must be 0: every\nentanglement "
-              "candidate is released by a join. prof-bytes is the site-"
-              "attributed\nprofiler total (obs/Profile.h) and must equal "
-              "pinned-bytes.\n");
+              "candidate is released by a join.\n");
   if (!JsonPath.empty() && !J.write(JsonPath))
     return 1;
   return 0;

@@ -201,7 +201,7 @@ int main(int Argc, char **Argv) {
                 "interp and jit runs disagree");
       MPL_CHECK(In.R.Checksum == Jt.R.Checksum,
                 "interp and jit checksums disagree");
-      MPL_CHECK(In.R.LeakedPins == 0 && Jt.R.LeakedPins == 0,
+      MPL_CHECK(In.R.leakedPins() == 0 && Jt.R.leakedPins() == 0,
                 "ablation run leaked pins");
       MPL_CHECK(Captured == Jt.R.counter("em.cont.captured") &&
                     Resumed == Jt.R.counter("em.cont.resumed"),

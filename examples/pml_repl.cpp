@@ -21,13 +21,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
-#include "obs/Profile.h"
+#include "obs/HeapTree.h"
 #include "obs/Span.h"
 #include "pml/Vm.h"
 #include "support/Cli.h"
 #include "support/File.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <optional>
@@ -131,12 +130,9 @@ int runInteractive(int Workers) {
   // constructor installs the heap-tree provider `:heaps` reads through.
   rt::Runtime R(Cfg);
 
-  // Arm the causal span ledger and the entanglement profiler for the whole
-  // session: every evaluated line is one run, so `:spans` reports the last
-  // line's fork-join DAG while `:prof` accumulates sites across lines.
+  // Arm the causal span ledger for the whole session: every evaluated line
+  // is one run, so `:spans` reports the last line's fork-join DAG.
   obs::SpanLedger::get().enable();
-  obs::Profiler::get().reset();
-  obs::Profiler::get().enable();
 
   std::printf("pml interactive — :help for commands, :quit to leave\n");
   std::string Line;
@@ -150,7 +146,6 @@ int runInteractive(int Workers) {
     if (Line == ":help") {
       std::printf("  :heaps        dump the live heap-tree snapshot (JSON)\n"
                   "  :spans        critical-path summary of the last run\n"
-                  "  :prof         top-5 entanglement profile sites\n"
                   "  :quit, :q     leave the session\n"
                   "  anything else is evaluated as a complete PML program\n"
                   "  (one per line; bindings do not persist across lines)\n");
@@ -166,26 +161,6 @@ int runInteractive(int Workers) {
       std::fwrite(S.data(), 1, S.size(), stdout);
       if (S.empty() || S.back() != '\n')
         std::fputc('\n', stdout);
-      continue;
-    }
-    if (Line == ":prof") {
-      std::vector<obs::SiteSnap> Sites = obs::Profiler::get().snapshot();
-      if (Sites.empty()) {
-        std::printf("no entanglement events recorded yet\n");
-        continue;
-      }
-      std::sort(Sites.begin(), Sites.end(),
-                [](const obs::SiteSnap &A, const obs::SiteSnap &B) {
-                  if (A.Events != B.Events)
-                    return A.Events > B.Events;
-                  return A.Bytes > B.Bytes;
-                });
-      size_t N = std::min<size_t>(Sites.size(), 5);
-      for (size_t I = 0; I < N; ++I)
-        std::printf("  %-24s events=%lld bytes=%lld\n",
-                    Sites[I].Name.c_str(),
-                    static_cast<long long>(Sites[I].Events),
-                    static_cast<long long>(Sites[I].Bytes));
       continue;
     }
     if (Line == ":heaps") {

@@ -7,7 +7,6 @@
 #include "core/Em.h"
 
 #include "chaos/ChaosSchedule.h"
-#include "obs/Profile.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
 #include "support/Assert.h"
@@ -75,7 +74,6 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
   chaos::preemptPoint(chaos::Point::WriteBarrier);
   Heap *HP = Heap::of(P);
   uint32_t PinDepth = UINT32_MAX;
-  obs::Site PinSite = obs::Site::Pin;
 
   if (HX != HP) {
     if (Heap::isAncestorOf(HX, HP)) {
@@ -83,13 +81,11 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
       // allocator may read P through X.
       PinDepth = HX->depth();
       Counts.DownPointerPins.inc();
-      PinSite = obs::Site::PinDown;
     } else if (!Heap::isAncestorOf(HP, HX)) {
       // Cross-pointer between concurrent heaps: X itself was obtained via
       // entanglement; P becomes reachable from that entangled region.
       PinDepth = Heap::lcaDepth(HX, HP);
       Counts.CrossPointerPins.inc();
-      PinSite = obs::Site::PinCross;
     }
     // Up-pointer (HP ancestor of HX): always disentangled, nothing to do —
     // unless X is pinned, handled below.
@@ -98,10 +94,6 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
   if (X->isPinned()) {
     // X is already visible to concurrent tasks; anything stored into it is
     // published to them and must survive, in place, at least as long as X.
-    // Attribute the pin to the holder class when the holder's depth is the
-    // binding constraint (or when no pointer class fired at all).
-    if (X->unpinDepth() < PinDepth)
-      PinSite = obs::Site::PinHolder;
     PinDepth = std::min(PinDepth, X->unpinDepth());
     Counts.PinnedHolderPins.inc();
   }
@@ -119,7 +111,7 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
   }
   if (chaos::faultFires(chaos::Fault::SkipPin))
     return; // Test-only injected bug: publish without pinning.
-  if (HP->addPinned(P, PinDepth, PinSite))
+  if (HP->addPinned(P, PinDepth))
     obs::spanNotePin();
 }
 
@@ -145,15 +137,13 @@ void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
     // Count it (the fuzz suite asserts zero) and fall through to the
     // defensive re-pin below so the mutator can still make progress.
     Counts.EntangledReadsUnpinned.inc();
-  obs::profileEvent(obs::Site::ReadEntangled,
-                    static_cast<int64_t>(P->sizeBytes()), HP->depth());
   // Span ledger: count the entangled read against the executing task and
   // the pml source line whose instruction triggered the barrier.
   obs::spanNoteEmRead();
   uint32_t Lca = Heap::lcaDepth(Reader, HP);
   if (P->isPinned() && P->unpinDepth() <= Lca)
     return;
-  if (HP->addPinned(P, Lca, obs::Site::PinRead))
+  if (HP->addPinned(P, Lca))
     obs::spanNotePin();
 }
 
@@ -167,7 +157,10 @@ bool pinContCapture(Object *P, Heap *CaptureHeap) {
   if (Heap::of(P) != CaptureHeap)
     return false; // Ancestor-heap objects: ordinary barriers cover them.
   // False when already pinned (entanglement or an earlier capture).
-  return CaptureHeap->addPinned(P, Depth, obs::Site::ContCapture);
+  if (!CaptureHeap->addPinned(P, Depth))
+    return false;
+  Counts.ContPins.inc();
+  return true;
 }
 
 bool unpinContResume(Object *P, uint32_t CaptureDepth) {

@@ -7,7 +7,7 @@
 #include "core/Runtime.h"
 
 #include "chaos/ChaosSchedule.h"
-#include "obs/Profile.h"
+#include "obs/HeapTree.h"
 #include "obs/Trace.h"
 #include "support/Stats.h"
 

@@ -8,7 +8,6 @@
 
 #include "chaos/ChaosSchedule.h"
 #include "mm/MemoryGovernor.h"
-#include "obs/Profile.h"
 #include "obs/Trace.h"
 #include "support/Histogram.h"
 #include "support/Stats.h"
@@ -145,9 +144,7 @@ GcOutcome Collector::collectChain(Heap *Leaf, ShadowStack &Roots) {
 
   // Phase A: pinned closures stay in place.
   obs::emit(obs::Ev::GcMarkBegin);
-  int64_t MarkStartNs = Pause.elapsedNs();
   markInPlaceClosure(CS);
-  int64_t MarkEndNs = Pause.elapsedNs();
   obs::emit(obs::Ev::GcMarkEnd, static_cast<uint64_t>(CS.Out.ObjectsInPlace));
 
   // Phase B: evacuate everything reachable from the mutator roots. Slots
@@ -176,7 +173,6 @@ GcOutcome Collector::collectChain(Heap *Leaf, ShadowStack &Roots) {
           O->setSlot(I, NV);
       }
   }
-  int64_t EvacEndNs = Pause.elapsedNs();
   obs::emit(obs::Ev::GcEvacEnd, static_cast<uint64_t>(CS.Out.BytesCopied));
 
   // Phase C: reclaim from-space chunks with no in-place survivors; retire
@@ -219,20 +215,6 @@ GcOutcome Collector::collectChain(Heap *Leaf, ShadowStack &Roots) {
   obs::emit(obs::Ev::GcEnd, static_cast<uint64_t>(CS.Out.BytesCopied),
             static_cast<uint64_t>(CS.Out.BytesReclaimed));
   GcPauseHist.record(CS.Out.PauseNs);
-  // Site-attribute only collections that paid an entanglement cost (some
-  // pinned closure survived in place): a disentangled run's collections
-  // keep the profile empty, so the profile isolates exactly the GC work
-  // entanglement induced (in-place marking, evacuation around pinned
-  // survivors, retired-chunk accounting).
-  if (CS.Out.ObjectsInPlace > 0 && obs::profileEnabled()) {
-    uint32_t D = Leaf->depth();
-    obs::profileEvent(obs::Site::GcMarkInPlace, CS.Out.BytesInPlace, D,
-                      MarkEndNs - MarkStartNs);
-    obs::profileEvent(obs::Site::GcEvac, CS.Out.BytesCopied, D,
-                      EvacEndNs - MarkEndNs);
-    obs::profileEvent(obs::Site::GcReclaim, CS.Out.BytesReclaimed, D,
-                      CS.Out.PauseNs - EvacEndNs);
-  }
   NumCollections.inc();
   TotalBytesCopied.add(CS.Out.BytesCopied);
   TotalBytesInPlace.add(CS.Out.BytesInPlace);

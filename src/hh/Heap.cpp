@@ -10,13 +10,69 @@
 #include "obs/Trace.h"
 #include "support/Assert.h"
 #include "support/EmCounters.h"
+#include "support/Histogram.h"
 #include "support/Stats.h"
+#include "support/Timer.h"
+
+#include <algorithm>
+#include <unordered_map>
 
 using namespace mpl;
 
 namespace {
 Stat HeapsCreated("hh.heaps.created");
 Stat JoinsPerformed("hh.joins");
+
+/// The pin-lifetime clock: the instant each object was pinned while the
+/// trace plane was armed, sharded by object address, and the histogram of
+/// pin-to-release times. No counter holds a lifetime, so this is the one
+/// pin figure kept outside em::Counts. Shard mutexes are leaves: they nest
+/// under the PinLock that the pin and release paths hold.
+class PinClock {
+public:
+  void start(const Object *O) {
+    Shard &S = shardOf(O);
+    std::lock_guard<std::mutex> G(S.Mu);
+    if (S.PinnedAtNs.insert_or_assign(O, nowNs()).second)
+      Live.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Records \p O's lifetime when its clock runs. Also called while the
+  /// plane is disarmed as long as some clock runs, so a pin taken under
+  /// the plane is always timed and leaves the table at its release.
+  void stop(const Object *O) {
+    int64_t StartNs;
+    {
+      Shard &S = shardOf(O);
+      std::lock_guard<std::mutex> G(S.Mu);
+      auto It = S.PinnedAtNs.find(O);
+      if (It == S.PinnedAtNs.end())
+        return; // Pinned before the plane was armed.
+      StartNs = It->second;
+      S.PinnedAtNs.erase(It);
+    }
+    Live.fetch_sub(1, std::memory_order_relaxed);
+    Lifetimes.record(std::max<int64_t>(0, nowNs() - StartNs));
+  }
+
+  int64_t live() const { return Live.load(std::memory_order_relaxed); }
+
+private:
+  static constexpr int Shards = 16;
+  struct Shard {
+    std::mutex Mu;
+    std::unordered_map<const Object *, int64_t> PinnedAtNs;
+  };
+  Shard &shardOf(const Object *O) {
+    return Table[(reinterpret_cast<uintptr_t>(O) >> 4) % Shards];
+  }
+
+  Shard Table[Shards];
+  std::atomic<int64_t> Live{0};
+  Histogram Lifetimes{"em.pin.lifetime.ns"};
+};
+
+PinClock Clock;
 } // namespace
 
 void Heap::pushChunk(Chunk *C) {
@@ -102,7 +158,7 @@ uint32_t Heap::lcaDepth(const Heap *A, const Heap *B) {
   return A->Depth;
 }
 
-bool Heap::addPinned(Object *O, uint32_t UnpinDepth, obs::Site Site) {
+bool Heap::addPinned(Object *O, uint32_t UnpinDepth) {
   std::lock_guard<std::mutex> G(PinLock);
   if (!O->pinMin(UnpinDepth))
     return false;
@@ -113,7 +169,8 @@ bool Heap::addPinned(Object *O, uint32_t UnpinDepth, obs::Site Site) {
   PinnedObjsGauge.fetch_add(1, std::memory_order_relaxed);
   PinnedBytesGauge.fetch_add(Size, std::memory_order_relaxed);
   obs::emit(obs::Ev::Pin, O->sizeBytes(), UnpinDepth);
-  obs::profilePin(Site, O, Size, UnpinDepth);
+  if (obs::traceEnabled()) [[unlikely]]
+    Clock.start(O);
   return true;
 }
 
@@ -124,9 +181,12 @@ void Heap::releasePin(Object *O) {
   PinnedObjsGauge.fetch_sub(1, std::memory_order_relaxed);
   PinnedBytesGauge.fetch_sub(Size, std::memory_order_relaxed);
   obs::emit(obs::Ev::Unpin, O->sizeBytes());
-  obs::profileUnpin(O);
+  if (obs::traceEnabled() || Clock.live() != 0) [[unlikely]]
+    Clock.stop(O);
   O->unpin();
 }
+
+int64_t Heap::clockedPins() { return Clock.live(); }
 
 size_t Heap::footprintBytes() const {
   size_t Total = 0;
@@ -236,8 +296,6 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
   // The paper's join rule: entanglement with unpin depth >= the merged
   // depth is dead once the object lives at that depth; unpin those objects
   // so ordinary local collection can move (and eventually reclaim) them.
-  int64_t UnpinnedBytes = 0;
-  bool HadPins = !Child->Pinned.empty();
   for (Object *O : Child->Pinned) {
     if (!O->isPinned())
       continue; // Already unpinned by an earlier join (duplicate entry).
@@ -246,7 +304,6 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
         !chaos::faultFires(chaos::Fault::SkipUnpin)) {
       Child->releasePin(O);
       ++Unpinned;
-      UnpinnedBytes += Size;
     } else {
       // Entanglement still (possibly) live at the parent's depth — or a
       // test-only SkipUnpin fault leaking the release on purpose.
@@ -258,10 +315,6 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
   Child->Pinned.clear();
   Child->PinnedObjsGauge.store(0, std::memory_order_relaxed);
   Child->PinnedBytesGauge.store(0, std::memory_order_relaxed);
-  // Attribute the join's entanglement-release work — only joins that had
-  // pinned entries to process, so disentangled runs keep an empty profile.
-  if (HadPins)
-    obs::profileEvent(obs::Site::JoinUnpin, UnpinnedBytes, Child->Depth);
 
   Child->Dead.store(true, std::memory_order_release);
   obs::emit(obs::Ev::HeapJoinEnd, static_cast<uint64_t>(Unpinned));

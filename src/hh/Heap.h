@@ -20,7 +20,6 @@
 
 #include "mm/Chunk.h"
 #include "mm/Object.h"
-#include "obs/Profile.h"
 
 #include <atomic>
 #include <cstdint>
@@ -86,16 +85,22 @@ public:
   /// the entanglement write/read barriers and continuation capture). Takes
   /// the pin lock. Returns true when the object was newly pinned (not
   /// merely depth-deepened); only then is the pin counted (em.pins.objects,
-  /// em.pinned.bytes), gauged, traced and attributed to \p Site.
-  bool addPinned(Object *O, uint32_t UnpinDepth,
-                 obs::Site Site = obs::Site::Pin);
+  /// em.pinned.bytes), gauged and traced, and, with the trace plane armed,
+  /// its lifetime clock started.
+  bool addPinned(Object *O, uint32_t UnpinDepth);
 
   /// Releases \p O's pin in place: counts the unpin (em.unpins,
-  /// em.unpins.bytes), lowers this heap's pin gauges, traces and profiles
-  /// the release, and clears the pin bit. The one release path — the join
-  /// rule and continuation resume both call it. The caller holds PinLock
-  /// of this heap, whose Pinned set lists \p O.
+  /// em.unpins.bytes), lowers this heap's pin gauges, traces the release,
+  /// records the pin's lifetime in em.pin.lifetime.ns when its clock runs,
+  /// and clears the pin bit. The one release path — the join rule and
+  /// continuation resume both call it. The caller holds PinLock of this
+  /// heap, whose Pinned set lists \p O.
   void releasePin(Object *O);
+
+  /// Pins whose lifetime clock is running: pinned under the trace plane
+  /// and not yet released. Zero at any quiescent point where every pin
+  /// taken under the trace plane was released.
+  static int64_t clockedPins();
 
   /// Sum of bytes bump-allocated into live chunks (fragmentation included).
   size_t footprintBytes() const;

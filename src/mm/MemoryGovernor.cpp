@@ -7,7 +7,7 @@
 #include "mm/MemoryGovernor.h"
 
 #include "mm/Chunk.h"
-#include "obs/Profile.h"
+#include "obs/HeapTree.h"
 #include "obs/Trace.h"
 #include "support/EmCounters.h"
 #include "support/File.h"

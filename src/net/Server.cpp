@@ -439,9 +439,7 @@ struct Server::Impl {
         .kv("t_ns", Now)
         .kv("status", Owner->draining() ? "draining" : "serving")
         .kv("pressure", pressureName(MemoryGovernor::get().pressure()))
-        .kv("queue_depth", QueueDepth.load(std::memory_order_relaxed))
-        .kv("queue_cap", Cfg.QueueCap)
-        .kv("inflight", Inflight.load(std::memory_order_relaxed));
+        .kv("queue_cap", Cfg.QueueCap);
     writeJson(W.key("counters"), Reg.Counters);
     writeJson(W.key("gauges"), Reg.Gauges);
     Hist("latency", LatencyNs.snapshot());

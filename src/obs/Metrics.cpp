@@ -7,7 +7,7 @@
 #include "obs/Metrics.h"
 
 #include "obs/Exposition.h"
-#include "obs/Profile.h"
+#include "obs/HeapTree.h"
 #include "obs/Span.h"
 #include "support/Stats.h"
 #include "support/Timer.h"

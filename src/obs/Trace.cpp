@@ -8,7 +8,7 @@
 
 #include "obs/Exposition.h"
 #include "obs/Metrics.h"
-#include "obs/Profile.h"
+#include "obs/HeapTree.h"
 #include "obs/Span.h"
 #include "support/File.h"
 #include "support/Json.h"
@@ -367,7 +367,6 @@ namespace {
 
 constexpr const char *SinkFiles[] = {
     /* Trace       */ "trace.json",
-    /* Profile     */ "profile.json",
     /* Spans       */ "spans.json",
     /* Stats       */ "stats.prom",
     /* OomHeapTree */ "oom-heap-tree.json",
@@ -394,7 +393,7 @@ void flushAtExit() {
 
 unsigned obs::armPlanes(std::string_view List) {
   constexpr std::pair<std::string_view, Plane> Names[] = {
-      {"trace", PlaneTrace}, {"profile", PlaneProfile}, {"spans", PlaneSpans}};
+      {"trace", PlaneTrace}, {"spans", PlaneSpans}};
   unsigned Planes = 0;
   for (size_t Pos = 0; Pos <= List.size();) {
     size_t End = std::min(List.find(',', Pos), List.size());
@@ -406,8 +405,8 @@ unsigned obs::armPlanes(std::string_view List) {
                            [&](const auto &N) { return N.first == Name; });
     if (It == std::end(Names)) {
       std::fprintf(stderr,
-                   "mpl: MPL_OBS: unknown plane '%.*s' (trace, profile, "
-                   "spans); no plane armed\n",
+                   "mpl: MPL_OBS: unknown plane '%.*s' (trace, spans); no "
+                   "plane armed\n",
                    static_cast<int>(Name.size()), Name.data());
       return 0;
     }
@@ -417,8 +416,6 @@ unsigned obs::armPlanes(std::string_view List) {
     Tracer::get().enable();
     MetricsSampler::get().start(/*IntervalUs=*/1000);
   }
-  if (Planes & PlaneProfile)
-    Profiler::get().enable();
   if (Planes & PlaneSpans)
     SpanLedger::get().enable();
   return Planes;
@@ -463,7 +460,6 @@ void obs::flushEnvSinks() {
   };
   Write(PlaneTrace, Sink::Trace,
         [] { return Tracer::get().chromeTraceJson(); });
-  Write(PlaneProfile, Sink::Profile, [] { return Profiler::get().jsonDump(); });
   if (EnvPlanes & PlaneSpans)
     if (SpanRunSummary Sum = SpanLedger::get().lastRun();
         Sum.Valid || Sum.Tasks > 0)

@@ -234,20 +234,19 @@ void labelCurrentThread(int Id);
 
 /// The planes MPL_OBS arms, as bit flags.
 enum Plane : unsigned {
-  PlaneTrace = 1,   ///< "trace": Tracer + MetricsSampler -> trace.json.
-  PlaneProfile = 2, ///< "profile": site Profiler -> profile.json.
-  PlaneSpans = 4,   ///< "spans": SpanLedger -> spans.json.
+  PlaneTrace = 1, ///< "trace": Tracer + MetricsSampler -> trace.json;
+                  ///< also clocks pin lifetimes (Heap::addPinned).
+  PlaneSpans = 2, ///< "spans": SpanLedger -> spans.json.
 };
 
-/// Arms the planes named by \p List, a comma list of trace, profile and
-/// spans, and returns them. An unknown name arms nothing: it returns 0 and
+/// Arms the planes named by \p List, a comma list of trace and spans, and
+/// returns them. An unknown name arms nothing: it returns 0 and
 /// prints one line on stderr.
 unsigned armPlanes(std::string_view List);
 
 /// Every file the observability layer writes under MPL_OBS_DIR.
 enum class Sink {
   Trace,       ///< trace.json, at Runtime destruction and at exit.
-  Profile,     ///< profile.json, likewise.
   Spans,       ///< spans.json, likewise (the last run's DAG).
   Stats,       ///< stats.prom, on SIGUSR1.
   OomHeapTree, ///< oom-heap-tree.json, when OutOfMemoryError is raised.

@@ -35,7 +35,6 @@
 #include "hh/Heap.h"
 #include "mm/Chunk.h"
 #include "mm/Object.h"
-#include "obs/Profile.h"
 #include "obs/Trace.h"
 #include "pml/Compiler.h"
 #include "pml/jit/X64Emitter.h"
@@ -825,7 +824,5 @@ const CompiledFn *jit::hotOrCompile(ProgramJit &PJ, const pml::Program &P,
   JitCompiledStat.inc();
   JitCodeBytesStat.add(static_cast<int64_t>(Raw->CodeSize));
   obs::emit(obs::Ev::JitCompile, FnIdx, static_cast<int64_t>(Raw->CodeSize));
-  obs::profileEvent(obs::Site::JitCompile,
-                    static_cast<int64_t>(Raw->CodeSize), 0);
   return Raw;
 }

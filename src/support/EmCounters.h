@@ -9,7 +9,8 @@
 /// entangled reads, pins by kind, pinned/unpinned bytes). They are the one
 /// store of those costs: registered Stats under their em.* names, counted
 /// at one place each (the barriers count reads and pin kinds,
-/// Heap::addPinned counts pins, Heap::releasePin counts unpins). They live
+/// continuation capture counts its pins, Heap::addPinned counts pins,
+/// Heap::releasePin counts unpins). They live
 /// in the support layer — below em/, hh/ and mm/ — so every layer can
 /// account into or derive from them.
 ///
@@ -43,6 +44,9 @@ struct CounterSnapshot {
   int64_t DownPointerPins = 0;
   int64_t CrossPointerPins = 0;
   int64_t PinnedHolderPins = 0;
+  /// Objects newly pinned by continuation capture (a subset of
+  /// PinnedObjects).
+  int64_t ContPins = 0;
   int64_t PinnedObjects = 0;
   int64_t PinnedBytes = 0;
   int64_t UnpinnedObjects = 0;
@@ -73,6 +77,7 @@ struct Counters {
   Stat UnpinnedBytes{"em.unpins.bytes"};
   Stat ContCaptured{"em.cont.captured"};
   Stat ContResumed{"em.cont.resumed"};
+  Stat ContPins{"em.pins.cont"};
 
   /// Reads every counter (relaxed; exact at quiescent points).
   CounterSnapshot snapshot() const {
@@ -82,6 +87,7 @@ struct Counters {
     S.DownPointerPins = DownPointerPins.get();
     S.CrossPointerPins = CrossPointerPins.get();
     S.PinnedHolderPins = PinnedHolderPins.get();
+    S.ContPins = ContPins.get();
     S.PinnedObjects = PinnedObjects.get();
     S.PinnedBytes = PinnedBytes.get();
     S.UnpinnedObjects = UnpinnedObjects.get();
@@ -97,7 +103,7 @@ struct Counters {
     for (Stat *S : {&EntangledReads, &EntangledReadsUnpinned, &DownPointerPins,
                     &CrossPointerPins, &PinnedHolderPins, &PinnedObjects,
                     &PinnedBytes, &UnpinnedObjects, &UnpinnedBytes,
-                    &ContCaptured, &ContResumed})
+                    &ContCaptured, &ContResumed, &ContPins})
       S->set(0);
   }
 };

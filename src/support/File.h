@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The one way the runtime, benches and tools write an exported document
-/// (trace, metrics, profile, spans, heap tree, stats dump, bench JSON) to
+/// (trace, metrics, spans, heap tree, stats dump, bench JSON) to
 /// disk, and the one way the tools and the REPL read a whole file back.
 ///
 //===----------------------------------------------------------------------===//

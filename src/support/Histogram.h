@@ -10,8 +10,8 @@
 /// steal path and the collector's pause accounting. Like Stat, instances
 /// register themselves in StatRegistry (support/Stats.h), whose snapshot
 /// every exporter renders. quantileFrom() is the one quantile rule for
-/// log2 bucket counts: histograms, rolling windows and the profiler's
-/// per-site durations (obs/Profile.h) all report through it.
+/// log2 bucket counts: histograms and rolling windows both report through
+/// it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,7 @@
 #include "core/Handles.h"
 #include "core/Ops.h"
 #include "core/Runtime.h"
-#include "obs/Profile.h"
+#include "obs/HeapTree.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>

@@ -23,7 +23,6 @@
 
 #include "core/Em.h"
 #include "core/Runtime.h"
-#include "obs/Profile.h"
 #include "pml/Parser.h"
 #include "pml/Types.h"
 #include "pml/Vm.h"
@@ -374,13 +373,10 @@ INSTANTIATE_TEST_SUITE_P(Workers, EffPinProtocol, ::testing::Values(1, 3),
 
 TEST(EffPinProtocol, CaptureAttributionMatchesPinnedBytes) {
   // The only pins this program can take are capture pins (no refs or
-  // arrays are shared across strands), so the em.cont.capture profile
-  // site must account for *all* pinned bytes, and the join must release
-  // exactly that many.
+  // arrays are shared across strands), so em.pins.cont must account for
+  // *all* pinned objects, and the joins and resumes must release every
+  // pinned byte.
   em::Counts.reset();
-  obs::Profiler &Prof = obs::Profiler::get();
-  Prof.reset();
-  Prof.enable();
   EvalResult R;
   {
     rt::Config Cfg;
@@ -396,20 +392,11 @@ TEST(EffPinProtocol, CaptureAttributionMatchesPinnedBytes) {
   }
   ASSERT_TRUE(R.Ok) << R.Error;
   em::CounterSnapshot S = em::Counts.snapshot();
-  std::vector<obs::SiteSnap> Sites = Prof.snapshot();
-  Prof.disable();
-  int64_t SiteBytes = 0, SiteEvents = 0;
-  for (const obs::SiteSnap &Snap : Sites)
-    if (Snap.Name == "em.cont.capture") {
-      SiteBytes += Snap.Bytes;
-      SiteEvents += Snap.Events;
-    }
-  EXPECT_EQ(SiteEvents, S.PinnedObjects)
+  EXPECT_GT(S.ContPins, 0);
+  EXPECT_EQ(S.ContPins, S.PinnedObjects)
       << "every pin of this program is a capture pin";
-  EXPECT_EQ(SiteBytes, S.PinnedBytes)
-      << "capture-site attribution must sum to the pinned bytes";
-  EXPECT_EQ(S.livePinnedBytes(), 0) << "all capture pins released";
-  EXPECT_EQ(Prof.livePinCount(), 0) << "profiler lifetime table drained";
+  EXPECT_EQ(S.livePinnedObjects(), 0) << "all capture pins released";
+  EXPECT_EQ(S.livePinnedBytes(), 0);
 }
 
 TEST(EffPinProtocol, ResumeUnpinsAreCountedByName) {

@@ -129,6 +129,7 @@ void expectCountersEqual(const em::CounterSnapshot &I,
   MPL_CMP(DownPointerPins);
   MPL_CMP(CrossPointerPins);
   MPL_CMP(PinnedHolderPins);
+  MPL_CMP(ContPins);
   MPL_CMP(PinnedObjects);
   MPL_CMP(PinnedBytes);
   MPL_CMP(UnpinnedObjects);

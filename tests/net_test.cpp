@@ -19,7 +19,7 @@
 #include "net/Frame.h"
 #include "net/Server.h"
 #include "obs/Exposition.h"
-#include "obs/Profile.h"
+#include "support/EmCounters.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 
@@ -307,7 +307,6 @@ TEST(ServerTest, ZeroCapacityQueueShedsWithRetryHint) {
 }
 
 TEST(ServerTest, DeadlineExpiresMidRunAndReleasesPins) {
-  obs::Profiler::get().enable();
   ServerConfig SC;
   SC.NumWorkers = 2;
   ServerTotals T = withServer(SC, [&](Server &Srv) {
@@ -325,7 +324,7 @@ TEST(ServerTest, DeadlineExpiresMidRunAndReleasesPins) {
   });
   EXPECT_EQ(T.DeadlineExpired, 1);
   // The aborted task's heaps joined; the join unpin rule released its pins.
-  EXPECT_EQ(obs::Profiler::get().livePinCount(), 0);
+  EXPECT_EQ(em::Counts.snapshot().livePinnedObjects(), 0);
 }
 
 TEST(ServerTest, DrainRefusesNewWorkThenStops) {
@@ -471,7 +470,6 @@ TEST(ServerStatsTest, StatsFrameDuringLoadKeepsBalance) {
     ASSERT_TRUE(fetchStats(C, Doc, S));
     EXPECT_EQ(statStr(*S, "status"), "serving");
     EXPECT_GE(statNum(*S, "queue_cap"), 1);
-    EXPECT_GE(statNum(*S, "queue_depth"), 0);
 
     const json::Value *Ctr = S->field("counters");
     ASSERT_NE(Ctr, nullptr);
@@ -508,11 +506,17 @@ TEST(ServerStatsTest, StatsFrameDuringLoadKeepsBalance) {
     const json::Value *W = S->field("window");
     ASSERT_NE(W, nullptr);
     EXPECT_GT(statNum(*W, "window_ns"), 0);
-    // Gauges by registry name, the memory ones mpl_top draws among them.
+    // Gauges by registry name, the queue and memory ones mpl_top draws
+    // among them; the queue depth and in-flight count are not repeated
+    // at the top level.
     const json::Value *G = S->field("gauges");
     ASSERT_NE(G, nullptr);
+    EXPECT_GE(statNum(*G, "net.queue.depth"), 0);
+    EXPECT_GE(statNum(*G, "net.inflight"), 0);
     EXPECT_GE(statNum(*G, "mm.outstanding.bytes"), 0);
     EXPECT_GE(statNum(*G, "em.live.pinned.bytes"), 0);
+    EXPECT_EQ(S->field("queue_depth"), nullptr);
+    EXPECT_EQ(S->field("inflight"), nullptr);
 
     // Tail exemplars: capped at the K worst, sorted worst-first.
     const json::Value *Ex = S->field("exemplars");

@@ -7,7 +7,8 @@
 // ring wrap and the dropped-event counter, per-thread event ordering, the
 // well-formedness of the Chrome trace-event export (parsed back with
 // support/Json) including the sampler series as counter events, sampler
-// monotonicity, the MPL_OBS plane list, and the everything-disabled smoke.
+// monotonicity, the trace plane's pin-lifetime clock, the MPL_OBS plane
+// list, and the everything-disabled smoke.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,9 +16,10 @@
 #include "core/Handles.h"
 #include "core/Ops.h"
 #include "core/Runtime.h"
+#include "hh/Heap.h"
 #include "obs/Exposition.h"
 #include "obs/Metrics.h"
-#include "obs/Profile.h"
+#include "obs/HeapTree.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
 #include "support/Histogram.h"
@@ -670,20 +672,10 @@ TEST_F(ObsTest, RegistrationRacesRenderers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Entanglement profiler (obs/Profile.h)
+// Entanglement costs in the registry, and the pin-lifetime clock
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// The profiler is process-global; every test starts and ends disarmed.
-class ProfileTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    obs::Profiler::get().disable();
-    obs::Profiler::get().reset();
-  }
-  void TearDown() override { SetUp(); }
-};
 
 rt::Config workerCfg(int Workers) {
   rt::Config C;
@@ -692,7 +684,7 @@ rt::Config workerCfg(int Workers) {
   return C;
 }
 
-/// Count of the named global histogram, or -1 when it does not exist yet.
+/// Count of the named global histogram, or -1 when it does not exist.
 int64_t histCountOf(const char *Name) {
   int64_t Out = -1;
   for (const Histogram::Snapshot &H : StatRegistry::get().snapshot().Histograms)
@@ -701,28 +693,63 @@ int64_t histCountOf(const char *Name) {
   return Out;
 }
 
-const obs::SiteSnap *findSite(const std::vector<obs::SiteSnap> &Sites,
-                              const std::string &Name) {
-  for (const obs::SiteSnap &S : Sites)
-    if (S.Name == Name)
-      return &S;
-  return nullptr;
+/// The dedup and exchange workloads on \p Workers workers, from zeroed
+/// counters: both pin, and their joins release every pin. Returns the
+/// samples the run added to em.pin.lifetime.ns.
+int64_t entangledRunLifetimes(int Workers) {
+  int64_t Before = histCountOf("em.pin.lifetime.ns");
+  StatRegistry::get().resetAll();
+  {
+    rt::Runtime R(workerCfg(Workers));
+    R.run([] {
+      Local K(wl::randomInts(20000, 5000, 23));
+      (void)wl::dedup(K.get(), 256);
+    });
+    R.run([] { (void)wl::exchange(2000); });
+  }
+  return histCountOf("em.pin.lifetime.ns") - Before;
+}
+
+/// One worker, from zeroed counters and the trace plane armed: a depth-1
+/// ref published into a depth-0 ref (a down pointer, pinned and clocked)
+/// and released at the join; with \p DisarmBeforeJoin the plane is
+/// disarmed between the pin and the release. Returns the samples the run
+/// added to em.pin.lifetime.ns.
+int64_t downPointerRunLifetimes(bool DisarmBeforeJoin) {
+  using namespace mpl::ops;
+  int64_t Before = histCountOf("em.pin.lifetime.ns");
+  StatRegistry::get().resetAll();
+  obs::Tracer::get().enable();
+  {
+    rt::Runtime R(workerCfg(1));
+    R.run([&] {
+      Local Shared0(newRef(boxInt(0))); // Depth 0.
+      rt::par(
+          [&] {
+            Local Mine(newRef(boxInt(5)));
+            refSet(Shared0.get(), Mine.slot());
+            EXPECT_TRUE(Mine.get()->isPinned());
+            EXPECT_EQ(Heap::clockedPins(), 1);
+            if (DisarmBeforeJoin)
+              obs::Tracer::get().disable();
+            return unit();
+          },
+          [&] { return unit(); });
+    });
+  }
+  obs::Tracer::get().disable();
+  return histCountOf("em.pin.lifetime.ns") - Before;
 }
 
 } // namespace
 
-TEST_F(ProfileTest, DisabledHooksRecordNothing) {
-  ASSERT_FALSE(obs::profileEnabled());
-  obs::profileEvent(obs::Site::GcEvac, 128, 1);
-  EXPECT_TRUE(obs::Profiler::get().snapshot().empty());
-}
-
-TEST_F(ProfileTest, DisentangledRunsLeaveProfileEmpty) {
-  // The tentpole's shielding property: every profiler hook sits on an
-  // entanglement slow path (or is gated on entangled work), so a fully
-  // disentangled suite must produce an EMPTY profile — not merely a cheap
-  // one — even across forks, joins and collections.
-  obs::Profiler::get().enable();
+TEST_F(ObsTest, DisentangledRunsLeaveEveryEmCounterAtZero) {
+  // The shielding property: every em cost counter sits on an
+  // entanglement slow path, so a fully disentangled run leaves each one
+  // at 0 — not merely small — across forks, joins and collections, and
+  // the trace plane's pin clock never starts.
+  StatRegistry::get().resetAll();
+  obs::Tracer::get().enable();
   {
     rt::Runtime R(workerCfg(2));
     R.run([] { (void)wl::fib(18, 6); });
@@ -732,138 +759,71 @@ TEST_F(ProfileTest, DisentangledRunsLeaveProfileEmpty) {
       (void)S.get();
     });
   }
-  EXPECT_TRUE(obs::Profiler::get().snapshot().empty());
-  EXPECT_EQ(obs::Profiler::get().livePinCount(), 0);
-  EXPECT_EQ(obs::Profiler::get().livePinBytes(), 0);
-}
-
-TEST_F(ProfileTest, DownPointerPinAttributedAndDrainedAtJoin) {
-  using namespace mpl::ops;
-  obs::Profiler::get().enable();
-  int64_t LifetimesBefore = std::max<int64_t>(
-      0, histCountOf("em.pin.lifetime.ns"));
-  StatRegistry::get().resetAll();
-  {
-    rt::Runtime R(workerCfg(1));
-    R.run([&] {
-      Local Shared0(newRef(boxInt(0))); // Depth 0.
-      rt::par(
-          [&] {
-            // Depth-1 object published into a depth-0 ref: down pointer.
-            Local Mine(newRef(boxInt(5)));
-            refSet(Shared0.get(), Mine.slot());
-            EXPECT_TRUE(Mine.get()->isPinned());
-            return unit();
-          },
-          [&] { return unit(); });
-    });
-  }
-  std::vector<obs::SiteSnap> Sites = obs::Profiler::get().snapshot();
-  const obs::SiteSnap *Pin = findSite(Sites, "em.pin.down");
-  ASSERT_NE(Pin, nullptr);
-  EXPECT_GE(Pin->Events, 1);
-  EXPECT_GT(Pin->Bytes, 0);
-  // The profiler observes the same chokepoint as the em counters: the
-  // attributed bytes equal the counter total exactly.
-  EXPECT_EQ(Pin->Bytes, StatRegistry::get().valueOf("em.pinned.bytes"));
-  // Every pin was released by the join: the live-pin table drained, each
-  // release recorded a lifetime both globally and at the pin's own site.
-  EXPECT_EQ(obs::Profiler::get().livePinCount(), 0);
-  EXPECT_EQ(obs::Profiler::get().livePinBytes(), 0);
-  EXPECT_EQ(Pin->DurCount, Pin->Events);
-  EXPECT_EQ(histCountOf("em.pin.lifetime.ns") - LifetimesBefore,
-            Pin->DurCount);
-  // The join-side site saw the unpin work.
-  const obs::SiteSnap *Join = findSite(Sites, "hh.join.unpin");
-  ASSERT_NE(Join, nullptr);
-  EXPECT_EQ(Join->Bytes, Pin->Bytes);
-}
-
-TEST_F(ProfileTest, EntangledWorkloadsAttributeAllPinsAcrossWorkers) {
-  using namespace mpl::ops;
-  obs::Profiler::get().enable();
-  StatRegistry::get().resetAll();
-  {
-    rt::Runtime R(workerCfg(2));
-    R.run([] {
-      Local K(wl::randomInts(20000, 5000, 23));
-      (void)wl::dedup(K.get(), 256);
-    });
-    R.run([] { (void)wl::exchange(2000); });
-  }
-  int64_t PinnedBytes = StatRegistry::get().valueOf("em.pinned.bytes");
-  ASSERT_GT(PinnedBytes, 0) << "workload produced no entanglement";
-  int64_t Attributed = 0;
-  for (const obs::SiteSnap &S : obs::Profiler::get().snapshot())
-    if (S.Name.rfind("em.pin.", 0) == 0 || S.Name == "hh.pin")
-      Attributed += S.Bytes;
-  EXPECT_EQ(Attributed, PinnedBytes);
-  EXPECT_EQ(obs::Profiler::get().livePinCount(), 0);
-  EXPECT_EQ(obs::Profiler::get().livePinBytes(), 0);
-}
-
-TEST_F(ProfileTest, JsonDumpParsesBack) {
-  using namespace mpl::ops;
-  obs::Profiler::get().enable();
-  {
-    rt::Runtime R(workerCfg(2));
-    R.run([] { (void)wl::exchange(500); });
-  }
-  std::string Dump = obs::Profiler::get().jsonDump();
-  json::Value V;
-  std::string Err;
-  ASSERT_TRUE(json::parse(Dump, V, Err)) << Err;
-  const json::Value *Schema = V.field("schema");
-  ASSERT_NE(Schema, nullptr);
-  EXPECT_EQ(Schema->StrV, "mpl-profile/1");
-  const json::Value *Leaked = V.field("leaked_pins");
-  ASSERT_NE(Leaked, nullptr);
-  EXPECT_EQ(Leaked->NumV, 0);
-  const json::Value *Sites = V.field("sites");
-  ASSERT_NE(Sites, nullptr);
-  ASSERT_TRUE(Sites->isArray());
-  EXPECT_FALSE(Sites->Items.empty());
-  for (const json::Value &S : Sites->Items) {
-    EXPECT_NE(S.field("name"), nullptr);
-    EXPECT_NE(S.field("events"), nullptr);
-    EXPECT_NE(S.field("bytes"), nullptr);
-  }
-}
-
-TEST_F(ProfileTest, SiteQuantilesMatchHistogramQuantiles) {
-  // The same durations fed to a profiler site and to a Histogram must give
-  // the same p50 and p99: the profile's dur_ns and histograms such as
-  // em.pin.lifetime.ns share one quantile rule.
-  std::vector<int64_t> Tail(99, 10);
-  Tail.push_back(1000000);
-  const std::vector<std::vector<int64_t>> Cases = {{100, 10000}, Tail};
-  obs::Profiler::get().enable();
-  for (const std::vector<int64_t> &Samples : Cases) {
-    obs::Profiler::get().reset();
-    Histogram H("obs.test.quantile.ns");
-    for (int64_t Ns : Samples) {
-      H.record(Ns);
-      obs::profileEvent(obs::Site::GcEvac, 0, 0, Ns);
+  obs::Tracer::get().disable();
+  int EmNames = 0;
+  for (const auto &[Name, V] : StatRegistry::get().snapshotAll())
+    if (Name.starts_with("em.")) {
+      ++EmNames;
+      EXPECT_EQ(V, 0) << Name;
     }
-    json::Value V;
-    std::string Err;
-    ASSERT_TRUE(json::parse(obs::Profiler::get().jsonDump(), V, Err)) << Err;
-    const json::Value *Dur = nullptr;
-    for (const json::Value &Site : V.field("sites")->Items)
-      if (Site.field("name")->StrV == "gc.evac")
-        Dur = Site.field("dur_ns");
-    ASSERT_NE(Dur, nullptr);
-    Histogram::Percentiles P = H.percentiles();
-    EXPECT_EQ(static_cast<int64_t>(Dur->field("p50")->NumV), P.P50);
-    EXPECT_EQ(static_cast<int64_t>(Dur->field("p99")->NumV), P.P99);
-  }
+  EXPECT_GE(EmNames, 12);
+  EXPECT_EQ(Heap::clockedPins(), 0);
+}
+
+TEST_F(ObsTest, DownPointerPinClockedUntilItsJoin) {
+  // One worker, the trace plane armed: a down-pointer pin is counted by
+  // kind, its clock runs while the pin lives, and the join's release
+  // records one lifetime per unpin and empties the clock's table.
+  int64_t Lifetimes = downPointerRunLifetimes(/*DisarmBeforeJoin=*/false);
+  em::CounterSnapshot S = em::Counts.snapshot();
+  EXPECT_GE(S.DownPointerPins, 1);
+  EXPECT_EQ(S.PinnedObjects, 1);
+  EXPECT_GT(S.PinnedBytes, 0);
+  EXPECT_EQ(S.UnpinnedObjects, S.PinnedObjects);
+  EXPECT_EQ(S.UnpinnedBytes, S.PinnedBytes);
+  EXPECT_EQ(Lifetimes, S.UnpinnedObjects);
+  EXPECT_EQ(Heap::clockedPins(), 0);
+}
+
+TEST_F(ObsTest, ReleaseAfterDisarmStillStopsTheClock) {
+  // A pin taken under the trace plane keeps its clock when the plane is
+  // disarmed before the join: the release still records its lifetime and
+  // leaves the table, so no clock outlives its pin.
+  int64_t Lifetimes = downPointerRunLifetimes(/*DisarmBeforeJoin=*/true);
+  EXPECT_EQ(em::Counts.snapshot().UnpinnedObjects, 1);
+  EXPECT_EQ(Lifetimes, 1);
+  EXPECT_EQ(Heap::clockedPins(), 0);
+}
+
+TEST_F(ObsTest, EntangledWorkloadsClockEveryPinAcrossWorkers) {
+  // Two workers, the trace plane armed: every unpin of the dedup and
+  // exchange runs adds exactly one em.pin.lifetime.ns sample, and no
+  // clock is left running once the joins released every pin.
+  obs::Tracer::get().enable();
+  int64_t Lifetimes = entangledRunLifetimes(2);
+  obs::Tracer::get().disable();
+  em::CounterSnapshot S = em::Counts.snapshot();
+  ASSERT_GT(S.PinnedObjects, 0) << "workload produced no entanglement";
+  EXPECT_EQ(S.livePinnedObjects(), 0);
+  EXPECT_EQ(Lifetimes, S.UnpinnedObjects);
+  EXPECT_EQ(Heap::clockedPins(), 0);
+}
+
+TEST_F(ObsTest, PinLifetimesNeedAnArmedPlane) {
+  // With no plane armed the same runs pin and unpin as before, but no
+  // clock starts and em.pin.lifetime.ns gains no sample.
+  ASSERT_FALSE(obs::traceEnabled());
+  int64_t Lifetimes = entangledRunLifetimes(2);
+  EXPECT_GT(em::Counts.snapshot().UnpinnedObjects, 0);
+  EXPECT_EQ(Lifetimes, 0);
+  EXPECT_EQ(Heap::clockedPins(), 0);
 }
 
 //===----------------------------------------------------------------------===//
 // Heap-tree introspection (obs::snapshotHeapTree)
 //===----------------------------------------------------------------------===//
 
-TEST_F(ProfileTest, HeapTreeSnapshotWithoutRuntimeIsEmptyFallback) {
+TEST(HeapTreeTest, HeapTreeSnapshotWithoutRuntimeIsEmptyFallback) {
   std::string S = obs::snapshotHeapTree();
   json::Value V;
   std::string Err;
@@ -873,7 +833,7 @@ TEST_F(ProfileTest, HeapTreeSnapshotWithoutRuntimeIsEmptyFallback) {
   EXPECT_EQ(Live->NumV, 0);
 }
 
-TEST_F(ProfileTest, MetricsSampleCarriesHeapTreeSummary) {
+TEST(HeapTreeTest, MetricsSampleCarriesHeapTreeSummary) {
   auto &S = obs::MetricsSampler::get();
   S.clearSeries();
   obs::MetricsSample Outside = S.sampleOnce();
@@ -921,7 +881,7 @@ TEST_F(ProfileTest, MetricsSampleCarriesHeapTreeSummary) {
   S.clearSeries();
 }
 
-TEST_F(ProfileTest, HeapTreeSnapshotConcurrentWithForkJoinUnderChaos) {
+TEST(HeapTreeTest, HeapTreeSnapshotConcurrentWithForkJoinUnderChaos) {
   using namespace mpl::ops;
   // A snapshot thread hammers obs::snapshotHeapTree() while two workers
   // fork, join and collect under a seeded chaos schedule — the TSan preset
@@ -1026,6 +986,7 @@ TEST_F(ObsTest, ExpositionEmitsEachEmCounterOnce) {
       {"mpl_em_pins_down_total", E.DownPointerPins},
       {"mpl_em_pins_cross_total", E.CrossPointerPins},
       {"mpl_em_pins_holder_total", E.PinnedHolderPins},
+      {"mpl_em_pins_cont_total", E.ContPins},
       {"mpl_em_pins_objects_total", E.PinnedObjects},
       {"mpl_em_pinned_bytes_total", E.PinnedBytes},
       {"mpl_em_unpins_total", E.UnpinnedObjects},
@@ -1184,22 +1145,25 @@ TEST_F(ObsTest, UnknownObsPlaneArmsNothing) {
   // One bad name voids the whole list: nothing is armed, the sampler does
   // not start, and stderr gets exactly one line naming the culprit.
   testing::internal::CaptureStderr();
-  EXPECT_EQ(obs::armPlanes("trace,profile,spanz"), 0u);
+  EXPECT_EQ(obs::armPlanes("trace,spanz"), 0u);
   std::string Err = testing::internal::GetCapturedStderr();
   EXPECT_NE(Err.find("'spanz'"), std::string::npos) << Err;
   EXPECT_EQ(std::count(Err.begin(), Err.end(), '\n'), 1) << Err;
   EXPECT_FALSE(obs::traceEnabled());
-  EXPECT_FALSE(obs::profileEnabled());
   EXPECT_FALSE(obs::spansEnabled());
   EXPECT_FALSE(obs::MetricsSampler::get().running());
 
+  // `profile` is no plane: naming it arms nothing either.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(obs::armPlanes("profile,spans"), 0u);
+  Err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(Err.find("'profile'"), std::string::npos) << Err;
+  EXPECT_FALSE(obs::spansEnabled());
+
   // Known names arm exactly their planes; empty items are skipped.
-  EXPECT_EQ(obs::armPlanes("profile,,spans"),
-            unsigned(obs::PlaneProfile | obs::PlaneSpans));
-  EXPECT_TRUE(obs::profileEnabled());
+  EXPECT_EQ(obs::armPlanes(",,spans"), unsigned(obs::PlaneSpans));
   EXPECT_TRUE(obs::spansEnabled());
   EXPECT_FALSE(obs::traceEnabled());
-  obs::Profiler::get().disable();
   obs::SpanLedger::get().disable();
 
   // `trace` starts the sampler with the tracer.

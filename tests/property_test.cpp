@@ -25,7 +25,6 @@
 #include "gc/Collector.h"
 #include "gc/ShadowStack.h"
 #include "hh/Heap.h"
-#include "obs/Profile.h"
 #include "pml/Vm.h"
 #include "pml/jit/Jit.h"
 #include "support/Random.h"
@@ -374,16 +373,13 @@ TEST_P(EffectHandlerProperty, CapturePinsNeverLeakAndAttributionBalances) {
   SCOPED_TRACE(P.Src);
 
   // Half the seeds run their generated program under the JIT tier at
-  // threshold 1: the capture pin protocol and the site attribution must
-  // balance identically when performs/resumes cross native frames.
+  // threshold 1: the capture pin protocol and its pin counts must balance
+  // identically when performs/resumes cross native frames.
   bool UseJit = GetParam() % 2 == 0;
   jit::setCompileThreshold(1);
   jit::setEnabled(UseJit);
 
   em::Counts.reset();
-  obs::Profiler &Prof = obs::Profiler::get();
-  Prof.reset();
-  Prof.enable();
 
   bool Ok = false;
   std::string Out, Val, TyS, Err;
@@ -414,20 +410,10 @@ TEST_P(EffectHandlerProperty, CapturePinsNeverLeakAndAttributionBalances) {
   EXPECT_EQ(Snap.livePinnedBytes(), 0);
 
   // These programs share no refs or arrays across strands, so *every* pin
-  // is a capture pin: the em.cont.capture site must account for all of
-  // the pinned bytes (both zero when the captures happened at depth 0).
-  std::vector<obs::SiteSnap> Sites = Prof.snapshot();
-  Prof.disable();
-  int64_t SiteBytes = 0, SiteEvents = 0;
-  for (const obs::SiteSnap &SS : Sites)
-    if (SS.Name == "em.cont.capture") {
-      SiteBytes += SS.Bytes;
-      SiteEvents += SS.Events;
-    }
-  EXPECT_EQ(SiteEvents, Snap.PinnedObjects);
-  EXPECT_EQ(SiteBytes, Snap.PinnedBytes)
-      << "capture-site attribution must sum to the pinned bytes";
-  EXPECT_EQ(Prof.livePinCount(), 0) << "profiler pin-lifetime table drained";
+  // is a capture pin: em.pins.cont must account for all of the pinned
+  // objects (both zero when the captures happened at depth 0).
+  EXPECT_EQ(Snap.ContPins, Snap.PinnedObjects)
+      << "every pin of these programs is a capture pin";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EffectHandlerProperty,

@@ -6,7 +6,7 @@
 // the CI perf-smoke stage, driven with synthetic mpl-bench/2 fixtures:
 // stddev-aware pass/fail with noise classes, floor behaviour, missing
 // rows, leaked pins, checksum mismatches (same- and cross-scale),
-// profile-site drift, counter/residency gates, and malformed/empty input
+// counter/residency gates, and malformed/empty input
 // rejected with a diagnostic instead of a crash. Also round-trips the
 // BenchJson writer (bench/Common.h) through src/support/Json.h to pin the
 // schema the gate consumes, checks bench::measure, the timed-rep loop
@@ -46,6 +46,7 @@ struct RowSpec {
   std::vector<double> RepS = {0.019, 0.020, 0.021}; // sigma = 1ms
   int64_t EntangledReads = 0;
   int64_t PinsDown = 0;
+  int64_t PinsCross = 0;
   int64_t PinnedObjects = 0;
   int64_t PinnedBytes = 0;
   int64_t Unpins = 0;
@@ -56,9 +57,6 @@ struct RowSpec {
   int64_t JitCodeBytes = 0;
   int64_t Residency = 0;
   int64_t Checksum = 1234;
-  int64_t LeakedPins = 0;
-  int64_t ProfBytes = 0;
-  std::string SitesJson; ///< e.g. {"name":"em.pin.down","events":9,"bytes":64}
 };
 
 std::string rowJson(const RowSpec &S) {
@@ -72,7 +70,7 @@ std::string rowJson(const RowSpec &S) {
       {"em.cont.captured", S.ContCaptured},
       {"em.cont.resumed", S.ContResumed},
       {"em.pinned.bytes", S.PinnedBytes},
-      {"em.pins.cross", 0},
+      {"em.pins.cross", S.PinsCross},
       {"em.pins.down", S.PinsDown},
       {"em.pins.holder", 0},
       {"em.pins.objects", S.PinnedObjects},
@@ -95,14 +93,10 @@ std::string rowJson(const RowSpec &S) {
       "\"time\":{\"median_s\":%.9g,\"min_s\":%.9g,\"stddev_s\":0,"
       "\"rep_s\":[%s]},"
       "\"work_span\":{\"work_s\":0.05,\"span_s\":0.01},"
-      "\"counters\":{%s},\"checksum\":%lld,"
-      "\"profile\":{\"leaked_pins\":%lld,\"leaked_bytes\":0,"
-      "\"pin_bytes_attributed\":%lld,\"sites\":[%s]}}",
+      "\"counters\":{%s},\"checksum\":%lld}",
       S.Name.c_str(), S.Config.c_str(), S.Entangled ? "true" : "false",
       S.MedianS, S.MedianS, Reps.c_str(), Counters.c_str(),
-      static_cast<long long>(S.Checksum),
-      static_cast<long long>(S.LeakedPins),
-      static_cast<long long>(S.ProfBytes), S.SitesJson.c_str());
+      static_cast<long long>(S.Checksum));
   return Buf;
 }
 
@@ -193,9 +187,9 @@ TEST(ReportParse, MalformedRowsRejected) {
 TEST(ReportParse, GoodFileParses) {
   RowSpec S;
   S.Entangled = true;
+  S.PinnedObjects = 9;
   S.PinnedBytes = 512;
-  S.ProfBytes = 512;
-  S.SitesJson = "{\"name\":\"em.pin.down\",\"events\":9,\"bytes\":512}";
+  S.Unpins = 9;
   BenchFile F = parseOrDie(fileJson(0.05, {S}));
   ASSERT_EQ(F.Rows.size(), 1u);
   const gate::Row *R = F.find("bench", "par-w1");
@@ -203,9 +197,8 @@ TEST(ReportParse, GoodFileParses) {
   EXPECT_TRUE(R->Entangled);
   EXPECT_EQ(R->RepS.size(), 3u);
   EXPECT_EQ(R->counter("em.pinned.bytes"), 512);
-  ASSERT_EQ(R->Sites.size(), 1u);
-  EXPECT_EQ(R->Sites[0].Name, "em.pin.down");
-  EXPECT_EQ(R->Sites[0].Bytes, 512);
+  EXPECT_EQ(R->counter("em.pins.objects"), 9);
+  EXPECT_EQ(R->leakedPins(), 0);
   EXPECT_EQ(F.find("bench", "no-such-config"), nullptr);
 }
 
@@ -328,11 +321,19 @@ TEST(ReportGate, MissingRowFails) {
 }
 
 TEST(ReportGate, LeakedPinsFail) {
+  // Leaked pins are read from the row's own counters: pinned objects the
+  // joins did not release (em.pins.objects - em.unpins).
   RowSpec Base, Cur;
-  Cur.LeakedPins = 3;
+  Cur.PinnedObjects = 10;
+  Cur.Unpins = 7;
   GateResult R = gateOne(Base, Cur);
   EXPECT_FALSE(R.ok());
-  EXPECT_NE(R.first(Finding::Kind::LeakedPins), nullptr);
+  const Finding *F = R.first(Finding::Kind::LeakedPins);
+  ASSERT_NE(F, nullptr);
+  EXPECT_NE(F->Message.find("3 leaked pins"), std::string::npos)
+      << F->Message;
+  Cur.Unpins = 10;
+  EXPECT_TRUE(gateOne(Base, Cur).ok());
 }
 
 TEST(ReportGate, ChecksumMismatchSameScaleFails) {
@@ -355,23 +356,6 @@ TEST(ReportGate, ChecksumCrossScaleIgnored) {
   EXPECT_FALSE(R.SameScale);
   ASSERT_FALSE(R.Findings.empty());
   EXPECT_FALSE(R.Findings.front().Fatal);
-}
-
-TEST(ReportGate, AttributionMismatchFails) {
-  // A profiled row (sites present) whose attributed pin bytes disagree
-  // with the em counter is corrupt telemetry.
-  RowSpec Base, Cur;
-  Base.PinnedBytes = Base.ProfBytes = 512;
-  Base.SitesJson = "{\"name\":\"em.pin.down\",\"events\":4,\"bytes\":512}";
-  Cur = Base;
-  Cur.ProfBytes = 100;
-  GateResult R = gateOne(Base, Cur);
-  EXPECT_FALSE(R.ok());
-  EXPECT_NE(R.first(Finding::Kind::AttributionMismatch), nullptr);
-  // Unprofiled rows (no sites) carry attributed=0 legitimately.
-  Cur.ProfBytes = 0;
-  Cur.SitesJson.clear();
-  EXPECT_TRUE(gateOne(Base, Cur).ok());
 }
 
 //===----------------------------------------------------------------------===//
@@ -426,11 +410,32 @@ TEST(ReportCounterGate, DisentangledStartsPinning) {
   RowSpec Base, Cur;
   GateOptions Opts;
   Opts.GateCounters = true;
-  Cur.PinnedObjects = 64; // within 128-event slack
+  Cur.PinnedObjects = Cur.Unpins = 64; // within the 64-event slack
   EXPECT_TRUE(gateOne(Base, Cur, Opts).ok());
-  Cur.PinnedObjects = 5000;
+  Cur.PinnedObjects = Cur.Unpins = 5000;
   Cur.PinnedBytes = 1 << 20;
   EXPECT_FALSE(gateOne(Base, Cur, Opts).ok());
+}
+
+TEST(ReportCounterGate, DisentangledRowPinningAHundredObjectsFails) {
+  // A disentangled BENCH_T4 row that starts pinning 100 objects (16,000
+  // bytes, all released at the join): past the 64-event slack, so the
+  // counter gate alone fails it, while its time stays within noise.
+  RowSpec Base, Cur;
+  Cur.MedianS = 0.0205;
+  Cur.PinsDown = Cur.PinnedObjects = Cur.Unpins = 100;
+  Cur.PinnedBytes = 16000;
+  GateOptions Opts;
+  Opts.GateCounters = true;
+  GateResult R = gateOne(Base, Cur, Opts);
+  EXPECT_FALSE(R.ok());
+  const Finding *F = R.first(Finding::Kind::CounterRegression);
+  ASSERT_NE(F, nullptr);
+  EXPECT_NE(F->Message.find("em.pins.down 0 -> 100 (limit 64)"),
+            std::string::npos)
+      << F->Message;
+  // Without the counter opt-in the same row passes.
+  EXPECT_TRUE(gateOne(Base, Cur).ok());
 }
 
 TEST(ReportCounterGate, ContinuationTrafficJump) {
@@ -486,7 +491,7 @@ TEST(ReportCounterGate, JitCountersParsedAndGated) {
   Cur.JitCodeBytes = 0;
   EXPECT_TRUE(gateOne(Base, Cur, Opts).ok());
   Cur = Base;
-  Cur.JitCompiled = 600; // past 100% tolerance + 128-event slack
+  Cur.JitCompiled = 600; // past 100% tolerance + 64-event slack
   GateResult R = gateOne(Base, Cur, Opts);
   EXPECT_FALSE(R.ok());
   const Finding *F2 = R.first(Finding::Kind::CounterRegression);
@@ -525,71 +530,73 @@ TEST(ReportTimeGate, ConfigSubstrArmsTimeGateSelectively) {
 }
 
 //===----------------------------------------------------------------------===//
-// Profile-site drift
+// Counter gate on the inputs the site-drift gate used to judge
 //===----------------------------------------------------------------------===//
 
-TEST(ReportDrift, NewSiteFailsEvenWithinTimeNoise) {
-  // The motivating case: a disentangled benchmark starts pinning. Its
-  // time stays within noise, but its profile grows a site the baseline
-  // never had — the drift gate alone must catch it.
+TEST(ReportCounterGate, NewPinsFailEvenWithinTimeNoise) {
+  // A disentangled benchmark starts pinning: its time stays within
+  // noise, but its pin counters leave a zero baseline — the counter gate
+  // alone must catch it.
   RowSpec Base, Cur;
   Cur.MedianS = 0.0205; // well within noise
-  Cur.SitesJson =
-      "{\"name\":\"em.pin.down\",\"events\":4000,\"bytes\":2000000}";
-  Cur.PinnedBytes = Cur.ProfBytes = 2000000;
+  Cur.PinsDown = Cur.PinnedObjects = Cur.Unpins = 4000;
+  Cur.PinnedBytes = 2000000;
   GateOptions Opts;
-  Opts.ProfileDrift = true;
+  Opts.GateCounters = true;
   GateResult R = gateOne(Base, Cur, Opts);
   EXPECT_FALSE(R.ok());
-  const Finding *F = R.first(Finding::Kind::ProfileDrift);
+  const Finding *F = R.first(Finding::Kind::CounterRegression);
   ASSERT_NE(F, nullptr);
-  EXPECT_NE(F->Message.find("new"), std::string::npos) << F->Message;
-  // Without --profile-drift the same row passes (time within noise).
+  EXPECT_NE(F->Message.find("em.pins.down 0 -> 4000"), std::string::npos)
+      << F->Message;
+  // Without --gate-counters the same row passes (time within noise).
   EXPECT_TRUE(gateOne(Base, Cur).ok());
 }
 
-TEST(ReportDrift, SiteGrowthGatedShrinkIsNot) {
+TEST(ReportCounterGate, PinGrowthGatedShrinkIsNot) {
   RowSpec Base, Cur;
-  Base.SitesJson =
-      "{\"name\":\"em.pin.cross\",\"events\":1000,\"bytes\":100000}";
-  Base.PinnedBytes = Base.ProfBytes = 100000;
+  Base.PinsCross = Base.PinnedObjects = Base.Unpins = 1000;
+  Base.PinnedBytes = 100000;
   GateOptions Opts;
-  Opts.ProfileDrift = true;
+  Opts.GateCounters = true;
   // Growth within 100% tolerance passes.
   Cur = Base;
-  Cur.SitesJson =
-      "{\"name\":\"em.pin.cross\",\"events\":1800,\"bytes\":180000}";
-  Cur.PinnedBytes = Cur.ProfBytes = 180000;
+  Cur.PinsCross = Cur.PinnedObjects = Cur.Unpins = 1800;
+  Cur.PinnedBytes = 180000;
   EXPECT_TRUE(gateOne(Base, Cur, Opts).ok());
   // 4x bytes fails.
-  Cur.SitesJson =
-      "{\"name\":\"em.pin.cross\",\"events\":1000,\"bytes\":400000}";
-  Cur.PinnedBytes = Cur.ProfBytes = 400000;
-  EXPECT_FALSE(gateOne(Base, Cur, Opts).ok());
+  Cur = Base;
+  Cur.PinnedBytes = 400000;
+  GateResult R = gateOne(Base, Cur, Opts);
+  EXPECT_FALSE(R.ok());
+  const Finding *F = R.first(Finding::Kind::CounterRegression);
+  ASSERT_NE(F, nullptr);
+  EXPECT_NE(F->Message.find("em.pinned.bytes"), std::string::npos)
+      << F->Message;
   // Shrink/disappearance is an improvement.
   Cur = Base;
-  Cur.SitesJson.clear();
-  Cur.PinnedBytes = Cur.ProfBytes = 0;
+  Cur.PinsCross = Cur.PinnedObjects = Cur.Unpins = 0;
+  Cur.PinnedBytes = 0;
   EXPECT_TRUE(gateOne(Base, Cur, Opts).ok());
 }
 
-TEST(ReportDrift, TopKLimitsJoin) {
-  // Only the top-K sites of the current run are gated: a regressed site
-  // ranked past K is ignored at K=1 and caught at K=2.
+TEST(ReportCounterGate, EveryGatedCounterIsJudged) {
+  // The pins are unchanged but entangled reads jump from 0 to 90,000:
+  // every gated counter is judged, not only the largest, so the row fails.
   RowSpec Base, Cur;
-  Base.SitesJson =
-      "{\"name\":\"em.pin.down\",\"events\":1000,\"bytes\":500000}";
-  Base.PinnedBytes = Base.ProfBytes = 500000;
-  Cur.SitesJson =
-      "{\"name\":\"em.pin.down\",\"events\":1000,\"bytes\":500000},"
-      "{\"name\":\"em.read.entangled\",\"events\":90000,\"bytes\":90000}";
-  Cur.PinnedBytes = Cur.ProfBytes = 500000;
+  Base.PinsDown = Base.PinnedObjects = Base.Unpins = 1000;
+  Base.PinnedBytes = 500000;
+  Cur = Base;
+  Cur.EntangledReads = 90000;
   GateOptions Opts;
-  Opts.ProfileDrift = true;
-  Opts.DriftTopK = 1;
-  EXPECT_TRUE(gateOne(Base, Cur, Opts).ok());
-  Opts.DriftTopK = 2;
-  EXPECT_FALSE(gateOne(Base, Cur, Opts).ok());
+  Opts.GateCounters = true;
+  GateResult R = gateOne(Base, Cur, Opts);
+  EXPECT_FALSE(R.ok());
+  const Finding *F = R.first(Finding::Kind::CounterRegression);
+  ASSERT_NE(F, nullptr);
+  EXPECT_NE(F->Message.find("em.reads.entangled 0 -> 90000"),
+            std::string::npos)
+      << F->Message;
 }
 
 //===----------------------------------------------------------------------===//
@@ -630,13 +637,6 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
                 {"em.pins.objects", 3},    {"em.reads.entangled", 7},
                 {"em.unpins", 3},          {"gc.collections", 2},
                 {"mm.bytes.peak", 1 << 20}};
-  bench::ProfileSiteRow Site;
-  Site.Name = "em.pin.down";
-  Site.Events = 3;
-  Site.Bytes = 1024;
-  Site.LifetimeP50Ns = 100;
-  Site.LifetimeP99Ns = 900;
-  R.ProfileSites.push_back(Site);
 
   bench::BenchJson J("roundtrip", 0.25, 3);
   J.addMeta("note", "quotes \"and\" backslash \\ survive");
@@ -657,11 +657,8 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
   EXPECT_TRUE(Row0->field("entangled")->BoolV);
   EXPECT_EQ(Row0->field("time")->field("rep_s")->Items.size(), 3u);
   EXPECT_EQ(Row0->field("checksum")->NumV, 42);
-  const json::Value *Prof = Row0->field("profile");
-  ASSERT_NE(Prof, nullptr);
-  EXPECT_EQ(Prof->field("pin_bytes_attributed")->NumV, 1024);
-  EXPECT_EQ(Prof->field("sites")->Items.at(0).field("name")->StrV,
-            "em.pin.down");
+  // Leaked pins are the row's em.pins.objects - em.unpins: no second block.
+  EXPECT_EQ(Row0->field("profile"), nullptr);
 
   // And the gate's own loader accepts the writer's output wholesale.
   BenchFile F;
@@ -670,14 +667,12 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
   const gate::Row &G = F.Rows[0];
   EXPECT_EQ(G.Name, "bench \"x\"");
   EXPECT_NEAR(G.sigmaS(), 0.001, 1e-9);
-  EXPECT_EQ(G.PinBytesAttributed, 1024);
   EXPECT_EQ(G.counter("em.pinned.bytes"), 1024);
   EXPECT_EQ(G.counter("mm.bytes.peak"), 1 << 20);
-  ASSERT_EQ(G.Sites.size(), 1u);
-  EXPECT_EQ(G.Sites[0].Events, 3);
+  EXPECT_EQ(G.leakedPins(), 0);
   // A self-compare of the round-tripped file is clean under every gate.
   GateOptions Opts;
-  Opts.GateResidency = Opts.GateCounters = Opts.ProfileDrift = true;
+  Opts.GateResidency = Opts.GateCounters = true;
   EXPECT_TRUE(gate::compare(F, F, Opts).ok());
 }
 
@@ -782,7 +777,7 @@ TEST(Measure, CountersComeFromTheMedianRep) {
   ASSERT_EQ(R.RepSeconds.size(), 5u);
   EXPECT_EQ(R.Seconds, R.RepSeconds[3]);
   EXPECT_EQ(R.counter("em.cont.captured"), 4);
-  EXPECT_EQ(R.LeakedPins, 0);
+  EXPECT_EQ(R.leakedPins(), 0);
 }
 
 TEST(MeasureDeathTest, VaryingChecksumFails) {

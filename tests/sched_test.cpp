@@ -123,7 +123,7 @@ TEST(SchedulerTest, ParallelForEmptyAndTinyRanges) {
   EXPECT_EQ(Count, 1);
 }
 
-TEST(ProfilerTest, WorkAtLeastSpan) {
+TEST(WorkSpanTest, WorkAtLeastSpan) {
   Scheduler S({.NumWorkers = 1});
   WorkSpan WS = S.run([&] { volatile int64_t X = schedFib(S, 20); (void)X; });
   EXPECT_GT(WS.WorkSec, 0.0);
@@ -132,7 +132,7 @@ TEST(ProfilerTest, WorkAtLeastSpan) {
   EXPECT_GE(WS.WorkSec * 1.05, WS.SpanSec);
 }
 
-TEST(ProfilerTest, ParallelWorkloadHasParallelism) {
+TEST(WorkSpanTest, ParallelWorkloadHasParallelism) {
   // fib has abundant parallelism: W/S should clearly exceed 1 even with
   // sequential execution underneath.
   Scheduler S({.NumWorkers = 1});
@@ -143,7 +143,7 @@ TEST(ProfilerTest, ParallelWorkloadHasParallelism) {
   EXPECT_GE(WS.predictedTime(8), WS.SpanSec);
 }
 
-TEST(ProfilerTest, SequentialChainHasNoParallelism) {
+TEST(WorkSpanTest, SequentialChainHasNoParallelism) {
   // A purely sequential computation: span == work (no forks).
   Scheduler S({.NumWorkers = 2});
   WorkSpan WS = S.run([&] {

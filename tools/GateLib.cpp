@@ -79,16 +79,12 @@ const char *findingKindName(Finding::Kind K) {
     return "leaked-pins";
   case Finding::Kind::ChecksumMismatch:
     return "checksum";
-  case Finding::Kind::AttributionMismatch:
-    return "attribution";
   case Finding::Kind::TimeRegression:
     return "time";
   case Finding::Kind::ResidencyRegression:
     return "residency";
   case Finding::Kind::CounterRegression:
     return "counter";
-  case Finding::Kind::ProfileDrift:
-    return "profile-drift";
   case Finding::Kind::Note:
     return "note";
   }
@@ -206,16 +202,6 @@ bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err) {
       R.Checksum = static_cast<int64_t>(Ck->NumV);
       R.HasChecksum = true;
     }
-    const json::Value *Prof = RV.field("profile");
-    R.LeakedPins = intField(Prof, "leaked_pins");
-    R.PinBytesAttributed = intField(Prof, "pin_bytes_attributed");
-    if (Prof)
-      if (const json::Value *Sites = Prof->field("sites");
-          Sites && Sites->isArray())
-        for (const json::Value &SV : Sites->Items)
-          R.Sites.push_back(SiteRow{strField(&SV, "name"),
-                                    intField(&SV, "events"),
-                                    intField(&SV, "bytes")});
     Out.Rows.push_back(std::move(R));
   }
   return true;
@@ -331,39 +317,6 @@ struct RowGate {
         counter(G.Name, B.counter(G.Name), C.counter(G.Name), Pct,
                 Opts.*G.Slack, K);
   }
-
-  void gateDrift() {
-    // Current top-K sites vs. the *whole* baseline profile: growth or a
-    // brand-new site fails; a site shrinking or vanishing is an
-    // improvement and never does.
-    int Considered = 0;
-    for (const SiteRow &S : C.Sites) {
-      if (Considered++ >= Opts.DriftTopK)
-        break;
-      const SiteRow *Base = nullptr;
-      for (const SiteRow &BS : B.Sites)
-        if (BS.Name == S.Name) {
-          Base = &BS;
-          break;
-        }
-      int64_t BaseEv = Base ? Base->Events : 0;
-      int64_t BaseBy = Base ? Base->Bytes : 0;
-      int64_t EvLimit = counterLimit(BaseEv, Opts.DriftTolerancePct,
-                                     Opts.DriftAbsSlackEvents);
-      int64_t ByLimit = counterLimit(BaseBy, Opts.DriftTolerancePct,
-                                     Opts.DriftAbsSlackBytes);
-      if (S.Events <= EvLimit && S.Bytes <= ByLimit)
-        continue;
-      std::string Msg = "site '" + S.Name + "' ";
-      if (!Base)
-        Msg += "is new (baseline has no such site): ";
-      Msg += "events " + std::to_string(BaseEv) + " -> " +
-             std::to_string(S.Events) + ", bytes " + std::to_string(BaseBy) +
-             " -> " + std::to_string(S.Bytes) + " (limits " +
-             std::to_string(EvLimit) + " / " + std::to_string(ByLimit) + ")";
-      fail(Finding::Kind::ProfileDrift, std::move(Msg));
-    }
-  }
 };
 
 } // namespace
@@ -404,32 +357,19 @@ GateResult compare(const BenchFile &Base, const BenchFile &Cur,
     }
     ++R.ComparedRows;
     RowGate G{Opts, B, *C, R.Findings};
-    if (C->LeakedPins > 0)
+    if (int64_t Leaked = C->leakedPins(); Leaked > 0)
       G.fail(Finding::Kind::LeakedPins,
-             std::to_string(C->LeakedPins) +
+             std::to_string(Leaked) +
                  " leaked pins (joins must release every pin)");
     if (R.SameScale && B.HasChecksum && C->HasChecksum &&
         B.Checksum != C->Checksum)
       G.fail(Finding::Kind::ChecksumMismatch,
              std::to_string(B.Checksum) + " vs " +
                  std::to_string(C->Checksum));
-    // The profiler and em counters observe the same chokepoint
-    // (Heap::addPinned): a profiled row that lost track of pinned bytes
-    // is corrupt telemetry, not noise.
-    int64_t Pinned = C->counter("em.pinned.bytes");
-    if (!C->Sites.empty() && C->PinBytesAttributed != Pinned)
-      G.fail(Finding::Kind::AttributionMismatch,
-             "profiler attributed " + std::to_string(C->PinBytesAttributed) +
-                 " of " + std::to_string(Pinned) + " pinned bytes");
     if (Opts.GateResidency)
       G.gateCounters(Residency, Opts.ResidencyTolerancePct);
-    if (Opts.GateCounters) {
+    if (Opts.GateCounters)
       G.gateCounters(Counter, Opts.CounterTolerancePct);
-      G.counter("prof_bytes", B.PinBytesAttributed, C->PinBytesAttributed,
-                Opts.CounterTolerancePct, Opts.CounterAbsSlackBytes, Counter);
-    }
-    if (Opts.ProfileDrift)
-      G.gateDrift();
     // The time gate: only rows long enough to be stable across machines.
     bool TimeGate =
         Opts.GateTimes ||
@@ -452,22 +392,19 @@ std::string renderTable(const BenchFile &F) {
   std::snprintf(Head, sizeof(Head), "== %s (scale=%.2f, %zu rows) — %s ==\n",
                 F.Bench.c_str(), F.Scale, F.Rows.size(), F.Path.c_str());
   Table T({"benchmark", "config", "median", "+-", "noise", "work/span",
-           "pinned", "gc", "residency", "top site"});
+           "pinned", "gc", "residency", "leaked"});
   for (const Row &R : F.Rows) {
     std::string Par =
         R.SpanS > 0 ? Table::fmtRatio(R.WorkS / R.SpanS) : std::string("-");
-    std::string Top = "-";
-    if (!R.Sites.empty())
-      Top = R.Sites.front().Name + " " + Table::fmtBytes(R.Sites.front().Bytes);
-    if (R.LeakedPins > 0)
-      Top += " LEAK:" + Table::fmtInt(R.LeakedPins);
     double Sigma = R.sigmaS();
     T.addRow({R.Name, R.Config, Table::fmtSec(R.MedianS),
               Sigma > 0 ? Table::fmtSec(Sigma) : std::string("-"),
               noiseName(R.noiseClass()), Par,
               Table::fmtBytes(R.counter("em.pinned.bytes")),
               Table::fmtInt(R.counter("gc.collections")),
-              Table::fmtBytes(R.counter("mm.bytes.peak")), Top});
+              Table::fmtBytes(R.counter("mm.bytes.peak")),
+              R.leakedPins() > 0 ? "LEAK:" + Table::fmtInt(R.leakedPins())
+                                 : std::string("-")});
   }
   return std::string(Head) + T.render();
 }
@@ -489,11 +426,10 @@ std::string renderFindings(const GateResult &R, const GateOptions &Opts) {
   char Buf[192];
   std::snprintf(Buf, sizeof(Buf),
                 "mpl_report: compared %d rows (%d time-gated at >=%.0fms, "
-                "k=%.1f floor=%.0f%%%s%s%s): %s\n",
+                "k=%.1f floor=%.0f%%%s%s): %s\n",
                 R.ComparedRows, R.TimeGatedRows, Opts.MinTimeMs, Opts.StddevK,
                 Opts.FloorPct, Opts.GateResidency ? ", residency" : "",
                 Opts.GateCounters ? ", counters" : "",
-                Opts.ProfileDrift ? ", profile-drift" : "",
                 R.ok() ? "ok" : "FAIL");
   Out += Buf;
   return Out;

@@ -36,21 +36,15 @@
 ///    states how trustworthy the baseline spread was.
 ///  - Counter/space gates (per-table opt-ins): mm.bytes.peak and
 ///    em.pinned.bytes (space table), em, continuation and pml.jit
-///    counters and profiler-attributed pin bytes (entangle and pml
-///    tables), each by registry name. All gate upward only — improvements
-///    never fail — with a relative tolerance plus an absolute slack so
-///    zero/near-zero baselines do not turn scheduler jitter into
-///    failures, while a disentangled row that *starts* pinning still
-///    fails loudly.
-///  - Profile drift (--profile-drift): the top-K profiler sites of
-///    baseline and current are joined by site name; a site whose events
-///    or bytes grew past tolerance+slack — or that is new against an
-///    empty baseline profile — fails even when the row's time is within
-///    noise.
+///    counters (entangle and pml tables), each by registry name. All gate
+///    upward only — improvements never fail — with a relative tolerance
+///    plus an absolute slack so zero/near-zero baselines do not turn
+///    scheduler jitter into failures, while a disentangled row that
+///    *starts* pinning (more than 64 objects or 16 KiB past its baseline)
+///    fails even when its time is within noise.
 ///  - Always-fatal regardless of options: rows missing from the current
-///    run, leaked pins, same-scale checksum mismatches, and a profiler
-///    attribution mismatch (sites recorded but attributed pin bytes !=
-///    em pinned bytes; the two observe the same chokepoint).
+///    run, leaked pins (em.pins.objects - em.unpins of the row's own
+///    counters) and same-scale checksum mismatches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,13 +58,6 @@
 
 namespace mpl {
 namespace gate {
-
-/// One profiler site carried in a row's "profile" block.
-struct SiteRow {
-  std::string Name;
-  int64_t Events = 0;
-  int64_t Bytes = 0;
-};
 
 /// How trustworthy a row's measured spread is (relative stddev of the
 /// recorded per-rep times).
@@ -91,9 +78,6 @@ struct Row {
   std::map<std::string, int64_t> Counters;
   int64_t Checksum = 0;
   bool HasChecksum = false;
-  int64_t LeakedPins = 0;
-  int64_t PinBytesAttributed = 0;
-  std::vector<SiteRow> Sites;  ///< Sorted by bytes desc (writer order).
 
   /// Sample stddev recomputed from RepS (needs >= 2 reps); falls back to
   /// the recorded StddevS when the per-rep times are absent.
@@ -104,6 +88,11 @@ struct Row {
 
   /// Counter \p Name, or 0 when the row does not carry it.
   int64_t counter(const std::string &Name) const;
+
+  /// Pins the run left unreleased: em.pins.objects - em.unpins.
+  int64_t leakedPins() const {
+    return counter("em.pins.objects") - counter("em.unpins");
+  }
 };
 
 /// One parsed mpl-bench/2 file.
@@ -126,8 +115,8 @@ bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err);
 bool loadBenchFile(const std::string &Path, BenchFile &Out, std::string &Err);
 
 /// Gate configuration. The defaults match the CI perf-smoke stage; the
-/// per-table opt-ins (GateResidency / GateCounters / ProfileDrift) are off
-/// so the plain time gate stays the cheapest configuration.
+/// per-table opt-ins (GateResidency / GateCounters) are off so the plain
+/// time gate stays the cheapest configuration.
 struct GateOptions {
   // Time gate: fail when cur > base + max(StddevK*sigma, floor*base),
   // floor = FloorPct/100 (doubled for Noisy rows). Rows whose baseline
@@ -152,18 +141,11 @@ struct GateOptions {
   int64_t ResidencyAbsSlackBytes = 1 << 20;
 
   // Counter gate (BENCH_T3, BENCH_T4): em, continuation and pml.jit
-  // counters + profiler-attributed pin bytes.
+  // counters.
   bool GateCounters = false;
   double CounterTolerancePct = 100.0;
-  int64_t CounterAbsSlackEvents = 128;
-  int64_t CounterAbsSlackBytes = 64 << 10;
-
-  // Profile-site drift gate (BENCH_T4): join top-K sites by name.
-  bool ProfileDrift = false;
-  int DriftTopK = 5;
-  double DriftTolerancePct = 100.0;
-  int64_t DriftAbsSlackEvents = 64;
-  int64_t DriftAbsSlackBytes = 16 << 10;
+  int64_t CounterAbsSlackEvents = 64;
+  int64_t CounterAbsSlackBytes = 16 << 10;
 };
 
 /// One gate verdict. Fatal findings fail the gate; non-fatal ones are
@@ -173,11 +155,9 @@ struct Finding {
     MissingRow,
     LeakedPins,
     ChecksumMismatch,
-    AttributionMismatch,
     TimeRegression,
     ResidencyRegression,
     CounterRegression,
-    ProfileDrift,
     Note,
   };
   Kind K = Kind::Note;

@@ -9,13 +9,12 @@
 //             Paper-style table of an "mpl-bench/2" file (what every
 //             bench binary writes with `-json <path>`; bench/Common.h,
 //             BenchJson): times with spread and noise class, work/span,
-//             entanglement counters, residency, and the top profiler site.
+//             pinned bytes, GC count, residency and leaked pins.
 //
 //   compare:  mpl_report --baseline A --current B
 //                        [--stddev-k K] [--floor-pct N] [--min-time-ms M]
 //                        [--no-time-gate] [--gate-residency]
-//                        [--gate-counters] [--profile-drift]
-//                        [--drift-top-k K] [--time-gate-config SUBSTR]
+//                        [--gate-counters] [--time-gate-config SUBSTR]
 //             The CI perf-smoke gate (DESIGN.md §12). Joins rows on
 //             (name, config) and exits 1 when the current run regressed:
 //               * median time beyond baseline + max(K*sigma, floor%) —
@@ -25,15 +24,12 @@
 //                 rows are pure noise across machines at smoke scale;
 //               * with --gate-residency: max residency / pinned bytes
 //                 grew past tolerance (the space table's claim);
-//               * with --gate-counters: em counters or attributed pin
-//                 bytes grew past tolerance (the entangle table's claim);
-//               * with --profile-drift: a top-K profiler site's events or
-//                 bytes grew past tolerance, or a site is new against an
-//                 empty baseline profile — catching a disentangled
-//                 benchmark that starts pinning even when its time is
-//                 within noise;
+//               * with --gate-counters: em, continuation or pml.jit
+//                 counters grew past tolerance (the entangle table's
+//                 claim) — catching a disentangled benchmark that starts
+//                 pinning even when its time is within noise;
 //               * always: leaked pins, missing rows, same-scale checksum
-//                 mismatches, profiler attribution mismatches.
+//                 mismatches.
 //             Improvements never fail the gate. Every rule is judged in
 //             the one pass, so a time failure still reports residency.
 //             --no-time-gate turns the time rule off for tables whose
@@ -90,7 +86,6 @@ int usage() {
       "       mpl_report --baseline A --current B\n"
       "                  [--stddev-k K] [--floor-pct N] [--min-time-ms M]\n"
       "                  [--no-time-gate] [--gate-residency] [--gate-counters]\n"
-      "                  [--profile-drift] [--drift-top-k K]\n"
       "                  [--time-gate-config SUBSTR]\n"
       "       mpl_report spans analyze|critical-path|top-lines|fold FILE\n"
       "                  [--check-agreement PCT] [-n K]\n"
@@ -126,9 +121,8 @@ bool flagsOk(const Cli &C, std::initializer_list<std::string_view> Valued,
 int benchForms(const Cli &C) {
   if (!flagsOk(C,
                {"baseline", "current", "stddev-k", "floor-pct", "min-time-ms",
-                "drift-top-k", "time-gate-config"},
-               {"no-time-gate", "gate-residency", "gate-counters",
-                "profile-drift"}))
+                "time-gate-config"},
+               {"no-time-gate", "gate-residency", "gate-counters"}))
     return usage();
   const std::vector<std::string> &Pos = C.positional();
   std::string BaselinePath = C.getString("baseline", "");
@@ -160,8 +154,6 @@ int benchForms(const Cli &C) {
   Opts.TimeGateConfigSubstr = C.getString("time-gate-config", "");
   Opts.GateResidency = C.getBool("gate-residency");
   Opts.GateCounters = C.getBool("gate-counters");
-  Opts.ProfileDrift = C.getBool("profile-drift");
-  Opts.DriftTopK = static_cast<int>(C.getInt("drift-top-k", Opts.DriftTopK));
   gate::BenchFile Base, Cur;
   if (!gate::loadBenchFile(BaselinePath, Base, Err) ||
       !gate::loadBenchFile(CurrentPath, Cur, Err)) {

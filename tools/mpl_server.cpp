@@ -8,7 +8,8 @@
 /// The mpl request server as a process: binds, prints the bound port (so
 /// harnesses using -port 0 can scrape it), serves until SIGTERM/SIGINT or
 /// -run-for-ms elapses, drains, then prints an `mpl-server/1` JSON summary
-/// and exits 0 iff the drain was clean and no pins leaked.
+/// (every registry counter under its own name, the chaos fault count and
+/// the leaked pins) and exits 0 iff the drain was clean and no pins leaked.
 ///
 /// Chaos arming (flags, with MPL_CHAOS_* env fallbacks) makes the process
 /// the target of the robustness smoke: seeded wire faults plus every-N
@@ -24,6 +25,7 @@
 #include "support/Cli.h"
 #include "support/EmCounters.h"
 #include "support/Json.h"
+#include "support/Stats.h"
 #include "support/Timer.h"
 
 #include <csignal>
@@ -112,24 +114,12 @@ int main(int Argc, char **Argv) {
   }
   Srv.waitUntilDrained();
 
-  net::ServerTotals T = Srv.totals();
   // The exit code asserts every pin was released (em's live pin count).
   int64_t LeakedPins = em::Counts.snapshot().livePinnedObjects();
-  chaos::Totals CT = chaos::totals();
   json::Writer W;
-  W.beginObject()
-      .key("mpl-server/1")
-      .beginObject()
-      .kv("accepted", T.Accepted)
-      .kv("requests", T.Requests)
-      .kv("ok", T.Ok)
-      .kv("shed", T.Shed)
-      .kv("deadline_expired", T.DeadlineExpired)
-      .kv("error", T.Errors)
-      .kv("draining", T.Draining)
-      .kv("wire_faults", T.WireFaults)
-      .kv("protocol_errors", T.ProtocolErrors)
-      .kv("chaos_faults", CT.FaultsInjected)
+  W.beginObject().key("mpl-server/1").beginObject();
+  writeJson(W.key("counters"), StatRegistry::get().snapshotAll());
+  W.kv("chaos_faults", chaos::totals().FaultsInjected)
       .kv("leaked_pins", LeakedPins)
       .endObject()
       .endObject();

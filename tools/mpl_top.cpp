@@ -123,14 +123,16 @@ void render(const json::Value &Stats, const CounterView &Prev,
   std::printf("mpl_top — status=%s pressure=%s\n",
               strField(Stats, "status").c_str(),
               strField(Stats, "pressure").c_str());
+  const json::Value *G = Stats.field("gauges");
   std::printf("queue %.0f/%.0f  inflight %.0f  |  %.1f req/s  %.1f shed/s\n",
-              numField(Stats, "queue_depth"), numField(Stats, "queue_cap"),
-              numField(Stats, "inflight"), ReqRate, ShedRate);
+              G ? numField(*G, "net.queue.depth") : 0,
+              numField(Stats, "queue_cap"),
+              G ? numField(*G, "net.inflight") : 0, ReqRate, ShedRate);
   std::printf("totals: ok=%.0f shed=%.0f deadline=%.0f error=%.0f "
               "draining=%.0f\n",
               Cur.Ok, Cur.Shed, Cur.Deadline, Cur.Errors, Cur.Draining);
 
-  if (const json::Value *G = Stats.field("gauges")) {
+  if (G) {
     char Pinned[32], Out[32], Lim[32];
     fmtBytes(Pinned, sizeof(Pinned), numField(*G, "em.live.pinned.bytes"));
     fmtBytes(Out, sizeof(Out), numField(*G, "mm.outstanding.bytes"));
