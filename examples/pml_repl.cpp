@@ -157,10 +157,9 @@ int runInteractive(int Workers) {
         std::printf("no run recorded yet — evaluate a program first\n");
         continue;
       }
-      std::string S = Sum.summaryText();
+      std::string S =
+          obs::renderSpanSummary(Sum) + obs::renderTopLines(Sum, 5);
       std::fwrite(S.data(), 1, S.size(), stdout);
-      if (S.empty() || S.back() != '\n')
-        std::fputc('\n', stdout);
       continue;
     }
     if (Line == ":heaps") {

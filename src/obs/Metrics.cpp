@@ -8,7 +8,6 @@
 
 #include "obs/Exposition.h"
 #include "obs/HeapTree.h"
-#include "obs/Span.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
 
@@ -90,9 +89,6 @@ MetricsSample MetricsSampler::recordSampleLocked() {
       S.DepthHist.resize(static_cast<size_t>(H.Depth) + 1, 0);
     ++S.DepthHist[static_cast<size_t>(H.Depth)];
   }
-  // Task-depth throughput from the span ledger (atomic loads only; no lock
-  // ordering concern — the ledger's Mu is never involved).
-  S.TaskDepthHist = SpanLedger::taskDepthHistogram();
   if (Series.size() == MaxSamples)
     Series.pop_front();
   Series.push_back(S);

@@ -62,12 +62,6 @@ struct MetricsSample {
   /// tree over time, not just its height — a wide fork fan-out and one
   /// deep spine have the same MaxHeapDepth but very different histograms.
   std::vector<int64_t> DepthHist;
-  /// Cumulative finished tasks per heap depth, snapshotted from the span
-  /// ledger (SpanLedger::taskDepthHistogram). Where DepthHist is the live
-  /// tree *shape* at the sample instant, this is the *throughput* by depth:
-  /// per-sample deltas show which tree levels completed work in the
-  /// interval. Empty until the span ledger has been armed.
-  std::vector<int64_t> TaskDepthHist;
 };
 
 /// Process-wide sampler. Start()/stop() manage the background thread;

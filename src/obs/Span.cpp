@@ -6,10 +6,9 @@
 
 #include "obs/Span.h"
 
-#include "support/Json.h"
-
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <unordered_map>
 
 using namespace mpl;
@@ -29,7 +28,7 @@ thread_local uint32_t CurPmlLoc = 0;
 namespace {
 
 /// Records are capped per shard so a runaway workload bounds the ledger at
-/// ~48 MB/thread; overflow is counted, and a run with drops reports an
+/// ~56 MB/thread; overflow is counted, and a run with drops reports an
 /// unusable (Valid=false) DAG rather than a silently wrong critical path.
 constexpr size_t MaxRecordsPerShard = size_t(1) << 20;
 constexpr size_t MaxLineEntriesPerShard = 4096;
@@ -47,12 +46,6 @@ struct SpanTlsSlot {
 thread_local SpanTlsSlot SpanTls;
 thread_local int SpanTlsWorkerId = -1;
 
-uint16_t sat16(uint32_t V) { return V > 0xffff ? 0xffff : uint16_t(V); }
-
-/// Cumulative per-depth finished-task counters (SpanLedger::TaskDepthBuckets
-/// buckets, last one saturating). Relaxed: sampled asynchronously by the
-/// metrics thread, exactness per sample does not matter.
-std::atomic<int64_t> TaskDepthCounts[SpanLedger::TaskDepthBuckets] = {};
 uint8_t sat8(uint32_t V) { return V > 0xff ? 0xff : uint8_t(V); }
 
 } // namespace
@@ -72,10 +65,6 @@ void SpanLedger::enable() {
 
 void SpanLedger::disable() {
   detail::SpanActiveFlag.store(0, std::memory_order_release);
-}
-
-bool SpanLedger::enabled() const {
-  return detail::SpanActiveFlag.load(std::memory_order_acquire) != 0;
 }
 
 SpanLedger::Shard *SpanLedger::threadShard() {
@@ -132,7 +121,6 @@ void SpanLedger::runBegin() {
     S->Dropped = 0;
   }
   detail::NextSpanId.store(1, std::memory_order_relaxed);
-  RunBaseNs.store(nowNs(), std::memory_order_relaxed);
 }
 
 void SpanLedger::runEnd(double WorkSec, double SpanSec) {
@@ -160,8 +148,10 @@ void SpanLedger::runEnd(double WorkSec, double SpanSec) {
     }
   }
 
-  Sum.Tasks = static_cast<int64_t>(Recs.size());
-  int64_t Base = RunBaseNs.load(std::memory_order_relaxed);
+  // Start order (root first: it started earliest) is the summary's order.
+  std::sort(Recs.begin(), Recs.end(), [](const Rec &A, const Rec &B) {
+    return A.R.StartNs < B.R.StartNs;
+  });
 
   // Index by id; find the root; collect children per parent.
   std::unordered_map<uint64_t, size_t> ById;
@@ -191,16 +181,6 @@ void SpanLedger::runEnd(double WorkSec, double SpanSec) {
     std::sort(C.begin(), C.end(),
               [&](size_t A, size_t B) { return Recs[A].R.Id < Recs[B].R.Id; });
 
-  int64_t TotalSelf = 0, TotalEm = 0, TotalPins = 0;
-  for (const Rec &R : Recs) {
-    TotalSelf += R.R.SelfNs;
-    TotalEm += R.R.EmReads;
-    TotalPins += R.R.Pins;
-  }
-  Sum.LedgerWorkSec = static_cast<double>(TotalSelf) * 1e-9;
-  Sum.EmReads = TotalEm;
-  Sum.PinEvents = TotalPins;
-
   std::vector<int64_t> Cp(Recs.size(), 0);
   std::vector<char> OnCp(Recs.size(), 0);
   if (Root != Recs.size() && !Broken) {
@@ -225,10 +205,10 @@ void SpanLedger::runEnd(double WorkSec, double SpanSec) {
       Cp[N] = V;
       Stack.pop_back();
     }
-    Sum.CriticalPathSec = static_cast<double>(Cp[Root]) * 1e-9;
 
     // Winner tree: the root is on the CP; for each fork pair of an on-CP
-    // task the child with the larger CP is on it too.
+    // task the child with the larger CP is on it too. The marked tasks'
+    // self times sum to CP(root), which derive() reads back.
     std::vector<size_t> Mark;
     Mark.push_back(Root);
     while (!Mark.empty()) {
@@ -244,40 +224,16 @@ void SpanLedger::runEnd(double WorkSec, double SpanSec) {
     Sum.Valid = true;
   }
 
-  // Per-line self/CP-self/task aggregates from the records themselves.
-  for (size_t I = 0; I < Recs.size(); ++I) {
-    const SpanRecord &R = Recs[I].R;
-    uint32_t Loc = (uint32_t(R.SrcLine) << 8) | R.SrcCol;
-    SpanLineStat &L = Lines[Loc];
-    L.SelfNs += R.SelfNs;
-    if (OnCp[I])
-      L.CpSelfNs += R.SelfNs;
-    ++L.Tasks;
-  }
-
-  // Flatten tasks sorted by start time (root first: it started earliest).
-  std::vector<size_t> Order(Recs.size());
-  for (size_t I = 0; I < Order.size(); ++I)
-    Order[I] = I;
-  std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return Recs[A].R.StartNs < Recs[B].R.StartNs;
-  });
   Sum.AllTasks.reserve(Recs.size());
-  for (size_t I : Order) {
+  for (size_t I = 0; I < Recs.size(); ++I) {
     const SpanRecord &R = Recs[I].R;
     SpanTaskOut T;
     T.Id = R.Id;
     T.Parent = R.Parent;
-    T.StartNs = R.StartNs - Base;
-    T.StopNs = R.StopNs - Base;
+    T.StartNs = R.StartNs;
+    T.StopNs = R.StopNs;
     T.SelfNs = R.SelfNs;
     T.Worker = Recs[I].Worker;
-    if (R.Parent != ~uint64_t(0)) {
-      auto It = ById.find(R.Parent);
-      T.Stolen = It != ById.end() && Recs[It->second].Worker != Recs[I].Worker;
-      if (T.Stolen)
-        ++Sum.Stolen;
-    }
     T.OnCriticalPath = OnCp[I] != 0;
     T.EmReads = R.EmReads;
     T.Pins = R.Pins;
@@ -285,14 +241,10 @@ void SpanLedger::runEnd(double WorkSec, double SpanSec) {
     T.SrcCol = R.SrcCol;
     T.HeapDepth = R.HeapDepth;
     Sum.AllTasks.push_back(T);
-    if (T.OnCriticalPath)
-      Sum.CriticalPath.push_back(T.Id);
   }
 
   Sum.Lines.assign(Lines.begin(), Lines.end());
-  std::sort(Sum.Lines.begin(), Sum.Lines.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-
+  Sum.derive();
   LastRun = std::move(Sum);
 }
 
@@ -308,148 +260,163 @@ void obs::detail::finishTask(const SpanTask &T, int64_t StopNs) {
   R.StartNs = T.StartNs;
   R.StopNs = StopNs;
   R.SelfNs = T.SelfNs;
-  R.EmReads = sat16(T.EmReads);
-  R.Pins = sat16(T.Pins);
+  R.EmReads = T.EmReads;
+  R.Pins = T.Pins;
   R.SrcLine = uint16_t(T.Loc >> 8);
   R.SrcCol = uint8_t(T.Loc & 0xff);
   R.HeapDepth = sat8(T.HeapDepth);
-  uint32_t B = std::min<uint32_t>(T.HeapDepth, SpanLedger::TaskDepthBuckets - 1);
-  TaskDepthCounts[B].fetch_add(1, std::memory_order_relaxed);
   SpanLedger::get().append(R);
 }
 
-std::vector<int64_t> SpanLedger::taskDepthHistogram() {
-  std::vector<int64_t> H(TaskDepthBuckets, 0);
-  int Last = -1;
-  for (int B = 0; B < TaskDepthBuckets; ++B) {
-    H[static_cast<size_t>(B)] =
-        TaskDepthCounts[B].load(std::memory_order_relaxed);
-    if (H[static_cast<size_t>(B)] != 0)
-      Last = B;
-  }
-  H.resize(static_cast<size_t>(Last + 1));
-  return H;
-}
-
 //===----------------------------------------------------------------------===//
-// Exports
+// SpanRunSummary and its renderers
 //===----------------------------------------------------------------------===//
 
-std::string SpanRunSummary::toJson() const {
-  json::Writer W;
-  W.beginObject()
-      .kv("schema", "mpl-spans/1")
-      .newline(1)
-      .key("sched")
-      .beginObject()
-      .kv("work_s", SchedWorkSec)
-      .kv("span_s", SchedSpanSec)
-      .endObject()
-      .newline(1)
-      .key("ledger")
-      .beginObject()
-      .kv("valid", Valid ? 1 : 0)
-      .kv("tasks", Tasks)
-      .kv("stolen", Stolen)
-      .kv("dropped", Dropped)
-      .kv("work_s", LedgerWorkSec)
-      .kv("critical_path_s", CriticalPathSec)
-      .kv("agreement_pct", agreementPct())
-      .kv("em_reads", EmReads)
-      .kv("pins", PinEvents)
-      .endObject()
-      .newline(1)
-      .key("lines")
-      .beginArray();
-  for (const auto &[Loc, L] : Lines)
-    W.newline(2)
-        .beginObject()
-        .kv("line", Loc >> 8)
-        .kv("col", Loc & 0xff)
-        .kv("em_reads", L.EmReads)
-        .kv("pins", L.Pins)
-        .kv("tasks", L.Tasks)
-        .kv("self_s", static_cast<double>(L.SelfNs) * 1e-9)
-        .kv("cp_self_s", static_cast<double>(L.CpSelfNs) * 1e-9)
-        .endObject();
-  W.endArray().newline(1).key("critical_path").beginArray();
-  for (uint64_t Id : CriticalPath)
-    W.value(Id);
-  W.endArray().newline(1).key("tasks").beginArray();
+void SpanRunSummary::derive() {
+  std::unordered_map<uint64_t, int> WorkerOf;
+  WorkerOf.reserve(AllTasks.size() * 2);
   for (const SpanTaskOut &T : AllTasks)
-    W.newline(2)
-        .beginObject()
-        .kv("id", T.Id)
-        // ~0 (root) would not survive a double-typed JSON number; use -1.
-        .kv("parent", T.Parent == ~uint64_t(0) ? int64_t(-1)
-                                               : static_cast<int64_t>(T.Parent))
-        .kv("start_s", static_cast<double>(T.StartNs) * 1e-9)
-        .kv("stop_s", static_cast<double>(T.StopNs) * 1e-9)
-        .kv("self_s", static_cast<double>(T.SelfNs) * 1e-9)
-        .kv("worker", T.Worker)
-        .kv("stolen", T.Stolen ? 1 : 0)
-        .kv("on_cp", T.OnCriticalPath ? 1 : 0)
-        .kv("line", T.SrcLine)
-        .kv("col", T.SrcCol)
-        .kv("depth", T.HeapDepth)
-        .kv("em_reads", T.EmReads)
-        .kv("pins", T.Pins)
-        .endObject();
-  W.endArray().endObject().newline();
-  return W.take();
+    WorkerOf.emplace(T.Id, T.Worker);
+  std::map<uint32_t, SpanLineStat> ByLoc(Lines.begin(), Lines.end());
+  int64_t SelfNs = 0, CpNs = 0;
+  Tasks = static_cast<int64_t>(AllTasks.size());
+  Stolen = EmReads = PinEvents = 0;
+  for (SpanTaskOut &T : AllTasks) {
+    auto It = WorkerOf.find(T.Parent);
+    T.Stolen = It != WorkerOf.end() && It->second != T.Worker;
+    Stolen += T.Stolen;
+    SelfNs += T.SelfNs;
+    EmReads += T.EmReads;
+    PinEvents += T.Pins;
+    SpanLineStat &L = ByLoc[(uint32_t(T.SrcLine) << 8) | T.SrcCol];
+    L.SelfNs += T.SelfNs;
+    ++L.Tasks;
+    if (T.OnCriticalPath) {
+      CpNs += T.SelfNs;
+      L.CpSelfNs += T.SelfNs;
+    }
+  }
+  LedgerWorkSec = static_cast<double>(SelfNs) * 1e-9;
+  CriticalPathSec = static_cast<double>(CpNs) * 1e-9;
+  Lines.assign(ByLoc.begin(), ByLoc.end());
 }
 
-std::string SpanRunSummary::summaryText() const {
+namespace {
+
+std::string locLabel(uint32_t Line, uint32_t Col) {
+  if (Line == 0 && Col == 0)
+    return "task";
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "L%u:%u", Line, Col);
+  return Buf;
+}
+
+} // namespace
+
+std::string obs::renderSpanSummary(const SpanRunSummary &S) {
   char Buf[256];
   std::string Out;
-  if (!Valid && Tasks == 0) {
-    Out = "spans: no run recorded (is the ledger armed? MPL_OBS=spans)\n";
-    return Out;
-  }
   std::snprintf(Buf, sizeof(Buf),
-                "spans: %lld tasks (%lld stolen), ledger work %.3f ms, "
-                "critical path %.3f ms (%.1f%% of work)\n",
-                static_cast<long long>(Tasks), static_cast<long long>(Stolen),
-                LedgerWorkSec * 1e3, CriticalPathSec * 1e3,
-                LedgerWorkSec > 0 ? 100.0 * CriticalPathSec / LedgerWorkSec
-                                  : 0.0);
+                "spans: %lld tasks (%lld stolen, %lld dropped)\n",
+                static_cast<long long>(S.Tasks),
+                static_cast<long long>(S.Stolen),
+                static_cast<long long>(S.Dropped));
+  Out += Buf;
+  double CpPct =
+      S.LedgerWorkSec > 0 ? 100.0 * S.CriticalPathSec / S.LedgerWorkSec : 0;
+  std::snprintf(Buf, sizeof(Buf),
+                "  ledger work %.3fms   critical path %.3fms (%.1f%% of "
+                "work)\n",
+                S.LedgerWorkSec * 1e3, S.CriticalPathSec * 1e3, CpPct);
   Out += Buf;
   std::snprintf(Buf, sizeof(Buf),
-                "ledger CP vs scheduler S: %+.2f%% (S = %.3f ms)%s\n",
-                agreementPct(), SchedSpanSec * 1e3,
-                Valid ? "" : "  [DAG incomplete: records dropped]");
+                "  scheduler  W %.3fms   S %.3fms   ledger CP vs S: %+.2f%%\n",
+                S.SchedWorkSec * 1e3, S.SchedSpanSec * 1e3, S.agreementPct());
   Out += Buf;
-  if (EmReads > 0 || PinEvents > 0) {
+  std::snprintf(Buf, sizeof(Buf), "  em events: %lld reads, %lld pins\n",
+                static_cast<long long>(S.EmReads),
+                static_cast<long long>(S.PinEvents));
+  Out += Buf;
+  if (!S.Valid)
+    Out += "  WARNING: DAG incomplete (dropped records or mixed runs); "
+           "critical path not trustworthy\n";
+  return Out;
+}
+
+std::string obs::renderCriticalPath(const SpanRunSummary &S) {
+  std::string Out = renderSpanSummary(S);
+  Out += "critical path (start order):\n";
+  char Buf[192];
+  for (const SpanTaskOut &T : S.AllTasks) {
+    if (!T.OnCriticalPath)
+      continue;
+    bool Root = T.Parent == ~uint64_t(0);
     std::snprintf(Buf, sizeof(Buf),
-                  "em events: %lld entangled reads, %lld pins\n",
-                  static_cast<long long>(EmReads),
-                  static_cast<long long>(PinEvents));
+                  "  #%-6llu %-9s self %10.3fms  w%d%s  depth %d"
+                  "  em %lu/%lu\n",
+                  static_cast<unsigned long long>(T.Id),
+                  Root ? "root" : locLabel(T.SrcLine, T.SrcCol).c_str(),
+                  static_cast<double>(T.SelfNs) * 1e-6, T.Worker,
+                  T.Stolen ? " (stolen)" : "", T.HeapDepth,
+                  static_cast<unsigned long>(T.EmReads),
+                  static_cast<unsigned long>(T.Pins));
     Out += Buf;
   }
-  // Top lines by entangled reads, then by CP self time.
-  std::vector<std::pair<uint32_t, SpanLineStat>> Sorted(Lines.begin(),
-                                                        Lines.end());
+  return Out;
+}
+
+std::string obs::renderTopLines(const SpanRunSummary &S, int TopK) {
+  std::vector<std::pair<uint32_t, SpanLineStat>> Sorted = S.Lines;
   std::sort(Sorted.begin(), Sorted.end(), [](const auto &A, const auto &B) {
     if (A.second.EmReads != B.second.EmReads)
       return A.second.EmReads > B.second.EmReads;
     return A.second.CpSelfNs > B.second.CpSelfNs;
   });
-  size_t Shown = 0;
-  for (const auto &KV : Sorted) {
-    if (Shown >= 5)
-      break;
-    if (KV.first == 0 && KV.second.EmReads == 0 && KV.second.Pins == 0)
-      continue; // Skip the "no location" bucket unless it has em events.
-    std::snprintf(Buf, sizeof(Buf),
-                  "  L%u:%u  em_reads=%lld pins=%lld tasks=%lld "
-                  "cp_self=%.3f ms\n",
-                  KV.first >> 8, KV.first & 0xff,
-                  static_cast<long long>(KV.second.EmReads),
-                  static_cast<long long>(KV.second.Pins),
-                  static_cast<long long>(KV.second.Tasks),
-                  static_cast<double>(KV.second.CpSelfNs) * 1e-6);
+  size_t K = static_cast<size_t>(std::max(TopK, 0));
+  Sorted.resize(std::min(Sorted.size(), K));
+  std::string Out =
+      "line       em_reads      pins     tasks      self_ms   cp_self_ms\n";
+  char Buf[160];
+  for (const auto &[Loc, L] : Sorted) {
+    std::snprintf(Buf, sizeof(Buf), "%-9s %9lld %9lld %9lld %12.3f %12.3f\n",
+                  locLabel(Loc >> 8, Loc & 0xff).c_str(),
+                  static_cast<long long>(L.EmReads),
+                  static_cast<long long>(L.Pins),
+                  static_cast<long long>(L.Tasks),
+                  static_cast<double>(L.SelfNs) * 1e-6,
+                  static_cast<double>(L.CpSelfNs) * 1e-6);
     Out += Buf;
-    ++Shown;
+  }
+  return Out;
+}
+
+std::string obs::foldSpans(const SpanRunSummary &S) {
+  // Index tasks by id to walk parent chains; stacks read root -> leaf.
+  std::unordered_map<uint64_t, const SpanTaskOut *> ById;
+  for (const SpanTaskOut &T : S.AllTasks)
+    ById.emplace(T.Id, &T);
+  std::string Out;
+  std::vector<std::string> Frames;
+  for (const SpanTaskOut &T : S.AllTasks) {
+    if (T.SelfNs <= 0)
+      continue;
+    Frames.clear();
+    const SpanTaskOut *Cur = &T;
+    size_t Guard = 0;
+    while (Cur && Guard++ <= ById.size()) {
+      bool Root = Cur->Parent == ~uint64_t(0);
+      Frames.push_back(Root ? "root" : locLabel(Cur->SrcLine, Cur->SrcCol));
+      if (Root)
+        break;
+      auto It = ById.find(Cur->Parent);
+      Cur = It == ById.end() ? nullptr : It->second;
+    }
+    for (size_t I = Frames.size(); I-- > 0;) {
+      Out += Frames[I];
+      if (I > 0)
+        Out += ";";
+    }
+    Out += " " + std::to_string(T.SelfNs) + "\n";
   }
   return Out;
 }

@@ -8,7 +8,7 @@
 /// The causal layer of the observability stack. The scheduler's embedded
 /// work-span profiler reduces a run to two scalars (W and S); the tracer
 /// records *when* things happened but not *why*. This ledger records every
-/// fork-join task as one 48-byte record — id, parent id, start/stop, self
+/// fork-join task as one 56-byte record — id, parent id, start/stop, self
 /// (strand) time, heap depth, em-event counts, and the pml source location
 /// of the `par` that spawned it — so at quiescence the full fork-join DAG
 /// can be rebuilt, the critical path extracted, and hot pml source lines
@@ -29,13 +29,15 @@
 ///  3. Merge and analysis happen at quiescence, in runEnd(): shards are
 ///     merged into a DAG keyed by task id, CP(T) = Self(T) + Σ over fork
 ///     pairs max(CP(a), CP(b)) is computed iteratively, the winner tree is
-///     marked, and a RunSummary (JSON-exportable as "mpl-spans/1") is
-///     stored for `mpl_report spans` and the REPL's :spans command.
+///     marked, and a SpanRunSummary is stored. The trace exporter writes
+///     it into trace.json (one "task" slice per task, obs/Trace.h);
+///     `mpl_report spans` reads that file back into the same summary, and
+///     it and the REPL's :spans print through the renderers below.
 ///
 /// Task ids come from one global counter, allocated in consecutive pairs
 /// at each fork (A = n, B = n+1); children of a parent sorted by id thus
 /// reconstruct the fork pairs without storing per-fork edges. The stolen
-/// flag is derived at merge time: a task was stolen iff it executed on a
+/// flag is derived from the DAG: a task was stolen iff it executed on a
 /// different worker than its parent (the scheduler never steals from the
 /// local deque).
 ///
@@ -58,21 +60,21 @@
 namespace mpl {
 namespace obs {
 
-/// One finished task, as stored in the per-thread shard. 48 bytes so a
-/// million-task run costs 48 MB at worst and appends stay cache-friendly.
+/// One finished task, as stored in the per-thread shard. 56 bytes so a
+/// million-task run costs 56 MB at worst and appends stay cache-friendly.
 struct SpanRecord {
   uint64_t Id;        ///< Global task id (pairs at forks: A=n, B=n+1).
   uint64_t Parent;    ///< Parent task id; ~0 for the root task.
   int64_t StartNs;    ///< nowNs() at task begin.
   int64_t StopNs;     ///< nowNs() at task end.
   int64_t SelfNs;     ///< Strand time inside this task, children excluded.
-  uint16_t EmReads;   ///< Entangled reads in this task (saturating).
-  uint16_t Pins;      ///< Pins created by this task (saturating).
+  uint32_t EmReads;   ///< Entangled reads in this task.
+  uint32_t Pins;      ///< Pins created by this task.
   uint16_t SrcLine;   ///< pml line of the spawning `par` (0 = none).
   uint8_t SrcCol;     ///< pml column of the spawning `par`.
   uint8_t HeapDepth;  ///< Depth of the task's heap (saturating at 255).
 };
-static_assert(sizeof(SpanRecord) == 48, "span record layout changed");
+static_assert(sizeof(SpanRecord) == 56, "span record layout changed");
 
 /// Live state of the task the current thread is executing. Stack-allocated
 /// by the scheduler in the frame that runs the task; a TLS pointer tracks
@@ -91,7 +93,8 @@ struct SpanTask {
 /// Per-source-line aggregate in a run summary. EmReads/Pins count barrier
 /// events attributed to the *instruction* location current when the event
 /// fired (more precise than the task's fork location); SelfNs/CpSelfNs/
-/// Tasks aggregate tasks whose spawning `par` sits on this line.
+/// Tasks aggregate tasks whose spawning `par` sits on this line
+/// (SpanRunSummary::derive).
 struct SpanLineStat {
   int64_t EmReads = 0;
   int64_t Pins = 0;
@@ -100,44 +103,51 @@ struct SpanLineStat {
   int64_t Tasks = 0;
 };
 
-/// One merged task in a run summary, with the derived fields resolved.
+/// One merged task in a run summary: a "task" slice in trace.json.
 struct SpanTaskOut {
   uint64_t Id = 0;
   uint64_t Parent = ~uint64_t(0);
-  int64_t StartNs = 0; ///< Relative to run begin.
+  int64_t StartNs = 0; ///< nowNs() at begin; read back from a trace, ts.
   int64_t StopNs = 0;
   int64_t SelfNs = 0;
   int Worker = 0;
-  bool Stolen = false;
+  bool Stolen = false; ///< Derived: ran on another worker than its parent.
   bool OnCriticalPath = false;
-  uint16_t EmReads = 0;
-  uint16_t Pins = 0;
+  uint32_t EmReads = 0;
+  uint32_t Pins = 0;
   uint16_t SrcLine = 0;
   uint8_t SrcCol = 0;
   uint8_t HeapDepth = 0;
 };
 
 /// The merged, analyzed result of one run. Valid until the next runBegin().
+/// The runtime builds it at runEnd() and `mpl_report spans` reads it back
+/// from trace.json; both set the recorded fields and call derive().
 struct SpanRunSummary {
+  // Recorded.
   bool Valid = false;
-  int64_t Tasks = 0;
-  int64_t Stolen = 0;
   int64_t Dropped = 0; ///< Records lost to the per-shard cap; CP skipped.
   double SchedWorkSec = 0;  ///< Scheduler's W for the same run.
   double SchedSpanSec = 0;  ///< Scheduler's S — the consistency oracle.
-  double LedgerWorkSec = 0; ///< Σ Self over all tasks.
-  double CriticalPathSec = 0;
-  int64_t EmReads = 0;
-  int64_t PinEvents = 0;
 
   /// All tasks, sorted by start time. Root first by construction.
   std::vector<SpanTaskOut> AllTasks;
 
-  /// Ids of on-critical-path tasks, in start-time order (root first).
-  std::vector<uint64_t> CriticalPath;
-
-  /// Per-line aggregates, keyed by packed (Line << 8) | Col.
+  /// Per-line aggregates, keyed by packed (Line << 8) | Col, sorted.
   std::vector<std::pair<uint32_t, SpanLineStat>> Lines;
+
+  // Derived from AllTasks by derive().
+  int64_t Tasks = 0;
+  int64_t Stolen = 0;
+  double LedgerWorkSec = 0; ///< Σ Self over all tasks.
+  double CriticalPathSec = 0; ///< Σ Self over on-critical-path tasks.
+  int64_t EmReads = 0;
+  int64_t PinEvents = 0;
+
+  /// Fills the derived fields, each task's Stolen flag and the task side
+  /// of Lines (SelfNs, CpSelfNs, Tasks) from AllTasks. Call once, with
+  /// Lines holding only the barrier events' EmReads/Pins.
+  void derive();
 
   /// Ledger CP vs scheduler S, in percent (positive = ledger longer).
   /// Meaningless when !Valid or SchedSpanSec == 0.
@@ -146,13 +156,26 @@ struct SpanRunSummary {
       return 0;
     return 100.0 * (CriticalPathSec - SchedSpanSec) / SchedSpanSec;
   }
-
-  /// "mpl-spans/1" JSON document (`mpl_report spans` input).
-  std::string toJson() const;
-
-  /// Short human-readable rendering (pml_repl :spans).
-  std::string summaryText() const;
 };
+
+// The renderers behind `mpl_report spans` and the REPL's :spans.
+
+/// Task counts, ledger work and critical path against the scheduler's W
+/// and S, and the em event totals (`mpl_report spans analyze`).
+std::string renderSpanSummary(const SpanRunSummary &S);
+
+/// The summary, then the critical path one task per line, root first
+/// (`mpl_report spans critical-path`).
+std::string renderCriticalPath(const SpanRunSummary &S);
+
+/// Per-line attribution sorted by em reads then CP self time, top \p TopK
+/// rows (`mpl_report spans top-lines`).
+std::string renderTopLines(const SpanRunSummary &S, int TopK);
+
+/// Folded stacks for flamegraph tools: one "root;L3:5;L7:2 <self_ns>" line
+/// per task with nonzero self time, stack = chain of ancestor fork sites
+/// (`mpl_report spans fold`).
+std::string foldSpans(const SpanRunSummary &S);
 
 /// Process-wide ledger: owns every thread's shard and the last run's
 /// merged summary.
@@ -164,7 +187,6 @@ public:
   /// fixed (records are never overwritten, only capped + counted).
   void enable();
   void disable();
-  bool enabled() const;
 
   /// Clears all shards and resets the id counter. Called by the scheduler
   /// at the start of an armed run (quiescent workers only).
@@ -184,19 +206,8 @@ public:
   /// Internal: append one finished task on the calling thread's shard.
   void append(const SpanRecord &R);
 
-  /// Cumulative finished-task counts per heap depth since process start
-  /// (depth >= TaskDepthBuckets-1 folds into the last bucket). Monotone,
-  /// never reset by runBegin: the metrics sampler snapshots it per sample,
-  /// so deltas between samples show *where in the tree* work is landing
-  /// over time. All-zero while the ledger has never been armed.
-  static constexpr int TaskDepthBuckets = 32;
-  static std::vector<int64_t> taskDepthHistogram();
-
   /// Internal: attribute one barrier event to packed source loc \p Loc.
   void noteLineEvent(uint32_t Loc, bool Pin);
-
-  /// Start-of-run timestamp (exported times are relative to it).
-  int64_t runBaseNs() const { return RunBaseNs.load(std::memory_order_relaxed); }
 
 private:
   struct Shard {
@@ -212,7 +223,6 @@ private:
   mutable std::mutex Mu;
   std::vector<std::unique_ptr<Shard>> Shards;
   SpanRunSummary LastRun;
-  std::atomic<int64_t> RunBaseNs{0};
   int NextForeignWorker = 1000;
 };
 

@@ -16,9 +16,12 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <set>
+#include <unordered_map>
 
 #include <sys/stat.h>
 
@@ -61,9 +64,6 @@ struct KindInfo {
   char Phase;
   const char *Arg0;
   const char *Arg1;
-  /// Flow-binding category for 's'/'f' phases (flows bind by (cat, name,
-  /// id)); the span flows predate the field, hence the default.
-  const char *Cat = "spans";
 };
 
 constexpr KindInfo Kinds[] = {
@@ -92,14 +92,12 @@ constexpr KindInfo Kinds[] = {
     /* AllocRetry       */ {"alloc_retry", 'i', "attempt", "bytes"},
     /* ContCapture      */ {"cont_capture", 'i', "bytes", "depth"},
     /* ContResume       */ {"cont_resume", 'i', "bytes", "depth"},
-    /* FlowOut          */ {"task_flow", 's', nullptr, nullptr},
-    /* FlowIn           */ {"task_flow", 'f', nullptr, nullptr},
     /* NetAccept        */ {"net.accept", 'i', "conn", nullptr},
     /* NetShed          */ {"net.shed", 'i', "req", "pressure"},
     /* NetDeadlineExpired */ {"net.deadline_expired", 'i', "req", "overrun_ns"},
     /* NetDrain         */ {"net.drain", 'i', "inflight", nullptr},
-    /* NetFlowOut       */ {"net.request_flow", 's', nullptr, nullptr, "net"},
-    /* NetFlowIn        */ {"net.request_flow", 'f', nullptr, nullptr, "net"},
+    /* NetFlowOut       */ {"net.request_flow", 's', nullptr, nullptr},
+    /* NetFlowIn        */ {"net.request_flow", 'f', nullptr, nullptr},
     /* JitCompile       */ {"jit_compile", 'i', "fn", "code_bytes"},
 };
 static_assert(sizeof(Kinds) / sizeof(Kinds[0]) ==
@@ -119,8 +117,9 @@ void writeEvent(json::Writer &W, const KindInfo &KI, int Track, double TsUs,
     W.kv("s", "t"); // Thread-scoped instant.
   if (KI.Phase == 's' || KI.Phase == 'f') {
     // Flow events bind by (cat, name, id); 'f' with bp:"e" attaches to the
-    // enclosing slice at the receiving end.
-    W.kv("cat", KI.Cat).kv("id", E.Arg0);
+    // enclosing slice at the receiving end. The ring's only flows are the
+    // server's requests (task flows come from the span ledger).
+    W.kv("cat", "net").kv("id", E.Arg0);
     if (KI.Phase == 'f')
       W.kv("bp", "e");
   } else if (KI.Arg0) {
@@ -145,23 +144,12 @@ json::Writer &beginCounter(json::Writer &W, const char *Name, double TsUs) {
       .key("args");
 }
 
-/// A per-depth histogram as counter args "0".."Width-1", zero-padded so
-/// every sample sets every track (a counter holds its last value).
-void writeDepths(json::Writer &W, const char *Name, double TsUs,
-                 const std::vector<int64_t> &Hist, size_t Width) {
-  if (Width == 0)
-    return;
-  beginCounter(W, Name, TsUs).beginObject();
-  for (size_t D = 0; D < Width; ++D)
-    W.kv(std::to_string(D), D < Hist.size() ? Hist[D] : 0);
-  W.endObject().endObject();
-}
-
 /// One MetricsSampler sample as counter events: the em cost counters and
 /// the registry gauges under their registry names, the live-heap summary
-/// and the per-depth heap and task histograms.
+/// and the live heaps per depth as args "0".."DepthWidth-1", zero-padded
+/// so every sample sets every track (a counter holds its last value).
 void writeSample(json::Writer &W, const MetricsSample &S, double TsUs,
-                 size_t DepthWidth, size_t TaskWidth) {
+                 size_t DepthWidth) {
   writeJson(beginCounter(W, "em", TsUs), S.Counters);
   W.endObject();
   writeJson(beginCounter(W, "gauges", TsUs), S.Gauges);
@@ -172,8 +160,89 @@ void writeSample(json::Writer &W, const MetricsSample &S, double TsUs,
       .kv("max_depth", S.MaxHeapDepth)
       .endObject()
       .endObject();
-  writeDepths(W, "depth_hist", TsUs, S.DepthHist, DepthWidth);
-  writeDepths(W, "task_depth_hist", TsUs, S.TaskDepthHist, TaskWidth);
+  if (DepthWidth == 0)
+    return;
+  beginCounter(W, "depth_hist", TsUs).beginObject();
+  for (size_t D = 0; D < DepthWidth; ++D)
+    W.kv(std::to_string(D), D < S.DepthHist.size() ? S.DepthHist[D] : 0);
+  W.endObject().endObject();
+}
+
+/// The span ledger's last run on the trace's timeline: one complete slice
+/// per task on the track of the worker that ran it, carrying the task's
+/// record, then a task_flow edge from the parent's track to each child's
+/// start ('f' with bp:"e" binds to the child's slice).
+template <typename TsFn>
+void writeTasks(json::Writer &W, const SpanRunSummary &S, TsFn TsUs) {
+  std::unordered_map<uint64_t, int> WorkerOf;
+  for (const SpanTaskOut &T : S.AllTasks) {
+    WorkerOf.emplace(T.Id, T.Worker);
+    bool Root = T.Parent == ~uint64_t(0);
+    W.newline()
+        .beginObject()
+        .kv("name", "task")
+        .kv("ph", "X")
+        .kv("pid", 0)
+        .kv("tid", T.Worker)
+        .kv("ts", TsUs(T.StartNs))
+        .kv("dur", static_cast<double>(T.StopNs - T.StartNs) / 1000.0)
+        .key("args")
+        .beginObject()
+        .kv("id", T.Id)
+        .kv("parent", Root ? int64_t(-1) : static_cast<int64_t>(T.Parent))
+        .kv("self_ns", T.SelfNs)
+        .kv("line", T.SrcLine)
+        .kv("col", T.SrcCol)
+        .kv("depth", T.HeapDepth)
+        .kv("em_reads", T.EmReads)
+        .kv("pins", T.Pins)
+        .kv("on_cp", T.OnCriticalPath ? 1 : 0)
+        .endObject()
+        .endObject();
+  }
+  for (const SpanTaskOut &T : S.AllTasks) {
+    auto Parent = WorkerOf.find(T.Parent);
+    if (Parent == WorkerOf.end())
+      continue;
+    for (bool In : {false, true}) {
+      W.newline()
+          .beginObject()
+          .kv("name", "task_flow")
+          .kv("ph", In ? "f" : "s")
+          .kv("pid", 0)
+          .kv("tid", In ? T.Worker : Parent->second)
+          .kv("ts", TsUs(T.StartNs))
+          .kv("cat", "spans")
+          .kv("id", T.Id);
+      if (In)
+        W.kv("bp", "e");
+      W.endObject();
+    }
+  }
+}
+
+/// otherData.spans: what a task slice cannot carry, namely the scheduler's
+/// W and S, the DAG's validity and drops, and the em reads and pins each
+/// pml line's instructions caused.
+void writeSpanData(json::Writer &W, const SpanRunSummary &S) {
+  W.key("spans")
+      .beginObject()
+      .kv("work_s", S.SchedWorkSec)
+      .kv("span_s", S.SchedSpanSec)
+      .kv("valid", S.Valid ? 1 : 0)
+      .kv("dropped", S.Dropped)
+      .key("lines")
+      .beginArray();
+  for (const auto &[Loc, L] : S.Lines)
+    if (L.EmReads != 0 || L.Pins != 0)
+      W.newline()
+          .beginObject()
+          .kv("line", Loc >> 8)
+          .kv("col", Loc & 0xff)
+          .kv("em_reads", L.EmReads)
+          .kv("pins", L.Pins)
+          .endObject();
+  W.endArray().endObject();
 }
 
 } // namespace
@@ -261,21 +330,26 @@ std::string Tracer::chromeTraceJson() const {
   std::vector<Histogram::Snapshot> Hists = StatRegistry::get().histograms();
   HeapTree Tree;
   readHeapTree(Tree);
+  bool WithSpans = spansEnabled();
+  SpanRunSummary Spans;
+  if (WithSpans)
+    Spans = SpanLedger::get().lastRun();
   std::lock_guard<std::mutex> G(Mu);
 
-  // Export timestamps relative to the earliest retained event or sample so
-  // traces open centered in Perfetto regardless of process uptime, and no
-  // ts is negative.
+  // Export timestamps relative to the earliest retained event, sample or
+  // task so traces open centered in Perfetto regardless of process uptime,
+  // and no ts is negative.
   int64_t Base = INT64_MAX;
-  size_t DepthWidth = 0, TaskWidth = 0;
+  size_t DepthWidth = 0;
   for (const MetricsSample &S : Samples) {
     Base = std::min(Base, S.TimeNs);
     DepthWidth = std::max(DepthWidth, S.DepthHist.size());
-    TaskWidth = std::max(TaskWidth, S.TaskDepthHist.size());
   }
   for (const auto &B : Buffers)
     for (uint64_t I = B->first(), E = B->head(); I != E; ++I)
       Base = std::min(Base, B->at(I).TimeNs);
+  for (const SpanTaskOut &T : Spans.AllTasks)
+    Base = std::min(Base, T.StartNs);
   if (Base == INT64_MAX)
     Base = 0;
   auto TsUs = [Base](int64_t Ns) {
@@ -287,23 +361,28 @@ std::string Tracer::chromeTraceJson() const {
       .kv("displayTimeUnit", "ms")
       .key("traceEvents")
       .beginArray();
-  uint64_t Dropped = 0;
-  for (const auto &B : Buffers) {
-    Dropped += B->dropped();
-    // Track metadata: name the per-worker rows.
-    const char *Label = B->TrackId < 1000 ? "worker" : "thread";
+  // Track metadata: name every track, including workers that ran tasks
+  // but emitted no event (spans armed without trace).
+  std::set<int> Tracks;
+  for (const auto &B : Buffers)
+    Tracks.insert(B->TrackId);
+  for (const SpanTaskOut &T : Spans.AllTasks)
+    Tracks.insert(T.Worker);
+  for (int Tid : Tracks)
     W.newline()
         .beginObject()
         .kv("name", "thread_name")
         .kv("ph", "M")
         .kv("pid", 0)
-        .kv("tid", B->TrackId)
+        .kv("tid", Tid)
         .key("args")
         .beginObject()
-        .kv("name", std::string(Label) + " " + std::to_string(B->TrackId))
+        .kv("name", (Tid < 1000 ? "worker " : "thread ") + std::to_string(Tid))
         .endObject()
         .endObject();
-
+  uint64_t Dropped = 0;
+  for (const auto &B : Buffers) {
+    Dropped += B->dropped();
     // Ring wrap can orphan an 'E' whose 'B' was overwritten; skip
     // unmatched ends so the stream stays well-nested for the viewer.
     int Depth = 0;
@@ -321,8 +400,9 @@ std::string Tracer::chromeTraceJson() const {
       writeEvent(W, KI, B->TrackId, TsUs(Rec.TimeNs), Rec);
     }
   }
+  writeTasks(W, Spans, TsUs);
   for (const MetricsSample &S : Samples)
-    writeSample(W, S, TsUs(S.TimeNs), DepthWidth, TaskWidth);
+    writeSample(W, S, TsUs(S.TimeNs), DepthWidth);
   W.newline()
       .endArray()
       .key("otherData")
@@ -339,12 +419,95 @@ std::string Tracer::chromeTraceJson() const {
     writeJson(W.newline(), H);
   W.newline().endArray().key("heap_tree");
   writeHeapTree(W, Tree);
+  if (WithSpans)
+    writeSpanData(W, Spans);
   W.endObject().endObject().newline();
   return W.take();
 }
 
 bool Tracer::writeChromeTrace(const std::string &Path) const {
   return writeFile(Path, chromeTraceJson());
+}
+
+bool obs::readSpanTrace(const std::string &Text, SpanRunSummary &Out,
+                        std::string &Err) {
+  json::Value Doc;
+  if (!json::parse(Text, Doc, Err)) {
+    Err = "parse error: " + Err;
+    return false;
+  }
+  const json::Value *Evs = Doc.field("traceEvents");
+  const json::Value *Other = Doc.field("otherData");
+  const json::Value *Spans = Other ? Other->field("spans") : nullptr;
+  if (!Evs || !Evs->isArray()) {
+    Err = "no traceEvents array (not a trace)";
+    return false;
+  }
+  if (!Spans || !Spans->isObject()) {
+    Err = "no otherData.spans (record the run with MPL_OBS=spans)";
+    return false;
+  }
+  // A field that is absent or not of its type reads as Default.
+  auto Num = [](const json::Value *V, const char *Name, double Default = 0) {
+    const json::Value *F = V ? V->field(Name) : nullptr;
+    return F && F->isNumber() ? F->NumV : Default;
+  };
+  auto Int = [&](const json::Value *V, const char *Name) {
+    return static_cast<int64_t>(Num(V, Name));
+  };
+  auto Str = [](const json::Value &V, const char *Name) {
+    const json::Value *F = V.field(Name);
+    return F && F->isString() ? F->StrV : std::string();
+  };
+  Out = SpanRunSummary{};
+  Out.Valid = Int(Spans, "valid") != 0;
+  Out.Dropped = Int(Spans, "dropped");
+  Out.SchedWorkSec = Num(Spans, "work_s");
+  Out.SchedSpanSec = Num(Spans, "span_s");
+  if (const json::Value *Lines = Spans->field("lines");
+      Lines && Lines->isArray())
+    for (const json::Value &L : Lines->Items) {
+      SpanLineStat S;
+      S.EmReads = Int(&L, "em_reads");
+      S.Pins = Int(&L, "pins");
+      Out.Lines.emplace_back(
+          spanPackLoc(static_cast<uint32_t>(Int(&L, "line")),
+                      static_cast<uint32_t>(Int(&L, "col"))),
+          S);
+    }
+  for (const json::Value &E : Evs->Items) {
+    if (Str(E, "ph") != "X" || Str(E, "name") != "task")
+      continue;
+    std::string Where = "task slice " + std::to_string(Out.AllTasks.size());
+    const json::Value *Args = E.field("args");
+    const json::Value *Id = Args ? Args->field("id") : nullptr;
+    if (!Id || !Id->isNumber()) {
+      Err = Where + ": no numeric id";
+      return false;
+    }
+    double Dur = Num(&E, "dur", -1);
+    if (Dur < 0) {
+      Err = Where + ": no numeric dur >= 0";
+      return false;
+    }
+    SpanTaskOut T;
+    T.Id = static_cast<uint64_t>(Id->NumV);
+    int64_t Parent = static_cast<int64_t>(Num(Args, "parent", -1));
+    T.Parent = Parent < 0 ? ~uint64_t(0) : static_cast<uint64_t>(Parent);
+    T.StartNs = std::llround(Num(&E, "ts") * 1000.0);
+    T.StopNs = T.StartNs + std::llround(Dur * 1000.0);
+    T.SelfNs = Int(Args, "self_ns");
+    T.Worker = static_cast<int>(Int(&E, "tid"));
+    T.OnCriticalPath = Int(Args, "on_cp") != 0;
+    T.EmReads = static_cast<uint32_t>(Int(Args, "em_reads"));
+    T.Pins = static_cast<uint32_t>(Int(Args, "pins"));
+    T.SrcLine = static_cast<uint16_t>(Int(Args, "line"));
+    T.SrcCol = static_cast<uint8_t>(Int(Args, "col"));
+    T.HeapDepth = static_cast<uint8_t>(Int(Args, "depth"));
+    Out.AllTasks.push_back(T); // writeTasks writes them in start order.
+  }
+  Out.derive();
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,7 +530,6 @@ namespace {
 
 constexpr const char *SinkFiles[] = {
     /* Trace       */ "trace.json",
-    /* Spans       */ "spans.json",
     /* Stats       */ "stats.prom",
     /* OomHeapTree */ "oom-heap-tree.json",
 };
@@ -437,9 +599,15 @@ void obs::initFromEnv() {
       ::mkdir(obsDir().c_str(), 0777);
       armStatsDump(sinkPath(Sink::Stats));
     }
-    // The exit flush also stops a sampler thread that `trace` started.
-    if (EnvPlanes || !obsDir().empty())
+    // The exit flush also stops a sampler thread that `trace` started. It
+    // renders the trace through these singletons, so they are built first
+    // and so outlive it.
+    if (EnvPlanes || !obsDir().empty()) {
+      Tracer::get();
+      MetricsSampler::get();
+      SpanLedger::get();
       std::atexit(flushAtExit);
+    }
   });
 }
 
@@ -452,16 +620,8 @@ void obs::flushEnvSinks() {
   // run shorter than one interval still reaches the trace.
   if (MetricsSampler::get().running())
     MetricsSampler::get().sampleOnce();
-  // A sink whose file cannot be written says so once on stderr.
-  auto Write = [](Plane P, Sink S, auto Render) {
-    std::string Path = sinkPath(S);
-    if ((EnvPlanes & P) && !writeFile(Path, Render()))
-      std::fprintf(stderr, "mpl: cannot write %s\n", Path.c_str());
-  };
-  Write(PlaneTrace, Sink::Trace,
-        [] { return Tracer::get().chromeTraceJson(); });
-  if (EnvPlanes & PlaneSpans)
-    if (SpanRunSummary Sum = SpanLedger::get().lastRun();
-        Sum.Valid || Sum.Tasks > 0)
-      Write(PlaneSpans, Sink::Spans, [&] { return Sum.toJson(); });
+  // Either plane writes the one trace; a failed write says so on stderr.
+  std::string Path = sinkPath(Sink::Trace);
+  if (EnvPlanes && !writeFile(Path, Tracer::get().chromeTraceJson()))
+    std::fprintf(stderr, "mpl: cannot write %s\n", Path.c_str());
 }

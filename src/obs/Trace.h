@@ -31,8 +31,9 @@
 ///
 /// Gating: MPL_OBS=trace arms the tracer process-wide (see
 /// obs::initFromEnv, called by rt::Runtime) together with the metrics
-/// sampler, whose series the exporter renders as counter tracks; the trace
-/// goes to MPL_OBS_DIR/trace.json on Runtime destruction and at exit.
+/// sampler, whose series the exporter renders as counter tracks;
+/// MPL_OBS=spans adds the span ledger's DAG. The trace goes to
+/// MPL_OBS_DIR/trace.json on Runtime destruction and at exit.
 /// Tests and the fuzz harness use Tracer::enable() directly.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,6 +52,8 @@
 
 namespace mpl {
 namespace obs {
+
+struct SpanRunSummary;
 
 /// Every traced runtime event. Begin/End pairs become Chrome "B"/"E"
 /// duration slices; the rest are instant events on the worker's track.
@@ -80,8 +83,6 @@ enum class Ev : uint16_t {
   AllocRetry,       ///< Chunk alloc recovery; Arg0 = attempt, Arg1 = bytes.
   ContCapture,      ///< Continuation captured; Arg0 = bytes, Arg1 = depth.
   ContResume,       ///< Continuation resumed; Arg0 = bytes, Arg1 = depth.
-  FlowOut,          ///< Fork edge out (Chrome flow 's'); Arg0 = child id.
-  FlowIn,           ///< Task begin (Chrome flow 'f'); Arg0 = task id.
   NetAccept,        ///< Connection accepted; Arg0 = connection id.
   NetShed,          ///< Request shed; Arg0 = request id, Arg1 = pressure.
   NetDeadlineExpired, ///< Request aborted; Arg0 = req id, Arg1 = overrun ns.
@@ -191,7 +192,10 @@ public:
 
   /// Renders the whole trace as Chrome trace-event JSON: every retained
   /// event, the MetricsSampler series as counter ("C") events, and under
-  /// otherData the counters, histograms and live heap tree.
+  /// otherData the counters, histograms and live heap tree. While the span
+  /// ledger is armed it adds the ledger's last run: one "task" slice ("X")
+  /// per task on its worker's track, a "task_flow" edge from each parent
+  /// to each child, and otherData.spans (obs/Span.h).
   std::string chromeTraceJson() const;
 
   /// Writes chromeTraceJson() to \p Path; false on I/O failure.
@@ -223,6 +227,13 @@ inline void emit(Ev K, uint64_t A0 = 0, uint64_t A1 = 0) {
     detail::emitSlow(K, A0, A1);
 }
 
+/// Reads back the span ledger's run from a trace that chromeTraceJson
+/// wrote with the ledger armed (`mpl_report spans`): the "task" slices,
+/// in file order, and otherData.spans. False with a one-line diagnostic in
+/// \p Err on malformed input or a trace without span data.
+bool readSpanTrace(const std::string &Text, SpanRunSummary &Out,
+                   std::string &Err);
+
 /// Names the calling thread's trace track after scheduler worker \p Id.
 /// Cheap and callable whether or not tracing is active; the scheduler calls
 /// it when binding worker threads.
@@ -236,7 +247,8 @@ void labelCurrentThread(int Id);
 enum Plane : unsigned {
   PlaneTrace = 1, ///< "trace": Tracer + MetricsSampler -> trace.json;
                   ///< also clocks pin lifetimes (Heap::addPinned).
-  PlaneSpans = 2, ///< "spans": SpanLedger -> spans.json.
+  PlaneSpans = 2, ///< "spans": SpanLedger -> task slices in trace.json;
+                  ///< pins pml to the interpreter (exact Line:Col).
 };
 
 /// Arms the planes named by \p List, a comma list of trace and spans, and
@@ -247,7 +259,6 @@ unsigned armPlanes(std::string_view List);
 /// Every file the observability layer writes under MPL_OBS_DIR.
 enum class Sink {
   Trace,       ///< trace.json, at Runtime destruction and at exit.
-  Spans,       ///< spans.json, likewise (the last run's DAG).
   Stats,       ///< stats.prom, on SIGUSR1.
   OomHeapTree, ///< oom-heap-tree.json, when OutOfMemoryError is raised.
 };
@@ -261,9 +272,10 @@ std::string sinkPath(Sink S);
 /// and cheap afterwards.
 void initFromEnv();
 
-/// Writes each armed plane's file under MPL_OBS_DIR. Called on Runtime
-/// destruction (quiescent; a running sampler first takes a final sample)
-/// and at process exit (the sampler is stopped first, so no gauge runs).
+/// Writes trace.json under MPL_OBS_DIR when a plane is armed. Called on
+/// Runtime destruction (quiescent; a running sampler first takes a final
+/// sample) and at process exit (the sampler is stopped first, so no gauge
+/// runs).
 void flushEnvSinks();
 
 } // namespace obs

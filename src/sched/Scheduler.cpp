@@ -151,11 +151,9 @@ void Scheduler::executeJob(Worker *W, Job *J) {
   obs::SpanTask Task;
   obs::SpanTask *SavedTask = nullptr;
   bool SpansOn = J->SpanId != 0 && obs::spansEnabled();
-  if (SpansOn) {
+  if (SpansOn)
     SavedTask = obs::spanEnterTask(&Task, J->SpanId, J->SpanParent,
                                    J->SpanLoc);
-    obs::emit(obs::Ev::FlowIn, J->SpanId);
-  }
   strandResume(W);
   J->Run(J);
   strandPause(W);
@@ -190,20 +188,14 @@ void Scheduler::forkImpl(Thunk A, void *EnvA, Job &JB) {
 
   W->Dq.push(&JB);
   obs::emit(obs::Ev::Fork);
-  if (SpansOn) {
-    obs::emit(obs::Ev::FlowOut, IdA);
-    obs::emit(obs::Ev::FlowOut, IdA + 1);
-  }
   // Schedule fuzzing: widen the window in which JB is stealable.
   chaos::preemptPoint(chaos::Point::Fork);
 
   // Run branch A inline (work-first).
   obs::SpanTask TaskA;
   obs::SpanTask *SavedTask = nullptr;
-  if (SpansOn) {
+  if (SpansOn)
     SavedTask = obs::spanEnterTask(&TaskA, IdA, JB.SpanParent, JB.SpanLoc);
-    obs::emit(obs::Ev::FlowIn, IdA);
-  }
   strandResume(W);
   A(EnvA);
   strandPause(W);

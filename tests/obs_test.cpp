@@ -49,6 +49,7 @@ namespace {
 class ObsTest : public ::testing::Test {
 protected:
   void SetUp() override {
+    obs::SpanLedger::get().disable();
     obs::Tracer::get().disable();
     obs::Tracer::get().clear();
     obs::MetricsSampler::get().stop();
@@ -219,87 +220,125 @@ TEST_F(ObsTest, ChromeTraceJsonParsesBack) {
   EXPECT_TRUE(SawGcSlice);
 }
 
-TEST_F(ObsTest, ChromeTraceFlowEventsExport) {
-  obs::Tracer::get().enable();
-  obs::labelCurrentThread(0);
-  obs::emit(obs::Ev::FlowOut, 7);
-  obs::emit(obs::Ev::FlowIn, 7);
-  obs::Tracer::get().disable();
+namespace {
 
-  json::Value Doc;
-  std::string Err;
-  ASSERT_TRUE(json::parse(obs::Tracer::get().chromeTraceJson(), Doc, Err))
-      << Err;
-  int NOut = 0, NIn = 0;
-  for (const json::Value &E : Doc.field("traceEvents")->Items) {
-    const std::string &P = E.field("ph")->StrV;
-    if (P != "s" && P != "f")
-      continue;
-    // Flow events bind by (cat, id); Perfetto drops flows without both.
-    ASSERT_NE(E.field("cat"), nullptr);
-    EXPECT_EQ(E.field("cat")->StrV, "spans");
-    ASSERT_NE(E.field("id"), nullptr);
-    EXPECT_TRUE(E.field("id")->isNumber());
-    EXPECT_EQ(static_cast<uint64_t>(E.field("id")->NumV), 7u);
-    EXPECT_EQ(E.field("name")->StrV, "task_flow");
-    if (P == "s") {
-      ++NOut;
-    } else {
-      ++NIn;
-      // bp:"e" binds the inbound flow to the *enclosing* slice.
-      ASSERT_NE(E.field("bp"), nullptr);
-      EXPECT_EQ(E.field("bp")->StrV, "e");
-    }
-  }
-  EXPECT_EQ(NOut, 1);
-  EXPECT_EQ(NIn, 1);
-}
-
-TEST_F(ObsTest, ChromeTraceRoundTripMatchesBufferCounts) {
-  // Real workload with tracer + span ledger armed: every retained event —
-  // including the span ledger's task_flow edges — must survive the export
-  // with its phase intact, so the JSON's per-phase counts equal the ring
-  // buffers' per-kind counts.
-  obs::Tracer::get().enable();
+/// Runs fib at two workers with the span ledger armed, so the run steals,
+/// and returns the ledger's summary of it.
+obs::SpanRunSummary recordFib(int N) {
   obs::SpanLedger::get().enable();
   {
     rt::Config Cfg;
     Cfg.NumWorkers = 2;
     rt::Runtime R(Cfg);
-    R.run([] { wl::fib(18, 5); });
+    R.run([N] { wl::fib(N, 5); });
   }
+  return obs::SpanLedger::get().lastRun();
+}
+
+} // namespace
+
+TEST_F(ObsTest, ChromeTraceFlowEventsExport) {
+  // The fork edges are derived from the ledger's parent ids at export: a
+  // task_flow pair per child, bound by (cat, name, id = child id), whose
+  // start sits on the parent's track and whose finish (bp:"e", binding
+  // the enclosing slice) on the child's, where the child's slice starts.
+  obs::SpanRunSummary Sum = recordFib(14);
+  std::string Text = obs::Tracer::get().chromeTraceJson();
   obs::SpanLedger::get().disable();
+  std::map<uint64_t, const obs::SpanTaskOut *> ById;
+  for (const obs::SpanTaskOut &T : Sum.AllTasks)
+    ById[T.Id] = &T;
+
+  json::Value Doc;
+  std::string Err;
+  ASSERT_TRUE(json::parse(Text, Doc, Err)) << Err;
+  size_t NOut = 0, NIn = 0;
+  for (const json::Value &E : Doc.field("traceEvents")->Items) {
+    const std::string &P = E.field("ph")->StrV;
+    if (P != "s" && P != "f")
+      continue;
+    EXPECT_EQ(E.field("name")->StrV, "task_flow");
+    ASSERT_NE(E.field("cat"), nullptr);
+    EXPECT_EQ(E.field("cat")->StrV, "spans");
+    ASSERT_TRUE(E.field("id") && E.field("id")->isNumber());
+    auto It = ById.find(static_cast<uint64_t>(E.field("id")->NumV));
+    ASSERT_NE(It, ById.end());
+    const obs::SpanTaskOut &Child = *It->second;
+    const obs::SpanTaskOut &Parent = *ById.at(Child.Parent);
+    if (P == "s") {
+      ++NOut;
+      EXPECT_EQ(E.field("tid")->NumV, Parent.Worker);
+    } else {
+      ++NIn;
+      EXPECT_EQ(E.field("tid")->NumV, Child.Worker);
+      ASSERT_NE(E.field("bp"), nullptr);
+      EXPECT_EQ(E.field("bp")->StrV, "e");
+    }
+  }
+  ASSERT_GT(Sum.Tasks, 1);
+  EXPECT_EQ(NOut, static_cast<size_t>(Sum.Tasks - 1));
+  EXPECT_EQ(NIn, NOut);
+
+  // Disarmed, the same trace holds no task slice and no task flow.
+  Text = obs::Tracer::get().chromeTraceJson();
+  EXPECT_EQ(Text.find("\"task\""), std::string::npos);
+  EXPECT_EQ(Text.find("task_flow"), std::string::npos);
+  EXPECT_EQ(Text.find("\"spans\""), std::string::npos);
+}
+
+TEST_F(ObsTest, ChromeTraceRoundTripMatchesBufferCounts) {
+  // A real workload with the tracer and the span ledger armed: every
+  // retained event survives the export with its phase intact (per-kind
+  // ring counts equal the JSON's per-phase counts), and every task of the
+  // ledger's run is one "X" slice carrying its heap depth and its end
+  // (ts + dur) on the trace's clock.
+  obs::Tracer::get().enable();
+  obs::SpanRunSummary Sum = recordFib(18);
   obs::Tracer::get().disable();
   ASSERT_EQ(obs::Tracer::get().totalDropped(), 0u);
 
-  uint64_t BufFlowOut = 0, BufFlowIn = 0;
+  uint64_t BufForks = 0, BufStrands = 0;
   obs::Tracer::get().forEachBuffer([&](const obs::TraceBuffer &B) {
     for (uint64_t I = B.first(); I < B.head(); ++I) {
       uint16_t K = B.at(I).Kind;
-      if (K == static_cast<uint16_t>(obs::Ev::FlowOut))
-        ++BufFlowOut;
-      else if (K == static_cast<uint16_t>(obs::Ev::FlowIn))
-        ++BufFlowIn;
+      BufForks += K == static_cast<uint16_t>(obs::Ev::Fork);
+      BufStrands += K == static_cast<uint16_t>(obs::Ev::StrandBegin);
     }
   });
-  ASSERT_GT(BufFlowOut, 0u);
-  // Two FlowOuts per fork; one FlowIn when each spawned task starts.
-  EXPECT_EQ(BufFlowIn, BufFlowOut);
+  ASSERT_GT(BufForks, 0u);
 
   json::Value Doc;
   std::string Err;
   ASSERT_TRUE(json::parse(obs::Tracer::get().chromeTraceJson(), Doc, Err))
       << Err;
-  uint64_t NOut = 0, NIn = 0;
+  obs::SpanLedger::get().disable();
+  std::map<uint64_t, const obs::SpanTaskOut *> ById;
+  for (const obs::SpanTaskOut &T : Sum.AllTasks)
+    ById[T.Id] = &T;
+  uint64_t NForks = 0, NStrands = 0, NTasks = 0;
+  double FirstTaskUs = -1;
   for (const json::Value &E : Doc.field("traceEvents")->Items) {
     const std::string &P = E.field("ph")->StrV;
-    if (P == "s")
-      ++NOut;
-    else if (P == "f")
-      ++NIn;
+    const std::string &Name = E.field("name")->StrV;
+    NForks += P == "i" && Name == "fork";
+    NStrands += P == "B" && Name == "strand";
+    if (P != "X")
+      continue;
+    ++NTasks;
+    const json::Value *A = E.field("args");
+    const obs::SpanTaskOut &T =
+        *ById.at(static_cast<uint64_t>(A->field("id")->NumV));
+    EXPECT_EQ(A->field("depth")->NumV, T.HeapDepth);
+    EXPECT_GE(E.field("dur")->NumV, 0);
+    if (FirstTaskUs < 0)
+      FirstTaskUs = E.field("ts")->NumV - T.StartNs / 1000.0;
+    // One clock: every slice sits at its recorded start, shifted by the
+    // trace's base like every event.
+    EXPECT_NEAR(E.field("ts")->NumV - T.StartNs / 1000.0, FirstTaskUs, 1e-3);
   }
-  EXPECT_EQ(NOut, BufFlowOut);
-  EXPECT_EQ(NIn, BufFlowIn);
+  EXPECT_EQ(NForks, BufForks);
+  EXPECT_EQ(NStrands, BufStrands);
+  EXPECT_EQ(NTasks, static_cast<uint64_t>(Sum.Tasks));
 }
 
 TEST_F(ObsTest, ExporterDropsOrphanedEndEvents) {
@@ -442,11 +481,10 @@ TEST_F(ObsTest, TraceCarriesSamplesAndHistograms) {
 TEST_F(ObsTest, TraceCarriesEveryMetricsSampleField) {
   // Each sample becomes counter events at one ts carrying every field the
   // sample holds: the em block, the registry gauges, the live-heap summary
-  // and both per-depth histograms; the histograms and the final heap tree
-  // sit under otherData. No ts may be negative, even for samples taken
-  // before the first retained event.
+  // and the per-depth heap histogram; the histograms and the final heap
+  // tree sit under otherData. No ts may be negative, even for samples
+  // taken before the first retained event.
   auto &S = obs::MetricsSampler::get();
-  obs::SpanLedger::get().enable();
   obs::Tracer::get().enable();
   obs::MetricsSample Inside;
   {
@@ -462,10 +500,9 @@ TEST_F(ObsTest, TraceCarriesEveryMetricsSampleField) {
               [] { return ops::unit(); });
     });
     R.run([] { (void)wl::fib(12, 4); });
-    S.sampleOnce(); // Task depths recorded by the span ledger.
+    S.sampleOnce();
   }
   obs::Tracer::get().disable();
-  obs::SpanLedger::get().disable();
   std::vector<obs::MetricsSample> Series = S.series();
   ASSERT_EQ(Series.size(), 3u);
   ASSERT_GE(Inside.LiveHeaps, 2);
@@ -482,16 +519,14 @@ TEST_F(ObsTest, TraceCarriesEveryMetricsSampleField) {
   auto Gauges = counterEvents(Doc, "gauges");
   auto Heaps = counterEvents(Doc, "heaps");
   auto Depths = counterEvents(Doc, "depth_hist");
-  auto Tasks = counterEvents(Doc, "task_depth_hist");
   ASSERT_EQ(Em.size(), 3u);
   ASSERT_EQ(Gauges.size(), 3u);
   ASSERT_EQ(Heaps.size(), 3u);
   ASSERT_EQ(Depths.size(), 3u);
-  ASSERT_EQ(Tasks.size(), 3u);
   for (size_t I = 0; I < 3; ++I) {
     const obs::MetricsSample &M = Series[I];
     double Ts = Em[I]->field("ts")->NumV;
-    for (auto *Ev : {Gauges[I], Heaps[I], Depths[I], Tasks[I]})
+    for (auto *Ev : {Gauges[I], Heaps[I], Depths[I]})
       EXPECT_EQ(Ev->field("ts")->NumV, Ts) << "one sample, one instant";
     // The em block: every em.* counter of the sample, by registry name.
     const json::Value *EmArgs = Em[I]->field("args");
@@ -510,20 +545,15 @@ TEST_F(ObsTest, TraceCarriesEveryMetricsSampleField) {
     EXPECT_EQ(Heaps[I]->field("args")->field("live")->NumV, M.LiveHeaps);
     EXPECT_EQ(Heaps[I]->field("args")->field("max_depth")->NumV,
               M.MaxHeapDepth);
-    // Per-depth histograms, zero-padded to the widest sample.
-    auto CheckDepths = [](const json::Value *Ev,
-                          const std::vector<int64_t> &Want) {
-      const json::Value *A = Ev->field("args");
-      for (size_t D = 0; D < A->Fields.size(); ++D) {
-        EXPECT_EQ(A->Fields[D].first, std::to_string(D));
-        EXPECT_EQ(A->Fields[D].second.NumV, D < Want.size() ? Want[D] : 0);
-      }
-      EXPECT_GE(A->Fields.size(), Want.size());
-    };
-    CheckDepths(Depths[I], M.DepthHist);
-    CheckDepths(Tasks[I], M.TaskDepthHist);
+    // The per-depth histogram, zero-padded to the widest sample.
+    const json::Value *A = Depths[I]->field("args");
+    for (size_t D = 0; D < A->Fields.size(); ++D) {
+      EXPECT_EQ(A->Fields[D].first, std::to_string(D));
+      EXPECT_EQ(A->Fields[D].second.NumV,
+                D < M.DepthHist.size() ? M.DepthHist[D] : 0);
+    }
+    EXPECT_GE(A->Fields.size(), M.DepthHist.size());
   }
-  EXPECT_FALSE(Series[2].TaskDepthHist.empty());
 
   const json::Value *Other = Doc.field("otherData");
   ASSERT_NE(Other->field("counters"), nullptr);

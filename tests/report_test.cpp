@@ -10,14 +10,20 @@
 // rejected with a diagnostic instead of a crash. Also round-trips the
 // BenchJson writer (bench/Common.h) through src/support/Json.h to pin the
 // schema the gate consumes, checks bench::measure, the timed-rep loop
-// that produces every row, and drives the span-DAG readers and the
-// trace-event checker behind `mpl_report spans` and `mpl_report trace`.
+// that produces every row, and drives the trace-event checker and the
+// span-DAG reader behind `mpl_report trace` and `mpl_report spans`,
+// including a round trip through a real run's trace.json.
 //
 //===----------------------------------------------------------------------===//
 
 #include "GateLib.h"
 
 #include "bench/Common.h"
+#include "core/Runtime.h"
+#include "obs/Span.h"
+#include "obs/Trace.h"
+#include "pml/Vm.h"
+#include "support/File.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -417,6 +423,29 @@ TEST(ReportCounterGate, DisentangledStartsPinning) {
   EXPECT_FALSE(gateOne(Base, Cur, Opts).ok());
 }
 
+TEST(ReportCounterGate, RelativeBoundIsStrictSlackIsInclusive) {
+  // A row passes at cur <= base + slack or cur < base * (1 + pct/100): at
+  // the default 100% a counter that exactly doubles fails.
+  RowSpec Base, Cur;
+  Base.Entangled = Cur.Entangled = true;
+  GateOptions Opts;
+  Opts.GateCounters = true;
+  Base.EntangledReads = 10000;
+  Cur.EntangledReads = 20000;
+  GateResult R = gateOne(Base, Cur, Opts);
+  ASSERT_NE(R.first(Finding::Kind::CounterRegression), nullptr);
+  EXPECT_NE(R.first(Finding::Kind::CounterRegression)
+                ->Message.find("10000 -> 20000 (limit 19999)"),
+            std::string::npos);
+  Cur.EntangledReads = 19999;
+  EXPECT_TRUE(gateOne(Base, Cur, Opts).ok());
+  Base.EntangledReads = 0;
+  Cur.EntangledReads = 64; // Exactly the 64-event slack.
+  EXPECT_TRUE(gateOne(Base, Cur, Opts).ok());
+  Cur.EntangledReads = 65;
+  EXPECT_FALSE(gateOne(Base, Cur, Opts).ok());
+}
+
 TEST(ReportCounterGate, DisentangledRowPinningAHundredObjectsFails) {
   // A disentangled BENCH_T4 row that starts pinning 100 objects (16,000
   // bytes, all released at the join): past the 64-event slack, so the
@@ -791,117 +820,6 @@ TEST(MeasureDeathTest, VaryingChecksumFails) {
 }
 
 //===----------------------------------------------------------------------===//
-// mpl-spans/1 (mpl_report spans)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// A minimal but complete mpl-spans/1 document in the exact shape
-/// obs::SpanRunSummary::toJson() emits (root parent -1, 0/1 booleans).
-const char *SpansDoc =
-    "{\"schema\":\"mpl-spans/1\","
-    "\"sched\":{\"work_s\":0.010,\"span_s\":0.006},"
-    "\"ledger\":{\"valid\":1,\"tasks\":3,\"stolen\":1,\"dropped\":0,"
-    "\"work_s\":0.010,\"critical_path_s\":0.006,\"agreement_pct\":0.0,"
-    "\"em_reads\":1,\"pins\":1},"
-    "\"lines\":[{\"line\":6,\"col\":7,\"em_reads\":1,\"pins\":0,\"tasks\":0,"
-    "\"self_s\":0,\"cp_self_s\":0},"
-    "{\"line\":4,\"col\":3,\"em_reads\":0,\"pins\":1,\"tasks\":2,"
-    "\"self_s\":0.004,\"cp_self_s\":0.002}],"
-    "\"critical_path\":[1,3],"
-    "\"tasks\":["
-    "{\"id\":1,\"parent\":-1,\"start_s\":0,\"stop_s\":0.008,\"self_s\":0.004,"
-    "\"worker\":0,\"stolen\":0,\"on_cp\":1,\"line\":0,\"col\":0,\"depth\":0,"
-    "\"em_reads\":0,\"pins\":0},"
-    "{\"id\":2,\"parent\":1,\"start_s\":0.001,\"stop_s\":0.003,"
-    "\"self_s\":0.002,\"worker\":0,\"stolen\":0,\"on_cp\":0,\"line\":4,"
-    "\"col\":3,\"depth\":1,\"em_reads\":0,\"pins\":1},"
-    "{\"id\":3,\"parent\":1,\"start_s\":0.001,\"stop_s\":0.005,"
-    "\"self_s\":0.004,\"worker\":1,\"stolen\":1,\"on_cp\":1,\"line\":4,"
-    "\"col\":3,\"depth\":1,\"em_reads\":1,\"pins\":0}"
-    "]}";
-
-} // namespace
-
-TEST(SpansParse, GoodFileParses) {
-  gate::SpansFile F;
-  std::string Err;
-  ASSERT_TRUE(gate::parseSpansJson(SpansDoc, F, Err)) << Err;
-  EXPECT_TRUE(F.LedgerValid);
-  EXPECT_EQ(F.Tasks, 3);
-  EXPECT_EQ(F.Stolen, 1);
-  EXPECT_EQ(F.Dropped, 0);
-  EXPECT_DOUBLE_EQ(F.SchedWorkS, 0.010);
-  EXPECT_DOUBLE_EQ(F.CriticalPathS, 0.006);
-  EXPECT_EQ(F.EmReads, 1);
-  ASSERT_EQ(F.Lines.size(), 2u);
-  EXPECT_EQ(F.Lines[0].Line, 6);
-  EXPECT_EQ(F.Lines[0].EmReads, 1);
-  ASSERT_EQ(F.TaskRows.size(), 3u);
-  EXPECT_EQ(F.TaskRows[0].Parent, -1);
-  EXPECT_TRUE(F.TaskRows[2].Stolen);
-  EXPECT_TRUE(F.TaskRows[2].OnCp);
-  ASSERT_EQ(F.CriticalPath.size(), 2u);
-  EXPECT_EQ(F.CriticalPath[1], 3u);
-}
-
-TEST(SpansParse, MalformedRejected) {
-  gate::SpansFile F;
-  std::string Err;
-  EXPECT_FALSE(gate::parseSpansJson("", F, Err));
-  EXPECT_NE(Err.find("empty"), std::string::npos) << Err;
-  EXPECT_FALSE(gate::parseSpansJson("{\"schema\":\"mpl-spans/1\",", F, Err));
-  EXPECT_NE(Err.find("parse error"), std::string::npos) << Err;
-  EXPECT_FALSE(gate::parseSpansJson("[1]", F, Err));
-  EXPECT_NE(Err.find("not an object"), std::string::npos) << Err;
-  EXPECT_FALSE(gate::parseSpansJson("{\"schema\":\"mpl-bench/1\"}", F, Err));
-  EXPECT_NE(Err.find("mpl-bench/1"), std::string::npos) << Err;
-  EXPECT_FALSE(gate::parseSpansJson("{\"schema\":\"mpl-spans/1\"}", F, Err));
-  EXPECT_NE(Err.find("ledger"), std::string::npos) << Err;
-  EXPECT_FALSE(gate::parseSpansJson(
-      "{\"schema\":\"mpl-spans/1\",\"ledger\":{\"valid\":1}}", F, Err));
-  EXPECT_NE(Err.find("tasks"), std::string::npos) << Err;
-  EXPECT_FALSE(gate::parseSpansJson(
-      "{\"schema\":\"mpl-spans/1\",\"ledger\":{\"valid\":1},"
-      "\"tasks\":[{\"parent\":-1}]}",
-      F, Err));
-  EXPECT_NE(Err.find("id"), std::string::npos) << Err;
-}
-
-TEST(SpansRender, SummaryPathLinesAndFold) {
-  gate::SpansFile F;
-  std::string Err;
-  ASSERT_TRUE(gate::parseSpansJson(SpansDoc, F, Err)) << Err;
-
-  std::string Sum = gate::renderSpansSummary(F);
-  EXPECT_NE(Sum.find("3 tasks"), std::string::npos) << Sum;
-  EXPECT_NE(Sum.find("critical path"), std::string::npos) << Sum;
-
-  // Critical path render lists exactly the on_cp tasks, root labelled.
-  std::string Cp = gate::renderCriticalPath(F);
-  EXPECT_NE(Cp.find("#1"), std::string::npos) << Cp;
-  EXPECT_NE(Cp.find("root"), std::string::npos) << Cp;
-  EXPECT_NE(Cp.find("(stolen)"), std::string::npos) << Cp;
-  EXPECT_EQ(Cp.find("#2"), std::string::npos) << "off-CP task listed:\n"
-                                              << Cp;
-
-  // Top lines sorted by em reads first: the read line leads.
-  std::string Top = gate::renderTopLines(F, 10);
-  size_t P6 = Top.find("L6:7");
-  size_t P4 = Top.find("L4:3");
-  ASSERT_NE(P6, std::string::npos) << Top;
-  ASSERT_NE(P4, std::string::npos) << Top;
-  EXPECT_LT(P6, P4) << "em-read line must sort first:\n" << Top;
-
-  // Folded stacks: child frames chain through the parent's fork site to
-  // the root; values are self time in ns.
-  std::string Fold = gate::foldSpans(F);
-  EXPECT_NE(Fold.find("root 4000000\n"), std::string::npos) << Fold;
-  EXPECT_NE(Fold.find("root;L4:3 2000000\n"), std::string::npos) << Fold;
-  EXPECT_NE(Fold.find("root;L4:3 4000000\n"), std::string::npos) << Fold;
-}
-
-//===----------------------------------------------------------------------===//
 // Chrome trace-event files (mpl_report trace)
 //===----------------------------------------------------------------------===//
 
@@ -1028,4 +946,204 @@ TEST(TraceCheck, NetBalanceFailsOnImbalanceAndOnZeroRequests) {
                 .find("net.requests is 0/absent"),
             std::string::npos);
   EXPECT_EQ(traceError(traceDoc(CleanEvents, "0", Lost), {}), "");
+}
+
+TEST(TraceCheck, CompleteSlicesNeedANonNegativeDur) {
+  EXPECT_EQ(traceError(traceDoc(event("task", "X", 0, ",\"dur\":0"), "0",
+                                "{}"),
+                       {}),
+            "");
+  for (const char *Bad : {"", ",\"dur\":-1", ",\"dur\":\"5\""})
+    EXPECT_NE(traceError(traceDoc(event("task", "X", 0, Bad), "0", "{}"), {})
+                  .find("X slice 'task' without a numeric dur >= 0"),
+              std::string::npos)
+        << Bad;
+}
+
+//===----------------------------------------------------------------------===//
+// The span ledger's DAG in a trace (mpl_report spans)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One task slice in the exporter's shape; ts and dur in us.
+std::string taskSlice(int Id, int Parent, int Tid, int Ts, int Dur,
+                      int SelfUs, int OnCp, int Line, int Col, int Depth,
+                      int EmReads, int Pins) {
+  char Buf[512];
+  std::snprintf(Buf, sizeof(Buf),
+                ",{\"name\":\"task\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,"
+                "\"ts\":%d,\"dur\":%d,\"args\":{\"id\":%d,\"parent\":%d,"
+                "\"self_ns\":%d,\"line\":%d,\"col\":%d,\"depth\":%d,"
+                "\"em_reads\":%d,\"pins\":%d,\"on_cp\":%d}}",
+                Tid, Ts, Dur, Id, Parent, SelfUs * 1000, Line, Col, Depth,
+                EmReads, Pins, OnCp);
+  return Buf;
+}
+
+/// A three-task run: the root forks two tasks at L4:3 and the second is
+/// stolen by worker 1. L6:7 made the entangled read and L4:3 the pin.
+const std::string SpanEvents =
+    event("fork", "i", 0) +
+    taskSlice(1, -1, 0, 0, 8000, 4000, 1, 0, 0, 0, 0, 0) +
+    taskSlice(2, 1, 0, 1000, 2000, 2000, 0, 4, 3, 1, 0, 1) +
+    taskSlice(3, 1, 1, 1000, 4000, 4000, 1, 4, 3, 1, 1, 0) +
+    event("task_flow", "s", 0, ",\"cat\":\"spans\",\"id\":3") +
+    event("task_flow", "f", 1, ",\"cat\":\"spans\",\"id\":3,\"bp\":\"e\"");
+const char *SpanData =
+    "\"spans\":{\"work_s\":0.010,\"span_s\":0.008,\"valid\":1,"
+    "\"dropped\":0,\"lines\":[{\"line\":6,\"col\":7,\"em_reads\":1,"
+    "\"pins\":0},{\"line\":4,\"col\":3,\"em_reads\":0,\"pins\":1}]}";
+
+/// A trace holding \p Events and, under otherData, \p Data.
+std::string spanTrace(const std::string &Events, const std::string &Data) {
+  return "{\"traceEvents\":[{\"name\":\"thread_name\",\"ph\":\"M\","
+         "\"pid\":0,\"tid\":0,\"args\":{\"name\":\"worker 0\"}}" +
+         Events + "],\"otherData\":{\"dropped_events\":\"0\"" +
+         (Data.empty() ? "" : "," + Data) + "}}";
+}
+
+obs::SpanRunSummary parseSpansOrDie(const std::string &Text) {
+  obs::SpanRunSummary S;
+  std::string Err;
+  EXPECT_TRUE(obs::readSpanTrace(Text, S, Err)) << Err;
+  return S;
+}
+
+/// readSpanTrace's diagnostic for \p Text, or "" when it reads.
+std::string spanError(const std::string &Text) {
+  obs::SpanRunSummary S;
+  std::string Err;
+  return obs::readSpanTrace(Text, S, Err) ? "" : Err;
+}
+
+} // namespace
+
+TEST(SpansParse, GoodFileParses) {
+  obs::SpanRunSummary S = parseSpansOrDie(spanTrace(SpanEvents, SpanData));
+  EXPECT_TRUE(S.Valid);
+  EXPECT_EQ(S.Tasks, 3);
+  EXPECT_EQ(S.Stolen, 1); // Task 3 ran on worker 1, its parent on 0.
+  EXPECT_EQ(S.Dropped, 0);
+  EXPECT_DOUBLE_EQ(S.SchedWorkSec, 0.010);
+  EXPECT_DOUBLE_EQ(S.SchedSpanSec, 0.008);
+  EXPECT_DOUBLE_EQ(S.LedgerWorkSec, 0.010);
+  EXPECT_DOUBLE_EQ(S.CriticalPathSec, 0.008);
+  EXPECT_DOUBLE_EQ(S.agreementPct(), 0);
+  EXPECT_EQ(S.EmReads, 1);
+  EXPECT_EQ(S.PinEvents, 1);
+  ASSERT_EQ(S.AllTasks.size(), 3u);
+  EXPECT_EQ(S.AllTasks[0].Parent, ~uint64_t(0));
+  EXPECT_EQ(S.AllTasks[1].Id, 2u);
+  EXPECT_EQ(S.AllTasks[2].StopNs - S.AllTasks[2].StartNs, 4000000);
+  EXPECT_TRUE(S.AllTasks[2].Stolen);
+  EXPECT_TRUE(S.AllTasks[2].OnCriticalPath);
+  EXPECT_EQ(S.AllTasks[2].HeapDepth, 1);
+  EXPECT_FALSE(S.AllTasks[1].OnCriticalPath);
+  // Lines: the root's "no location" bucket, the fork site with its pin
+  // and both tasks, and the read's line.
+  ASSERT_EQ(S.Lines.size(), 3u);
+  EXPECT_EQ(S.Lines[1].first, obs::spanPackLoc(4, 3));
+  EXPECT_EQ(S.Lines[1].second.Pins, 1);
+  EXPECT_EQ(S.Lines[1].second.Tasks, 2);
+  EXPECT_EQ(S.Lines[1].second.CpSelfNs, 4000000);
+  EXPECT_EQ(S.Lines[2].first, obs::spanPackLoc(6, 7));
+  EXPECT_EQ(S.Lines[2].second.EmReads, 1);
+}
+
+TEST(SpansParse, MalformedRejected) {
+  EXPECT_NE(spanError("").find("parse error"), std::string::npos);
+  EXPECT_NE(spanError("[1]").find("no traceEvents array"), std::string::npos);
+  // A trace recorded without the spans plane.
+  EXPECT_NE(spanError(spanTrace(CleanEvents, "")).find(
+                "no otherData.spans (record the run with MPL_OBS=spans)"),
+            std::string::npos);
+  EXPECT_NE(spanError(spanTrace(",{\"name\":\"task\",\"ph\":\"X\",\"pid\":0,"
+                                "\"tid\":0,\"ts\":0,\"dur\":1,"
+                                "\"args\":{\"id\":\"7\"}}",
+                                SpanData))
+                .find("task slice 0: no numeric id"),
+            std::string::npos);
+  EXPECT_NE(spanError(spanTrace(taskSlice(7, -1, 0, 0, -1, 0, 1, 0, 0, 0, 0,
+                                          0),
+                                SpanData))
+                .find("task slice 0: no numeric dur >= 0"),
+            std::string::npos);
+}
+
+TEST(SpansRender, SummaryPathLinesAndFold) {
+  obs::SpanRunSummary S = parseSpansOrDie(spanTrace(SpanEvents, SpanData));
+
+  std::string Sum = obs::renderSpanSummary(S);
+  EXPECT_NE(Sum.find("3 tasks (1 stolen, 0 dropped)"), std::string::npos)
+      << Sum;
+  EXPECT_NE(Sum.find("critical path 8.000ms"), std::string::npos) << Sum;
+  EXPECT_NE(Sum.find("em events: 1 reads, 1 pins"), std::string::npos) << Sum;
+
+  // Critical path render lists exactly the on_cp tasks, root labelled.
+  std::string Cp = obs::renderCriticalPath(S);
+  EXPECT_NE(Cp.find("#1"), std::string::npos) << Cp;
+  EXPECT_NE(Cp.find("root"), std::string::npos) << Cp;
+  EXPECT_NE(Cp.find("(stolen)"), std::string::npos) << Cp;
+  EXPECT_EQ(Cp.find("#2"), std::string::npos) << "off-CP task listed:\n"
+                                              << Cp;
+
+  // Top lines sorted by em reads first: the read line leads.
+  std::string Top = obs::renderTopLines(S, 10);
+  size_t P6 = Top.find("L6:7");
+  size_t P4 = Top.find("L4:3");
+  ASSERT_NE(P6, std::string::npos) << Top;
+  ASSERT_NE(P4, std::string::npos) << Top;
+  EXPECT_LT(P6, P4) << "em-read line must sort first:\n" << Top;
+  EXPECT_EQ(obs::renderTopLines(S, 1).find("L4:3"), std::string::npos);
+
+  // Folded stacks: child frames chain through the parent's fork site to
+  // the root; values are self time in ns.
+  std::string Fold = obs::foldSpans(S);
+  EXPECT_NE(Fold.find("root 4000000\n"), std::string::npos) << Fold;
+  EXPECT_NE(Fold.find("root;L4:3 2000000\n"), std::string::npos) << Fold;
+  EXPECT_NE(Fold.find("root;L4:3 4000000\n"), std::string::npos) << Fold;
+}
+
+TEST(SpansRoundTrip, TraceReadBackRendersAsTheRun) {
+  // A pml run at four workers with the ledger armed: its in-memory summary
+  // and the one read back from the trace.json it wrote print the same four
+  // `mpl_report spans` outputs.
+  const std::string Src =
+      "fun fib n =\n"
+      "  if n < 2 then n\n"
+      "  else let val p = par (fib (n - 1), fib (n - 2)) in fst p + snd p "
+      "end\n"
+      "let val r = ref (ref 0)\n"
+      "in par ((r := ref 7; fib 12), !(!r) + fib 11) end\n";
+  obs::SpanLedger::get().enable();
+  rt::Config Cfg;
+  Cfg.NumWorkers = 4;
+  obs::SpanRunSummary Run;
+  std::string Path = ::testing::TempDir() + "report_test_spans_trace.json";
+  {
+    rt::Runtime R(Cfg);
+    std::string Output, Rendered, Type;
+    std::vector<std::string> Errors;
+    R.run([&] {
+      ASSERT_TRUE(pml::evalSource(Src, Output, Rendered, Type, Errors))
+          << (Errors.empty() ? "" : Errors[0]);
+    });
+    Run = obs::SpanLedger::get().lastRun();
+    ASSERT_TRUE(obs::Tracer::get().writeChromeTrace(Path));
+  }
+  obs::SpanLedger::get().disable();
+  ASSERT_TRUE(Run.Valid);
+  ASSERT_GT(Run.Tasks, 3);
+
+  std::optional<std::string> Text = readFile(Path);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Text);
+  obs::SpanRunSummary Back;
+  std::string Err;
+  ASSERT_TRUE(obs::readSpanTrace(*Text, Back, Err)) << Err;
+  EXPECT_EQ(obs::renderSpanSummary(Back), obs::renderSpanSummary(Run));
+  EXPECT_EQ(obs::renderCriticalPath(Back), obs::renderCriticalPath(Run));
+  EXPECT_EQ(obs::renderTopLines(Back, 10), obs::renderTopLines(Run, 10));
+  EXPECT_EQ(obs::foldSpans(Back), obs::foldSpans(Run));
 }

@@ -12,19 +12,27 @@
 //
 //  2. Attribution: em events sampled in the read/write barrier slow paths
 //     resolve to the pml source line of the expression that caused them,
-//     via the compiler's bytecode -> (Line, Col) source map.
+//     via the compiler's bytecode -> (Line, Col) source map, and each
+//     task's counts sum to the run's em counters.
+//
+// It also checks the one export: the DAG as task slices in trace.json.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Em.h"
 #include "core/Runtime.h"
 #include "obs/Span.h"
+#include "obs/Trace.h"
 #include "pml/Vm.h"
+#include "support/Json.h"
+#include "workloads/Entangled.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -38,8 +46,8 @@ protected:
   void SetUp() override { obs::SpanLedger::get().disable(); }
   void TearDown() override { SetUp(); }
 
-  /// Runs \p Body in a fresh runtime with the ledger armed and returns the
-  /// run's merged summary.
+  /// Runs \p Body in a fresh runtime (Manage mode, the default) with the
+  /// ledger armed and returns the run's merged summary.
   template <typename Fn>
   obs::SpanRunSummary record(int Workers, Fn &&Body) {
     obs::SpanLedger::get().enable();
@@ -73,19 +81,25 @@ TEST_F(SpansTest, SingleTaskRunIsJustTheRoot) {
 }
 
 TEST_F(SpansTest, CriticalPathMatchesSchedulerSpan) {
-  obs::SpanRunSummary Sum = record(1, [] { (void)wl::fib(18, 5); });
-  ASSERT_TRUE(Sum.Valid);
-  EXPECT_GT(Sum.Tasks, 3);
-  EXPECT_EQ(Sum.Stolen, 0); // One worker: nothing to steal.
-  ASSERT_GT(Sum.SchedSpanSec, 0.0);
-  // Same-quanta design: ledger CP and scheduler S are built from the same
-  // strand measurements, so they agree exactly — 5% is the CI oracle's
-  // slack, not an expected error.
-  EXPECT_LT(std::fabs(Sum.agreementPct()), 5.0);
-  EXPECT_NEAR(Sum.LedgerWorkSec, Sum.SchedWorkSec,
-              1e-9 + 1e-6 * Sum.SchedWorkSec);
-  EXPECT_NEAR(Sum.CriticalPathSec, Sum.SchedSpanSec,
-              1e-9 + 1e-6 * Sum.SchedSpanSec);
+  // At one worker and at four, where stolen tasks add cross-worker edges.
+  for (int Workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
+    obs::SpanRunSummary Sum = record(Workers, [] { (void)wl::fib(18, 5); });
+    ASSERT_TRUE(Sum.Valid);
+    EXPECT_GT(Sum.Tasks, 3);
+    if (Workers == 1) {
+      EXPECT_EQ(Sum.Stolen, 0); // One worker: nothing to steal.
+    }
+    ASSERT_GT(Sum.SchedSpanSec, 0.0);
+    // Same-quanta design: ledger CP and scheduler S are built from the
+    // same strand measurements, so they agree exactly — 5% is the CI
+    // oracle's slack, not an expected error.
+    EXPECT_LT(std::fabs(Sum.agreementPct()), 5.0);
+    EXPECT_NEAR(Sum.LedgerWorkSec, Sum.SchedWorkSec,
+                1e-9 + 1e-6 * Sum.SchedWorkSec);
+    EXPECT_NEAR(Sum.CriticalPathSec, Sum.SchedSpanSec,
+                1e-9 + 1e-6 * Sum.SchedSpanSec);
+  }
 }
 
 TEST_F(SpansTest, DagShapeIsAWellFormedForkJoinTree) {
@@ -127,13 +141,16 @@ TEST_F(SpansTest, DagShapeIsAWellFormedForkJoinTree) {
   for (const auto &[P, N] : ChildCount)
     EXPECT_EQ(N % 2, 0) << "parent " << P << " has unpaired children";
 
-  // The critical path starts at the root and only visits recorded tasks.
-  ASSERT_FALSE(Sum.CriticalPath.empty());
-  int OnCp = 0;
+  // The critical path starts at the root and descends through on-path
+  // parents only.
+  std::map<uint64_t, bool> OnCp;
   for (const obs::SpanTaskOut &T : Sum.AllTasks)
-    if (T.OnCriticalPath)
-      ++OnCp;
-  EXPECT_EQ(static_cast<size_t>(OnCp), Sum.CriticalPath.size());
+    OnCp[T.Id] = T.OnCriticalPath;
+  EXPECT_TRUE(Sum.AllTasks[0].OnCriticalPath) << "the root leads the path";
+  for (const obs::SpanTaskOut &T : Sum.AllTasks)
+    if (T.OnCriticalPath && T.Parent != ~uint64_t(0)) {
+      EXPECT_TRUE(OnCp[T.Parent]) << "task " << T.Id << " hangs off the path";
+    }
 }
 
 TEST_F(SpansTest, AttributesEmEventsToPmlSourceLines) {
@@ -202,14 +219,80 @@ TEST_F(SpansTest, DisabledLedgerRecordsNothing) {
   EXPECT_EQ(Before.Valid, After.Valid);
 }
 
-TEST_F(SpansTest, JsonExportParsesBackAndIsSelfConsistent) {
+TEST_F(SpansTest, PerTaskEmCountsSumToTheRunsCounters) {
+  // At one worker the channel's producer publishes every cell it builds (a
+  // down-pointer pin each), then its consumer drains them with two
+  // entangled reads per cell: at 70,000 cells both tasks pass 65,535
+  // events. Each task holds its counts whole, so the per-task sums are the
+  // run's counter deltas; continuation capture pins are no barrier's.
+  em::CounterSnapshot Before = em::Counts.snapshot();
+  obs::SpanRunSummary Sum =
+      record(1, [] { (void)wl::channelPipeline(70000); });
+  em::CounterSnapshot After = em::Counts.snapshot();
+  ASSERT_TRUE(Sum.Valid);
+  uint32_t MaxReads = 0, MaxPins = 0;
+  for (const obs::SpanTaskOut &T : Sum.AllTasks) {
+    MaxReads = std::max(MaxReads, T.EmReads);
+    MaxPins = std::max(MaxPins, T.Pins);
+  }
+  EXPECT_GT(MaxReads, 65535u);
+  EXPECT_GT(MaxPins, 65535u);
+  EXPECT_EQ(Sum.EmReads, After.EntangledReads - Before.EntangledReads);
+  EXPECT_EQ(Sum.PinEvents, (After.PinnedObjects - Before.PinnedObjects) -
+                               (After.ContPins - Before.ContPins));
+}
+
+TEST_F(SpansTest, TraceExportParsesBackAndIsSelfConsistent) {
+  // Armed, the trace carries the last run: one "X" task slice per task on
+  // the track of the worker that ran it, with the record as args; a
+  // task_flow pair per fork edge; and otherData.spans with the scheduler's
+  // W and S and the DAG's validity.
   obs::SpanRunSummary Sum = record(2, [] { (void)wl::fib(16, 5); });
   ASSERT_TRUE(Sum.Valid);
-  std::string Json = Sum.toJson();
-  EXPECT_NE(Json.find("\"schema\":\"mpl-spans/1\""), std::string::npos);
-  EXPECT_NE(Json.find("\"critical_path\""), std::string::npos);
-  // The full parse-back contract is exercised in report_test (GateLib's
-  // parseSpansJson); here just pin the schema tag and task count.
-  EXPECT_NE(Json.find("\"tasks\":" + std::to_string(Sum.Tasks)),
-            std::string::npos);
+  obs::SpanLedger::get().enable();
+  std::string Text = obs::Tracer::get().chromeTraceJson();
+  obs::SpanLedger::get().disable();
+  json::Value Doc;
+  std::string Err;
+  ASSERT_TRUE(json::parse(Text, Doc, Err)) << Err;
+
+  std::map<uint64_t, const obs::SpanTaskOut *> ById;
+  for (const obs::SpanTaskOut &T : Sum.AllTasks)
+    ById[T.Id] = &T;
+  size_t Slices = 0, OnCp = 0, Out = 0, In = 0, WantOnCp = 0;
+  for (const obs::SpanTaskOut &T : Sum.AllTasks)
+    WantOnCp += T.OnCriticalPath;
+  for (const json::Value &E : Doc.field("traceEvents")->Items) {
+    const std::string &Ph = E.field("ph")->StrV;
+    if (Ph == "s" || Ph == "f") {
+      EXPECT_EQ(E.field("name")->StrV, "task_flow");
+      ++(Ph == "s" ? Out : In);
+    }
+    if (Ph != "X")
+      continue;
+    ++Slices;
+    EXPECT_EQ(E.field("name")->StrV, "task");
+    const json::Value *A = E.field("args");
+    auto It = ById.find(static_cast<uint64_t>(A->field("id")->NumV));
+    ASSERT_NE(It, ById.end());
+    const obs::SpanTaskOut &T = *It->second;
+    EXPECT_EQ(E.field("tid")->NumV, T.Worker);
+    EXPECT_EQ(E.field("dur")->NumV, (T.StopNs - T.StartNs) / 1000.0);
+    EXPECT_EQ(A->field("self_ns")->NumV, T.SelfNs);
+    EXPECT_EQ(A->field("depth")->NumV, T.HeapDepth);
+    EXPECT_EQ(A->field("parent")->NumV,
+              T.Parent == ~uint64_t(0) ? -1.0 : double(T.Parent));
+    OnCp += A->field("on_cp")->NumV != 0;
+  }
+  EXPECT_EQ(Slices, Sum.AllTasks.size());
+  EXPECT_EQ(OnCp, WantOnCp);
+  EXPECT_EQ(Out, Sum.AllTasks.size() - 1); // Every task but the root.
+  EXPECT_EQ(In, Out);
+
+  const json::Value *Spans = Doc.field("otherData")->field("spans");
+  ASSERT_NE(Spans, nullptr);
+  EXPECT_EQ(Spans->field("work_s")->NumV, Sum.SchedWorkSec);
+  EXPECT_EQ(Spans->field("span_s")->NumV, Sum.SchedSpanSec);
+  EXPECT_EQ(Spans->field("valid")->NumV, 1);
+  EXPECT_EQ(Spans->field("dropped")->NumV, 0);
 }

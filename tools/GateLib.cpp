@@ -16,7 +16,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 namespace mpl {
 namespace gate {
@@ -28,10 +27,6 @@ double numField(const json::Value *V, const char *Name, double Default = 0) {
     return Default;
   const json::Value *F = V->field(Name);
   return F && F->isNumber() ? F->NumV : Default;
-}
-
-int64_t intField(const json::Value *V, const char *Name) {
-  return static_cast<int64_t>(numField(V, Name));
 }
 
 std::string strField(const json::Value *V, const char *Name) {
@@ -227,12 +222,13 @@ bool loadBenchFile(const std::string &Path, BenchFile &Out, std::string &Err) {
 
 namespace {
 
-/// Upward-only counter limit: base grown by Pct percent, but never less
-/// than base + AbsSlack (zero/near-zero baselines would otherwise flag
-/// scheduler jitter).
+/// Upward-only counter limit, inclusive: a row passes at cur <= base +
+/// AbsSlack (zero/near-zero baselines would otherwise flag scheduler
+/// jitter) or at cur < base grown by Pct percent. The relative bound is
+/// strict, so at 100% a counter that doubles fails.
 int64_t counterLimit(int64_t Base, double Pct, int64_t AbsSlack) {
   double Rel = static_cast<double>(Base) * (1.0 + Pct / 100.0);
-  return std::max(static_cast<int64_t>(Rel), Base + AbsSlack);
+  return std::max(static_cast<int64_t>(std::ceil(Rel)) - 1, Base + AbsSlack);
 }
 
 /// One counter an opt-in gate holds upward: its registry name, the gate
@@ -436,241 +432,6 @@ std::string renderFindings(const GateResult &R, const GateOptions &Opts) {
 }
 
 //===----------------------------------------------------------------------===//
-// mpl-spans/1
-//===----------------------------------------------------------------------===//
-
-bool parseSpansJson(const std::string &Text, SpansFile &Out, std::string &Err) {
-  if (Text.find_first_not_of(" \t\r\n") == std::string::npos) {
-    Err = "empty input (expected an mpl-spans/1 document)";
-    return false;
-  }
-  json::Value Root;
-  if (!json::parse(Text, Root, Err)) {
-    Err = "parse error: " + Err;
-    return false;
-  }
-  if (!Root.isObject()) {
-    Err = "top-level value is not an object";
-    return false;
-  }
-  std::string Schema = strField(&Root, "schema");
-  if (Schema != "mpl-spans/1") {
-    Err = Schema.empty() ? "missing schema field (not an mpl-spans file)"
-                         : "unsupported schema '" + Schema + "'";
-    return false;
-  }
-  const json::Value *Sched = Root.field("sched");
-  Out.SchedWorkS = numField(Sched, "work_s");
-  Out.SchedSpanS = numField(Sched, "span_s");
-  const json::Value *Led = Root.field("ledger");
-  if (!Led || !Led->isObject()) {
-    Err = "missing ledger object";
-    return false;
-  }
-  Out.LedgerValid = intField(Led, "valid") != 0;
-  Out.Tasks = intField(Led, "tasks");
-  Out.Stolen = intField(Led, "stolen");
-  Out.Dropped = intField(Led, "dropped");
-  Out.LedgerWorkS = numField(Led, "work_s");
-  Out.CriticalPathS = numField(Led, "critical_path_s");
-  Out.AgreementPct = numField(Led, "agreement_pct");
-  Out.EmReads = intField(Led, "em_reads");
-  Out.Pins = intField(Led, "pins");
-  Out.Lines.clear();
-  if (const json::Value *Lines = Root.field("lines"); Lines && Lines->isArray())
-    for (const json::Value &LV : Lines->Items) {
-      SpanLineRow L;
-      L.Line = static_cast<int>(numField(&LV, "line"));
-      L.Col = static_cast<int>(numField(&LV, "col"));
-      L.EmReads = intField(&LV, "em_reads");
-      L.Pins = intField(&LV, "pins");
-      L.Tasks = intField(&LV, "tasks");
-      L.SelfS = numField(&LV, "self_s");
-      L.CpSelfS = numField(&LV, "cp_self_s");
-      Out.Lines.push_back(L);
-    }
-  Out.CriticalPath.clear();
-  if (const json::Value *Cp = Root.field("critical_path");
-      Cp && Cp->isArray())
-    for (const json::Value &V : Cp->Items)
-      if (V.isNumber())
-        Out.CriticalPath.push_back(static_cast<uint64_t>(V.NumV));
-  Out.TaskRows.clear();
-  const json::Value *Tasks = Root.field("tasks");
-  if (!Tasks || !Tasks->isArray()) {
-    Err = "missing tasks array";
-    return false;
-  }
-  for (size_t I = 0; I < Tasks->Items.size(); ++I) {
-    const json::Value &TV = Tasks->Items[I];
-    if (!TV.isObject()) {
-      Err = "task " + std::to_string(I) + ": not an object";
-      return false;
-    }
-    if (!TV.field("id") || !TV.field("id")->isNumber()) {
-      Err = "task " + std::to_string(I) + ": missing id";
-      return false;
-    }
-    SpanTaskRow T;
-    T.Id = static_cast<uint64_t>(numField(&TV, "id"));
-    T.Parent = intField(&TV, "parent");
-    T.StartS = numField(&TV, "start_s");
-    T.StopS = numField(&TV, "stop_s");
-    T.SelfS = numField(&TV, "self_s");
-    T.Worker = static_cast<int>(numField(&TV, "worker"));
-    T.Line = static_cast<int>(numField(&TV, "line"));
-    T.Col = static_cast<int>(numField(&TV, "col"));
-    T.Depth = static_cast<int>(numField(&TV, "depth"));
-    T.Stolen = intField(&TV, "stolen") != 0;
-    T.OnCp = intField(&TV, "on_cp") != 0;
-    T.EmReads = intField(&TV, "em_reads");
-    T.Pins = intField(&TV, "pins");
-    Out.TaskRows.push_back(T);
-  }
-  return true;
-}
-
-bool loadSpansFile(const std::string &Path, SpansFile &Out, std::string &Err) {
-  std::optional<std::string> Text = readFile(Path);
-  if (!Text) {
-    Err = Path + ": cannot open";
-    return false;
-  }
-  if (!parseSpansJson(*Text, Out, Err)) {
-    Err = Path + ": " + Err;
-    return false;
-  }
-  Out.Path = Path;
-  return true;
-}
-
-namespace {
-
-std::string locLabel(int Line, int Col) {
-  if (Line == 0 && Col == 0)
-    return "task";
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "L%d:%d", Line, Col);
-  return Buf;
-}
-
-} // namespace
-
-std::string renderSpansSummary(const SpansFile &F) {
-  char Buf[256];
-  std::string Out;
-  std::snprintf(Buf, sizeof(Buf),
-                "spans: %lld tasks (%lld stolen, %lld dropped)\n",
-                static_cast<long long>(F.Tasks),
-                static_cast<long long>(F.Stolen),
-                static_cast<long long>(F.Dropped));
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf),
-                "  ledger work %s   critical path %s (%.1f%% of work)\n",
-                fmtMs(F.LedgerWorkS).c_str(), fmtMs(F.CriticalPathS).c_str(),
-                F.LedgerWorkS > 0 ? 100.0 * F.CriticalPathS / F.LedgerWorkS
-                                  : 0.0);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf),
-                "  scheduler  W %s   S %s   ledger CP vs S: %+.2f%%\n",
-                fmtMs(F.SchedWorkS).c_str(), fmtMs(F.SchedSpanS).c_str(),
-                F.AgreementPct);
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), "  em events: %lld reads, %lld pins\n",
-                static_cast<long long>(F.EmReads),
-                static_cast<long long>(F.Pins));
-  Out += Buf;
-  if (!F.LedgerValid)
-    Out += "  WARNING: DAG incomplete (dropped records or mixed runs); "
-           "critical path not trustworthy\n";
-  return Out;
-}
-
-std::string renderCriticalPath(const SpansFile &F) {
-  std::string Out = renderSpansSummary(F);
-  Out += "critical path (start order):\n";
-  char Buf[192];
-  for (const SpanTaskRow &T : F.TaskRows) {
-    if (!T.OnCp)
-      continue;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  #%-6llu %-9s self %10.3fms  w%d%s  depth %d"
-                  "  em %lld/%lld\n",
-                  static_cast<unsigned long long>(T.Id),
-                  T.Parent < 0 ? "root" : locLabel(T.Line, T.Col).c_str(),
-                  T.SelfS * 1e3, T.Worker,
-                  T.Stolen ? " (stolen)" : "", T.Depth,
-                  static_cast<long long>(T.EmReads),
-                  static_cast<long long>(T.Pins));
-    Out += Buf;
-  }
-  return Out;
-}
-
-std::string renderTopLines(const SpansFile &F, int TopK) {
-  std::vector<SpanLineRow> Sorted = F.Lines;
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const SpanLineRow &A, const SpanLineRow &B) {
-              if (A.EmReads != B.EmReads)
-                return A.EmReads > B.EmReads;
-              return A.CpSelfS > B.CpSelfS;
-            });
-  std::string Out =
-      "line       em_reads      pins     tasks      self_ms   cp_self_ms\n";
-  char Buf[160];
-  int Shown = 0;
-  for (const SpanLineRow &L : Sorted) {
-    if (Shown >= TopK)
-      break;
-    std::snprintf(Buf, sizeof(Buf),
-                  "%-9s %9lld %9lld %9lld %12.3f %12.3f\n",
-                  locLabel(L.Line, L.Col).c_str(),
-                  static_cast<long long>(L.EmReads),
-                  static_cast<long long>(L.Pins),
-                  static_cast<long long>(L.Tasks), L.SelfS * 1e3,
-                  L.CpSelfS * 1e3);
-    Out += Buf;
-    ++Shown;
-  }
-  return Out;
-}
-
-std::string foldSpans(const SpansFile &F) {
-  // Index tasks by id to walk parent chains; stacks read root -> leaf.
-  std::unordered_map<uint64_t, const SpanTaskRow *> ById;
-  for (const SpanTaskRow &T : F.TaskRows)
-    ById.emplace(T.Id, &T);
-  std::string Out;
-  std::vector<std::string> Frames;
-  for (const SpanTaskRow &T : F.TaskRows) {
-    int64_t SelfNs = static_cast<int64_t>(T.SelfS * 1e9 + 0.5);
-    if (SelfNs <= 0)
-      continue;
-    Frames.clear();
-    const SpanTaskRow *Cur = &T;
-    size_t Guard = 0;
-    while (Cur && Guard++ <= ById.size()) {
-      Frames.push_back(Cur->Parent < 0 ? "root"
-                                       : locLabel(Cur->Line, Cur->Col));
-      if (Cur->Parent < 0)
-        break;
-      auto It = ById.find(static_cast<uint64_t>(Cur->Parent));
-      Cur = It == ById.end() ? nullptr : It->second;
-    }
-    for (size_t I = Frames.size(); I-- > 0;) {
-      Out += Frames[I];
-      if (I > 0)
-        Out += ";";
-    }
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), " %lld\n",
-                  static_cast<long long>(SelfNs));
-    Out += Buf;
-  }
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
 // Chrome trace-event files
 //===----------------------------------------------------------------------===//
 
@@ -731,6 +492,13 @@ bool checkTrace(const std::string &Text, const TraceCheckOptions &Opts,
     } else if (P == "E") {
       if (--Depth[Track] < 0)
         return Fail("E without matching B on track tid=" + intLabel(Tid->NumV));
+    } else if (P == "X") {
+      // Complete slices (the span ledger's tasks) carry their duration.
+      const json::Value *Dur = E.field("dur");
+      if (!Dur || !Dur->isNumber() || Dur->NumV < 0)
+        return Fail("X slice '" + Name->StrV +
+                    "' without a numeric dur >= 0");
+      ++NSlices;
     } else if (P == "i") {
       ++NInstants;
     } else if (P == "C") {
@@ -745,7 +513,7 @@ bool checkTrace(const std::string &Text, const TraceCheckOptions &Opts,
                       "' is not a number");
       ++NCounters;
     } else if (P == "s" || P == "f") {
-      // Flow events (span ledger task edges) carry a binding id; Perfetto
+      // Flow events (task and request edges) carry a binding id; Perfetto
       // drops flows without one.
       const json::Value *Id = E.field("id");
       if (!Id || !Id->isNumber())

@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Every reader and check behind tools/mpl_report, in a library so the CI
+/// The readers and checks behind tools/mpl_report, in a library so the CI
 /// gates are unit-testable like any other subsystem
 /// (tests/report_test.cpp). The CLI is a thin flag-parser over these
-/// entry points. It reads three formats:
+/// entry points. It reads two formats:
 ///
 ///  - the schema-versioned "mpl-bench/2" records every bench binary emits
 ///    with `-json <path>` (bench/Common.h, BenchJson), whose rows carry
 ///    their counters under the registry's own names (support/Stats.h);
-///  - the "mpl-spans/1" DAG of the causal span ledger (obs/Span.h);
-///  - the Chrome trace-event file the tracer writes (obs/Trace.h).
+///  - the Chrome trace-event file the runtime writes (obs/Trace.h), which
+///    it validates (the span ledger's DAG in it is read by
+///    obs::readSpanTrace, beside its writer).
 ///
 /// parseBenchJson() validates the schema and rejects malformed input with
 /// a diagnostic instead of crashing; compare() joins baseline and current
@@ -39,7 +40,8 @@
 ///    counters (entangle and pml tables), each by registry name. All gate
 ///    upward only — improvements never fail — with a relative tolerance
 ///    plus an absolute slack so zero/near-zero baselines do not turn
-///    scheduler jitter into failures, while a disentangled row that
+///    scheduler jitter into failures: a row passes when cur <= base +
+///    slack or cur < base * (1 + pct/100). A disentangled row that
 ///    *starts* pinning (more than 64 objects or 16 KiB past its baseline)
 ///    fails even when its time is within noise.
 ///  - Always-fatal regardless of options: rows missing from the current
@@ -195,80 +197,6 @@ std::string renderTable(const BenchFile &F);
 std::string renderFindings(const GateResult &R, const GateOptions &Opts);
 
 //===----------------------------------------------------------------------===//
-// mpl-spans/1 (causal span ledger exports; obs/Span.h, mpl_report spans)
-//===----------------------------------------------------------------------===//
-
-/// One per-source-line aggregate from a spans file.
-struct SpanLineRow {
-  int Line = 0;
-  int Col = 0;
-  int64_t EmReads = 0;
-  int64_t Pins = 0;
-  int64_t Tasks = 0;
-  double SelfS = 0;
-  double CpSelfS = 0;
-};
-
-/// One task from a spans file ("tasks" array).
-struct SpanTaskRow {
-  uint64_t Id = 0;
-  int64_t Parent = -1; ///< -1 = root.
-  double StartS = 0;
-  double StopS = 0;
-  double SelfS = 0;
-  int Worker = 0;
-  int Line = 0;
-  int Col = 0;
-  int Depth = 0;
-  bool Stolen = false;
-  bool OnCp = false;
-  int64_t EmReads = 0;
-  int64_t Pins = 0;
-};
-
-/// One parsed mpl-spans/1 document.
-struct SpansFile {
-  std::string Path; ///< "" for in-memory parses.
-  double SchedWorkS = 0;
-  double SchedSpanS = 0;
-  bool LedgerValid = false;
-  int64_t Tasks = 0;
-  int64_t Stolen = 0;
-  int64_t Dropped = 0;
-  double LedgerWorkS = 0;
-  double CriticalPathS = 0;
-  double AgreementPct = 0;
-  int64_t EmReads = 0;
-  int64_t Pins = 0;
-  std::vector<SpanLineRow> Lines;
-  std::vector<SpanTaskRow> TaskRows;
-  std::vector<uint64_t> CriticalPath;
-};
-
-/// Parses + validates one mpl-spans/1 document; same contract as
-/// parseBenchJson (false + diagnostic on malformed input, never crashes).
-bool parseSpansJson(const std::string &Text, SpansFile &Out, std::string &Err);
-
-/// loadSpansFile = read \p Path + parseSpansJson; \p Err includes the path.
-bool loadSpansFile(const std::string &Path, SpansFile &Out, std::string &Err);
-
-/// Human-readable summary table of one spans file (mpl_report spans
-/// analyze).
-std::string renderSpansSummary(const SpansFile &F);
-
-/// The critical path, one task per line, root first (mpl_report spans
-/// critical-path).
-std::string renderCriticalPath(const SpansFile &F);
-
-/// Per-line attribution table sorted by em reads then CP self time, top
-/// \p TopK rows (mpl_report spans top-lines).
-std::string renderTopLines(const SpansFile &F, int TopK);
-
-/// Folded stacks for flamegraph tools: one "root;L3:5;L7:2 <self_ns>" line
-/// per task with nonzero self time, stack = chain of ancestor fork sites.
-std::string foldSpans(const SpansFile &F);
-
-//===----------------------------------------------------------------------===//
 // Chrome trace-event files (MPL_OBS=trace; obs/Trace.h, mpl_report trace)
 //===----------------------------------------------------------------------===//
 
@@ -293,9 +221,10 @@ struct TraceCheckOptions {
 };
 
 /// Validates one Chrome trace-event document: ph/pid/tid on every event,
-/// ts and name on every non-metadata one, B/E balance per track, numeric
-/// args on counter ('C') events, numeric ids on flow events, then the
-/// checks \p Opts arms. On success returns true with a summary (one line
+/// ts and name on every non-metadata one, B/E balance per track, a
+/// numeric dur >= 0 on complete ('X') slices, numeric args on counter
+/// ('C') events, numeric ids on flow events, then the checks \p Opts
+/// arms. On success returns true with a summary (one line
 /// per check) in \p Summary; otherwise false with the first failure in
 /// \p Err. Never crashes on malformed input.
 bool checkTrace(const std::string &Text, const TraceCheckOptions &Opts,

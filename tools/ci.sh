@@ -32,20 +32,25 @@ ASAN_SEEDS=${ASAN_SEEDS:-25}
 # Perf-smoke knobs. The stage reruns three bench binaries at smoke scale
 # and gates each file against its committed baseline with tools/mpl_report
 # (DESIGN.md §12): checksum mismatches and leaked pins always fail.
-#   T1 (time and space, one file): median beyond baseline +
+#   T1 (time, space and counters, one file): median beyond baseline +
 #                  max(k*sigma, floor%), sigma recomputed from the
-#                  baseline's per-rep times, and max residency / pinned
-#                  bytes past tolerance (T2 is printed from T1's runs).
-#                  One compare judges both, so a run whose time rule fails
-#                  still reports its residency verdict;
+#                  baseline's per-rep times; max residency / pinned
+#                  bytes past tolerance (T2 is printed from T1's runs);
+#                  and em counters past tolerance (--gate-counters; its
+#                  64-event / 16 KiB slack fails a disentangled row that
+#                  starts pinning). The par-w1 rows carry the entangled
+#                  kernels' counters at one worker, where they do not
+#                  depend on the schedule. One compare judges all three,
+#                  so a run whose time rule fails still reports the rest;
 #   T3 (pml):      VM carrier checksums + effect-handler continuation
 #                  capture/resume + pml.jit.* counters past tolerance;
 #                  the interp-vs-jit ablation's jit rows additionally get
 #                  the T1 time rule (--time-gate-config pml-jit) — the
 #                  JIT's speedup over the interpreter is a gated artifact;
-#   T4 (entangle): em counters past tolerance (--gate-counters; its
-#                  64-event / 16 KiB slack fails a disentangled row that
-#                  starts pinning).
+#   T4 (entangle): the always-fatal checks only. Its rows run at two
+#                  workers, where counters such as channel's
+#                  em.pins.holder vary run to run, so T1's one-worker
+#                  rows gate the em counters instead.
 # T4 runs single-rep (no spread), so its time rule is off
 # (--no-time-gate); wall time is T1's and the jit rows' job.
 PERF_SCALE=${PERF_SCALE:-0.05}
@@ -274,21 +279,24 @@ run_config() {
 
   echo "==== [$preset] span smoke ===="
   # Run a pml workload with the causal span ledger armed and validate the
-  # exported DAG: the ledger's critical path must agree with the
-  # scheduler's online span S to within 5% (the consistency oracle,
-  # DESIGN.md §14), and the entangled read must attribute to a source line.
+  # DAG the trace carries: its task slices and fork-edge flow pairs must
+  # check, the ledger's critical path must agree with the scheduler's
+  # online span S to within 5% (the consistency oracle, DESIGN.md §14),
+  # and the entangled read must attribute to a source line.
   rm -rf "$bdir/spans_smoke"
   ASAN_OPTIONS="detect_leaks=0" \
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   MPL_OBS=spans MPL_OBS_DIR="$bdir/spans_smoke" \
     "$bdir/examples/pml_repl" -workers 2 -e \
     'let val r = ref (ref 0) in par ((r := ref 7; 0), !(!r)) end' > /dev/null
+  "$bdir/tools/mpl_report" trace "$bdir/spans_smoke/trace.json" \
+    --require-event task --check-flow-pairs
   "$bdir/tools/mpl_report" spans critical-path \
-    "$bdir/spans_smoke/spans.json" --check-agreement 5
-  "$bdir/tools/mpl_report" spans top-lines "$bdir/spans_smoke/spans.json"
+    "$bdir/spans_smoke/trace.json" --check-agreement 5
+  "$bdir/tools/mpl_report" spans top-lines "$bdir/spans_smoke/trace.json"
 
   if [[ "$preset" == "release" ]]; then
-    echo "==== [$preset] perf smoke: T1 time + residency (scale $PERF_SCALE, k=$PERF_STDDEV_K floor ${PERF_TOLERANCE_PCT}%) ===="
+    echo "==== [$preset] perf smoke: T1 time + residency + counters (scale $PERF_SCALE, k=$PERF_STDDEV_K floor ${PERF_TOLERANCE_PCT}%) ===="
     # Sanitizer presets skew times beyond any tolerance, so only release
     # runs the gates. The fresh JSONs and rendered reports are left in
     # the build dir for CI to upload as artifacts.
@@ -298,7 +306,7 @@ run_config() {
     "$bdir/tools/mpl_report" --baseline BENCH_T1.json \
       --current "$bdir/perf_smoke.json" \
       --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT" \
-      --gate-residency
+      --gate-residency --gate-counters
 
     echo "==== [$preset] spans-on overhead gate ===="
     # Same T1 table with the span ledger armed for every run (MPL_OBS=spans):
@@ -330,8 +338,7 @@ run_config() {
     "$bdir/bench/bench_table_entangle" -scale "$PERF_SCALE" \
       -json "$bdir/entangle_smoke.json" > "$bdir/entangle_smoke.txt"
     "$bdir/tools/mpl_report" --baseline BENCH_T4.json \
-      --current "$bdir/entangle_smoke.json" \
-      --no-time-gate --gate-counters
+      --current "$bdir/entangle_smoke.json" --no-time-gate
   fi
 }
 

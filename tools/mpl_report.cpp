@@ -38,8 +38,9 @@
 //
 //   spans:    mpl_report spans analyze|critical-path|top-lines|fold FILE
 //                        [--check-agreement PCT] [-n K]
-//             Reads the spans.json a run writes under MPL_OBS=spans
-//             (obs/Span.h, DESIGN.md §14): the run summary, the critical
+//             Reads the span ledger's DAG from the trace.json a run writes
+//             under MPL_OBS=spans (obs/Span.h, DESIGN.md §14) and prints,
+//             through obs/Span's renderers, the run summary, the critical
 //             path with its pml fork sites, the per-source-line table
 //             (top K, by entangled reads then critical-path self time), or
 //             folded stacks for flamegraph tools. With --check-agreement,
@@ -54,8 +55,9 @@
 //             (gate::checkTrace lists the checks) and prints a summary;
 //             exits 1 on the first malformation.
 //
-// Exit status: 0 ok, 1 a gate or check failed, 2 a usage error or an
-// unreadable or unparseable bench or spans file. Every flag is checked
+// Exit status: 0 ok, 1 a gate or check failed, 2 a usage error, an
+// unreadable or unparseable bench file, or (spans) a trace without span
+// data. Every flag is checked
 // against its form's list, so a mistyped one fails instead of leaving a
 // gate off. A flag takes the next word as its value, so FILE goes before
 // the bool flags.
@@ -64,6 +66,8 @@
 
 #include "GateLib.h"
 
+#include "obs/Span.h"
+#include "obs/Trace.h"
 #include "support/Cli.h"
 #include "support/File.h"
 
@@ -171,24 +175,25 @@ int spansForm(const Cli &C) {
   if (!flagsOk(C, {"check-agreement", "n"}, {}) || Pos.size() != 3)
     return usage();
   const std::string &Cmd = Pos[1];
-  gate::SpansFile F;
-  std::string Err;
-  if (!gate::loadSpansFile(Pos[2], F, Err)) {
-    std::fprintf(stderr, "mpl_report: %s\n", Err.c_str());
+  std::optional<std::string> Text = readFile(Pos[2]);
+  obs::SpanRunSummary S;
+  std::string Err = "cannot open";
+  if (!Text || !obs::readSpanTrace(*Text, S, Err)) {
+    std::fprintf(stderr, "mpl_report: %s: %s\n", Pos[2].c_str(), Err.c_str());
     return 2;
   }
 
   if (Cmd == "analyze") {
-    std::fputs(gate::renderSpansSummary(F).c_str(), stdout);
+    std::fputs(obs::renderSpanSummary(S).c_str(), stdout);
     return 0;
   }
   if (Cmd == "top-lines") {
     int TopK = static_cast<int>(C.getInt("n", 10));
-    std::fputs(gate::renderTopLines(F, TopK).c_str(), stdout);
+    std::fputs(obs::renderTopLines(S, TopK).c_str(), stdout);
     return 0;
   }
   if (Cmd == "fold") {
-    std::fputs(gate::foldSpans(F).c_str(), stdout);
+    std::fputs(obs::foldSpans(S).c_str(), stdout);
     return 0;
   }
   if (Cmd != "critical-path") {
@@ -196,26 +201,26 @@ int spansForm(const Cli &C) {
                  Cmd.c_str());
     return usage();
   }
-  std::fputs(gate::renderCriticalPath(F).c_str(), stdout);
+  std::fputs(obs::renderCriticalPath(S).c_str(), stdout);
   double Limit = C.getDouble("check-agreement", -1);
   if (Limit < 0)
     return 0;
-  if (!F.LedgerValid) {
+  if (!S.Valid) {
     std::fprintf(stderr,
                  "mpl_report: FAIL: DAG incomplete (%lld dropped records); "
                  "critical path unusable\n",
-                 static_cast<long long>(F.Dropped));
+                 static_cast<long long>(S.Dropped));
     return 1;
   }
-  if (std::fabs(F.AgreementPct) > Limit) {
+  double Pct = S.agreementPct();
+  if (std::fabs(Pct) > Limit) {
     std::fprintf(stderr,
                  "mpl_report: FAIL: ledger CP disagrees with scheduler S "
                  "by %+.2f%% (limit %.2f%%)\n",
-                 F.AgreementPct, Limit);
+                 Pct, Limit);
     return 1;
   }
-  std::printf("agreement check: |%+.2f%%| <= %.2f%%  OK\n", F.AgreementPct,
-              Limit);
+  std::printf("agreement check: |%+.2f%%| <= %.2f%%  OK\n", Pct, Limit);
   return 0;
 }
 
