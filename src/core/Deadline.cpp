@@ -1,4 +1,4 @@
-//===- core/Deadline.cpp - Request deadlines and cancellation -------------===//
+//===- core/Deadline.cpp - Request deadlines ------------------------------===//
 //
 // Part of mpl-em (PLDI 2023 reproduction).
 //
@@ -7,6 +7,7 @@
 #include "core/Deadline.h"
 
 #include "core/Runtime.h"
+#include "support/Timer.h"
 
 #include <string>
 
@@ -18,24 +19,17 @@ DeadlineError::DeadlineError(int64_t OverrunNs)
       Overrun(OverrunNs) {}
 
 void rt::checkDeadline() {
-  WorkerCtx *C = Runtime::ctx();
-  DeadlineCtx *D = C->CurrentDeadline;
-  if (!D || !D->poll())
+  int64_t DL = Runtime::ctx()->DeadlineNs;
+  if (DL == 0)
     return;
-  int64_t DL = D->DeadlineNs.load(std::memory_order_relaxed);
-  int64_t Overrun = DL ? std::max<int64_t>(0, nowNs() - DL) : 0;
-  throw DeadlineError(Overrun);
+  int64_t Now = nowNs();
+  if (Now >= DL)
+    throw DeadlineError(Now - DL);
 }
 
-void rt::deadlinePollCurrent() {
-  WorkerCtx *C = Runtime::ctx();
-  if (DeadlineCtx *D = C->CurrentDeadline)
-    D->poll();
+rt::ScopedDeadline::ScopedDeadline(int64_t DeadlineNs)
+    : Ctx(Runtime::ctx()), Saved(Ctx->DeadlineNs) {
+  Ctx->DeadlineNs = DeadlineNs;
 }
 
-rt::ScopedDeadline::ScopedDeadline(DeadlineCtx *D)
-    : Ctx(Runtime::ctx()), Saved(Ctx->CurrentDeadline) {
-  Ctx->CurrentDeadline = D;
-}
-
-rt::ScopedDeadline::~ScopedDeadline() { Ctx->CurrentDeadline = Saved; }
+rt::ScopedDeadline::~ScopedDeadline() { Ctx->DeadlineNs = Saved; }

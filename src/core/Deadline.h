@@ -1,83 +1,42 @@
-//===- core/Deadline.h - Request deadlines and cancellation ----*- C++ -*-===//
+//===- core/Deadline.h - Request deadlines ---------------------*- C++ -*-===//
 //
 // Part of mpl-em (PLDI 2023 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cooperative deadlines for request-scoped tasks. A DeadlineCtx is attached
-/// to the strand running a request (WorkerCtx::CurrentDeadline) and is
-/// inherited by every rt::par branch, exactly like CurrentHeap — a stolen
-/// strand still knows its request's deadline. Two kinds of poll consult it:
+/// Cooperative deadlines for request-scoped tasks. A deadline is one
+/// number, the steady-clock instant WorkerCtx::DeadlineNs (0 = none), set
+/// on the strand running a request by rt::ScopedDeadline and inherited by
+/// every rt::par branch exactly like CurrentHeap, so a stolen strand still
+/// knows its request's deadline.
 ///
-///  - *flagging* polls (Scheduler::strandPause, any non-unwindable context)
-///    call deadlinePoll(), which only latches the Expired flag — exceptions
-///    must never unwind a scheduler frame;
-///  - *throwing* polls at safe points (rt::par entry, the allocation poll in
-///    ops::allocObject, the pml Vm dispatch loop) call rt::checkDeadline(),
-///    which throws DeadlineError once the flag is set (or the clock is past
-///    the deadline). The error unwinds exactly like OutOfMemoryError: caught
-///    at the branch boundary, heaps still join, pins released by the normal
-///    join unpin rule, rethrown on the parent strand.
-///
-/// Cancellation (a client dropping its connection) is the same mechanism
-/// with the flag set externally via DeadlineCtx::cancel().
+/// There is one kind of poll: rt::checkDeadline(), at safe points where an
+/// exception may unwind user code — rt::par entry, every object allocation
+/// (ops::allocObject), every 256 pml VM instructions and the JIT's poll.
+/// Once the clock has passed the deadline it throws DeadlineError, which
+/// unwinds exactly like OutOfMemoryError: caught at the branch boundary,
+/// heaps still join, pins released by the normal join unpin rule, rethrown
+/// on the parent strand.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MPL_CORE_DEADLINE_H
 #define MPL_CORE_DEADLINE_H
 
-#include "support/Timer.h"
-
-#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 
 namespace mpl {
 
-/// Deadline/cancellation state shared between the strands running one
-/// request and the thread that owns the request's connection. All fields
-/// are atomics: readers are worker threads mid-strand, the canceller is a
-/// connection thread.
-struct DeadlineCtx {
-  /// Absolute steady-clock deadline (support/Timer nowNs domain); 0 means
-  /// "no deadline, cancellation only".
-  std::atomic<int64_t> DeadlineNs{0};
-
-  /// Latched once the deadline passed or cancel() was called. Sticky: the
-  /// request is doomed from the first observation.
-  std::atomic<bool> Expired{false};
-
-  void armAfter(int64_t RelNs) {
-    DeadlineNs.store(RelNs > 0 ? nowNs() + RelNs : 0,
-                     std::memory_order_relaxed);
-  }
-
-  void cancel() { Expired.store(true, std::memory_order_release); }
-
-  /// Non-throwing poll: latches and reports expiry. Safe from any context,
-  /// including under scheduler locks.
-  bool poll() {
-    if (Expired.load(std::memory_order_acquire))
-      return true;
-    int64_t D = DeadlineNs.load(std::memory_order_relaxed);
-    if (D != 0 && nowNs() >= D) {
-      Expired.store(true, std::memory_order_release);
-      return true;
-    }
-    return false;
-  }
-};
-
-/// Recoverable deadline expiry: the request's budget ran out (or its client
-/// went away) and a safe point noticed. Propagates through rt::par joins
-/// and is rethrown by Runtime::run, leaving the runtime reusable.
+/// Recoverable deadline expiry: the request's budget ran out and a safe
+/// point noticed. Propagates through rt::par joins and is rethrown by
+/// Runtime::run, leaving the runtime reusable.
 class DeadlineError : public std::runtime_error {
 public:
   explicit DeadlineError(int64_t OverrunNs);
 
-  /// How far past the deadline the poll fired (0 for pure cancellation).
+  /// How far past the deadline the poll fired.
   int64_t overrunNs() const { return Overrun; }
 
 private:
@@ -88,29 +47,26 @@ struct WorkerCtx;
 
 namespace rt {
 
-/// Throwing deadline check for the calling strand's request. No-op when no
-/// DeadlineCtx is attached. Call ONLY at safe points where an exception may
-/// unwind user code (never a scheduler frame): rt::par entry, allocation
-/// polls, VM dispatch.
+/// Throwing deadline check for the calling strand's request. No-op when
+/// the strand has no deadline. Call ONLY at safe points where an exception
+/// may unwind user code (never a scheduler frame): rt::par entry,
+/// allocation, VM dispatch.
 void checkDeadline();
 
-/// Non-throwing poll of the calling strand's DeadlineCtx (if any); latches
-/// Expired so the next checkDeadline() throws. Safe from scheduler quanta.
-void deadlinePollCurrent();
-
-/// RAII attach of a request's DeadlineCtx to the calling strand (the
-/// request-scoped entry used by the server's batch executor around each
-/// request body). Forked branches inherit it via rt::par.
+/// RAII attach of a request's deadline, an absolute support/Timer nowNs
+/// instant (0 = none), to the calling strand: the request-scoped entry
+/// the server's batch executor puts around each request body. Forked
+/// branches inherit it via rt::par.
 class ScopedDeadline {
 public:
-  explicit ScopedDeadline(DeadlineCtx *D);
+  explicit ScopedDeadline(int64_t DeadlineNs);
   ~ScopedDeadline();
   ScopedDeadline(const ScopedDeadline &) = delete;
   ScopedDeadline &operator=(const ScopedDeadline &) = delete;
 
 private:
   WorkerCtx *Ctx;
-  DeadlineCtx *Saved;
+  int64_t Saved;
 };
 
 } // namespace rt

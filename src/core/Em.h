@@ -174,7 +174,7 @@ inline void readBarrier(Heap *Reader, Slot V) {
 //===--------------------------------------------------------------------===//
 
 /// Capture side of the continuation pin protocol: pins \p P at the capture
-/// heap's own depth (attribution site "em.cont.capture"). Only objects that
+/// heap's own depth (counted in em.pins.cont). Only objects that
 /// live in \p CaptureHeap itself need this — ancestor-heap objects are
 /// reachable by ancestors regardless and are covered by the ordinary
 /// barrier discipline. No-op (returns false) in Detect/Off mode, at depth 0

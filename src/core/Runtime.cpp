@@ -23,8 +23,9 @@ thread_local WorkerCtx *TlsCtx = nullptr;
 
 Stat PeakResidency("rt.residency.peak");
 
-/// Emergency-GC hook id registered with the MemoryGovernor (0 = none).
-int GovGcHookId = 0;
+/// Recovery stage 2 of the MemoryGovernor: force a local collection of the
+/// allocating task's private chain.
+bool emergencyGc() { return TheRuntime->maybeCollect(/*Force=*/true); }
 
 /// The heap-tree walker behind obs::readHeapTree(). Reads only the
 /// per-heap relaxed-atomic gauges plus immutable parent/depth links, so it
@@ -69,27 +70,17 @@ Runtime::Runtime(const Config &C)
   // Observability: honour MPL_OBS / MPL_OBS_DIR on the first Runtime.
   obs::initFromEnv();
   MemoryGovernor::get().initFromEnv();
-  // Recovery stage 2: the governor forces a local collection of the
-  // allocating task's private chain when trimming alone cannot admit a
-  // chunk.
-  GovGcHookId = MemoryGovernor::get().registerEmergencyGc(
-      [this] { return maybeCollect(/*Force=*/true); });
+  // The governor runs an emergency collection when trimming alone cannot
+  // admit a chunk; mm cannot see core, so the collection is injected.
+  MemoryGovernor::get().setEmergencyGc(&emergencyGc);
   // Heap-tree introspection: obs cannot see hh, so the walker is injected
   // here (the same inversion as the registry's gauges).
   obs::setHeapTreeProvider(
       [this](obs::HeapTree &T) { fillHeapTree(T, Heaps); });
-  // Deadline latching at strand-quantum boundaries: sched cannot see core,
-  // so the poll is injected (same inversion again). Non-throwing by
-  // contract — it only flips DeadlineCtx::Expired.
-  Scheduler::setStrandPollHook(&rt::deadlinePollCurrent);
 }
 
 Runtime::~Runtime() {
-  Scheduler::setStrandPollHook(nullptr);
-  if (GovGcHookId) {
-    MemoryGovernor::get().unregisterEmergencyGc(GovGcHookId);
-    GovGcHookId = 0;
-  }
+  MemoryGovernor::get().setEmergencyGc(nullptr);
   TheRuntime = nullptr;
   // Flush env-configured sinks now, at quiescence: the workers still exist
   // (Sched is destroyed after this body) but are idle outside run(), and

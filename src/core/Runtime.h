@@ -95,7 +95,6 @@ public:
 
   Scheduler &scheduler() { return Sched; }
   HeapManager &heaps() { return Heaps; }
-  Collector &collector() { return Gc; }
   const Config &config() const { return Cfg; }
 
   /// Runs the collection policy for the calling thread; collects the
@@ -121,6 +120,30 @@ private:
   Gauge HeapsGauge;
   Gauge FreeListGauge;
 };
+
+namespace detail {
+/// One rt::par branch, on whichever worker runs it: points that worker's
+/// context at the branch's heap and the forking strand's deadline (a stolen
+/// branch's thread knows neither), and catches what the branch throws, as
+/// no exception may unwind a scheduler frame.
+template <typename F>
+void runBranch(F &Body, Heap *H, int64_t DeadlineNs, Slot &Out,
+               std::exception_ptr &Err) {
+  WorkerCtx *Me = Runtime::ctx();
+  Heap *SavedHeap = Me->CurrentHeap;
+  int64_t SavedDl = Me->DeadlineNs;
+  Me->CurrentHeap = H;
+  Me->DeadlineNs = DeadlineNs;
+  obs::spanNoteHeapDepth(H->depth());
+  try {
+    Out = Body();
+  } catch (...) {
+    Err = std::current_exception();
+  }
+  Me->CurrentHeap = SavedHeap;
+  Me->DeadlineNs = SavedDl;
+}
+} // namespace detail
 
 /// Fork-join with heap management: runs A and B in fresh sibling heaps
 /// (potentially in parallel), joins the heaps, and returns both results as
@@ -149,45 +172,12 @@ std::pair<Slot, Slot> par(FA &&A, FB &&B) {
   H->setActiveForks(2);
   Heap *HA = R->heaps().forkChild(H);
   Heap *HB = R->heaps().forkChild(H);
-
-  // Branches inherit the forking strand's request deadline: a stolen branch
-  // runs on another worker whose thread-local ctx knows nothing about the
-  // request, so the wrapper re-points it (same discipline as CurrentHeap).
-  DeadlineCtx *DL = C->CurrentDeadline;
+  int64_t DL = C->DeadlineNs;
 
   Slot RA = 0, RB = 0;
   std::exception_ptr EA, EB;
-  R->scheduler().fork2join(
-      [&] {
-        WorkerCtx *Me = Runtime::ctx();
-        Heap *Saved = Me->CurrentHeap;
-        DeadlineCtx *SavedDl = Me->CurrentDeadline;
-        Me->CurrentHeap = HA;
-        Me->CurrentDeadline = DL;
-        obs::spanNoteHeapDepth(HA->depth());
-        try {
-          RA = A();
-        } catch (...) {
-          EA = std::current_exception();
-        }
-        Me->CurrentHeap = Saved;
-        Me->CurrentDeadline = SavedDl;
-      },
-      [&] {
-        WorkerCtx *Me = Runtime::ctx();
-        Heap *Saved = Me->CurrentHeap;
-        DeadlineCtx *SavedDl = Me->CurrentDeadline;
-        Me->CurrentHeap = HB;
-        Me->CurrentDeadline = DL;
-        obs::spanNoteHeapDepth(HB->depth());
-        try {
-          RB = B();
-        } catch (...) {
-          EB = std::current_exception();
-        }
-        Me->CurrentHeap = Saved;
-        Me->CurrentDeadline = SavedDl;
-      });
+  R->scheduler().fork2join([&] { detail::runBranch(A, HA, DL, RA, EA); },
+                           [&] { detail::runBranch(B, HB, DL, RB, EB); });
 
   R->heaps().join(H, HA);
   R->heaps().join(H, HB);

@@ -14,18 +14,17 @@
 
 namespace mpl {
 
-struct DeadlineCtx;
-
 /// Mutator state of one OS thread: the heap it is allocating into, its GC
 /// root stack, and its collection-policy counters. Tasks migrate between
 /// threads only at fork boundaries, and every branch wrapper re-points
-/// CurrentHeap (and CurrentDeadline), so thread-locality is safe.
+/// CurrentHeap (and DeadlineNs), so thread-locality is safe.
 struct WorkerCtx {
   Heap *CurrentHeap = nullptr;
 
-  /// Deadline of the request this strand is serving, or null outside a
-  /// request scope. Inherited across rt::par exactly like CurrentHeap.
-  DeadlineCtx *CurrentDeadline = nullptr;
+  /// Deadline of the request this strand is serving, as a support/Timer
+  /// nowNs instant; 0 outside a request scope or for a request without
+  /// one. Inherited across rt::par exactly like CurrentHeap.
+  int64_t DeadlineNs = 0;
 
   ShadowStack Roots;
 

@@ -13,8 +13,8 @@
 /// that the paper preserves in the presence of effects.
 ///
 /// Entanglement changes the picture in exactly one way: *pinned* objects
-/// (entanglement candidates, pinned by the barriers in core/Barriers.h
-/// before they ever become visible to a concurrent task) and everything
+/// (entanglement candidates, pinned by the barriers in core/Em.h before
+/// they ever become visible to a concurrent task) and everything
 /// reachable from them are kept **in place**. A concurrent reader may
 /// traverse a pinned object's fields without barriers (immutable fields),
 /// so the whole pinned closure must neither move nor have its slots
@@ -58,8 +58,6 @@ public:
   /// safe point (all live references rooted).
   GcOutcome collectChain(Heap *Leaf, ShadowStack &Roots);
 
-  /// Traces one slot against the currently collected chain; exposed for
-  /// tests via collectChain only.
 private:
   struct ChainState;
 

@@ -86,7 +86,6 @@ void Heap::pushChunk(Chunk *C) {
 
 void *Heap::allocate(size_t Bytes) {
   Bytes = (Bytes + 7) & ~static_cast<size_t>(7);
-  BytesAllocated += static_cast<int64_t>(Bytes);
   if (Current)
     if (void *P = Current->tryAllocate(Bytes))
       return P;
@@ -291,7 +290,6 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
   Child->Chunks = nullptr;
   Child->Current = nullptr;
   Child->ChunkBytesGauge.store(0, std::memory_order_relaxed);
-  Parent->BytesAllocated += Child->BytesAllocated;
 
   // The paper's join rule: entanglement with unpin depth >= the merged
   // depth is dead once the object lives at that depth; unpin those objects

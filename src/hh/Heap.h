@@ -125,10 +125,6 @@ public:
   Chunk *Chunks = nullptr;
   Chunk *Current = nullptr;
 
-  /// Bytes of objects bump-allocated into this heap since creation or the
-  /// last collection (collection policy input).
-  int64_t BytesAllocated = 0;
-
   /// True while the owning task's local collector is evacuating this heap.
   /// Written and read under PinLock (or by the owning thread only).
   bool InCollection = false;

@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Heap memory is carved into 64 KiB chunks aligned to their size, exactly
-/// as in MPL's runtime. Alignment makes `chunkOf(obj)` a single mask, and
+/// Heap memory is carved into 16 KiB chunks (Chunk::SizeBytes) aligned to
+/// their size, as in MPL's runtime. Alignment makes `chunkOf(obj)` a single mask, and
 /// the chunk header stores the owning heap — this is how the entanglement
 /// barriers map an object to its heap (and hence its depth) in O(1).
 ///
 /// Objects larger than half a chunk get a dedicated "large" chunk whose
-/// header is still at a 64 KiB boundary, so `chunkOf` keeps working on
+/// header is still at a SizeBytes boundary, so `chunkOf` keeps working on
 /// object headers (we never take `chunkOf` of an interior pointer).
 ///
 //===----------------------------------------------------------------------===//
@@ -41,7 +41,7 @@ public:
   static constexpr uintptr_t AddrMask = ~(static_cast<uintptr_t>(SizeBytes) - 1);
 
   /// The heap whose objects live in this chunk. Atomic because heap joins
-  /// re-home chunks while concurrent barriers may be resolving heapOf().
+  /// re-home chunks while concurrent barriers may be resolving Heap::of().
   std::atomic<Heap *> Owner{nullptr};
 
   /// Next chunk in the owning heap's list.

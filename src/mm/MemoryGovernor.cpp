@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 
 using namespace mpl;
@@ -45,6 +46,12 @@ Gauge LimitGauge("mm.limit.bytes",
                  [] { return MemoryGovernor::get().limitBytes(); });
 
 thread_local int GcExemptDepth = 0;
+
+/// Allocation attempts before OutOfMemoryError: the first, then one per
+/// recovery stage.
+constexpr int AllocAttempts = 4;
+/// Backoff before the last stage.
+constexpr int64_t StageBackoffUs = 50;
 
 std::string describeOom(size_t Requested, int64_t Outstanding, int64_t Limit,
                         int64_t Pinned) {
@@ -87,33 +94,22 @@ MemoryGovernor &MemoryGovernor::get() {
 }
 
 void MemoryGovernor::configure(const Config &C) {
-  {
-    std::lock_guard<std::mutex> G(Mu);
-    SoftFracValue = std::clamp(C.SoftFrac, 0.0, 1.0);
-  }
-  LimitBytes.store(std::max<int64_t>(0, C.LimitBytes),
-                   std::memory_order_relaxed);
-  SoftBytes.store(
-      static_cast<int64_t>(static_cast<double>(std::max<int64_t>(
-                               0, C.LimitBytes)) *
-                           std::clamp(C.SoftFrac, 0.0, 1.0)),
-      std::memory_order_relaxed);
+  double Frac = std::clamp(C.SoftFrac, 0.0, 1.0);
+  int64_t Limit = std::max<int64_t>(0, C.LimitBytes);
+  SoftFrac.store(Frac, std::memory_order_relaxed);
+  LimitBytes.store(Limit, std::memory_order_relaxed);
+  SoftBytes.store(static_cast<int64_t>(static_cast<double>(Limit) * Frac),
+                  std::memory_order_relaxed);
   CacheBytes.store(std::max<int64_t>(0, C.ChunkCacheBytes),
                    std::memory_order_relaxed);
-  MaxAttempts.store(std::max(1, C.MaxAllocAttempts), std::memory_order_relaxed);
-  BackoffUs.store(std::max<int64_t>(0, C.RetryBackoffUs),
-                  std::memory_order_relaxed);
   updatePressure();
 }
 
 MemoryGovernor::Config MemoryGovernor::config() const {
   Config C;
   C.LimitBytes = LimitBytes.load(std::memory_order_relaxed);
+  C.SoftFrac = SoftFrac.load(std::memory_order_relaxed);
   C.ChunkCacheBytes = CacheBytes.load(std::memory_order_relaxed);
-  C.MaxAllocAttempts = MaxAttempts.load(std::memory_order_relaxed);
-  C.RetryBackoffUs = BackoffUs.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> G(Mu);
-  C.SoftFrac = SoftFracValue;
   return C;
 }
 
@@ -158,22 +154,6 @@ double MemoryGovernor::allocBudgetScale() const {
 
 int64_t MemoryGovernor::pinnedBytes() const {
   return em::Counts.snapshot().livePinnedBytes();
-}
-
-int MemoryGovernor::registerEmergencyGc(std::function<bool()> Fn) {
-  std::lock_guard<std::mutex> G(Mu);
-  int Id = NextHookId++;
-  GcHooks.push_back({Id, std::move(Fn)});
-  return Id;
-}
-
-void MemoryGovernor::unregisterEmergencyGc(int Id) {
-  std::lock_guard<std::mutex> G(Mu);
-  for (size_t I = 0; I < GcHooks.size(); ++I)
-    if (GcHooks[I].Id == Id) {
-      GcHooks.erase(GcHooks.begin() + static_cast<ptrdiff_t>(I));
-      return;
-    }
 }
 
 MemoryGovernor::AdmissionDecision
@@ -254,28 +234,20 @@ bool MemoryGovernor::admitChunk(size_t Bytes) {
 }
 
 bool MemoryGovernor::runEmergencyGc() {
-  std::vector<Hook> Hooks;
-  {
-    std::lock_guard<std::mutex> G(Mu);
-    Hooks = GcHooks;
-  }
-  bool Ran = false;
-  for (const Hook &H : Hooks) {
-    int64_t Before = ChunkPool::get().outstandingBytes();
-    if (H.Fn()) {
-      Ran = true;
-      EmergencyGcs.inc();
-      obs::emit(obs::Ev::EmergencyGc,
-                static_cast<uint64_t>(std::max<int64_t>(0, Before)),
-                static_cast<uint64_t>(std::max<int64_t>(
-                    0, ChunkPool::get().outstandingBytes())));
-    }
-  }
-  return Ran;
+  bool (*Fn)() = EmergencyGc.load(std::memory_order_acquire);
+  int64_t Before = ChunkPool::get().outstandingBytes();
+  if (!Fn || !Fn())
+    return false;
+  EmergencyGcs.inc();
+  obs::emit(obs::Ev::EmergencyGc,
+            static_cast<uint64_t>(std::max<int64_t>(0, Before)),
+            static_cast<uint64_t>(
+                std::max<int64_t>(0, ChunkPool::get().outstandingBytes())));
+  return true;
 }
 
 bool MemoryGovernor::recoverStage(int Attempt, size_t Bytes) {
-  if (Attempt + 1 >= MaxAttempts.load(std::memory_order_relaxed))
+  if (Attempt + 1 >= AllocAttempts)
     return false;
   AllocRetries.inc();
   obs::emit(obs::Ev::AllocRetry, static_cast<uint64_t>(Attempt),
@@ -292,19 +264,15 @@ bool MemoryGovernor::recoverStage(int Attempt, size_t Bytes) {
     if (gcExemptOnThisThread() || !runEmergencyGc())
       ChunkPool::get().trim(0);
     break;
-  default: {
-    // Stage 3: bounded retry with exponential backoff, re-running the
-    // earlier stages — a concurrent task may have released memory, and
-    // transient faults (chaos::Fault::FailChunkAlloc) resolve on re-poll.
-    int64_t Us = BackoffUs.load(std::memory_order_relaxed);
-    if (Us > 0)
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(Us << std::min(Attempt - 2, 10)));
+  default:
+    // Stage 3: back off, then re-run the earlier stages — a concurrent
+    // task may have released memory, and transient faults
+    // (chaos::Fault::FailChunkAlloc) resolve on re-poll.
+    std::this_thread::sleep_for(std::chrono::microseconds(StageBackoffUs));
     ChunkPool::get().trim(0);
     if (!gcExemptOnThisThread())
       runEmergencyGc();
     break;
-  }
   }
   updatePressure();
   return true;

@@ -31,10 +31,10 @@
 ///   1. trim the chunk free list back to the OS (the steady-state cache is
 ///      also capped at `MPL_CHUNK_CACHE_MB`);
 ///   2. force a local collection of the calling task's private chain via
-///      the emergency-GC hook the Runtime registers;
-///   3. bounded retry with exponential backoff (faults and transient
-///      spikes resolve; the `mm.alloc.retry.ns` histogram records how
-///      long rescued allocations stalled).
+///      the emergency-GC callback the Runtime sets;
+///   3. one retry after a 50 µs backoff (faults and transient spikes
+///      resolve; the `mm.alloc.retry.ns` histogram records how long
+///      rescued allocations stalled).
 ///
 /// Only when every stage fails does the governor raise a *recoverable*
 /// mpl::OutOfMemoryError: the failing strand unwinds (rt::par propagates
@@ -54,11 +54,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 namespace mpl {
 
@@ -108,12 +104,6 @@ public:
     /// Steady-state cap on the chunk pool's free-list cache; beyond it,
     /// released chunks go straight back to the OS.
     int64_t ChunkCacheBytes = int64_t(64) << 20;
-
-    /// Total allocation attempts before OutOfMemoryError (>= 1).
-    int MaxAllocAttempts = 4;
-
-    /// Base backoff between late retries (doubles per extra attempt).
-    int64_t RetryBackoffUs = 50;
   };
 
   static MemoryGovernor &get();
@@ -150,11 +140,12 @@ public:
   /// Live pinned bytes: em::Counts' pinned minus unpinned bytes.
   int64_t pinnedBytes() const;
 
-  /// Registers the emergency-collection hook (rt::Runtime: force a local
-  /// collection of the calling task's private chain). Returns an id for
-  /// unregisterEmergencyGc. The hook returns true when a collection ran.
-  int registerEmergencyGc(std::function<bool()> Fn);
-  void unregisterEmergencyGc(int Id);
+  /// Sets the emergency-collection callback (rt::Runtime: force a local
+  /// collection of the calling task's private chain), or clears it with
+  /// null. The callback returns true when a collection ran.
+  void setEmergencyGc(bool (*Fn)()) {
+    EmergencyGc.store(Fn, std::memory_order_release);
+  }
 
   //===--------------------------------------------------------------------===//
   // Admission control (the request server's front door, src/net)
@@ -189,8 +180,8 @@ public:
   bool admitChunk(size_t Bytes);
 
   /// Runs recovery stage \p Attempt (0-based): trim, emergency GC, then
-  /// backoff + both. Returns false once MaxAllocAttempts is exhausted —
-  /// the caller must give up (raiseOom / fatal).
+  /// backoff + both. Returns false once the four attempts are spent — the
+  /// caller must give up (raiseOom / fatal).
   bool recoverStage(int Attempt, size_t Bytes);
 
   /// Throws OutOfMemoryError describing the exhausted request.
@@ -227,18 +218,9 @@ private:
   std::atomic<int64_t> LimitBytes{0};
   std::atomic<int64_t> SoftBytes{0};
   std::atomic<int64_t> CacheBytes{Config{}.ChunkCacheBytes};
-  std::atomic<int> MaxAttempts{Config{}.MaxAllocAttempts};
-  std::atomic<int64_t> BackoffUs{Config{}.RetryBackoffUs};
   std::atomic<uint8_t> Level{static_cast<uint8_t>(Pressure::None)};
-
-  mutable std::mutex Mu; ///< Guards SoftFracValue and the hook list.
-  double SoftFracValue = Config{}.SoftFrac;
-  struct Hook {
-    int Id;
-    std::function<bool()> Fn;
-  };
-  std::vector<Hook> GcHooks;
-  int NextHookId = 1;
+  std::atomic<double> SoftFrac{Config{}.SoftFrac};
+  std::atomic<bool (*)()> EmergencyGc{nullptr};
 
   friend class ChunkPool;
 };

@@ -11,20 +11,6 @@
 using namespace mpl;
 using namespace mpl::net;
 
-const char *net::decodeStatusName(DecodeStatus S) {
-  switch (S) {
-  case DecodeStatus::Ok:
-    return "ok";
-  case DecodeStatus::NeedMore:
-    return "need-more";
-  case DecodeStatus::Malformed:
-    return "malformed";
-  case DecodeStatus::Oversized:
-    return "oversized";
-  }
-  return "?";
-}
-
 const char *net::statusName(Status S) {
   switch (S) {
   case Status::Ok:

@@ -60,8 +60,6 @@ enum class DecodeStatus : uint8_t {
   Oversized, ///< Declared length exceeds MaxFrameBytes; drop the connection.
 };
 
-const char *decodeStatusName(DecodeStatus S);
-
 //===----------------------------------------------------------------------===//
 // Varints
 //===----------------------------------------------------------------------===//

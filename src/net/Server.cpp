@@ -34,6 +34,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -45,13 +46,12 @@ using namespace mpl::net;
 namespace {
 
 /// One admitted request in flight between a connection thread (producer,
-/// waits on Prom's future) and the executor (consumer, fulfills it). The
-/// DeadlineCtx is armed at enqueue so queueing time counts against the
-/// deadline, and shared so an aborted strand's polls stay valid while the
-/// connection thread still holds the future.
+/// waits on Prom's future) and the executor (consumer, fulfills it).
 struct Pending {
   Request Req;
-  DeadlineCtx DL;
+  /// EnqueueNs + deadline_ms, so queueing time counts against the
+  /// deadline; 0 when the request has none.
+  int64_t DeadlineNs = 0;
   std::promise<Response> Prom;
   // Latency-stage stamps (DESIGN.md §16): queue = Dequeue-Enqueue, exec =
   // ExecEnd-ExecStart; the reply stage is measured on the connection
@@ -79,8 +79,13 @@ struct Server::Impl {
   int ListenFd = -1;
   std::thread AcceptThread;
   std::thread ExecThread;
-  std::mutex ConnMu;
-  std::vector<std::thread> ConnThreads;
+  /// One per connection thread, with the flag it sets as its last act. Only
+  /// the accept loop touches the list until waitUntilDrained joins it.
+  struct Conn {
+    std::thread T;
+    std::atomic<bool> Done{false};
+  };
+  std::list<Conn> Conns;
   std::atomic<int> LiveConns{0};
   std::atomic<uint64_t> NextConnId{0};
   std::atomic<bool> AcceptStopped{false};
@@ -322,7 +327,8 @@ struct Server::Impl {
     P->Req = Req;
     P->EnqueueNs = nowNs();
     if (Req.DeadlineMs > 0)
-      P->DL.armAfter(static_cast<int64_t>(Req.DeadlineMs) * 1000000);
+      P->DeadlineNs =
+          P->EnqueueNs + static_cast<int64_t>(Req.DeadlineMs) * 1000000;
     std::future<Response> Fut = P->Prom.get_future();
     {
       std::lock_guard<std::mutex> L(QMu);
@@ -471,7 +477,7 @@ struct Server::Impl {
   }
 
   /// The request body proper; runs on a strand inside Runtime::run with the
-  /// request's DeadlineCtx attached. Throws on evaluation failure.
+  /// request's deadline attached. Throws on evaluation failure.
   std::string runBody(const Request &Req) {
     if (Req.Kind == RequestKind::Pml) {
       std::string Out, Rendered, Ty;
@@ -508,7 +514,7 @@ struct Server::Impl {
     obs::emit(obs::Ev::NetFlowIn, P.Req.Id);
     P.ExecStartNs = nowNs();
     Inflight.fetch_add(1, std::memory_order_relaxed);
-    rt::ScopedDeadline SD(&P.DL);
+    rt::ScopedDeadline SD(P.DeadlineNs);
     Response Resp;
     Resp.Id = P.Req.Id;
     try {
@@ -648,6 +654,14 @@ struct Server::Impl {
       WinQueue.maybeRotate(Tick);
       WinExec.maybeRotate(Tick);
       obs::serviceStatsDump();
+      // Join the connection threads that have finished, so none keeps its
+      // stack mapped until drain.
+      Conns.remove_if([](Conn &C) {
+        if (!C.Done.load(std::memory_order_acquire))
+          return false;
+        C.T.join();
+        return true;
+      });
       int R = ::poll(&PF, 1, 100);
       if (R <= 0)
         continue;
@@ -664,8 +678,11 @@ struct Server::Impl {
       Accepted.inc();
       LiveConns.fetch_add(1, std::memory_order_acq_rel);
       uint64_t ConnId = NextConnId.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> L(ConnMu);
-      ConnThreads.emplace_back([this, Fd, ConnId] { serveConn(Fd, ConnId); });
+      Conn &C = Conns.emplace_back();
+      C.T = std::thread([this, Fd, ConnId, &C] {
+        serveConn(Fd, ConnId);
+        C.Done.store(true, std::memory_order_release);
+      });
     }
     ::close(ListenFd);
     ListenFd = -1;
@@ -717,13 +734,10 @@ void Server::waitUntilDrained() {
   if (I->Joined || !I->Started)
     return;
   I->AcceptThread.join();
-  // The accept thread is gone, so ConnThreads is stable now.
-  {
-    std::lock_guard<std::mutex> L(I->ConnMu);
-    for (auto &T : I->ConnThreads)
-      T.join();
-    I->ConnThreads.clear();
-  }
+  // The accept thread is gone, so Conns is stable now.
+  for (Impl::Conn &C : I->Conns)
+    C.T.join();
+  I->Conns.clear();
   I->ExecThread.join();
   I->Joined = true;
 }

@@ -19,11 +19,11 @@
 ///    each request a leaf heap. A request that runs out of memory or past
 ///    its deadline unwinds at its own branch boundary (SHED /
 ///    DEADLINE_EXPIRED); the rest of the batch is unaffected;
-///  - *deadlines*: each request carries a DeadlineCtx, attached via
-///    rt::ScopedDeadline and inherited across every fork; the scheduler's
-///    strand-quanta poll latches expiry, the safe-point checks throw, and
-///    the join rule releases the aborted task's pins (leaked pins == 0 is
-///    asserted by the smoke harness);
+///  - *deadlines*: each request's deadline instant is attached via
+///    rt::ScopedDeadline and inherited across every fork; the safe-point
+///    checks (core/Deadline.h) throw once it passes, and the join rule
+///    releases the aborted task's pins (leaked pins == 0 is asserted by
+///    the smoke harness);
 ///  - *drain*: requestDrain() (SIGTERM-safe: one relaxed store) stops the
 ///    accept loop, lets queued requests finish — or sheds them as DRAINING
 ///    once the drain timeout passes — and flushes trace/metrics/span

@@ -307,6 +307,17 @@ TraceBuffer *Tracer::threadBuffer() {
   if (Tls.B)
     return Tls.B;
   std::lock_guard<std::mutex> G(Mu);
+  // A thread that is no worker (a server connection, say) takes over the
+  // ring of one that exited, events and track included: a long-lived
+  // server then holds as many rings as it ever had such threads at once,
+  // not one per connection it ever served. A live owner may still relabel
+  // its ring, so TrackId is read only once Retired is seen.
+  if (TlsTrackId < 0)
+    for (auto &B : Buffers)
+      if (B->Retired.load(std::memory_order_acquire) && B->TrackId >= 1000) {
+        B->Retired.store(false, std::memory_order_relaxed);
+        return Tls.B = B.get();
+      }
   auto B = std::make_unique<TraceBuffer>();
   B->TrackId = TlsTrackId >= 0 ? TlsTrackId : NextForeignTrack++;
   Tls.B = B.get();

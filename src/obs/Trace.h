@@ -158,7 +158,8 @@ public:
   int TrackId = 0;
 
   /// Set by the owning thread's TLS destructor; clear() frees retired
-  /// buffers (their events are kept until then so post-join flushes work).
+  /// buffers (their events are kept until then so post-join flushes work),
+  /// and a new non-worker thread takes over a retired non-worker one.
   std::atomic<bool> Retired{false};
 
 private:

@@ -130,7 +130,6 @@ public:
   ProgramJit &operator=(const ProgramJit &) = delete;
 
   FnState &fn(size_t Idx) { return Fns[Idx]; }
-  size_t numFns() const { return N; }
 
   /// Interpreter-side tier accounting: one relaxed add per frame push /
   /// tail call.

@@ -197,7 +197,6 @@ public:
   // ALU
   //===--------------------------------------------------------------------===//
 
-  void addRR(Reg D, Reg S) { aluRR(0x01, D, S); }
   void subRR(Reg D, Reg S) { aluRR(0x29, D, S); }
   void cmpRR(Reg D, Reg S) { aluRR(0x39, D, S); }
   void testRR(Reg D, Reg S) { aluRR(0x85, D, S); }
@@ -284,8 +283,6 @@ public:
   void sarRI(Reg D, uint8_t Imm) { shiftRI(7, D, Imm); }
   /// shr r64, imm8
   void shrRI(Reg D, uint8_t Imm) { shiftRI(5, D, Imm); }
-  /// shl r64, imm8
-  void shlRI(Reg D, uint8_t Imm) { shiftRI(4, D, Imm); }
 
   /// imul r64, r64 (D *= S)
   void imulRR(Reg D, Reg S) {

@@ -19,7 +19,6 @@
 using namespace mpl;
 
 namespace {
-thread_local Scheduler *CurScheduler = nullptr;
 thread_local Worker *CurWorker = nullptr;
 
 Stat NumSteals("sched.steals");
@@ -28,15 +27,7 @@ Stat NumForks("sched.forks");
 /// Latency of *successful* steal attempts: entering tryStealAndRun to
 /// acquiring a job (failed probe rounds would swamp the distribution).
 Histogram StealLatencyNs("sched.steal.latency.ns");
-
-/// Strand-quantum poll installed by the runtime layer (deadline latching).
-/// Read on every strandPause; the write happens at Runtime setup/teardown
-/// while workers are quiescent, but an atomic keeps TSan happy.
-std::atomic<void (*)()> StrandPollHook{nullptr};
 } // namespace
-
-Scheduler *Scheduler::current() { return CurScheduler; }
-Worker *Scheduler::currentWorker() { return CurWorker; }
 
 Scheduler::Scheduler(const Config &Cfg) {
   int N = std::max(1, Cfg.NumWorkers);
@@ -52,12 +43,10 @@ Scheduler::Scheduler(const Config &Cfg) {
   // Worker 0 is the caller's thread; start threads for the rest.
   for (int I = 1; I < N; ++I)
     Threads.emplace_back([this, I] {
-      CurScheduler = this;
       CurWorker = Workers[I];
       obs::labelCurrentThread(I);
       stealLoop(Workers[I]);
       CurWorker = nullptr;
-      CurScheduler = nullptr;
     });
 }
 
@@ -70,15 +59,7 @@ Scheduler::~Scheduler() {
     delete W;
 }
 
-void Scheduler::setStrandPollHook(void (*Hook)()) {
-  StrandPollHook.store(Hook, std::memory_order_release);
-}
-
 void Scheduler::strandPause(Worker *W) {
-  // The quantum boundary is the deadline poll point. The hook never throws
-  // (flag-latch only).
-  if (void (*Hook)() = StrandPollHook.load(std::memory_order_acquire))
-    Hook();
   if (W->StrandStartNs == 0)
     return;
   obs::emit(obs::Ev::StrandEnd);
@@ -100,7 +81,6 @@ void Scheduler::strandResume(Worker *W) {
 WorkSpan Scheduler::runImpl(Thunk Root, void *Env) {
   MPL_CHECK(CurWorker == nullptr, "nested Scheduler::run is not supported");
   Worker *W = Workers[0];
-  CurScheduler = this;
   CurWorker = W;
   obs::labelCurrentThread(0);
   for (Worker *Each : Workers) {
@@ -130,7 +110,6 @@ WorkSpan Scheduler::runImpl(Thunk Root, void *Env) {
 
   Active.store(false, std::memory_order_release);
   CurWorker = nullptr;
-  CurScheduler = nullptr;
 
   Last.SpanSec = W->SpanAccNs * 1e-9;
   double TotalWork = 0;

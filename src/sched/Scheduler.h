@@ -46,9 +46,6 @@ struct Worker {
   double SpanAccNs = 0;     ///< Span of the current strand sequence.
   int64_t StrandStartNs = 0; ///< Start of the running strand, 0 if paused.
   double WorkAccNs = 0;     ///< Total user-code nanoseconds on this worker.
-
-  /// Opaque per-worker slot for the runtime layer (current heap etc.).
-  void *RtCtx = nullptr;
 };
 
 /// Aggregate work-span measurement for one top-level computation.
@@ -75,12 +72,6 @@ public:
 
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
-
-  /// The scheduler the current thread belongs to (null outside run()).
-  static Scheduler *current();
-
-  /// The worker bound to the current thread (null outside run()).
-  static Worker *currentWorker();
 
   int numWorkers() const { return static_cast<int>(Workers.size()); }
 
@@ -118,13 +109,6 @@ public:
 
   /// Work-span totals of the last completed run().
   WorkSpan lastRun() const { return Last; }
-
-  /// Installs a poll run at every strand quantum boundary (strandPause),
-  /// i.e. each time user code yields the worker at a fork or join. The
-  /// runtime layer uses it to latch request-deadline expiry; it runs on
-  /// worker threads mid-schedule, so it must never throw or block. Null
-  /// uninstalls.
-  static void setStrandPollHook(void (*Hook)());
 
 private:
   using Thunk = void (*)(void *);

@@ -112,34 +112,5 @@ int64_t countReached(Object *Parents) {
   return C;
 }
 
-int64_t bfsLevelSum(Object *G, Object *Parents, int64_t Src) {
-  GraphView V = GraphView::of(G);
-  const int64_t *P = reinterpret_cast<const int64_t *>(Parents->slots());
-  std::vector<int64_t> Level(static_cast<size_t>(V.NumVertices), -1);
-  // Levels by following parent chains (memoized).
-  int64_t Sum = 0;
-  for (int64_t U = 0; U < V.NumVertices; ++U) {
-    // Walk up to a known level.
-    int64_t Steps = 0;
-    int64_t Cur = U;
-    while (Cur != Src && Level[static_cast<size_t>(Cur)] < 0) {
-      Cur = P[Cur];
-      ++Steps;
-      MPL_CHECK(Cur >= 0, "broken parent chain");
-    }
-    int64_t Base = Cur == Src ? 0 : Level[static_cast<size_t>(Cur)];
-    // Second pass to fill in.
-    int64_t L = Base + Steps;
-    int64_t Fill = U;
-    int64_t FillL = L;
-    while (Fill != Cur) {
-      Level[static_cast<size_t>(Fill)] = FillL--;
-      Fill = P[Fill];
-    }
-    Sum += L;
-  }
-  return Sum;
-}
-
 } // namespace wl
 } // namespace mpl

@@ -49,9 +49,6 @@ Object *bfs(Object *G, int64_t Src, int64_t Grain = 64);
 /// Number of vertices whose parent is set (reachability check).
 int64_t countReached(Object *Parents);
 
-/// Sum of BFS levels (a checksum that validates the traversal order).
-int64_t bfsLevelSum(Object *G, Object *Parents, int64_t Src);
-
 } // namespace wl
 } // namespace mpl
 

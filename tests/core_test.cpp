@@ -8,9 +8,14 @@
 #include "core/Ops.h"
 #include "core/Runtime.h"
 #include "obs/HeapTree.h"
+#include "support/EmCounters.h"
 #include "support/Stats.h"
+#include "support/Timer.h"
+#include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 using namespace mpl;
 using namespace mpl::ops;
@@ -439,3 +444,95 @@ TEST(EntanglementTest, MultiWorkerEntangledStress) {
   });
   EXPECT_EQ(BadValues, 0);
 }
+
+//===----------------------------------------------------------------------===//
+// Deadlines (core/Deadline.h): one instant each strand inherits
+//===----------------------------------------------------------------------===//
+
+class DeadlineTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeadlineTest, ExpiresMidRunReleasesPinsAndRuntimeStaysUsable) {
+  StatRegistry::get().resetAll();
+  rt::Runtime R(cfg(GetParam()));
+  int64_t Overrun = -1;
+  try {
+    R.run([&] {
+      Local Shared(newRef(boxInt(0))); // Depth 0.
+      rt::ScopedDeadline SD(nowNs() + 1000000);
+      rt::par(
+          [&] {
+            // Entangled churn: each fresh ref published into the depth-0
+            // ref is pinned until its heap joins at depth 0, so the
+            // deadline unwinds a task that holds pins.
+            for (int64_t I = 0;; ++I) {
+              Local Mine(newRef(boxInt(I)));
+              refSet(Shared.get(), Object::fromPointer(Mine.get()));
+            }
+            return unit();
+          },
+          [&] { return boxInt(wl::fib(45)); }); // minutes of work
+    });
+  } catch (const DeadlineError &E) {
+    Overrun = E.overrunNs();
+  }
+  EXPECT_GE(Overrun, 0) << "R.run must rethrow the DeadlineError";
+  // The aborted tasks' heaps joined; the join unpin rule released the pins.
+  EXPECT_EQ(em::Counts.snapshot().livePinnedObjects(), 0);
+  int64_t Got = 0;
+  R.run([&] { Got = wl::fib(22); });
+  EXPECT_EQ(Got, 17711);
+}
+
+TEST_P(DeadlineTest, PastDeadlineThrowsAtFirstPar) {
+  rt::Runtime R(cfg(GetParam()));
+  int64_t ForksBefore = StatRegistry::get().valueOf("sched.forks");
+  bool RanUpToPar = false;
+  std::atomic<int> BranchesRun{0};
+  EXPECT_THROW(R.run([&] {
+    rt::ScopedDeadline SD(nowNs() - 1);
+    RanUpToPar = true; // No safe point before the fork.
+    rt::par([&] { BranchesRun.fetch_add(1); return unit(); },
+            [&] { BranchesRun.fetch_add(1); return unit(); });
+  }),
+               DeadlineError);
+  EXPECT_TRUE(RanUpToPar);
+  EXPECT_EQ(BranchesRun.load(), 0);
+  EXPECT_EQ(StatRegistry::get().valueOf("sched.forks"), ForksBefore);
+}
+
+TEST_P(DeadlineTest, ZeroNeverThrows) {
+  rt::Runtime R(cfg(GetParam()));
+  int64_t Got = 0;
+  R.run([&] {
+    rt::ScopedDeadline Past(nowNs() - 1);
+    {
+      rt::ScopedDeadline None(0); // Shadows the expired one.
+      Got = wl::fib(22);
+      Local Arr(newArray(1000, boxInt(0)));
+      rt::parFor(0, 1000, 1, [&](int64_t I) {
+        arrSet(Arr.get(), static_cast<uint32_t>(I), boxInt(I));
+      });
+    }
+    EXPECT_THROW(rt::checkDeadline(), DeadlineError);
+  });
+  EXPECT_EQ(Got, 17711);
+  EXPECT_EQ(rt::Runtime::ctx()->DeadlineNs, 0);
+}
+
+TEST_P(DeadlineTest, EveryBranchInheritsTheDeadline) {
+  rt::Runtime R(cfg(GetParam()));
+  const int64_t DL = nowNs() + int64_t(3600) * 1000000000;
+  std::atomic<int64_t> Seen{0}, Wrong{0};
+  R.run([&] {
+    rt::ScopedDeadline SD(DL);
+    rt::parFor(0, 4096, 1, [&](int64_t) {
+      Seen.fetch_add(1);
+      if (rt::Runtime::ctx()->DeadlineNs != DL)
+        Wrong.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(Seen.load(), 4096);
+  EXPECT_EQ(Wrong.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, DeadlineTest, ::testing::Values(1, 4));

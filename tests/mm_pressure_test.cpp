@@ -135,7 +135,6 @@ TEST_F(MmPressureTest, HardLimitRaisesRecoverableOomWithDiagnostics) {
   const int64_t Base = ChunkPool::get().outstandingBytes();
   MemoryGovernor::Config C = Saved;
   C.LimitBytes = Base + 4 * ChunkBytes;
-  C.RetryBackoffUs = 1; // Keep the doomed retries fast.
   MemoryGovernor::get().configure(C);
 
   std::vector<Chunk *> Cs;
@@ -172,7 +171,6 @@ TEST_F(MmPressureTest, OomPropagatesThroughRuntimeRunAndProcessSurvives) {
   const int64_t Base = ChunkPool::get().outstandingBytes();
   MemoryGovernor::Config C = Saved;
   C.LimitBytes = Base + (int64_t(1) << 20); // 1 MiB of headroom.
-  C.RetryBackoffUs = 1;
   MemoryGovernor::get().configure(C);
 
   rt::Runtime R(runtimeCfg());

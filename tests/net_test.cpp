@@ -8,7 +8,8 @@
 /// Codec tests (varints, framing, message round-trips, malformed input —
 /// all pure, no sockets) and end-to-end request-server tests: OK
 /// responses, admission shedding, deadline expiry with zero leaked pins,
-/// graceful drain, and seed-replayable wire chaos.
+/// finished connections giving their thread stacks back, graceful drain,
+/// and seed-replayable wire chaos.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -325,6 +328,49 @@ TEST(ServerTest, DeadlineExpiresMidRunAndReleasesPins) {
   EXPECT_EQ(T.DeadlineExpired, 1);
   // The aborted task's heaps joined; the join unpin rule released its pins.
   EXPECT_EQ(em::Counts.snapshot().livePinnedObjects(), 0);
+}
+
+namespace {
+/// This process's VmData in KiB, from /proc/self/status (-1 if unreadable).
+/// Unlike VmSize it leaves out reserved PROT_NONE address space, such as
+/// the 64 MiB a new malloc arena reserves when more threads than ever
+/// before overlap, and still counts every mapped thread stack.
+int64_t vmDataKb() {
+  std::ifstream F("/proc/self/status");
+  std::string Line;
+  while (std::getline(F, Line))
+    if (Line.rfind("VmData:", 0) == 0)
+      return std::atoll(Line.c_str() + 7);
+  return -1;
+}
+} // namespace
+
+TEST(ServerTest, FinishedConnectionsLeaveNoThreadStacks) {
+  // A connection thread that has served its peer must give its stack back
+  // by the next accept, not at drain: a long-lived server accepts without
+  // bound.
+  ServerConfig SC;
+  withServer(SC, [&](Server &Srv) {
+    auto Round = [&] {
+      for (int I = 0; I < 100; ++I) {
+        Client C;
+        ASSERT_TRUE(C.connect(Srv.port()));
+        Request R;
+        R.Id = static_cast<uint64_t>(I) + 1;
+        R.Kind = RequestKind::Ping;
+        Response Resp;
+        ASSERT_TRUE(C.call(R, Resp));
+        EXPECT_EQ(Resp.St, Status::Ok);
+      }
+    };
+    Round();
+    int64_t Before = vmDataKb();
+    ASSERT_GT(Before, 0);
+    Round();
+    int64_t GrewKb = vmDataKb() - Before;
+    EXPECT_LT(GrewKb, 64 * 1024)
+        << "100 finished connections grew VmData by " << GrewKb << " KiB";
+  });
 }
 
 TEST(ServerTest, DrainRefusesNewWorkThenStops) {

@@ -4,11 +4,11 @@
 //
 // Covers the observability layer in isolation (src/obs depends only on
 // support, so these tests drive the Tracer / MetricsSampler directly):
-// ring wrap and the dropped-event counter, per-thread event ordering, the
-// well-formedness of the Chrome trace-event export (parsed back with
-// support/Json) including the sampler series as counter events, sampler
-// monotonicity, the trace plane's pin-lifetime clock, the MPL_OBS plane
-// list, and the everything-disabled smoke.
+// ring wrap and the dropped-event counter, per-thread event ordering and
+// ring reuse, the well-formedness of the Chrome trace-event export (parsed
+// back with support/Json) including the sampler series as counter events,
+// sampler monotonicity, the trace plane's pin-lifetime clock, the MPL_OBS
+// plane list, and the everything-disabled smoke.
 //
 //===----------------------------------------------------------------------===//
 
@@ -158,6 +158,41 @@ TEST_F(ObsTest, PerThreadEventsStayOrdered) {
     }
   });
   EXPECT_EQ(BuffersSeen, NThreads);
+}
+
+TEST_F(ObsTest, ExitedNonWorkerRingIsTakenOverNotLeaked) {
+  // A server runs one thread per connection and accepts without bound: a
+  // thread that is no worker takes over the ring of one that exited, with
+  // its events and track, instead of adding a ring per thread.
+  obs::Tracer::get().enable();
+  auto RunThread = [](uint64_t Tag, int Label) {
+    std::thread([Tag, Label] {
+      if (Label >= 0)
+        obs::labelCurrentThread(Label);
+      obs::emit(obs::Ev::NetAccept, Tag);
+    }).join();
+  };
+  for (uint64_t Conn = 1; Conn <= 3; ++Conn)
+    RunThread(Conn, -1);
+  RunThread(99, 7); // A worker gets a ring of its own.
+  obs::Tracer::get().disable();
+
+  std::vector<std::vector<uint64_t>> Rings;
+  std::vector<int> Tracks;
+  obs::Tracer::get().forEachBuffer([&](const obs::TraceBuffer &B) {
+    if (B.head() == 0)
+      return; // The main thread's buffer, if any.
+    std::vector<uint64_t> Tags;
+    for (uint64_t I = B.first(); I < B.head(); ++I)
+      Tags.push_back(B.at(I).Arg0);
+    Rings.push_back(Tags);
+    Tracks.push_back(B.TrackId);
+  });
+  ASSERT_EQ(Rings.size(), 2u);
+  EXPECT_EQ(Rings[0], (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_GE(Tracks[0], 1000);
+  EXPECT_EQ(Rings[1], (std::vector<uint64_t>{99}));
+  EXPECT_EQ(Tracks[1], 7);
 }
 
 //===----------------------------------------------------------------------===//

@@ -84,7 +84,9 @@ PRESSURE_SEEDS=${PRESSURE_SEEDS:-10}
 # server. Pass criteria: server exits 0 (clean drain, leaked pins == 0),
 # zero protocol errors, every shed structured, a mid-load stats frame
 # answered in both JSON and checker-clean Prometheus form, no heap left
-# once the client is done (mpl_hh_heaps 0: each run frees its heaps), the
+# once the client is done (mpl_hh_heaps 0: each run frees its heaps), a
+# reconnect storm (two rounds of 25 `mpl_client -n 4 -conns 4` runs) that
+# grows the server's VmData by at most 64 MiB over its second round, the
 # trace's net.request_flow enqueue/execute pairs balanced, and the request
 # counters balanced (requests == ok+shed+deadline+error+draining).
 SERVER_SMOKE_SEED=${SERVER_SMOKE_SEED:-7}
@@ -171,6 +173,31 @@ server_smoke() {
       grep -q '^mpl_hh_heaps 0$' "$bdir/server_idle$tag.prom"
   }
   retry5 idle_heaps
+  # Reconnect storm: two rounds of 25 short four-connection clients under
+  # the same chaos. A finished connection leaves nothing behind, so the
+  # second round may grow the server's VmData by at most 64 MiB (a kept
+  # thread stack or trace ring per connection grows it ~800 MiB). VmData,
+  # not VmSize: a new malloc arena reserves 64 MiB of PROT_NONE space in
+  # one step whenever more threads than ever before overlap. Its requests
+  # carry 1 ms deadlines, so they stop early and the busiest worker's
+  # trace ring still holds the whole smoke.
+  storm_round() {
+    local r
+    for r in $(seq 1 25); do
+      ASAN_OPTIONS="detect_leaks=0" \
+      TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+        "$bdir/tools/mpl_client" -port "$srv_port" -n 4 -conns 4 \
+        -deadline-ms 1 -seed "$r" > /dev/null
+    done
+  }
+  vm_data_kb() { awk '/^VmData:/ { print $2 }' "/proc/$srv_pid/status"; }
+  storm_round
+  local vm_before vm_after
+  vm_before=$(vm_data_kb)
+  storm_round
+  vm_after=$(vm_data_kb)
+  echo "reconnect storm: server VmData ${vm_before} -> ${vm_after} KiB"
+  (( vm_after - vm_before <= 64 * 1024 ))
   kill -TERM "$srv_pid"
   wait "$srv_pid" # exit 0 iff clean drain and leaked pins == 0
   cat "$srv_log"
