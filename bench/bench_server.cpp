@@ -18,10 +18,9 @@
 /// if queue p99 exceeds the deadline with zero sheds — a coordinated-
 /// omission check: a backlog that deep with no pushback means admission
 /// control is blind. `-json` emits an mpl-bench/2 record (rows
-/// keyed "request_latency"/"open-loop" with p*_ns and shed_rate fields) so
-/// the GateLib regression gate can hold tail latency and shed rate to a
-/// baseline. Chaos flags mirror mpl_server's, making this the one-command
-/// reproduction of the robustness acceptance scenario:
+/// keyed "request_latency"/"open-loop" with p*_ns and shed_rate fields;
+/// no gate reads them). Chaos flags mirror mpl_server's, making this the
+/// one-command reproduction of the robustness acceptance scenario:
 ///
 ///   MPL_MEM_LIMIT_MB=16 bench_server -rate 300 -duration-ms 4000
 ///       -chaos-seed 7 -wire-permille 20 -fault-every-n 5 -json out.json

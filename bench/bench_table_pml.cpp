@@ -186,10 +186,9 @@ int main(int Argc, char **Argv) {
     // Interp-vs-JIT ablation under each barrier mode. The interp and jit
     // runs of a mode must print/return identical results (the
     // differential contract, enforced here at bench scale too) and leak
-    // zero pins; the JSON rows carry the pml.jit.* counters and per-rep
-    // times so CI can arm the stddev-aware time gate for the jit rows
-    // (tools/ci.sh, --time-gate-config pml-jit). The carrier table's PML
-    // column is the interpreter's Manage cell.
+    // zero pins; the JSON rows carry the pml.jit.* counters for CI's
+    // counter gate. The carrier table's PML column is the interpreter's
+    // Manage cell.
     RunResult Pml;
     for (const ModeCase &M : Modes) {
       Cell In = measureCell(K, M.Mode, /*UseJit=*/false, Reps);
@@ -209,10 +208,8 @@ int main(int Argc, char **Argv) {
       MPL_CHECK(Captured == K.Conts && Resumed == K.Conts,
                 "continuation capture/resume counts off");
       // Total JIT loss (env plumbing broken, tiering never fires) must
-      // fail here deterministically: the counter gate is upward-only,
-      // so a drop to zero compiled functions would pass it, and the
-      // time gate's floor is too wide to catch it on the flatter
-      // kernels.
+      // fail here: the counter gate is upward-only, so a drop to zero
+      // compiled functions would pass it.
       MPL_CHECK(JitCompiled > 0 && Jt.R.counter("pml.jit.entries") > 0,
                 "jit ablation cell did not tier any function");
       char KiB[32];

@@ -203,6 +203,26 @@ Slot Vm::callFunction(int FnIdx, Slot Closure, Slot Arg) {
   return pop(); // The floor frame's Ret left the result on top.
 }
 
+void Vm::doPar() {
+  // Closures stay rooted on the parent's stack during the fork. Each
+  // branch prints into its own buffer, appended in branch order after the
+  // join: the branches may run at once, and the output is then what the
+  // sequential program prints.
+  std::string OutA, OutB;
+  BranchEnv EnvA{&P, CaptureOut ? &OutA : nullptr, Trap, Stack[Sp - 2]};
+  BranchEnv EnvB{&P, CaptureOut ? &OutB : nullptr, Trap, Stack[Sp - 1]};
+  auto [RA, RB] = rt::par([&] { return VmBranch::run(EnvA); },
+                          [&] { return VmBranch::run(EnvB); });
+  if (CaptureOut)
+    CaptureOut->append(OutA).append(OutB);
+  // Results are rooted by re-using the two operand slots.
+  Stack[Sp - 2] = RA;
+  Stack[Sp - 1] = RB;
+  Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
+  Sp -= 2;
+  push(Object::fromPointer(Pr));
+}
+
 void Vm::doSuspend(int32_t EffectId) {
   // Dynamic handler search: innermost installed handler whose table
   // contains this effect. Effects are delimited by rt::par (each branch is
@@ -710,20 +730,9 @@ case Op::OPNAME: {                                                         \
     break;
   }
 
-  case Op::ParCall: {
-    // Closures stay rooted on the parent's stack during the fork.
-    BranchEnv EnvA{&P, CaptureOut, Trap, Stack[Sp - 2]};
-    BranchEnv EnvB{&P, CaptureOut, Trap, Stack[Sp - 1]};
-    auto [RA, RB] = rt::par([&] { return VmBranch::run(EnvA); },
-                            [&] { return VmBranch::run(EnvB); });
-    // Results are rooted by re-using the two operand slots.
-    Stack[Sp - 2] = RA;
-    Stack[Sp - 1] = RB;
-    Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
-    Sp -= 2;
-    push(Object::fromPointer(Pr));
+  case Op::ParCall:
+    doPar();
     break;
-  }
 
   case Op::Print: {
     Object *S = Object::asPointer(pop());

@@ -134,6 +134,9 @@ private:
   [[gnu::always_inline]] inline bool step(const Instr &In);
   /// Expects [closure, arg] on top of the value stack; false on trap.
   bool pushFrame(int FnIdx, int HandlerIdx, uint32_t OperandsToPop);
+  /// ParCall: runs the two closures on top of the stack as par branches
+  /// and replaces them with the pair of their results.
+  void doPar();
   void doSuspend(int32_t EffectId);
   void doResume();
   void push(Slot V);

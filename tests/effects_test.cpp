@@ -19,6 +19,11 @@
 //     ancestry on resume, so a well-scoped handler program is
 //     disentangled under all three modes.
 //
+// Layers 1 and 3 run each corpus program at its stored worker count and
+// again at four, and every run must end with zero leaked pins. Every
+// program prints only after its pars join, so no output depends on the
+// schedule and none is left out of the four-worker runs.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Em.h"
@@ -31,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace mpl;
@@ -44,6 +50,7 @@ struct EvalResult {
   std::string Type;
   std::string Output;
   std::string Error;
+  int64_t LeakedPins = 0; ///< Pins the run left unreleased.
 };
 
 EvalResult evalP(const std::string &Src, int Workers = 1,
@@ -54,12 +61,14 @@ EvalResult evalP(const std::string &Src, int Workers = 1,
   Cfg.GcMinBytes = 1 << 18;
   Cfg.Mode = Mode;
   rt::Runtime Rt(Cfg);
+  em::Counts.reset();
   Rt.run([&] {
     std::vector<std::string> Errs;
     R.Ok = evalSource(Src, R.Output, R.Value, R.Type, Errs);
     if (!Errs.empty())
       R.Error = Errs[0];
   });
+  R.LeakedPins = em::Counts.snapshot().livePinnedObjects();
   return R;
 }
 
@@ -175,8 +184,24 @@ const EffProgram Corpus[] = {
      "1\n2\n", 1},
 };
 
-class EffConformance : public ::testing::TestWithParam<EffProgram> {};
-class EffDifferential : public ::testing::TestWithParam<EffProgram> {};
+/// A corpus program, run at its stored worker count or, second, at four,
+/// where real parallelism reorders its strands.
+class EffCorpusTest
+    : public ::testing::TestWithParam<std::tuple<EffProgram, bool>> {
+protected:
+  const EffProgram &program() const { return std::get<0>(GetParam()); }
+  int workers() const {
+    return std::get<1>(GetParam()) ? 4 : program().Workers;
+  }
+};
+class EffConformance : public EffCorpusTest {};
+class EffDifferential : public EffCorpusTest {};
+
+std::string corpusCaseName(
+    const ::testing::TestParamInfo<std::tuple<EffProgram, bool>> &I) {
+  return std::string(std::get<0>(I.param).Name) +
+         (std::get<1>(I.param) ? "_P4" : "");
+}
 
 } // namespace
 
@@ -185,16 +210,17 @@ class EffDifferential : public ::testing::TestWithParam<EffProgram> {};
 //===----------------------------------------------------------------------===//
 
 TEST_P(EffConformance, ProducesExpectedOutput) {
-  const EffProgram &P = GetParam();
-  EvalResult R = evalP(P.Src, P.Workers);
+  const EffProgram &P = program();
+  EvalResult R = evalP(P.Src, workers());
   ASSERT_TRUE(R.Ok) << P.Name << ": " << R.Error;
   EXPECT_EQ(R.Output, P.Expect) << P.Name;
+  EXPECT_EQ(R.LeakedPins, 0) << P.Name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, EffConformance, ::testing::ValuesIn(Corpus),
-                         [](const ::testing::TestParamInfo<EffProgram> &I) {
-                           return I.param.Name;
-                         });
+INSTANTIATE_TEST_SUITE_P(Corpus, EffConformance,
+                         ::testing::Combine(::testing::ValuesIn(Corpus),
+                                            ::testing::Bool()),
+                         corpusCaseName);
 
 TEST(EffHandlers, TypesOfEffectConstructs) {
   EXPECT_EQ(typeOf("effect E\n"
@@ -419,10 +445,10 @@ TEST(EffPinProtocol, ResumeUnpinsAreCountedByName) {
 //===----------------------------------------------------------------------===//
 
 TEST_P(EffDifferential, ModesAgreeOnOutput) {
-  const EffProgram &P = GetParam();
-  EvalResult Manage = evalP(P.Src, P.Workers, em::Mode::Manage);
-  EvalResult Detect = evalP(P.Src, P.Workers, em::Mode::Detect);
-  EvalResult Off = evalP(P.Src, P.Workers, em::Mode::Off);
+  const EffProgram &P = program();
+  EvalResult Manage = evalP(P.Src, workers(), em::Mode::Manage);
+  EvalResult Detect = evalP(P.Src, workers(), em::Mode::Detect);
+  EvalResult Off = evalP(P.Src, workers(), em::Mode::Off);
   ASSERT_TRUE(Manage.Ok) << P.Name << ": " << Manage.Error;
   ASSERT_TRUE(Detect.Ok) << P.Name
                          << ": handler programs re-establish heap ancestry "
@@ -434,9 +460,12 @@ TEST_P(EffDifferential, ModesAgreeOnOutput) {
   EXPECT_EQ(Off.Output, Manage.Output) << P.Name;
   EXPECT_EQ(Detect.Value, Manage.Value) << P.Name;
   EXPECT_EQ(Off.Value, Manage.Value) << P.Name;
+  EXPECT_EQ(Manage.LeakedPins, 0) << P.Name;
+  EXPECT_EQ(Detect.LeakedPins, 0) << P.Name;
+  EXPECT_EQ(Off.LeakedPins, 0) << P.Name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, EffDifferential, ::testing::ValuesIn(Corpus),
-                         [](const ::testing::TestParamInfo<EffProgram> &I) {
-                           return I.param.Name;
-                         });
+INSTANTIATE_TEST_SUITE_P(Corpus, EffDifferential,
+                         ::testing::Combine(::testing::ValuesIn(Corpus),
+                                            ::testing::Bool()),
+                         corpusCaseName);

@@ -249,6 +249,14 @@ const DiffProgram Corpus[] = {
      "in fill 0 100; printInt (sum 0) end",
      3, MAll},
     {"par_trap_in_branch", "par (1 / 0, 2)", 1, MAll},
+    // Print and PrintInt steps from branches that run at once: the output
+    // is the sequential program's.
+    {"par_print_both_branches",
+     "fun loop s n = if n = 0 then 0 else (print s; loop s (n - 1))\n"
+     "val p = par (loop \"aaaaaaaaaaaaaaaa\" 20000,\n"
+     "             (printInt 7; loop \"bbbbbbbbbbbbbbbb\" 20000))\n"
+     "printInt (fst p + snd p)",
+     1, MAll},
     // Entangled: branch B reads an object branch A just published. Manage
     // pins it; Detect rejects it; Off is unsound by construction — both
     // tiers must do exactly the same thing, so Off is excluded. Detect

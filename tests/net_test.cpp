@@ -283,9 +283,21 @@ TEST(ServerTest, OkResponsesForMixedKinds) {
     R.Body = "nosuchkernel 1";
     ASSERT_TRUE(C.call(R, Resp));
     EXPECT_EQ(Resp.St, Status::Error);
+
+    // Both par branches print at once into the request's one output.
+    R.Id = 5;
+    R.Kind = RequestKind::Pml;
+    R.Body = "fun loop s n = if n = 0 then 0 else (print s; loop s (n - 1))\n"
+             "val p = par (loop \"aaaaaaaaaaaaaaaa\" 20000,\n"
+             "             loop \"bbbbbbbbbbbbbbbb\" 20000)\n"
+             "fst p + snd p";
+    ASSERT_TRUE(C.call(R, Resp));
+    EXPECT_EQ(Resp.St, Status::Ok);
+    EXPECT_EQ(Resp.Body, std::string(320000, 'a') + std::string(320000, 'b') +
+                             "0 : int");
   });
-  EXPECT_EQ(T.Requests, 4);
-  EXPECT_EQ(T.Ok, 3);
+  EXPECT_EQ(T.Requests, 5);
+  EXPECT_EQ(T.Ok, 4);
   EXPECT_EQ(T.Errors, 1);
 }
 

@@ -396,6 +396,21 @@ TEST_P(PmlParTest, ParallelArrayFill) {
   EXPECT_EQ(R.Value, "4950");
 }
 
+TEST_P(PmlParTest, PrintsFromBothBranchesInProgramOrder) {
+  // Branches that run at once print into one captured output: it must be
+  // exactly what the sequential program prints, a's, then b's, then c's.
+  EvalResult R = evalP(
+      "fun loop s n = if n = 0 then 0 else (print s; loop s (n - 1))\n"
+      "val p = par (par (loop \"aaaaaaaaaaaaaaaa\" 10000,\n"
+      "                  loop \"bbbbbbbbbbbbbbbb\" 10000),\n"
+      "             loop \"cccccccccccccccc\" 10000)\n"
+      "printInt (fst (fst p) + snd (fst p) + snd p)",
+      GetParam());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, std::string(160000, 'a') + std::string(160000, 'b') +
+                          std::string(160000, 'c') + "0\n");
+}
+
 TEST_P(PmlParTest, TrapInBranchPropagates) {
   EvalResult R = evalP("par (1 / 0, 2)", GetParam());
   EXPECT_FALSE(R.Ok);

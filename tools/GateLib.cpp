@@ -1,4 +1,4 @@
-//===- tools/GateLib.cpp - Statistical bench regression gate --------------===//
+//===- tools/GateLib.cpp - Deterministic bench regression gate ------------===//
 //
 // Part of mpl-em (PLDI 2023 reproduction).
 //
@@ -11,6 +11,7 @@
 #include "support/Table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -36,12 +37,6 @@ std::string strField(const json::Value *V, const char *Name) {
   return F && F->isString() ? F->StrV : "";
 }
 
-std::string fmtMs(double Sec) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.3fms", Sec * 1e3);
-  return Buf;
-}
-
 /// A JSON number from a file as an integer label, printed rather than
 /// cast so an out-of-range value cannot overflow an integer type.
 std::string intLabel(double V) {
@@ -52,20 +47,6 @@ std::string intLabel(double V) {
 
 } // namespace
 
-const char *noiseName(Noise N) {
-  switch (N) {
-  case Noise::Unknown:
-    return "unknown";
-  case Noise::Stable:
-    return "stable";
-  case Noise::Moderate:
-    return "moderate";
-  case Noise::Noisy:
-    return "noisy";
-  }
-  return "?";
-}
-
 const char *findingKindName(Finding::Kind K) {
   switch (K) {
   case Finding::Kind::MissingRow:
@@ -74,8 +55,6 @@ const char *findingKindName(Finding::Kind K) {
     return "leaked-pins";
   case Finding::Kind::ChecksumMismatch:
     return "checksum";
-  case Finding::Kind::TimeRegression:
-    return "time";
   case Finding::Kind::ResidencyRegression:
     return "residency";
   case Finding::Kind::CounterRegression:
@@ -84,31 +63,6 @@ const char *findingKindName(Finding::Kind K) {
     return "note";
   }
   return "?";
-}
-
-double Row::sigmaS() const {
-  if (RepS.size() < 2)
-    return StddevS;
-  double Mean = 0;
-  for (double S : RepS)
-    Mean += S;
-  Mean /= static_cast<double>(RepS.size());
-  double Var = 0;
-  for (double S : RepS)
-    Var += (S - Mean) * (S - Mean);
-  return std::sqrt(Var / static_cast<double>(RepS.size() - 1));
-}
-
-Noise Row::noiseClass() const {
-  double Sigma = sigmaS();
-  if (Sigma <= 0 || MedianS <= 0)
-    return Noise::Unknown;
-  double Cv = Sigma / MedianS;
-  if (Cv < 0.02)
-    return Noise::Stable;
-  if (Cv < 0.10)
-    return Noise::Moderate;
-  return Noise::Noisy;
 }
 
 int64_t Row::counter(const std::string &Name) const {
@@ -151,7 +105,6 @@ bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err) {
   }
   Out.Bench = strField(&Root, "bench");
   Out.Scale = numField(&Root, "scale");
-  Out.Reps = static_cast<int>(numField(&Root, "reps"));
   const json::Value *Rows = Root.field("rows");
   if (!Rows || !Rows->isArray()) {
     Err = "missing rows array";
@@ -182,19 +135,30 @@ bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err) {
     }
     R.MedianS = numField(Time, "median_s");
     R.StddevS = numField(Time, "stddev_s");
-    if (const json::Value *Reps = Time->field("rep_s"); Reps && Reps->isArray())
-      for (const json::Value &V : Reps->Items)
-        if (V.isNumber())
-          R.RepS.push_back(V.NumV);
     const json::Value *WS = RV.field("work_span");
     R.WorkS = numField(WS, "work_s");
     R.SpanS = numField(WS, "span_s");
+    // Checksums and counters are compared exactly, so each must be an
+    // integer in int64 range: casting any other double is undefined.
+    auto IntField = [&](const std::string &Field, double V, int64_t &Dst) {
+      if (V >= -0x1p63 && V < 0x1p63 && V == std::trunc(V)) {
+        Dst = static_cast<int64_t>(V);
+        return true;
+      }
+      char Num[32];
+      *std::to_chars(Num, Num + sizeof(Num) - 1, V).ptr = '\0';
+      Err = RowId + " ('" + R.Name + "'): " + Field + " " + Num +
+            " is not an int64";
+      return false;
+    };
     if (const json::Value *Ctr = RV.field("counters"); Ctr && Ctr->isObject())
       for (const auto &[Name, V] : Ctr->Fields)
-        if (V.isNumber())
-          R.Counters[Name] = static_cast<int64_t>(V.NumV);
+        if (V.isNumber() &&
+            !IntField("counters." + Name, V.NumV, R.Counters[Name]))
+          return false;
     if (const json::Value *Ck = RV.field("checksum"); Ck && Ck->isNumber()) {
-      R.Checksum = static_cast<int64_t>(Ck->NumV);
+      if (!IntField("checksum", Ck->NumV, R.Checksum))
+        return false;
       R.HasChecksum = true;
     }
     Out.Rows.push_back(std::move(R));
@@ -250,7 +214,8 @@ constexpr Finding::Kind Counter = Finding::Kind::CounterRegression;
 /// the VM started capturing where it didn't before) and the pml.jit.*
 /// counters of BENCH_T3's jit rows (deterministic at one worker: growth
 /// means a function recompiling or the dispatcher bouncing in and out of
-/// native code; compiling *less* shows in those rows' time gate instead).
+/// native code; bench_table_pml itself fails a jit cell that tiered
+/// nothing).
 constexpr GatedCounter GatedCounters[] = {
     {"mm.bytes.peak", Residency, &GateOptions::ResidencyAbsSlackBytes},
     {"em.pinned.bytes", Residency, &GateOptions::CounterAbsSlackBytes},
@@ -286,24 +251,6 @@ struct RowGate {
     fail(K, std::string(What) + " " + std::to_string(Base) + " -> " +
                 std::to_string(Cur) + " (limit " + std::to_string(Limit) +
                 ")");
-  }
-
-  void gateTime() {
-    double Sigma = B.sigmaS();
-    Noise Class = B.noiseClass();
-    double Floor = Opts.FloorPct / 100.0 * (Class == Noise::Noisy ? 2.0 : 1.0);
-    double Allow = std::max(Opts.StddevK * Sigma, Floor * B.MedianS);
-    if (C.MedianS <= B.MedianS + Allow)
-      return;
-    char Buf[160];
-    std::snprintf(Buf, sizeof(Buf),
-                  "%s -> %s (+%.0f%%; allowed max(%.1f*sigma=%s, "
-                  "floor=%s), baseline %s)",
-                  fmtMs(B.MedianS).c_str(), fmtMs(C.MedianS).c_str(),
-                  100.0 * (C.MedianS / B.MedianS - 1.0), Opts.StddevK,
-                  fmtMs(Opts.StddevK * Sigma).c_str(),
-                  fmtMs(Floor * B.MedianS).c_str(), noiseName(Class));
-    fail(Finding::Kind::TimeRegression, Buf);
   }
 
   /// Holds every counter of \p K's gate (GatedCounters) to \p Pct.
@@ -366,15 +313,6 @@ GateResult compare(const BenchFile &Base, const BenchFile &Cur,
       G.gateCounters(Residency, Opts.ResidencyTolerancePct);
     if (Opts.GateCounters)
       G.gateCounters(Counter, Opts.CounterTolerancePct);
-    // The time gate: only rows long enough to be stable across machines.
-    bool TimeGate =
-        Opts.GateTimes ||
-        (!Opts.TimeGateConfigSubstr.empty() &&
-         B.Config.find(Opts.TimeGateConfigSubstr) != std::string::npos);
-    if (!TimeGate || B.MedianS * 1e3 < Opts.MinTimeMs)
-      continue;
-    ++R.TimeGatedRows;
-    G.gateTime();
   }
   return R;
 }
@@ -387,15 +325,14 @@ std::string renderTable(const BenchFile &F) {
   char Head[160];
   std::snprintf(Head, sizeof(Head), "== %s (scale=%.2f, %zu rows) — %s ==\n",
                 F.Bench.c_str(), F.Scale, F.Rows.size(), F.Path.c_str());
-  Table T({"benchmark", "config", "median", "+-", "noise", "work/span",
-           "pinned", "gc", "residency", "leaked"});
+  Table T({"benchmark", "config", "median", "+-", "work/span", "pinned",
+           "gc", "residency", "leaked"});
   for (const Row &R : F.Rows) {
     std::string Par =
         R.SpanS > 0 ? Table::fmtRatio(R.WorkS / R.SpanS) : std::string("-");
-    double Sigma = R.sigmaS();
     T.addRow({R.Name, R.Config, Table::fmtSec(R.MedianS),
-              Sigma > 0 ? Table::fmtSec(Sigma) : std::string("-"),
-              noiseName(R.noiseClass()), Par,
+              R.StddevS > 0 ? Table::fmtSec(R.StddevS) : std::string("-"),
+              Par,
               Table::fmtBytes(R.counter("em.pinned.bytes")),
               Table::fmtInt(R.counter("gc.collections")),
               Table::fmtBytes(R.counter("mm.bytes.peak")),
@@ -419,12 +356,10 @@ std::string renderFindings(const GateResult &R, const GateOptions &Opts) {
       Out += " " + F.Name + "/" + F.Config;
     Out += ": " + F.Message + "\n";
   }
-  char Buf[192];
+  char Buf[128];
   std::snprintf(Buf, sizeof(Buf),
-                "mpl_report: compared %d rows (%d time-gated at >=%.0fms, "
-                "k=%.1f floor=%.0f%%%s%s): %s\n",
-                R.ComparedRows, R.TimeGatedRows, Opts.MinTimeMs, Opts.StddevK,
-                Opts.FloorPct, Opts.GateResidency ? ", residency" : "",
+                "mpl_report: compared %d rows (pins, checksums%s%s): %s\n",
+                R.ComparedRows, Opts.GateResidency ? ", residency" : "",
                 Opts.GateCounters ? ", counters" : "",
                 R.ok() ? "ok" : "FAIL");
   Out += Buf;

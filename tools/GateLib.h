@@ -1,4 +1,4 @@
-//===- tools/GateLib.h - Statistical bench regression gate -----*- C++ -*-===//
+//===- tools/GateLib.h - Deterministic bench regression gate ---*- C++ -*-===//
 //
 // Part of mpl-em (PLDI 2023 reproduction).
 //
@@ -21,32 +21,21 @@
 /// a diagnostic instead of crashing; compare() joins baseline and current
 /// rows on (name, config) and returns a structured list of findings.
 ///
-/// Gate statistics (DESIGN.md §12):
+/// The gate judges only verdicts that repeat exactly from run to run
+/// (DESIGN.md §12); wall time is judged by paired runs on one host
+/// (tools/perf_ab.py), never against a stored median:
 ///
-///  - Time rows are gated **stddev-aware**: a row fails when the current
-///    median exceeds the baseline median by more than
-///    max(K * sigma, floor% * median), where sigma is the sample stddev
-///    recomputed from the baseline's recorded per-rep times (time.rep_s).
-///    The floor absorbs machine-level jitter that a 2-rep sigma cannot
-///    estimate; K (default 2) scales the measured spread.
-///  - Every row carries a **noise class** derived from its relative
-///    spread sigma/median: stable (<2%), moderate (<10%), noisy (>=10%).
-///    Noisy rows double the floor — when the measured spread is already
-///    10%+ at smoke scale, a tight floor only manufactures flakes. The
-///    class is reported with every time verdict so a failure message
-///    states how trustworthy the baseline spread was.
+///  - Always fatal: rows missing from the current run, leaked pins
+///    (em.pins.objects - em.unpins of the row's own counters) and
+///    same-scale checksum mismatches.
 ///  - Counter/space gates (per-table opt-ins): mm.bytes.peak and
-///    em.pinned.bytes (space table), em, continuation and pml.jit
-///    counters (entangle and pml tables), each by registry name. All gate
-///    upward only — improvements never fail — with a relative tolerance
-///    plus an absolute slack so zero/near-zero baselines do not turn
-///    scheduler jitter into failures: a row passes when cur <= base +
-///    slack or cur < base * (1 + pct/100). A disentangled row that
-///    *starts* pinning (more than 64 objects or 16 KiB past its baseline)
-///    fails even when its time is within noise.
-///  - Always-fatal regardless of options: rows missing from the current
-///    run, leaked pins (em.pins.objects - em.unpins of the row's own
-///    counters) and same-scale checksum mismatches.
+///    em.pinned.bytes (residency), em, continuation and pml.jit counters,
+///    each by registry name. All gate upward only — improvements never
+///    fail — with a relative tolerance plus an absolute slack so
+///    zero/near-zero baselines do not turn scheduler jitter into
+///    failures: a row passes when cur <= base + slack or cur < base *
+///    (1 + pct/100). A disentangled row that *starts* pinning (more than
+///    64 objects or 16 KiB past its baseline) fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,32 +50,19 @@
 namespace mpl {
 namespace gate {
 
-/// How trustworthy a row's measured spread is (relative stddev of the
-/// recorded per-rep times).
-enum class Noise { Unknown, Stable, Moderate, Noisy };
-const char *noiseName(Noise N);
-
 /// One flattened bench row, keyed by (Name, Config).
 struct Row {
   std::string Name;
   std::string Config;
   bool Entangled = false;
   double MedianS = 0;
-  double StddevS = 0;          ///< As recorded by the writer.
-  std::vector<double> RepS;    ///< Per-rep times (time.rep_s).
+  double StddevS = 0; ///< As recorded by the writer.
   double WorkS = 0;
   double SpanS = 0;
   /// The row's "counters" object: registry name -> value.
   std::map<std::string, int64_t> Counters;
   int64_t Checksum = 0;
   bool HasChecksum = false;
-
-  /// Sample stddev recomputed from RepS (needs >= 2 reps); falls back to
-  /// the recorded StddevS when the per-rep times are absent.
-  double sigmaS() const;
-
-  /// Noise class from sigmaS()/MedianS; Unknown when no spread exists.
-  Noise noiseClass() const;
 
   /// Counter \p Name, or 0 when the row does not carry it.
   int64_t counter(const std::string &Name) const;
@@ -102,7 +78,6 @@ struct BenchFile {
   std::string Path;  ///< "" for in-memory parses.
   std::string Bench;
   double Scale = 0;
-  int Reps = 0;
   std::vector<Row> Rows;
 
   const Row *find(const std::string &Name, const std::string &Config) const;
@@ -110,40 +85,25 @@ struct BenchFile {
 
 /// Parses + validates one mpl-bench/2 document. On failure returns false
 /// with a one-line diagnostic in \p Err (never crashes on malformed or
-/// empty input, and names the expected schema when given another one).
+/// empty input, names the expected schema when given another one, and
+/// names the row and field of a checksum or counter that is not an
+/// integer in int64 range).
 bool parseBenchJson(const std::string &Text, BenchFile &Out, std::string &Err);
 
 /// loadBenchFile = read \p Path + parseBenchJson; \p Err includes the path.
 bool loadBenchFile(const std::string &Path, BenchFile &Out, std::string &Err);
 
-/// Gate configuration. The defaults match the CI perf-smoke stage; the
-/// per-table opt-ins (GateResidency / GateCounters) are off so the plain
-/// time gate stays the cheapest configuration.
+/// Gate configuration: the per-table opt-ins. The always-fatal checks
+/// run under every configuration.
 struct GateOptions {
-  // Time gate: fail when cur > base + max(StddevK*sigma, floor*base),
-  // floor = FloorPct/100 (doubled for Noisy rows). Rows whose baseline
-  // median is under MinTimeMs are never time-gated (pure noise across
-  // machines at smoke scale); their counters still gate.
-  bool GateTimes = true;
-  double StddevK = 2.0;
-  double FloorPct = 10.0;
-  double MinTimeMs = 10.0;
-
-  /// Non-empty: rows whose config contains this substring are time-gated
-  /// even when GateTimes is false. Lets a counters-only table arm the
-  /// stddev-aware time gate for a subset of rows — CI uses "pml-jit" on
-  /// BENCH_T3 so a JIT performance regression fails while the (noisier,
-  /// interpreter-dominated) carrier rows stay counter-gated only.
-  std::string TimeGateConfigSubstr;
-
   // Space gate (T2's claim, on BENCH_T1's rows): mm.bytes.peak and
   // em.pinned.bytes.
   bool GateResidency = false;
   double ResidencyTolerancePct = 50.0;
   int64_t ResidencyAbsSlackBytes = 1 << 20;
 
-  // Counter gate (BENCH_T3, BENCH_T4): em, continuation and pml.jit
-  // counters.
+  // Counter gate (BENCH_T1's one-worker rows, BENCH_T3): em, continuation
+  // and pml.jit counters.
   bool GateCounters = false;
   double CounterTolerancePct = 100.0;
   int64_t CounterAbsSlackEvents = 64;
@@ -157,7 +117,6 @@ struct Finding {
     MissingRow,
     LeakedPins,
     ChecksumMismatch,
-    TimeRegression,
     ResidencyRegression,
     CounterRegression,
     Note,
@@ -173,7 +132,6 @@ const char *findingKindName(Finding::Kind K);
 struct GateResult {
   std::vector<Finding> Findings;
   int ComparedRows = 0;
-  int TimeGatedRows = 0;
   bool SameScale = true;
 
   int failures() const;

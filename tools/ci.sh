@@ -14,6 +14,20 @@
 # it once per preset and only installs dependencies and uploads the
 # artifacts it leaves in build-<preset>/.
 #
+# Release also reruns three bench binaries at smoke scale and compares each
+# file with its committed baseline (tools/mpl_report, DESIGN.md §12). No
+# compare reads time, only verdicts that repeat exactly from run to run;
+# wall time is judged by tools/perf_ab.py. What each compare checks:
+#   all: rows missing from the run, leaked pins, same-scale checksums;
+#   T1, and T1 with the span ledger armed (--gate-residency
+#        --gate-counters): also max residency and pinned bytes, and em
+#        counters at one worker (a row that starts pinning fails), so
+#        arming the ledger must move neither;
+#   T3 (--gate-counters): also continuation capture/resume and pml.jit.*
+#        counters; bench_table_pml itself fails a jit cell that tiered
+#        nothing;
+#   T4:  nothing more, since its two-worker counters vary run to run.
+#
 # Usage:
 #   tools/ci.sh                # all three configs
 #   tools/ci.sh release        # one config: release | tsan | asan
@@ -29,41 +43,10 @@ RELEASE_SEEDS=${RELEASE_SEEDS:-25}
 TSAN_SEEDS=${TSAN_SEEDS:-50}
 ASAN_SEEDS=${ASAN_SEEDS:-25}
 
-# Perf-smoke knobs. The stage reruns three bench binaries at smoke scale
-# and gates each file against its committed baseline with tools/mpl_report
-# (DESIGN.md §12): checksum mismatches and leaked pins always fail.
-#   T1 (time, space and counters, one file): median beyond baseline +
-#                  max(k*sigma, floor%), sigma recomputed from the
-#                  baseline's per-rep times; max residency / pinned
-#                  bytes past tolerance (T2 is printed from T1's runs);
-#                  and em counters past tolerance (--gate-counters; its
-#                  64-event / 16 KiB slack fails a disentangled row that
-#                  starts pinning). The par-w1 rows carry the entangled
-#                  kernels' counters at one worker, where they do not
-#                  depend on the schedule. One compare judges all three,
-#                  so a run whose time rule fails still reports the rest;
-#   T3 (pml):      VM carrier checksums + effect-handler continuation
-#                  capture/resume + pml.jit.* counters past tolerance;
-#                  the interp-vs-jit ablation's jit rows additionally get
-#                  the T1 time rule (--time-gate-config pml-jit) — the
-#                  JIT's speedup over the interpreter is a gated artifact;
-#   T4 (entangle): the always-fatal checks only. Its rows run at two
-#                  workers, where counters such as channel's
-#                  em.pins.holder vary run to run, so T1's one-worker
-#                  rows gate the em counters instead.
-# T4 runs single-rep (no spread), so its time rule is off
-# (--no-time-gate); wall time is T1's and the jit rows' job.
+# Bench-gate knobs: the smoke scale must stay the baselines' 0.05, since
+# checksums compare only between files of equal scale.
 PERF_SCALE=${PERF_SCALE:-0.05}
 PERF_REPS=${PERF_REPS:-2}
-PERF_STDDEV_K=${PERF_STDDEV_K:-2}
-PERF_TOLERANCE_PCT=${PERF_TOLERANCE_PCT:-25}
-# The T3 jit rows get a wider floor: per-process timing on the VM ablation
-# swings 20-30% in noisy containers (address-layout-sensitive), while the
-# regression the rule exists to catch — losing the JIT's 1.5-1.7x speedup
-# on sum-3m/primes-200k — shows as +60-70%. Total JIT loss is caught
-# deterministically inside bench_table_pml (it asserts every jit cell
-# tiered at least one function).
-PERF_JIT_TOLERANCE_PCT=${PERF_JIT_TOLERANCE_PCT:-50}
 
 # Memory-pressure stage knobs (see DESIGN.md §10). The stress/fuzz live
 # peak is ~8 MiB, so a 16 MiB hard limit leaves emergency collection real
@@ -323,49 +306,34 @@ run_config() {
   "$bdir/tools/mpl_report" spans top-lines "$bdir/spans_smoke/trace.json"
 
   if [[ "$preset" == "release" ]]; then
-    echo "==== [$preset] perf smoke: T1 time + residency + counters (scale $PERF_SCALE, k=$PERF_STDDEV_K floor ${PERF_TOLERANCE_PCT}%) ===="
-    # Sanitizer presets skew times beyond any tolerance, so only release
-    # runs the gates. The fresh JSONs and rendered reports are left in
-    # the build dir for CI to upload as artifacts.
+    echo "==== [$preset] bench gate: T1 residency + counters (scale $PERF_SCALE) ===="
+    # Release only: the sanitizer presets run the bench binaries many
+    # times slower. The fresh JSONs and rendered reports are left in the
+    # build dir for CI to upload as artifacts.
     "$bdir/bench/bench_table_time" -scale "$PERF_SCALE" -reps "$PERF_REPS" \
       -json "$bdir/perf_smoke.json" > "$bdir/perf_smoke.txt"
     "$bdir/tools/mpl_report" "$bdir/perf_smoke.json"
     "$bdir/tools/mpl_report" --baseline BENCH_T1.json \
-      --current "$bdir/perf_smoke.json" \
-      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT" \
-      --gate-residency --gate-counters
+      --current "$bdir/perf_smoke.json" --gate-residency --gate-counters
 
-    echo "==== [$preset] spans-on overhead gate ===="
-    # Same T1 table with the span ledger armed for every run (MPL_OBS=spans):
-    # the per-task ledger bookkeeping must stay inside the same stddev
-    # envelope as an unchanged build, bounding the ledger's overhead.
+    echo "==== [$preset] bench gate: spans-armed T1 ===="
     MPL_OBS=spans "$bdir/bench/bench_table_time" -scale "$PERF_SCALE" \
-      -reps "$PERF_REPS" -json "$bdir/spans_overhead.json" \
-      > "$bdir/spans_overhead.txt"
+      -reps "$PERF_REPS" -json "$bdir/spans_armed.json" \
+      > "$bdir/spans_armed.txt"
     "$bdir/tools/mpl_report" --baseline BENCH_T1.json \
-      --current "$bdir/spans_overhead.json" \
-      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT"
+      --current "$bdir/spans_armed.json" --gate-residency --gate-counters
 
-    echo "==== [$preset] pml carrier gate (BENCH_T3, jit rows time-gated) ===="
-    # The effects row's continuation capture/resume counts are a pure
-    # function of the program, so the counter gate pins them exactly
-    # (upward only); checksums catch VM miscompiles at any scale. The
-    # interp-vs-jit ablation rows carry per-rep times, and the jit rows
-    # are held to the stddev-aware time rule (--time-gate-config pml-jit)
-    # at the wider PERF_JIT_TOLERANCE_PCT floor: losing the JIT's speedup
-    # is a regression even when checksums agree.
+    echo "==== [$preset] bench gate: pml carrier (BENCH_T3) ===="
     "$bdir/bench/bench_table_pml" -reps "$PERF_REPS" \
       -json "$bdir/pml_smoke.json" > "$bdir/pml_smoke.txt"
     "$bdir/tools/mpl_report" --baseline BENCH_T3.json \
-      --current "$bdir/pml_smoke.json" \
-      --no-time-gate --gate-counters --time-gate-config pml-jit \
-      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_JIT_TOLERANCE_PCT"
+      --current "$bdir/pml_smoke.json" --gate-counters
 
-    echo "==== [$preset] entangle gate (BENCH_T4) ===="
+    echo "==== [$preset] bench gate: entangle (BENCH_T4) ===="
     "$bdir/bench/bench_table_entangle" -scale "$PERF_SCALE" \
       -json "$bdir/entangle_smoke.json" > "$bdir/entangle_smoke.txt"
     "$bdir/tools/mpl_report" --baseline BENCH_T4.json \
-      --current "$bdir/entangle_smoke.json" --no-time-gate
+      --current "$bdir/entangle_smoke.json"
   fi
 }
 

@@ -8,33 +8,24 @@
 //   render:   mpl_report FILE
 //             Paper-style table of an "mpl-bench/2" file (what every
 //             bench binary writes with `-json <path>`; bench/Common.h,
-//             BenchJson): times with spread and noise class, work/span,
+//             BenchJson): times with their recorded spread, work/span,
 //             pinned bytes, GC count, residency and leaked pins.
 //
 //   compare:  mpl_report --baseline A --current B
-//                        [--stddev-k K] [--floor-pct N] [--min-time-ms M]
-//                        [--no-time-gate] [--gate-residency]
-//                        [--gate-counters] [--time-gate-config SUBSTR]
-//             The CI perf-smoke gate (DESIGN.md §12). Joins rows on
-//             (name, config) and exits 1 when the current run regressed:
-//               * median time beyond baseline + max(K*sigma, floor%) —
-//                 sigma recomputed from the baseline's per-rep times,
-//                 floor doubled for noisy rows — and only for rows whose
-//                 baseline median is at least M ms (default 10): shorter
-//                 rows are pure noise across machines at smoke scale;
+//                        [--gate-residency] [--gate-counters]
+//             The CI bench gate (DESIGN.md §12). Joins rows on (name,
+//             config) and exits 1 when the current run regressed on a
+//             verdict that repeats exactly from run to run:
+//               * always: leaked pins, missing rows, same-scale checksum
+//                 mismatches;
 //               * with --gate-residency: max residency / pinned bytes
 //                 grew past tolerance (the space table's claim);
 //               * with --gate-counters: em, continuation or pml.jit
-//                 counters grew past tolerance (the entangle table's
-//                 claim) — catching a disentangled benchmark that starts
-//                 pinning even when its time is within noise;
-//               * always: leaked pins, missing rows, same-scale checksum
-//                 mismatches.
-//             Improvements never fail the gate. Every rule is judged in
-//             the one pass, so a time failure still reports residency.
-//             --no-time-gate turns the time rule off for tables whose
-//             claim is counters (BENCH_T4 runs single-rep, so it carries
-//             no spread; wall time is the T1 stage's job).
+//                 counters grew past tolerance — catching a disentangled
+//                 benchmark that starts pinning.
+//             Improvements never fail the gate. No rule reads time: wall
+//             time is judged by paired runs on one host
+//             (tools/perf_ab.py).
 //
 //   spans:    mpl_report spans analyze|critical-path|top-lines|fold FILE
 //                        [--check-agreement PCT] [-n K]
@@ -87,10 +78,8 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: mpl_report FILE\n"
-      "       mpl_report --baseline A --current B\n"
-      "                  [--stddev-k K] [--floor-pct N] [--min-time-ms M]\n"
-      "                  [--no-time-gate] [--gate-residency] [--gate-counters]\n"
-      "                  [--time-gate-config SUBSTR]\n"
+      "       mpl_report --baseline A --current B [--gate-residency]\n"
+      "                  [--gate-counters]\n"
       "       mpl_report spans analyze|critical-path|top-lines|fold FILE\n"
       "                  [--check-agreement PCT] [-n K]\n"
       "       mpl_report trace FILE [--require-event NAME]... [--allow-drops]\n"
@@ -123,10 +112,8 @@ bool flagsOk(const Cli &C, std::initializer_list<std::string_view> Valued,
 }
 
 int benchForms(const Cli &C) {
-  if (!flagsOk(C,
-               {"baseline", "current", "stddev-k", "floor-pct", "min-time-ms",
-                "time-gate-config"},
-               {"no-time-gate", "gate-residency", "gate-counters"}))
+  if (!flagsOk(C, {"baseline", "current"},
+               {"gate-residency", "gate-counters"}))
     return usage();
   const std::vector<std::string> &Pos = C.positional();
   std::string BaselinePath = C.getString("baseline", "");
@@ -149,13 +136,6 @@ int benchForms(const Cli &C) {
   if (CurrentPath.empty() || !Pos.empty())
     return usage();
   gate::GateOptions Opts;
-  Opts.StddevK = C.getDouble("stddev-k", Opts.StddevK);
-  Opts.FloorPct = C.getDouble("floor-pct", Opts.FloorPct);
-  Opts.MinTimeMs = C.getDouble("min-time-ms", Opts.MinTimeMs);
-  Opts.GateTimes = !C.getBool("no-time-gate");
-  // Arms the time gate for rows whose config contains SUBSTR even under
-  // --no-time-gate (CI: the jit rows of BENCH_T3).
-  Opts.TimeGateConfigSubstr = C.getString("time-gate-config", "");
   Opts.GateResidency = C.getBool("gate-residency");
   Opts.GateCounters = C.getBool("gate-counters");
   gate::BenchFile Base, Cur;
